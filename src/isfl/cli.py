@@ -7,8 +7,8 @@ Subcommands:
   sweep-sr    final accuracy across sampling ratios
   bounds      recompute bounds.csv from a run's diagnostics log
 
-Exit codes: 1 config/validation, 2 I/O, 3 capacity. Set ISFL_THREADS to run
-(strategy, seed) jobs concurrently.
+Exit codes: 1 config/validation, 2 I/O, 3 capacity, 4 a round failed (the run
+diverged or a module raised); the failing round index goes to stderr.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +36,14 @@ from .data import (
     sort_and_partition,
     train_holdout_test_split,
 )
-from .federation import FederationConfig, RoundMetrics, derive_seed, run
+from .federation import (
+    STRATEGIES,
+    FederationConfig,
+    RoundFailure,
+    RoundMetrics,
+    derive_seed,
+    run,
+)
 from .isweights import compute_alpha, rho, solve_is_weights
 from .model import ModelSpec
 from .trainer import TrainerConfig
@@ -51,7 +56,7 @@ class ExperimentConfig:
     """Flat experiment settings; every key is validated before any work starts."""
 
     classes: int = 10
-    per_class: int = 1200
+    per_class: int = 2200
     dim: int = 32
     separation: float = 3.0
     dataset_path: str | None = None
@@ -99,7 +104,7 @@ class ExperimentConfig:
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         for strategy in self.strategies:
-            if strategy not in ("fedavg", "rw_is", "gradnorm_is", "isfl"):
+            if strategy not in STRATEGIES:
                 raise ValueError(f"unknown strategy {strategy!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
@@ -168,15 +173,14 @@ def run_id_of(payload: dict) -> str:
     return hashlib.sha256(canonical).hexdigest()[:12]
 
 
-def write_metrics_csv(metrics: list[RoundMetrics], pi: np.ndarray, path: Path) -> None:
+def write_metrics_csv(metrics: list[RoundMetrics], path: Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(METRICS_HEADER + "\n")
         for m in metrics:
             if m.rho_realized is None:
                 rho_mean = rho_theory = ""
             else:
-                rho_mean = repr(float(m.rho_realized @ pi))
-                rho_theory = repr(float(m.rho_theory @ pi))
+                rho_mean, rho_theory = repr(m.rho_realized), repr(m.rho_theory)
             f.write(
                 f"{m.round_index},{m.train_loss!r},{m.acc_test!r},"
                 f"{m.acc_pool!r},{rho_mean},{rho_theory}\n"
@@ -205,15 +209,12 @@ def execute_run(
         n_rounds=cfg.rounds,
         strategy=strategy,
         varpi=cfg.varpi,
-        probe_size=cfg.probe_size,
         seed=derive_seed(seed, 20),
     )
     recorder = diagnostics.RunLog() if strategy == "isfl" else None
     metrics = run(shards, fed_cfg, test, probe=probe, recorder=recorder)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    pi = np.array([len(s) for s in shards], dtype=np.float64)
-    pi /= pi.sum()
     manifest = {
         "config": cfg.to_dict(),
         "strategy": strategy,
@@ -224,20 +225,13 @@ def execute_run(
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    write_metrics_csv(metrics, pi, out_dir / "metrics.csv")
+    write_metrics_csv(metrics, out_dir / "metrics.csv")
     write_timings_csv(metrics, out_dir / "timings.csv")
     if recorder is not None and recorder.records:
         recorder.save_jsonl(out_dir / "diagnostics.jsonl")
         diagnostics.write_bounds_csv(recorder, out_dir / "bounds.csv")
         diagnostics.write_long_csv(recorder, out_dir / "long.csv")
     return metrics
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("ISFL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _final_summary(results: dict) -> str:
@@ -275,22 +269,11 @@ def cmd_run(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     out_dir = Path(args.out)
     seeds = [args.seed] if args.seed is not None else cfg.seeds
-    jobs = [(strategy, seed) for strategy in cfg.strategies for seed in seeds]
-
-    def one(job):
-        strategy, seed = job
-        return job, execute_run(cfg, strategy, seed, out_dir / f"{strategy}_seed{seed}")
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            finished = list(pool.map(one, jobs))
-    else:
-        finished = [one(job) for job in jobs]
-
     results: dict[str, list] = {s: [] for s in cfg.strategies}
-    for (strategy, _), metrics in finished:
-        results[strategy].append(metrics)
+    for strategy in cfg.strategies:
+        for seed in seeds:
+            run_dir = out_dir / f"{strategy}_seed{seed}"
+            results[strategy].append(execute_run(cfg, strategy, seed, run_dir))
     print(_final_summary(results))
     return 0
 
@@ -334,31 +317,15 @@ def cmd_sweep_sr(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    jobs = [
-        (strategy, ratio, seed)
-        for strategy in cfg.strategies
-        for ratio in ratios
-        for seed in cfg.seeds
-    ]
-
-    def one(job):
-        strategy, ratio, seed = job
-        metrics = execute_run(
-            cfg, strategy, seed,
-            out_dir / f"{strategy}_sr{ratio}_seed{seed}",
-            sampling_ratio=ratio,
-        )
-        return job, metrics[-1]
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            finished = list(pool.map(one, jobs))
-    else:
-        finished = [one(job) for job in jobs]
-
-    for (strategy, ratio, seed), final in finished:
-        rows.append((strategy, ratio, seed, final.acc_test, final.acc_pool))
+    for strategy in cfg.strategies:
+        for ratio in ratios:
+            for seed in cfg.seeds:
+                final = execute_run(
+                    cfg, strategy, seed,
+                    out_dir / f"{strategy}_sr{ratio}_seed{seed}",
+                    sampling_ratio=ratio,
+                )[-1]
+                rows.append((strategy, ratio, seed, final.acc_test, final.acc_pool))
     with open(out_dir / "sweep_sr.csv", "w", encoding="utf-8") as f:
         f.write("strategy,sr,seed,acc_S,acc_G\n")
         for strategy, ratio, seed, acc_s, acc_g in rows:
@@ -418,6 +385,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except RoundFailure as exc:
+        print(f"run failed in {exc}", file=sys.stderr)
+        return 4
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

@@ -372,7 +372,3 @@ def save_partition_manifest(shards: list[ClientShard], path: str | Path) -> None
         json.dump(partition_manifest(shards), f, indent=2, sort_keys=True)
         f.write("\n")
 
-
-def load_partition_manifest(path: str | Path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)

@@ -143,31 +143,6 @@ def psi(
     return float(per_epoch.mean())
 
 
-def phi(
-    client: int,
-    t: int,
-    t_c: int,
-    sigma2: np.ndarray,
-    g2: np.ndarray,
-    pi: np.ndarray,
-) -> float:
-    """Accumulated drift term for one client from the last aggregation to t.
-
-    Sums (K+1) * g2(tau) + sigma2_client(tau) + sum_l pi_l sigma2_l(tau) for
-    tau in [t_c, t); zero when t == t_c. Epoch arrays are indexed by tau.
-    """
-    if t < t_c:
-        raise ValueError("t must not precede the last aggregation epoch")
-    sigma2 = np.atleast_2d(np.asarray(sigma2, dtype=np.float64))
-    g2 = np.atleast_1d(np.asarray(g2, dtype=np.float64))
-    pi = np.asarray(pi, dtype=np.float64)
-    k = pi.size
-    total = 0.0
-    for tau in range(t_c, t):
-        total += (k + 1) * g2[tau] + sigma2[tau, client] + float(sigma2[tau] @ pi)
-    return float(total)
-
-
 def lemma1_check(
     eta: float, local_epochs: int, measured_dev2: float, phi_k: float
 ) -> tuple[float, float, bool]:
@@ -180,12 +155,18 @@ def lemma1_check(
     return measured_dev2, rhs, measured_dev2 <= rhs
 
 
-def _phi_round_end(log: RunLog, rec: RoundRecord) -> np.ndarray:
-    """phi for each client at the end of a round, with per-round constants the
-    per-epoch sum collapses to local_epochs identical terms."""
-    k = log.n_clients
-    per_tau = (k + 1) * rec.g2 + rec.sigma2 + float(rec.sigma2 @ log.pi)
-    return log.local_epochs * per_tau
+def _phi_per_epoch(log: RunLog, rec: RoundRecord) -> np.ndarray:
+    """Per-client drift term of one epoch, (K+1) * g2 + sigma2_k + sum_l pi_l
+    sigma2_l. The round's constants make it the same for every epoch, so phi
+    at the round's end is local_epochs times this."""
+    return (log.n_clients + 1) * rec.g2 + rec.sigma2 + float(rec.sigma2 @ log.pi)
+
+
+def _rho_rows(log: RunLog, rec: RoundRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Per-client rho(plan in effect) and rho(optimum) for one record, both
+    against its in-effect curvature matrix."""
+    p = CategoryDistribution(log.p)
+    return rho(rec.q_used, p, rec.lipschitz), rho(rec.q_star, p, rec.lipschitz)
 
 
 def rho_trajectory(log: RunLog) -> list[tuple[float, float]]:
@@ -199,42 +180,31 @@ def rho_trajectory(log: RunLog) -> list[tuple[float, float]]:
     """
     if not log.records:
         raise ValueError("run log has no round records")
-    p = CategoryDistribution(log.p)
     out = []
     for rec in log.records:
-        realized = np.array(
-            [
-                rho(CategoryDistribution(rec.q_used[k]), p, rec.lipschitz[k])
-                for k in range(log.n_clients)
-            ]
-        )
-        theory = np.array(
-            [
-                rho(CategoryDistribution(rec.q_star[k]), p, rec.lipschitz[k])
-                for k in range(log.n_clients)
-            ]
-        )
+        realized, theory = _rho_rows(log, rec)
         out.append((float(realized @ log.pi), float(theory @ log.pi)))
     return out
 
 
-def bound_rhs(log: RunLog, rec: RoundRecord, best_loss: float) -> float:
+def bound_rhs(
+    log: RunLog,
+    rec: RoundRecord,
+    best_loss: float,
+    rho_realized: np.ndarray,
+    psi_val: float,
+    per_tau: np.ndarray,
+) -> float:
     """Full bound value for one round window, using the best loss seen in the
-    run in place of the unknowable optimum. Reported, never asserted."""
+    run in place of the unknowable optimum. Reported, never asserted.
+
+    ``rho_realized`` holds the per-client penalties of the plans in effect,
+    ``psi_val`` the round's noise term and ``per_tau`` the per-client
+    per-epoch drift term, as bounds_rows computes them.
+    """
     t = log.local_epochs
-    lbar_rows = log.pi @ rec.lipschitz           # pi-weighted client rows
-    lbar = float(log.p @ lbar_rows)
-    psi_val = psi(log.eta, lbar, log.pi, rec.sigma2[None, :], [rec.g2], log.n_categories)
-    p = CategoryDistribution(log.p)
-    rho_vals = np.array(
-        [
-            rho(CategoryDistribution(rec.q_used[k]), p, rec.lipschitz[k])
-            for k in range(log.n_clients)
-        ]
-    )
-    per_tau = (log.n_clients + 1) * rec.g2 + rec.sigma2 + float(rec.sigma2 @ log.pi)
     phi_sums = per_tau * (t * (t - 1) / 2.0)     # sum of phi over the window
-    drift = float(np.sum(log.pi * rho_vals * phi_sums))
+    drift = float(np.sum(log.pi * rho_realized * phi_sums))
     head = 2.0 * max(rec.loss_start - best_loss, 0.0) / (log.eta * t)
     return head + psi_val + (2.0 * log.eta**2 * log.local_epochs / t) * drift
 
@@ -244,15 +214,18 @@ BOUNDS_HEADER = "round,rho_realized,rho_theory,psi,phi_mean,dev_mean,lemma1_pass
 
 def bounds_rows(log: RunLog) -> list[dict]:
     """One summary row per round for bounds.csv."""
-    trajectory = rho_trajectory(log)
+    if not log.records:
+        raise ValueError("run log has no round records")
     best_loss = min(rec.loss_start for rec in log.records)
     rows = []
-    for rec, (realized, theory) in zip(log.records, trajectory):
+    for rec in log.records:
+        realized, theory = _rho_rows(log, rec)
         lbar = float(log.p @ (log.pi @ rec.lipschitz))
         psi_val = psi(
             log.eta, lbar, log.pi, rec.sigma2[None, :], [rec.g2], log.n_categories
         )
-        phis = _phi_round_end(log, rec)
+        per_tau = _phi_per_epoch(log, rec)
+        phis = log.local_epochs * per_tau
         holds = [
             lemma1_check(log.eta, log.local_epochs, float(rec.dev2[k]), float(phis[k]))[2]
             for k in range(log.n_clients)
@@ -260,13 +233,13 @@ def bounds_rows(log: RunLog) -> list[dict]:
         rows.append(
             {
                 "round": rec.round_index,
-                "rho_realized": realized,
-                "rho_theory": theory,
+                "rho_realized": float(realized @ log.pi),
+                "rho_theory": float(theory @ log.pi),
                 "psi": psi_val,
                 "phi_mean": float(phis.mean()),
                 "dev_mean": float(rec.dev2.mean()),
                 "lemma1_pass_rate": float(np.mean(holds)),
-                "bound_rhs": bound_rhs(log, rec, best_loss),
+                "bound_rhs": bound_rhs(log, rec, best_loss, realized, psi_val, per_tau),
             }
         )
     return rows

@@ -48,8 +48,6 @@ class FederationConfig:
     n_rounds: int = 25
     strategy: str = "fedavg"
     varpi: float = 0.05
-    probe_size: int = 500
-    pi: tuple[float, ...] | None = None   # defaults to size-proportional
     seed: int = 0
 
     def __post_init__(self):
@@ -59,20 +57,18 @@ class FederationConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if not 0.0 <= self.varpi < 1.0:
             raise ValueError("varpi must lie in [0, 1)")
-        if self.pi is not None:
-            pi = np.asarray(self.pi, dtype=np.float64)
-            if np.any(pi < 0.0) or abs(pi.sum() - 1.0) > 1e-9:
-                raise ValueError("pi must be non-negative and sum to 1")
 
 
 @dataclass
 class RoundMetrics:
+    """One round's outcome; the rho fields are pi-weighted client means (isfl only)."""
+
     round_index: int
     train_loss: float
     acc_test: float
     acc_pool: float
-    rho_realized: np.ndarray | None
-    rho_theory: np.ndarray | None
+    rho_realized: float | None
+    rho_theory: float | None
     seconds: float
 
 
@@ -111,18 +107,14 @@ def run(
     ``probe`` (held-out data) is required for the isfl strategy, which
     re-estimates curvature rows on it at every aggregation. When ``recorder``
     is given, per-round diagnostics records are appended to it (isfl only).
+    Clients are weighted by shard size. A round whose aggregate parameters or
+    pooled loss are not finite raises RoundFailure, as does any module error.
     Fully deterministic for a given config and seed.
     """
     if cfg.strategy == "isfl" and probe is None:
         raise ValueError("the isfl strategy needs a probe dataset")
     n_clients = len(shards)
-    pi = (
-        np.asarray(cfg.pi, dtype=np.float64)
-        if cfg.pi is not None
-        else size_proportional_weights(shards)
-    )
-    if pi.size != n_clients:
-        raise ValueError("pi length must match the client count")
+    pi = size_proportional_weights(shards)
     p_global = global_distribution(shards)
     p_locals = [s.local_distribution for s in shards]
 
@@ -192,18 +184,8 @@ def run(
                 else:
                     in_effect = lips
                     q_star = q_used
-                rho_realized = np.array(
-                    [
-                        rho(CategoryDistribution(q_used[k]), p_global, in_effect[k])
-                        for k in range(n_clients)
-                    ]
-                )
-                rho_theory = np.array(
-                    [
-                        rho(CategoryDistribution(q_star[k]), p_global, in_effect[k])
-                        for k in range(n_clients)
-                    ]
-                )
+                rho_realized = float(rho(q_used, p_global, in_effect) @ pi)
+                rho_theory = float(rho(q_star, p_global, in_effect) @ pi)
                 if recorder is not None:
                     sigma2 = np.empty(n_clients)
                     g2 = 0.0
@@ -245,6 +227,8 @@ def run(
             global_params = new_global
             train_loss, acc_pool = evaluate(cfg.model, global_params, pool)
             _, acc_test = evaluate(cfg.model, global_params, test_set)
+            if not (np.isfinite(train_loss) and np.all(np.isfinite(global_params.values))):
+                raise ValueError("aggregate or pooled loss is not finite; the run diverged")
         except Exception as exc:
             raise RoundFailure(rnd, str(exc)) from exc
 

@@ -253,15 +253,26 @@ def uniform_plan(p_local: CategoryDistribution) -> SamplingPlan:
 
 
 def rho(
-    q: CategoryDistribution, p: CategoryDistribution, l_row: np.ndarray
-) -> float:
-    """Convergence penalty of resampling with q against pooled mix p."""
+    q: CategoryDistribution | np.ndarray,
+    p: CategoryDistribution,
+    l_row: np.ndarray,
+) -> float | np.ndarray:
+    """Convergence penalty of resampling with q against pooled mix p.
+
+    Takes one plan and one curvature row (``q`` a distribution or a length-C
+    vector, ``l_row`` of length C) and returns a float, or a K x C stack of
+    plans with the matching K x C curvature rows and returns the K penalties.
+    The sums run over the last axis, so each stacked row equals its one-row
+    value bit for bit.
+    """
+    q = q.probs if isinstance(q, CategoryDistribution) else np.asarray(q, dtype=np.float64)
     l_row = np.asarray(l_row, dtype=np.float64)
-    if len(q) != len(p) or l_row.size != len(p):
-        raise ValueError("q, p and the curvature row must have equal length")
-    mismatch = 1.0 + np.sum((p.probs - q.probs) ** 2)
-    curvature = np.sum(q.probs * l_row**2)
-    return float(mismatch * curvature)
+    if q.ndim not in (1, 2) or q.shape[-1] != len(p) or l_row.shape != q.shape:
+        raise ValueError("q, p and the curvature rows must have equal length")
+    mismatch = 1.0 + np.sum((p.probs - q) ** 2, axis=-1)
+    curvature = np.sum(q * l_row**2, axis=-1)
+    value = mismatch * curvature
+    return float(value) if q.ndim == 1 else value
 
 
 def kkt_partials(

@@ -24,22 +24,6 @@ class ZeroDeviationError(ValueError):
 
 
 @dataclass(frozen=True)
-class LipschitzMatrix:
-    """Client-by-category curvature estimates, tagged with the round they came from."""
-
-    values: np.ndarray
-    epoch_tag: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2:
-            raise ValueError("values must be a K x C matrix")
-        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-            raise ValueError("entries must be finite and non-negative")
-
-
-@dataclass(frozen=True)
 class GradientStats:
     """Plug-in estimates of minibatch-gradient variance and squared norm bound."""
 

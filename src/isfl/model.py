@@ -7,15 +7,11 @@ architecture. An empty ``hidden_dims`` gives multinomial logistic regression.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-
-CHECKPOINT_MAGIC = b"ISFLCK1"
 
 _ACTIVATIONS = ("relu", "tanh")
 
@@ -171,6 +167,24 @@ def _backward_deltas(spec, params, acts, pre, dlogits):
     return deltas
 
 
+def _backprop(spec: ModelSpec, params: ParamVector, batch: Dataset, mean: bool):
+    """Shared prologue of the gradient functions: check the batch, run the
+    forward pass and backpropagate the softmax cross-entropy.
+
+    Returns (activations, deltas). The logit gradient is softmax minus one-hot
+    per sample; ``mean`` divides it by N before backpropagation, which gives
+    the deltas of the mean loss instead of each sample's own loss.
+    """
+    _check_batch(spec, batch)
+    n = len(batch)
+    logits, acts, pre = _forward(spec, params, batch.features)
+    _, dlogits = _softmax_ce(logits, batch.labels)
+    dlogits[np.arange(n), batch.labels] -= 1.0
+    if mean:
+        dlogits /= n
+    return acts, _backward_deltas(spec, params, acts, pre, dlogits)
+
+
 def forward_loss(spec: ModelSpec, params: ParamVector, batch: Dataset) -> float:
     """Mean softmax cross-entropy over the batch (log-sum-exp stabilized)."""
     _check_batch(spec, batch)
@@ -181,14 +195,7 @@ def forward_loss(spec: ModelSpec, params: ParamVector, batch: Dataset) -> float:
 
 def backward_grad(spec: ModelSpec, params: ParamVector, batch: Dataset) -> ParamVector:
     """Exact gradient of the mean loss, in the same layout as ``params``."""
-    _check_batch(spec, batch)
-    n = len(batch)
-    logits, acts, pre = _forward(spec, params, batch.features)
-    _, probs = _softmax_ce(logits, batch.labels)
-    dlogits = probs.copy()
-    dlogits[np.arange(n), batch.labels] -= 1.0
-    dlogits /= n
-    deltas = _backward_deltas(spec, params, acts, pre, dlogits)
+    acts, deltas = _backprop(spec, params, batch, mean=True)
     grad = zeros_params(spec)
     views = grad.slices()
     for i, delta in enumerate(deltas):
@@ -199,13 +206,8 @@ def backward_grad(spec: ModelSpec, params: ParamVector, batch: Dataset) -> Param
 
 def per_sample_grads(spec: ModelSpec, params: ParamVector, batch: Dataset) -> np.ndarray:
     """N x P matrix: row n is the gradient of sample n's own loss."""
-    _check_batch(spec, batch)
+    acts, deltas = _backprop(spec, params, batch, mean=False)
     n = len(batch)
-    logits, acts, pre = _forward(spec, params, batch.features)
-    _, probs = _softmax_ce(logits, batch.labels)
-    dlogits = probs.copy()
-    dlogits[np.arange(n), batch.labels] -= 1.0
-    deltas = _backward_deltas(spec, params, acts, pre, dlogits)
     layout = layout_of(spec)
     out = np.empty((n, _layout_size(layout)))
     for i, delta in enumerate(deltas):
@@ -224,14 +226,8 @@ def per_sample_grad_norms(spec: ModelSpec, params: ParamVector, batch: Dataset) 
     incoming activation and the delta, so its squared norm factorizes into
     ``|a|^2 * |delta|^2``; the bias contributes ``|delta|^2``.
     """
-    _check_batch(spec, batch)
-    n = len(batch)
-    logits, acts, pre = _forward(spec, params, batch.features)
-    _, probs = _softmax_ce(logits, batch.labels)
-    dlogits = probs.copy()
-    dlogits[np.arange(n), batch.labels] -= 1.0
-    deltas = _backward_deltas(spec, params, acts, pre, dlogits)
-    sq = np.zeros(n)
+    acts, deltas = _backprop(spec, params, batch, mean=False)
+    sq = np.zeros(len(batch))
     for i, delta in enumerate(deltas):
         a_sq = np.einsum("ni,ni->n", acts[i], acts[i])
         d_sq = np.einsum("ni,ni->n", delta, delta)
@@ -253,27 +249,3 @@ def evaluate(spec: ModelSpec, params: ParamVector, ds: Dataset) -> tuple[float, 
     losses, _ = _softmax_ce(logits, ds.labels)
     acc = float(np.mean(logits.argmax(axis=1) == ds.labels))
     return float(losses.mean()), acc
-
-
-def save_checkpoint(params: ParamVector, path) -> None:
-    """Magic, u32-length JSON layout descriptor, then raw little-endian f64."""
-    descriptor = json.dumps(
-        [{"shape": list(s), "offset": o} for s, o in params.layout]
-    ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(descriptor)))
-        f.write(descriptor)
-        f.write(params.values.astype("<f8").tobytes())
-
-
-def load_checkpoint(path) -> ParamVector:
-    with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        (desc_len,) = struct.unpack("<I", f.read(4))
-        descriptor = json.loads(f.read(desc_len).decode("utf-8"))
-        layout = tuple((tuple(d["shape"]), int(d["offset"])) for d in descriptor)
-        values = np.frombuffer(f.read(), dtype="<f8")
-    return ParamVector(values.copy(), layout)

@@ -245,7 +245,6 @@ def trend_run(seed, strategy, varpi=0.05, sampling_ratio=1.0, recorder=None):
         n_rounds=20,
         strategy=strategy,
         varpi=varpi,
-        probe_size=500,
         seed=seed + 4,
     )
     return run(shards, cfg, test, probe=probe, recorder=recorder)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from isfl.cli import ExperimentConfig, main
+from isfl.cli import ExperimentConfig, build_experiment_data, main
 
 BASE_CONFIG = {
     "classes": 3,
@@ -168,16 +168,25 @@ class TestRunCommand:
         for path in out_dir.rglob("*.csv"):
             assert "nan" not in path.read_text().lower()
 
-    def test_thread_pool_matches_sequential(self, tmp_path, monkeypatch):
-        cfg_path = write_config(tmp_path, strategies=["fedavg", "isfl"], seeds=[1, 2])
-        seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"
-        main(["run", "--config", str(cfg_path), "--out", str(seq_dir)])
-        monkeypatch.setenv("ISFL_THREADS", "4")
-        main(["run", "--config", str(cfg_path), "--out", str(par_dir)])
-        for sub in ("fedavg_seed1", "isfl_seed2"):
-            assert (seq_dir / sub / "metrics.csv").read_bytes() == (
-                par_dir / sub / "metrics.csv"
-            ).read_bytes()
+    def test_metrics_rho_columns_match_bounds(self, tmp_path):
+        cfg_path = write_config(tmp_path, strategies=["isfl"], rounds=4)
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        run_dir = out_dir / "isfl_seed1"
+        metrics = [r.split(",") for r in (run_dir / "metrics.csv").read_text().splitlines()[1:]]
+        bounds = [r.split(",") for r in (run_dir / "bounds.csv").read_text().splitlines()[1:]]
+        assert len(metrics) == len(bounds) == 4
+        for m, b in zip(metrics, bounds):
+            assert m[0] == b[0]
+            assert (m[4], m[5]) == (b[1], b[2])
+
+    def test_divergence_exits_4_without_nan_rows(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, eta=1e6, rounds=6)
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 4
+        assert "round 5" in capsys.readouterr().err
+        for path in tmp_path.rglob("*.csv"):
+            assert "nan" not in path.read_text().lower()
 
 
 class TestSweepCommand:
@@ -228,6 +237,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig()
         assert cfg.clients == 20
         assert cfg.rounds == 25
+        assert cfg.per_class == 2200
         assert cfg.local_epochs == 5
         assert cfg.batch_size == 128
         assert cfg.eta == pytest.approx(1e-3)
@@ -236,6 +246,12 @@ class TestExperimentConfig:
         assert cfg.varpi == 0.05
         assert cfg.shard_size == 500
         assert cfg.shards_per_client == 2
+
+    def test_default_data_builds(self):
+        shards, probe, test = build_experiment_data(ExperimentConfig(), 0)
+        assert len(shards) == 20
+        assert all(len(s) == 1000 for s in shards)
+        assert len(probe) == 500 and len(test) == 1000
 
     def test_validation_catches_bad_strategy(self, tmp_path):
         path = write_config(tmp_path, strategies=["bogus"])

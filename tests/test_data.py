@@ -13,7 +13,6 @@ from isfl.data import (
     global_distribution,
     load_csv_dataset,
     load_dataset,
-    load_partition_manifest,
     save_dataset,
     save_partition_manifest,
     select_probe_set,
@@ -216,7 +215,8 @@ class TestFileFormats:
         shards = sort_and_partition(ds, cfg)
         path = tmp_path / "manifest.json"
         save_partition_manifest(shards, path)
-        manifest = load_partition_manifest(path)
+        with open(path, encoding="utf-8") as f:
+            manifest = json.load(f)
         assert manifest["n_classes"] == ds.n_classes
         assert len(manifest["clients"]) == 3
         entry = manifest["clients"][1]

@@ -8,15 +8,12 @@ from isfl.diagnostics import (
     bound_rhs,
     bounds_rows,
     lemma1_check,
-    phi,
     psi,
     rho_trajectory,
     write_bounds_csv,
     write_long_csv,
 )
 from isfl.federation import run
-from isfl.isweights import rho
-from isfl.data import CategoryDistribution
 
 from test_federation import fed_config, small_problem
 
@@ -65,29 +62,6 @@ class TestPsi:
         assert psi(*args, 10) == pytest.approx(2 * psi(*args, 5), rel=1e-12)
 
 
-class TestPhi:
-    def test_empty_window(self):
-        assert phi(0, 5, 5, np.ones((10, 2)), np.ones(10), np.array([0.5, 0.5])) == 0.0
-
-    def test_hand_evaluation(self):
-        # per-epoch term (K+1) * 1 + 1 + 1 = 5 over two epochs
-        value = phi(
-            0, 2, 0, np.ones((2, 2)), np.ones(2), np.array([0.5, 0.5])
-        )
-        assert value == pytest.approx(10.0, abs=1e-12)
-
-    def test_nondecreasing_within_round(self):
-        sigma2 = np.abs(np.random.default_rng(0).standard_normal((6, 3)))
-        g2 = np.abs(np.random.default_rng(1).standard_normal(6))
-        pi = np.full(3, 1 / 3)
-        values = [phi(1, t, 0, sigma2, g2, pi) for t in range(7)]
-        assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
-
-    def test_t_before_t_c_rejected(self):
-        with pytest.raises(ValueError):
-            phi(0, 1, 3, np.ones((4, 1)), np.ones(4), np.array([1.0]))
-
-
 class TestLemma1Check:
     def test_zero_deviation_at_aggregation(self):
         lhs, rhs, holds = lemma1_check(1e-3, 5, 0.0, 0.0)
@@ -132,8 +106,15 @@ class TestBoundsArtifacts:
     def test_bound_rhs_finite_positive(self):
         log = stub_log(n_rounds=3)
         for rec in log.records:
-            value = bound_rhs(log, rec, best_loss=0.9)
+            value = bound_rhs(log, rec, 0.9, np.ones(2), 1.0, np.full(2, 5.0))
             assert np.isfinite(value) and value > 0.0
+
+    def test_phi_mean_hand_evaluation(self):
+        # per-epoch term (K+1) * 1 + 1 + 1 = 5 over two epochs
+        log = stub_log()
+        log.local_epochs = 2
+        log.records[0].sigma2 = np.ones(2)
+        assert bounds_rows(log)[0]["phi_mean"] == pytest.approx(10.0, abs=1e-12)
 
     def test_rows_and_csv(self, tmp_path):
         shards, probe, test = small_problem()

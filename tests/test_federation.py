@@ -44,7 +44,6 @@ def fed_config(strategy, n_rounds=3, seed=7, eta=0.05):
         n_rounds=n_rounds,
         strategy=strategy,
         varpi=0.05,
-        probe_size=30,
         seed=seed,
     )
 
@@ -213,12 +212,6 @@ class TestRun:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             fed_config("nonsense")
-        with pytest.raises(ValueError):
-            FederationConfig(
-                model=ModelSpec(5, (), 3),
-                trainer=TrainerConfig(),
-                pi=(0.5, 0.2),
-            )
 
 
 class TestGlobalDistributionWiring:

@@ -237,6 +237,19 @@ class TestRho:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rho(P3, CategoryDistribution(np.array([0.5, 0.5])), L3)
+        with pytest.raises(ValueError):
+            rho(np.tile(P3.probs, (2, 1)), P3, np.tile(L3, (3, 1)))
+
+    @pytest.mark.parametrize("c", [3, 5, 10, 16])
+    def test_stack_matches_rows_bitwise(self, c):
+        rng = np.random.default_rng(c)
+        p = CategoryDistribution(rng.dirichlet(np.ones(c)))
+        q = rng.dirichlet(np.full(c, 0.5), size=7)
+        l_rows = rng.uniform(0.1, 10.0, size=(7, c))
+        stacked = rho(q, p, l_rows)
+        assert stacked.shape == (7,)
+        for k in range(7):
+            assert stacked[k] == rho(CategoryDistribution(q[k]), p, l_rows[k])
 
 
 class TestBruteForce:

@@ -7,7 +7,6 @@ import isfl.lipschitz as lipschitz_mod
 from isfl.data import Dataset
 from isfl.lipschitz import (
     GradientStats,
-    LipschitzMatrix,
     ZeroDeviationError,
     estimate_lipschitz,
     estimate_sgd_stats,
@@ -163,13 +162,6 @@ class TestEstimateSgdStats:
 
 
 class TestContainers:
-    def test_matrix_validation(self):
-        LipschitzMatrix(np.ones((2, 3)), epoch_tag=5)
-        with pytest.raises(ValueError):
-            LipschitzMatrix(np.array([[1.0, -0.1]]), epoch_tag=0)
-        with pytest.raises(ValueError):
-            LipschitzMatrix(np.array([[np.inf, 1.0]]), epoch_tag=0)
-
     def test_stats_validation(self):
         GradientStats(0.0, 1.0)
         with pytest.raises(ValueError):

@@ -12,10 +12,8 @@ from isfl.model import (
     forward_loss,
     init_params,
     layout_of,
-    load_checkpoint,
     per_sample_grad_norms,
     per_sample_grads,
-    save_checkpoint,
     sgd_step,
     zeros_params,
 )
@@ -255,20 +253,3 @@ class TestEvaluate:
             hits += int(np.argmin(losses) == ds.labels[n])
         assert acc == pytest.approx(hits / 100)
 
-
-class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
-        spec = ModelSpec(5, (6,), 3)
-        params = init_params(spec, seed=11)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path)
-        back = load_checkpoint(path)
-        assert back.layout == params.layout
-        assert np.array_equal(back.values, params.values)
-        assert path.read_bytes()[:7] == b"ISFLCK1"
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk"
-        path.write_bytes(b"garbage")
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
