@@ -229,8 +229,9 @@ def execute_run(
     write_timings_csv(metrics, out_dir / "timings.csv")
     if recorder is not None and recorder.records:
         recorder.save_jsonl(out_dir / "diagnostics.jsonl")
-        diagnostics.write_bounds_csv(recorder, out_dir / "bounds.csv")
-        diagnostics.write_long_csv(recorder, out_dir / "long.csv")
+        rows = diagnostics.bounds_rows(recorder)
+        diagnostics.write_bounds_csv(rows, out_dir / "bounds.csv")
+        diagnostics.write_long_csv(rows, out_dir / "long.csv")
     return metrics
 
 
@@ -340,9 +341,9 @@ def cmd_sweep_sr(args) -> int:
 
 def cmd_bounds(args) -> int:
     run_dir = Path(args.run_dir)
-    log = diagnostics.RunLog.load_jsonl(run_dir / "diagnostics.jsonl")
-    diagnostics.write_bounds_csv(log, run_dir / "bounds.csv")
-    diagnostics.write_long_csv(log, run_dir / "long.csv")
+    rows = diagnostics.bounds_rows(diagnostics.RunLog.load_jsonl(run_dir / "diagnostics.jsonl"))
+    diagnostics.write_bounds_csv(rows, run_dir / "bounds.csv")
+    diagnostics.write_long_csv(rows, run_dir / "long.csv")
     print(f"wrote {run_dir / 'bounds.csv'} and {run_dir / 'long.csv'}")
     return 0
 

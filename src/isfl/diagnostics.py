@@ -213,7 +213,8 @@ BOUNDS_HEADER = "round,rho_realized,rho_theory,psi,phi_mean,dev_mean,lemma1_pass
 
 
 def bounds_rows(log: RunLog) -> list[dict]:
-    """One summary row per round for bounds.csv."""
+    """One summary row per round for bounds.csv and long.csv, with the
+    per-client deviations under ``dev2``."""
     if not log.records:
         raise ValueError("run log has no round records")
     best_loss = min(rec.loss_start for rec in log.records)
@@ -240,13 +241,13 @@ def bounds_rows(log: RunLog) -> list[dict]:
                 "dev_mean": float(rec.dev2.mean()),
                 "lemma1_pass_rate": float(np.mean(holds)),
                 "bound_rhs": bound_rhs(log, rec, best_loss, realized, psi_val, per_tau),
+                "dev2": rec.dev2,
             }
         )
     return rows
 
 
-def write_bounds_csv(log: RunLog, path: str | Path) -> None:
-    rows = bounds_rows(log)
+def write_bounds_csv(rows: list[dict], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(BOUNDS_HEADER + "\n")
         for r in rows:
@@ -257,9 +258,8 @@ def write_bounds_csv(log: RunLog, path: str | Path) -> None:
             )
 
 
-def write_long_csv(log: RunLog, path: str | Path) -> None:
+def write_long_csv(rows: list[dict], path: str | Path) -> None:
     """Plot-ready long format: round,series,client,value."""
-    rows = bounds_rows(log)
     with open(path, "w", encoding="utf-8") as f:
         f.write("round,series,client,value\n")
         for r in rows:
@@ -273,6 +273,6 @@ def write_long_csv(log: RunLog, path: str | Path) -> None:
                 "bound_rhs",
             ):
                 f.write(f"{r['round']},{series},,{r[series]!r}\n")
-        for rec in log.records:
-            for k in range(log.n_clients):
-                f.write(f"{rec.round_index},dev2,{k},{rec.dev2[k]!r}\n")
+        for r in rows:
+            for k, dev2 in enumerate(r["dev2"]):
+                f.write(f"{r['round']},dev2,{k},{dev2!r}\n")

@@ -105,8 +105,10 @@ def run(
     """Execute the full federated schedule and return per-round metrics.
 
     ``probe`` (held-out data) is required for the isfl strategy, which
-    re-estimates curvature rows on it at every aggregation. When ``recorder``
-    is given, per-round diagnostics records are appended to it (isfl only).
+    re-estimates curvature rows on it and solves the next round's plans at
+    every aggregation but the last of a multi-round run, which nothing would
+    read. When ``recorder`` is given, per-round diagnostics records are
+    appended to it (isfl only).
     Clients are weighted by shard size. A round whose aggregate parameters or
     pooled loss are not finite raises RoundFailure, as does any module error.
     Fully deterministic for a given config and seed.
@@ -160,19 +162,20 @@ def run(
                 q_used = np.stack([_plan_q(plans[k], p_locals[k]) for k in range(n_clients)])
                 # refresh the curvature estimates and solve next round's plans
                 fresh = lips.copy()
-                for k in range(n_clients):
-                    try:
-                        fresh[k] = estimate_lipschitz(
-                            cfg.model, local_params[k], new_global, probe
-                        )
-                    except ZeroDeviationError:
-                        logger.warning(
-                            "round %d client %d: zero deviation, keeping row", rnd, k
-                        )
-                plans = [
-                    solve_is_weights(p_global, p_locals[k], fresh[k], cfg.varpi)
-                    for k in range(n_clients)
-                ]
+                if rnd == 1 or rnd < cfg.n_rounds:
+                    for k in range(n_clients):
+                        try:
+                            fresh[k] = estimate_lipschitz(
+                                cfg.model, local_params[k], new_global, probe
+                            )
+                        except ZeroDeviationError:
+                            logger.warning(
+                                "round %d client %d: zero deviation, keeping row", rnd, k
+                            )
+                    plans = [
+                        solve_is_weights(p_global, p_locals[k], fresh[k], cfg.varpi)
+                        for k in range(n_clients)
+                    ]
                 # in-effect view of this round: the plans the clients trained
                 # under and the optimum for the curvature those plans were
                 # solved from. No estimate was in effect during round 1, so it

@@ -13,20 +13,21 @@ every category sampled. The water-filling structure: a zero-sum gap vector
 level (gamma) slides along it; categories pin to their floors as the level
 rises. Because the penalty is a product, descent can continue past the first
 floor contact (re-solving on the unpinned categories) and may even concentrate
-the remaining mass on the cheapest category, so the solver enumerates every
-candidate floor pattern and keeps the exact minimizer. compute_gamma_star
-still reports the classic first-contact level.
+the remaining mass on the cheapest category. The KKT conditions say which
+floor patterns an optimum can have: the top-k sets of an arrangement of C
+lines, O(C^2) of them. The solver searches exactly those and keeps the exact
+minimizer in O(C^3). compute_gamma_star still reports the classic
+first-contact level.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .data import CapacityError, CategoryDistribution
+from .data import CategoryDistribution
 
 logger = logging.getLogger(__name__)
 
@@ -107,6 +108,10 @@ def _effective_floors(
     p: np.ndarray, p_local: np.ndarray, varpi: float
 ) -> tuple[np.ndarray, bool]:
     """Floors varpi * p_local, cut down to p where they would exceed it."""
+    if not 0.0 <= varpi < 1.0:
+        raise ValueError("varpi must lie in [0, 1)")
+    if p.size != p_local.size:
+        raise ValueError("p and p_local must have equal length")
     floors = varpi * p_local
     over = floors > p
     if over.any():
@@ -129,19 +134,55 @@ def compute_gamma_star(
 
     Returns 0 when no category is down-weighted (degenerate gaps included).
     """
-    if not 0.0 <= varpi < 1.0:
-        raise ValueError("varpi must lie in [0, 1)")
-    if len(p) != len(p_local) or len(p) != alpha.alphas.size:
-        raise ValueError("p, p_local and alpha must have equal length")
     floors, _ = _effective_floors(p.probs, p_local.probs, varpi)
+    return _first_contact(p.probs, floors, alpha)
+
+
+def _first_contact(p: np.ndarray, floors: np.ndarray, alpha: AlphaVector) -> float:
+    if alpha.alphas.size != p.size:
+        raise ValueError("p, p_local and alpha must have equal length")
     neg = alpha.alphas < 0.0
     if not neg.any():
         return 0.0
-    candidates = (p.probs[neg] - floors[neg]) / (-alpha.alphas[neg])
+    candidates = (p[neg] - floors[neg]) / (-alpha.alphas[neg])
     candidates = candidates[candidates >= 0.0]
     if candidates.size == 0:
         return 0.0
     return float(candidates.min())
+
+
+def _pinned_sets(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Every floor pattern a KKT point can have, as rows of a boolean matrix.
+
+    With A the mismatch and B the curvature factor of rho, t = A / (2B) > 0
+    and mu the scaled multiplier, category j sits on its floor exactly when
+    (floors_j - p_j) + sq_j * t >= mu. The pinned set is therefore a top-k
+    prefix of the order of the C lines (floors_j - p_j) + sq_j * t, and that
+    order only changes where two lines cross: sorting at every crossing and
+    inside every interval between crossings yields O(C^2) distinct sets. The
+    all-pinned set has no free mass and is left out. Rows come in the order
+    of the floor-pattern integers (bit j for category j), the order a full
+    enumeration visits them in, so candidates of equal value tie-break alike.
+    """
+    c = p.size
+    a = floors - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (a[None, :] - a[:, None]) / (sq[:, None] - sq[None, :])
+    cross = np.unique(cross[np.isfinite(cross) & (cross > 0.0)])
+    edges = np.concatenate(([0.0], cross))
+    levels = np.sort(np.r_[cross, (edges[:-1] + edges[1:]) / 2, 2.0 * edges[-1] + 1.0])
+
+    order = np.argsort(-(a[None, :] + levels[:, None] * sq[None, :]), axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)
+    # prefix k of a level differs from the previous level's exactly when one
+    # of its first k categories ranked k or lower there
+    reach = np.maximum.accumulate(np.take_along_axis(rank[:-1], order[1:], axis=1), axis=1)
+    new = np.vstack([np.ones((1, c - 1), dtype=bool), reach[:, :-1] >= np.arange(1, c)])
+
+    rows, ks = np.nonzero(new)
+    masks = np.vstack([np.zeros((1, c), dtype=bool), rank[rows] <= ks[:, None]])
+    masks = np.unique(masks, axis=0)
+    return masks[np.lexsort(masks.T)]
 
 
 def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -151,8 +192,12 @@ def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarr
     coordinates pinned to their floors) or at a vertex. On each face the
     stationarity conditions confine q to a line: the mass-shifted pooled mix
     plus t times the curvature-gap direction of the unpinned set; the
-    self-consistent levels t solve a quadratic. All faces are enumerated, so
-    the cost grows as 2^C; category counts in this domain are small.
+    self-consistent levels t solve a quadratic. Only the O(C^2) faces a KKT
+    point can lie on are searched (see _pinned_sets), so a solve costs O(C^3)
+    and returns the q that searching all 2^C - 1 faces would, bit for bit.
+    The one exception is an optimum on several faces at once, as when an
+    exactly tied curvature meets a clamped floor: those faces agree up to
+    rounding, and which of them is kept may differ.
     """
     c = p.size
     best_q, best_v = floors.copy(), np.inf
@@ -165,8 +210,7 @@ def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarr
         if value < best_v:
             best_q, best_v = q, value
 
-    for pattern in range(2**c - 1):
-        pinned = np.array([(pattern >> j) & 1 for j in range(c)], dtype=bool)
+    for pinned in _pinned_sets(p, floors, sq):
         free = np.flatnonzero(~pinned)
         mass = 1.0 - floors[pinned].sum()
         shift = (mass - p[free].sum()) / free.size
@@ -213,23 +257,26 @@ def solve_is_weights(
     ``gamma_star`` reports the first-contact water-filling level. Mass
     assigned to categories the client does not own is redistributed
     proportionally over its support, where the weights ``w = q / p_local``
-    are then formed.
+    are then formed. If the support is left with no mass at all (possible
+    only at varpi = 0), the plan falls back to the local mix.
     """
     p_arr = p.probs
     pk_arr = p_local.probs
-    if len(p) != len(p_local):
-        raise ValueError("p and p_local must have equal length")
     if np.any(p_arr <= 0.0):
         raise ValueError("pooled distribution must be strictly positive")
     alpha = compute_alpha(l_row)
-    gamma_star = compute_gamma_star(p, p_local, alpha, varpi)
     floors, clamped = _effective_floors(p_arr, pk_arr, varpi)
+    gamma_star = _first_contact(p_arr, floors, alpha)
     sq = np.asarray(l_row, dtype=np.float64) ** 2
     q = _minimize_rho(p_arr, floors, sq)
 
     support = pk_arr > 0.0
     if not support.all():
         q = np.where(support, q, 0.0)
+        if q.sum() == 0.0:
+            # without floors the optimum can sit wholly off the client's data
+            logger.warning("optimum leaves the client's categories empty; keeping its local mix")
+            q = pk_arr
         q = q / q.sum()
     w = np.zeros_like(q)
     w[support] = q[support] / pk_arr[support]
@@ -285,55 +332,3 @@ def kkt_partials(
     a = 1.0 + np.sum((p.probs - q.probs) ** 2)
     b = np.sum(q.probs * l_row**2)
     return 2.0 * (q.probs - p.probs) * b + l_row**2 * a
-
-
-@lru_cache(maxsize=8)
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All non-negative integer vectors of the given length summing to total.
-
-    Built column by column with ragged-range expansion; the cached table is
-    treated as read-only by callers.
-    """
-    prefix = np.arange(total + 1, dtype=np.int32)[:, None]
-    for _ in range(parts - 2):
-        remaining = total - prefix.sum(axis=1)
-        counts = remaining + 1
-        starts = np.cumsum(counts) - counts
-        row_of = np.repeat(np.arange(prefix.shape[0]), counts)
-        new_col = np.arange(counts.sum(), dtype=np.int32) - starts[row_of]
-        prefix = np.hstack([prefix[row_of], new_col[:, None]])
-    if parts == 1:
-        return np.array([[total]], dtype=np.int32)
-    last = (total - prefix.sum(axis=1)).astype(np.int32)
-    return np.hstack([prefix, last[:, None]])
-
-
-def brute_force_rho_min(
-    p: CategoryDistribution,
-    p_local: CategoryDistribution,
-    l_row: np.ndarray,
-    varpi: float,
-    grid_step: float = 0.005,
-) -> tuple[np.ndarray, float]:
-    """Exhaustive grid minimizer of rho over the feasible set, as an oracle.
-
-    The grid lives on the residual simplex above the floors, so floor-active
-    boundaries are represented exactly. Intended for small category counts
-    only; the grid grows combinatorially.
-    """
-    l_row = np.asarray(l_row, dtype=np.float64)
-    c = len(p)
-    if c > 5:
-        raise CapacityError("grid oracle supports at most 5 categories")
-    if not 0.0 < grid_step <= 0.01:
-        raise ValueError("grid_step must lie in (0, 0.01]")
-    floors, _ = _effective_floors(p.probs, p_local.probs, varpi)
-    residual = 1.0 - floors.sum()
-    steps = int(round(1.0 / grid_step))
-    grid = _compositions(steps, c).astype(np.float64) / steps
-    q = floors[None, :] + residual * grid
-    mismatch = 1.0 + np.sum((q - p.probs[None, :]) ** 2, axis=1)
-    curvature = q @ (l_row**2)
-    values = mismatch * curvature
-    best = int(values.argmin())
-    return q[best], float(values[best])

@@ -31,7 +31,6 @@ from isfl.federation import (
     run,
 )
 from isfl.isweights import (
-    brute_force_rho_min,
     compute_alpha,
     compute_gamma_star,
     kkt_partials,
@@ -42,6 +41,7 @@ from isfl.isweights import (
 from isfl.model import ModelSpec, backward_grad, evaluate, forward_loss, init_params
 from isfl.model import ParamVector, sgd_step
 from isfl.trainer import TrainerConfig, local_train
+from oracles import brute_force_rho_min
 
 
 def report(criterion, ok, detail):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ class TestSolveCommand:
 
     def test_missing_file_exits_2(self):
         assert main(["solve", "--input", "/nonexistent/problem.json"]) == 2
+
+    def test_hundred_categories_under_a_second(self, tmp_path, capsys):
+        rng = np.random.default_rng(100)
+        problem = tmp_path / "problem.json"
+        problem.write_text(
+            json.dumps({"p": rng.dirichlet(np.full(100, 2.0)).tolist(),
+                        "p_k": rng.dirichlet(np.ones(100)).tolist(),
+                        "L": rng.uniform(0.05, 3.0, 100).tolist()})
+        )
+        t0 = time.perf_counter()
+        assert main(["solve", "--input", str(problem)]) == 0
+        elapsed = time.perf_counter() - t0
+        assert sum(json.loads(capsys.readouterr().out)["q"]) == pytest.approx(1.0, abs=1e-9)
+        assert elapsed < 1.0
 
 
 class TestPartitionCommand:

@@ -128,14 +128,14 @@ class TestBoundsArtifacts:
             assert row["rho_theory"] <= row["rho_realized"] + 1e-12
 
         bounds_path = tmp_path / "bounds.csv"
-        write_bounds_csv(recorder, bounds_path)
+        write_bounds_csv(rows, bounds_path)
         lines = bounds_path.read_text().splitlines()
         assert lines[0] == BOUNDS_HEADER
         assert len(lines) == 4
         assert "nan" not in bounds_path.read_text().lower()
 
         long_path = tmp_path / "long.csv"
-        write_long_csv(recorder, long_path)
+        write_long_csv(rows, long_path)
         header = long_path.read_text().splitlines()[0]
         assert header == "round,series,client,value"
 

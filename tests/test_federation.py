@@ -209,6 +209,22 @@ class TestRun:
         run(shards, fed_config("gradnorm_is", n_rounds=3), test)
         assert calls["n"] == 3 * len(shards)
 
+    @pytest.mark.parametrize("n_rounds, refreshes", [(1, 1), (3, 2)])
+    def test_isfl_skips_the_last_rounds_refresh(self, monkeypatch, n_rounds, refreshes):
+        # round 1 is scored on its estimate; a later last round has no next round
+        shards, probe, test = small_problem()
+        calls = {"estimate_lipschitz": 0, "solve_is_weights": 0}
+        for name in calls:
+            real = getattr(federation_mod, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(federation_mod, name, counting)
+        run(shards, fed_config("isfl", n_rounds=n_rounds), test, probe=probe)
+        assert calls == {name: refreshes * len(shards) for name in calls}
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             fed_config("nonsense")

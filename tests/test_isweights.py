@@ -2,19 +2,23 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from isfl.data import CapacityError, CategoryDistribution
 from isfl.isweights import (
     AlphaVector,
     SamplingPlan,
-    brute_force_rho_min,
     compute_alpha,
     compute_gamma_star,
     kkt_partials,
     rho,
     solve_is_weights,
     uniform_plan,
+    _effective_floors,
+    _minimize_rho,
 )
+from oracles import brute_force_rho_min, enumerate_rho_min
 
 # Worked three-category instance used throughout: pooled [0.5, 0.3, 0.2],
 # local [0.8, 0.1, 0.1], curvatures [1, 2, 3], floor weight 0.05.
@@ -154,6 +158,25 @@ class TestSolveIsWeights:
         support = pk.probs > 0
         assert abs((pk.probs[support] * plan.w[support]).sum() - 1.0) <= 1e-9
 
+    def test_optimum_off_the_support_keeps_local_mix(self, caplog):
+        # with no floors all mass goes to the cheaper category the client lacks
+        pk = CategoryDistribution(np.array([1.0, 0.0]))
+        with caplog.at_level(logging.WARNING):
+            plan = solve_is_weights(
+                CategoryDistribution(np.array([0.5, 0.5])), pk, np.array([1.0, 0.5]), 0.0
+            )
+        assert np.array_equal(plan.q.probs, [1.0, 0.0])
+        assert np.array_equal(plan.w, [1.0, 0.0])
+        assert "local mix" in caplog.text
+
+    def test_clamping_logged_once(self, caplog):
+        p = CategoryDistribution(np.array([0.001, 0.499, 0.5]))
+        pk = CategoryDistribution(np.array([0.9, 0.05, 0.05]))
+        with caplog.at_level(logging.WARNING):
+            plan = solve_is_weights(p, pk, np.array([1.0, 2.0, 3.0]), 0.05)
+        assert plan.clamped
+        assert sum("clamping" in r.getMessage() for r in caplog.records) == 1
+
     def test_zero_pooled_probability_rejected(self):
         bad = CategoryDistribution(np.array([0.0, 0.5, 0.5]))
         with pytest.raises(ValueError):
@@ -276,3 +299,124 @@ class TestBruteForce:
             brute_force_rho_min(wide, wide, np.ones(6), 0.05, 0.005)
         with pytest.raises(ValueError):
             brute_force_rho_min(P3, PK3, L3, 0.05, 0.05)
+
+
+def penalty(q, p, sq):
+    return (1.0 + ((q - p) ** 2).sum()) * (q @ sq)
+
+
+def solver_instance(rng, c):
+    """Pooled mix, floors and squared curvatures for the solver, covering
+    varpi = 0, categories the client does not hold, floors clamped to the
+    pooled proportion and curvatures tied across categories."""
+    p = rng.dirichlet(np.full(c, rng.choice([0.3, 1.0, 5.0])))
+    p = (p + 1e-3) / (1.0 + c * 1e-3)
+    pk = rng.dirichlet(np.full(c, rng.choice([0.3, 1.0, 5.0])))
+    held = rng.random(c) >= 0.25
+    if rng.random() < 0.3 and held.any():
+        pk = np.where(held, pk, 0.0) / pk[held].sum()
+    varpi = float(rng.choice([0.0, 0.01, 0.05, 0.2, 0.5, 0.9]))
+    if rng.random() < 0.3:
+        l_row = rng.choice([0.5, 1.0, 2.0], size=c)
+    else:
+        l_row = rng.uniform(0.05, 3.0, size=c)
+    floors, clamped = _effective_floors(p, pk, varpi)
+    return p, floors, l_row**2, clamped
+
+
+# instances per category count, fewer where the 2^C faces cost more
+BITWISE_INSTANCES = {2: 700, 3: 700, 4: 700, 5: 700, 6: 300, 7: 200, 8: 150,
+                     9: 100, 10: 50, 11: 20, 12: 12}
+
+
+class TestMinimizeRho:
+    def test_matches_face_enumeration_bitwise(self):
+        # An exactly tied curvature next to a clamped floor can put the
+        # optimum on several faces at once; those faces give the same q up
+        # to rounding and the enumeration keeps whichever rounds lowest, so
+        # that family is held to rounding error instead of bit equality.
+        exact = 0
+        for c, count in BITWISE_INSTANCES.items():
+            rng = np.random.default_rng(1000 + c)
+            for _ in range(count):
+                p, floors, sq, clamped = solver_instance(rng, c)
+                q = _minimize_rho(p, floors, sq)
+                q_enum = enumerate_rho_min(p, floors, sq)
+                if clamped and np.unique(sq).size < c:
+                    assert np.abs(q - q_enum).max() <= 1e-15
+                    assert penalty(q, p, sq) <= penalty(q_enum, p, sq) * (1 + 1e-15)
+                else:
+                    assert np.array_equal(q, q_enum), (c, p, floors, sq)
+                    exact += 1
+        assert exact >= 3000
+
+    @pytest.mark.parametrize("c", [50, 100])
+    def test_kkt_at_large_category_counts(self, c):
+        rng = np.random.default_rng(c)
+        for _ in range(3):
+            p, floors, sq, _ = solver_instance(rng, c)
+            q = _minimize_rho(p, floors, sq)
+            assert abs(q.sum() - 1.0) <= 1e-9
+            assert np.all(q >= floors - 1e-12)
+            # stationarity: equal partials on the free coordinates, no
+            # smaller ones on the coordinates held at their floors
+            parts = kkt_partials(
+                CategoryDistribution(q), CategoryDistribution(p), np.sqrt(sq)
+            )
+            free = q > floors + 1e-9
+            assert free.any()
+            scale = np.abs(parts).max()
+            assert np.ptp(parts[free]) <= 1e-9 * scale
+            assert np.all(parts[~free] >= parts[free].min() - 1e-9 * scale)
+
+
+@st.composite
+def solver_problems(draw, max_c=8):
+    c = draw(st.integers(2, max_c))
+    p = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=c, max_size=c)))
+    # a category the client holds has at least one of its samples
+    share = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    pk = np.array(draw(st.lists(share, min_size=c, max_size=c)))
+    assume(pk.sum() > 0.0)
+    l_row = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=c, max_size=c)))
+    varpi = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2]))
+    return (CategoryDistribution(p / p.sum()), CategoryDistribution(pk / pk.sum()),
+            l_row, varpi)
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestSolverProperties:
+    @PROPERTY_SETTINGS
+    @given(solver_problems())
+    def test_feasible(self, problem):
+        p, pk, l_row, varpi = problem
+        plan = solve_is_weights(p, pk, l_row, varpi)
+        floors, _ = _effective_floors(p.probs, pk.probs, varpi)
+        assert abs(plan.q.probs.sum() - 1.0) <= 1e-9
+        assert np.all(plan.q.probs >= floors - 1e-12)
+        assert abs((pk.probs * plan.w).sum() - 1.0) <= 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(solver_problems())
+    def test_no_worse_than_face_enumeration(self, problem):
+        p, pk, l_row, varpi = problem
+        floors, _ = _effective_floors(p.probs, pk.probs, varpi)
+        sq = l_row**2
+        found = penalty(_minimize_rho(p.probs, floors, sq), p.probs, sq)
+        assert found <= penalty(enumerate_rho_min(p.probs, floors, sq), p.probs, sq) * (1 + 1e-15)
+
+    @PROPERTY_SETTINGS
+    @given(solver_problems(max_c=12), st.randoms(use_true_random=False))
+    def test_permutation_equivariant(self, problem, random):
+        # distinct curvatures keep the minimizer unique
+        p, pk, l_row, varpi = problem
+        assume(np.diff(np.sort(l_row)).min() >= 1e-3)
+        perm = np.array(random.sample(range(len(p)), len(p)))
+        plan = solve_is_weights(p, pk, l_row, varpi)
+        permuted = solve_is_weights(
+            CategoryDistribution(p.probs[perm]), CategoryDistribution(pk.probs[perm]),
+            l_row[perm], varpi,
+        )
+        assert np.allclose(permuted.q.probs, plan.q.probs[perm], rtol=0.0, atol=1e-9)
