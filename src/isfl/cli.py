@@ -37,6 +37,7 @@ from .data import (
     train_holdout_test_split,
 )
 from .federation import (
+    PHASES,
     STRATEGIES,
     FederationConfig,
     RoundFailure,
@@ -188,10 +189,12 @@ def write_metrics_csv(metrics: list[RoundMetrics], path: Path) -> None:
 
 
 def write_timings_csv(metrics: list[RoundMetrics], path: Path) -> None:
+    """Wall seconds per round, in total and per phase (federation.PHASES)."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write("round,secs\n")
+        f.write(",".join(("round", "secs", *PHASES)) + "\n")
         for m in metrics:
-            f.write(f"{m.round_index},{m.seconds:.6f}\n")
+            cells = (m.seconds, *(m.phases[phase] for phase in PHASES))
+            f.write(f"{m.round_index}," + ",".join(f"{c:.6f}" for c in cells) + "\n")
 
 
 def execute_run(

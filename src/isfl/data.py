@@ -35,6 +35,8 @@ class CategoryDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-D vector")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probs must be finite")
         if np.any(probs < 0.0):
             raise ValueError("probs must be non-negative")
         if abs(probs.sum() - 1.0) > 1e-9:

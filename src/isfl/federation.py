@@ -1,8 +1,10 @@
 """Round-based federated orchestration with pluggable sampling strategies.
 
-Every round: clients train locally under their current sampling plans, the
-server takes the weighted parameter average, plans are refreshed according to
-the strategy, and the aggregate is broadcast back. Strategies:
+Every round: all clients train locally under their current sampling plans, in
+one lockstep ``local_train`` call, the server takes the weighted parameter
+average, plans are refreshed according to the strategy, and the aggregate is
+broadcast back. Each round's wall time is split into the phases of PHASES.
+Strategies:
 
   fedavg       unit weights throughout (plain federated averaging)
   rw_is        uniform over each client's present categories (from round 2)
@@ -31,6 +33,11 @@ logger = logging.getLogger(__name__)
 STRATEGIES = ("fedavg", "rw_is", "gradnorm_is", "isfl")
 
 STATS_DRAWS = 8
+
+# Wall-clock phases of a round, in order: local training, aggregation, the
+# curvature rows, next round's plans and their rho scores, the noise
+# statistics of the diagnostics record, and evaluation of the aggregate
+PHASES = ("train", "aggregate", "curvature", "solve", "stats", "eval")
 
 
 class RoundFailure(RuntimeError):
@@ -70,6 +77,7 @@ class RoundMetrics:
     rho_realized: float | None
     rho_theory: float | None
     seconds: float
+    phases: dict[str, float]  # wall seconds per PHASES entry; they sum to at most seconds
 
 
 def size_proportional_weights(shards: list[ClientShard]) -> np.ndarray:
@@ -88,6 +96,19 @@ def aggregate(params_list: list[ParamVector], pi: np.ndarray) -> ParamVector:
             raise ValueError("parameter layouts do not match")
         total += float(weight) * params.values
     return ParamVector(total, layout)
+
+
+class _Laps:
+    """Wall seconds per phase; each lap runs from the previous one."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(PHASES, 0.0)
+        self._mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] += now - self._mark
+        self._mark = now
 
 
 def derive_seed(master: int, *tags: int) -> int:
@@ -145,17 +166,17 @@ def run(
     metrics: list[RoundMetrics] = []
     for rnd in range(1, cfg.n_rounds + 1):
         t0 = time.perf_counter()
+        laps = _Laps()
         try:
-            local_params = []
-            for k in range(n_clients):
-                child = dataclasses.replace(
-                    cfg.trainer, seed=derive_seed(cfg.seed, 1, rnd, k)
-                )
-                local_params.append(
-                    local_train(cfg.model, global_params, shards[k], plans[k], child)
-                )
+            children = [
+                dataclasses.replace(cfg.trainer, seed=derive_seed(cfg.seed, 1, rnd, k))
+                for k in range(n_clients)
+            ]
+            local_params = local_train(cfg.model, global_params, shards, plans, children)
+            laps.lap("train")
 
             new_global = aggregate(local_params, pi)
+            laps.lap("aggregate")
 
             rho_realized = rho_theory = None
             if cfg.strategy == "isfl":
@@ -172,6 +193,7 @@ def run(
                             logger.warning(
                                 "round %d client %d: zero deviation, keeping row", rnd, k
                             )
+                    laps.lap("curvature")
                     plans = [
                         solve_is_weights(p_global, p_locals[k], fresh[k], cfg.varpi)
                         for k in range(n_clients)
@@ -189,6 +211,7 @@ def run(
                     q_star = q_used
                 rho_realized = float(rho(q_used, p_global, in_effect) @ pi)
                 rho_theory = float(rho(q_star, p_global, in_effect) @ pi)
+                laps.lap("solve")
                 if recorder is not None:
                     sigma2 = np.empty(n_clients)
                     g2 = 0.0
@@ -218,6 +241,7 @@ def run(
                             loss_start=loss_start,
                         )
                     )
+                    laps.lap("stats")
                 lips = fresh
             elif cfg.strategy == "rw_is":
                 plans = [rw_plan(shards[k]) for k in range(n_clients)]
@@ -226,12 +250,14 @@ def run(
                     gradnorm_plan(cfg.model, new_global, shards[k])
                     for k in range(n_clients)
                 ]
+            laps.lap("solve")
 
             global_params = new_global
             train_loss, acc_pool = evaluate(cfg.model, global_params, pool)
             _, acc_test = evaluate(cfg.model, global_params, test_set)
             if not (np.isfinite(train_loss) and np.all(np.isfinite(global_params.values))):
                 raise ValueError("aggregate or pooled loss is not finite; the run diverged")
+            laps.lap("eval")
         except Exception as exc:
             raise RoundFailure(rnd, str(exc)) from exc
 
@@ -244,6 +270,7 @@ def run(
                 rho_realized=rho_realized,
                 rho_theory=rho_theory,
                 seconds=time.perf_counter() - t0,
+                phases=laps.seconds,
             )
         )
         loss_start = train_loss

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .model import ModelSpec, ParamVector, backward_grad, per_sample_grads
+from .model import ModelSpec, ParamVector, backward_grad, per_sample_grad_blocks
 
 logger = logging.getLogger(__name__)
+
+# probe rows per per-sample gradient block in estimate_lipschitz
+BLOCK_ROWS = 128
 
 
 class ZeroDeviationError(ValueError):
@@ -37,21 +40,19 @@ class GradientStats:
             raise ValueError("estimates must be non-negative")
 
 
-def lipschitz_row_from_grads(
-    grads_a: np.ndarray,
-    grads_b: np.ndarray,
+def lipschitz_row(
+    diff_norms: np.ndarray,
     labels: np.ndarray,
     n_classes: int,
     deviation_norm: float,
 ) -> np.ndarray:
     """Per-category max of gradient-difference norms over the deviation norm.
 
-    Pure kernel over precomputed per-sample gradient matrices; categories with
-    no samples are filled with the mean of the present entries.
+    ``diff_norms[n]`` is the norm of sample n's gradient change; categories
+    with no samples are filled with the mean of the present entries.
     """
     if deviation_norm <= 0.0:
         raise ZeroDeviationError("parameter deviation norm must be positive")
-    diff_norms = np.linalg.norm(grads_a - grads_b, axis=1)
     row = np.full(n_classes, np.nan)
     for c in range(n_classes):
         mask = labels == c
@@ -77,7 +78,9 @@ def estimate_lipschitz(
 ) -> np.ndarray:
     """Curvature row for one client from a probe set.
 
-    Costs exactly two per-sample gradient passes over the probe. Raises
+    Costs exactly one backward pass over the probe per parameter vector. The
+    per-sample gradients are then formed BLOCK_ROWS rows at a time, so memory
+    stays at two blocks instead of two N x P matrices. Raises
     ZeroDeviationError when the two parameter vectors coincide; the caller
     should keep its previous row in that case.
     """
@@ -86,13 +89,18 @@ def estimate_lipschitz(
         raise ZeroDeviationError("local and global parameters coincide")
     if not np.isfinite(deviation):
         raise ValueError("parameter deviation is not finite; the run diverged")
-    grads_local = per_sample_grads(spec, local_params, probe)
-    grads_global = per_sample_grads(spec, global_params, probe)
-    if not (np.all(np.isfinite(grads_local)) and np.all(np.isfinite(grads_global))):
-        raise ValueError("probe gradients are not finite; the run diverged")
-    return lipschitz_row_from_grads(
-        grads_local, grads_global, probe.labels, probe.n_classes, deviation
-    )
+    diff_norms = np.empty(len(probe))
+    start = 0
+    for block_local, block_global in zip(
+        per_sample_grad_blocks(spec, local_params, probe, BLOCK_ROWS),
+        per_sample_grad_blocks(spec, global_params, probe, BLOCK_ROWS),
+    ):
+        if not (np.all(np.isfinite(block_local)) and np.all(np.isfinite(block_global))):
+            raise ValueError("probe gradients are not finite; the run diverged")
+        stop = start + len(block_local)
+        diff_norms[start:stop] = np.linalg.norm(block_local - block_global, axis=1)
+        start = stop
+    return lipschitz_row(diff_norms, probe.labels, probe.n_classes, deviation)
 
 
 def estimate_sgd_stats(

@@ -3,10 +3,17 @@
 Parameters live in a flat float64 vector with an explicit layer layout, so
 client/server code can add, scale, and measure models without knowing the
 architecture. An empty ``hidden_dims`` gives multinomial logistic regression.
+
+The forward and backward passes also take a leading stack axis: K parameter
+vectors as a (K, P) array, each applied to its own (N, d) batch. Every slice
+of the stack goes through the same matmul, softmax and reduction kernels as a
+lone vector does, so ``sgd_step_stack`` moves each row exactly as K separate
+steps would, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +60,13 @@ def layout_of(spec: ModelSpec) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 def _layout_size(layout) -> int:
     shape, offset = layout[-1]
-    return offset + int(np.prod(shape))
+    return offset + math.prod(shape)
+
+
+def _views(layout, values: np.ndarray) -> list[np.ndarray]:
+    """Per-layer views of a (P,) vector or a (K, P) stack, in layout order."""
+    lead = values.shape[:-1]
+    return [values[..., o : o + math.prod(s)].reshape(lead + s) for s, o in layout]
 
 
 @dataclass
@@ -93,9 +106,7 @@ class ParamVector:
         return ParamVector(self.values.copy(), self.layout)
 
     def slices(self) -> list[np.ndarray]:
-        return [
-            self.values[o : o + int(np.prod(s))].reshape(s) for s, o in self.layout
-        ]
+        return _views(self.layout, self.values)
 
 
 def zeros_params(spec: ModelSpec) -> ParamVector:
@@ -115,7 +126,8 @@ def init_params(spec: ModelSpec, seed: int = 0) -> ParamVector:
     return params
 
 
-def _check_batch(spec: ModelSpec, batch: Dataset) -> None:
+def check_batch(spec: ModelSpec, batch: Dataset) -> None:
+    """Raise ValueError unless the dataset's dimensions match the model's."""
     if batch.dim != spec.input_dim or batch.n_classes != spec.n_classes:
         raise ValueError(
             f"batch dims ({batch.dim}, {batch.n_classes}) do not match model "
@@ -123,15 +135,18 @@ def _check_batch(spec: ModelSpec, batch: Dataset) -> None:
         )
 
 
-def _forward(spec: ModelSpec, params: ParamVector, x: np.ndarray):
-    """Returns (logits, activations, pre_activations); activations[0] is x."""
-    views = params.slices()
+def _forward(spec: ModelSpec, views: list[np.ndarray], x: np.ndarray):
+    """Returns (logits, activations, pre_activations); activations[0] is x.
+
+    ``views`` are the layer views of one vector with x of shape (N, d), or of
+    a (K, P) stack with x of shape (K, N, d).
+    """
     acts = [x]
     pre = []
     n_layers = len(spec.layer_dims) - 1
     h = x
     for i in range(n_layers):
-        z = h @ views[2 * i] + views[2 * i + 1]
+        z = h @ views[2 * i] + views[2 * i + 1][..., None, :]
         if i == n_layers - 1:
             return z, acts, pre
         pre.append(z)
@@ -141,11 +156,11 @@ def _forward(spec: ModelSpec, params: ParamVector, x: np.ndarray):
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
-    m = logits.max(axis=1, keepdims=True)
+    m = logits.max(axis=-1, keepdims=True)
     ex = np.exp(logits - m)
-    z = ex.sum(axis=1, keepdims=True)
+    z = ex.sum(axis=-1, keepdims=True)
     log_probs = (logits - m) - np.log(z)
-    losses = -log_probs[np.arange(labels.size), labels]
+    losses = -np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
     return losses, ex / z
 
 
@@ -155,68 +170,94 @@ def _act_grad(spec: ModelSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return 1.0 - a * a
 
 
-def _backward_deltas(spec, params, acts, pre, dlogits):
+def _backward_deltas(spec, views, acts, pre, dlogits):
     """Per-layer deltas from the logits backwards; dlogits sets the scaling."""
-    views = params.slices()
     n_layers = len(spec.layer_dims) - 1
     deltas = [None] * n_layers
     deltas[-1] = dlogits
     for i in range(n_layers - 2, -1, -1):
-        upstream = deltas[i + 1] @ views[2 * (i + 1)].T
+        upstream = deltas[i + 1] @ np.swapaxes(views[2 * (i + 1)], -1, -2)
         deltas[i] = upstream * _act_grad(spec, pre[i], acts[i + 1])
     return deltas
 
 
-def _backprop(spec: ModelSpec, params: ParamVector, batch: Dataset, mean: bool):
-    """Shared prologue of the gradient functions: check the batch, run the
-    forward pass and backpropagate the softmax cross-entropy.
+def _backprop(spec: ModelSpec, views, x: np.ndarray, labels: np.ndarray, mean: bool):
+    """Shared prologue of the gradient functions: run the forward pass and
+    backpropagate the softmax cross-entropy.
 
     Returns (activations, deltas). The logit gradient is softmax minus one-hot
     per sample; ``mean`` divides it by N before backpropagation, which gives
     the deltas of the mean loss instead of each sample's own loss.
     """
-    _check_batch(spec, batch)
-    n = len(batch)
-    logits, acts, pre = _forward(spec, params, batch.features)
-    _, dlogits = _softmax_ce(logits, batch.labels)
-    dlogits[np.arange(n), batch.labels] -= 1.0
+    logits, acts, pre = _forward(spec, views, x)
+    _, dlogits = _softmax_ce(logits, labels)
+    dlogits[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
     if mean:
-        dlogits /= n
-    return acts, _backward_deltas(spec, params, acts, pre, dlogits)
+        dlogits /= labels.shape[-1]
+    return acts, _backward_deltas(spec, views, acts, pre, dlogits)
+
+
+def _layer_grads(acts, deltas):
+    """(weight, bias) gradient of each layer, summed over the sample axis."""
+    for a, delta in zip(acts, deltas):
+        yield np.swapaxes(a, -1, -2) @ delta, delta.sum(axis=-2)
 
 
 def forward_loss(spec: ModelSpec, params: ParamVector, batch: Dataset) -> float:
     """Mean softmax cross-entropy over the batch (log-sum-exp stabilized)."""
-    _check_batch(spec, batch)
-    logits, _, _ = _forward(spec, params, batch.features)
+    check_batch(spec, batch)
+    logits, _, _ = _forward(spec, params.slices(), batch.features)
     losses, _ = _softmax_ce(logits, batch.labels)
     return float(losses.mean())
 
 
 def backward_grad(spec: ModelSpec, params: ParamVector, batch: Dataset) -> ParamVector:
     """Exact gradient of the mean loss, in the same layout as ``params``."""
-    acts, deltas = _backprop(spec, params, batch, mean=True)
+    check_batch(spec, batch)
+    acts, deltas = _backprop(spec, params.slices(), batch.features, batch.labels, mean=True)
     grad = zeros_params(spec)
     views = grad.slices()
-    for i, delta in enumerate(deltas):
-        views[2 * i][:] = acts[i].T @ delta
-        views[2 * i + 1][:] = delta.sum(axis=0)
+    for i, (w_grad, b_grad) in enumerate(_layer_grads(acts, deltas)):
+        views[2 * i][:] = w_grad
+        views[2 * i + 1][:] = b_grad
     return grad
 
 
-def per_sample_grads(spec: ModelSpec, params: ParamVector, batch: Dataset) -> np.ndarray:
-    """N x P matrix: row n is the gradient of sample n's own loss."""
-    acts, deltas = _backprop(spec, params, batch, mean=False)
+def sgd_step_stack(
+    spec: ModelSpec, stack: np.ndarray, x: np.ndarray, labels: np.ndarray, eta: float
+) -> None:
+    """One SGD step on the mean loss for every row of a (K, P) stack, in place.
+
+    Row k steps on its own batch: features ``x[k]`` and ``labels[k]``.
+    """
+    views = _views(layout_of(spec), stack)
+    acts, deltas = _backprop(spec, views, x, labels, mean=True)
+    for i, (w_grad, b_grad) in enumerate(_layer_grads(acts, deltas)):
+        views[2 * i] -= eta * w_grad
+        views[2 * i + 1] -= eta * b_grad
+
+
+def per_sample_grad_blocks(spec: ModelSpec, params: ParamVector, batch: Dataset, rows: int):
+    """Row blocks of the N x P per-sample gradient matrix, in order.
+
+    One backward pass over the whole batch; each yielded (m, P) block, m <=
+    rows, is a view of one reused buffer and is overwritten by the next.
+    Row n is the gradient of sample n's own loss.
+    """
+    check_batch(spec, batch)
+    acts, deltas = _backprop(spec, params.slices(), batch.features, batch.labels, mean=False)
     n = len(batch)
-    layout = layout_of(spec)
-    out = np.empty((n, _layout_size(layout)))
-    for i, delta in enumerate(deltas):
-        w_shape, w_off = layout[2 * i]
-        b_shape, b_off = layout[2 * i + 1]
-        w_grads = np.einsum("ni,nj->nij", acts[i], delta)
-        out[:, w_off : w_off + int(np.prod(w_shape))] = w_grads.reshape(n, -1)
-        out[:, b_off : b_off + b_shape[0]] = delta
-    return out
+    buffer = np.empty((min(rows, n), params.values.size))
+    views = _views(params.layout, buffer)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        for i, delta in enumerate(deltas):
+            np.einsum(
+                "ni,nj->nij", acts[i][start:stop], delta[start:stop],
+                out=views[2 * i][: stop - start],
+            )
+            views[2 * i + 1][: stop - start] = delta[start:stop]
+        yield buffer[: stop - start]
 
 
 def per_sample_grad_norms(spec: ModelSpec, params: ParamVector, batch: Dataset) -> np.ndarray:
@@ -226,7 +267,8 @@ def per_sample_grad_norms(spec: ModelSpec, params: ParamVector, batch: Dataset) 
     incoming activation and the delta, so its squared norm factorizes into
     ``|a|^2 * |delta|^2``; the bias contributes ``|delta|^2``.
     """
-    acts, deltas = _backprop(spec, params, batch, mean=False)
+    check_batch(spec, batch)
+    acts, deltas = _backprop(spec, params.slices(), batch.features, batch.labels, mean=False)
     sq = np.zeros(len(batch))
     for i, delta in enumerate(deltas):
         a_sq = np.einsum("ni,ni->n", acts[i], acts[i])
@@ -235,17 +277,10 @@ def per_sample_grad_norms(spec: ModelSpec, params: ParamVector, batch: Dataset) 
     return np.sqrt(sq)
 
 
-def sgd_step(params: ParamVector, grad: ParamVector, eta: float) -> ParamVector:
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    params._check(grad)
-    return ParamVector(params.values - eta * grad.values, params.layout)
-
-
 def evaluate(spec: ModelSpec, params: ParamVector, ds: Dataset) -> tuple[float, float]:
     """Mean loss and top-1 accuracy on ``ds``."""
-    _check_batch(spec, ds)
-    logits, _, _ = _forward(spec, params, ds.features)
+    check_batch(spec, ds)
+    logits, _, _ = _forward(spec, params.slices(), ds.features)
     losses, _ = _softmax_ce(logits, ds.labels)
     acc = float(np.mean(logits.argmax(axis=1) == ds.labels))
     return float(losses.mean()), acc

@@ -4,6 +4,13 @@ A sampling plan picks the category first (with its resampling probability) and
 then a sample uniformly from that category's local pool, realizing the
 weighted-gradient update by sampling rather than by loss re-weighting.
 GradNorm-style baselines instead pass per-sample probabilities directly.
+
+``local_train`` trains all clients of a round in lockstep. Each client first
+draws the batch indices of its whole local run from its own generator
+(``draw_batches``). Clients whose batch schedules and step sizes agree then
+share one (K, P) parameter stack, and each SGD step updates the whole stack
+at once (``model.sgd_step_stack``). Every client ends bit for bit where it
+would end training alone; a lone client is a stack of one.
 """
 
 from __future__ import annotations
@@ -18,10 +25,13 @@ from .isweights import SamplingPlan
 from .model import (
     ModelSpec,
     ParamVector,
-    backward_grad,
+    check_batch,
     per_sample_grad_norms,
-    sgd_step,
+    sgd_step_stack,
 )
+
+# Generator.choice's tolerance on the sum of a probability vector
+_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -41,69 +51,132 @@ class TrainerConfig:
             raise ValueError("sampling_ratio must lie in (0, 1]")
 
 
-def weighted_sample_batch(
-    shard: ClientShard, plan: SamplingPlan, batch_size: int, rng: np.random.Generator
-) -> Dataset:
-    """Draw batch_size samples: category by plan probability, then uniform
-    within that category's local pool (with replacement)."""
+def batch_sizes(n_samples: int, cfg: TrainerConfig) -> tuple[int, ...]:
+    """Batch sizes of a whole local run: each epoch touches exactly
+    floor(sampling_ratio * n_samples) samples in batches of cfg.batch_size,
+    the last batch possibly smaller."""
+    full, tail = divmod(math.floor(cfg.sampling_ratio * n_samples), cfg.batch_size)
+    return ((cfg.batch_size,) * full + ((tail,) if tail else ())) * cfg.local_epochs
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The table Generator.choice searches: draws with
+    ``cdf.searchsorted(rng.random(n), side="right")`` equal its draws."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_batches(
+    shard: ClientShard,
+    plan: SamplingPlan | np.ndarray,
+    sizes: tuple[int, ...],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Row indices into ``shard.dataset`` for consecutive batches of ``sizes``.
+
+    A category plan draws each batch's categories with one ``rng.random``
+    call, then each category's samples uniformly from its local pool (with
+    replacement) with one ``rng.integers`` call per drawn category, in
+    ascending order. A per-sample probability vector draws shard rows
+    directly. The plan is checked once, before any draw.
+    """
+    picks = np.empty(sum(sizes), dtype=np.int64)
+    bounds = np.cumsum((0, *sizes))
+    if isinstance(plan, np.ndarray):
+        if plan.shape != (len(shard),):
+            raise ValueError("per-sample probabilities must match the shard size")
+        if not (np.all(plan >= 0.0) and abs(plan.sum() - 1.0) <= _SUM_TOL):
+            raise ValueError("per-sample probabilities must be non-negative and sum to 1")
+        cdf = _cdf(plan)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            picks[start:stop] = shard.indices[
+                cdf.searchsorted(rng.random(stop - start), side="right")
+            ]
+        return picks
     q = plan.q.probs
     if q.size != shard.dataset.n_classes:
         raise ValueError("plan and shard category counts differ")
     support = np.flatnonzero(q > 0.0)
     if support.size == 0:
         raise ValueError("sampling plan has empty support")
-    for c in support:
-        if shard.category_pools[c].size == 0:
-            raise ValueError(f"plan assigns mass to category {c} the shard lacks")
-    cats = rng.choice(q.size, size=batch_size, p=q)
-    picks = np.empty(batch_size, dtype=np.int64)
-    for c in np.unique(cats):
-        mask = cats == c
-        pool = shard.category_pools[c]
-        picks[mask] = pool[rng.integers(0, pool.size, size=int(mask.sum()))]
-    return shard.dataset.subset(picks)
+    pool_sizes = np.array([pool.size for pool in shard.category_pools])
+    if np.any(pool_sizes[support] == 0):
+        lacking = support[pool_sizes[support] == 0][0]
+        raise ValueError(f"plan assigns mass to category {lacking} the shard lacks")
+    cdf = _cdf(q)
+    cats = np.empty(picks.size, dtype=np.int64)
+    within = []  # drawn pool positions, in draw order
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        cats[start:stop] = cdf.searchsorted(rng.random(stop - start), side="right")
+        counts = np.bincount(cats[start:stop], minlength=q.size)
+        for c in np.flatnonzero(counts).tolist():
+            within.append(rng.integers(0, pool_sizes[c], size=counts[c]))
+    if within:
+        # a stable sort by (batch, category) lists the positions in draw order
+        batch_of = np.repeat(np.arange(len(sizes)), sizes)
+        order = np.argsort(batch_of * q.size + cats, kind="stable")
+        pools = np.concatenate(shard.category_pools)
+        first = np.cumsum(pool_sizes) - pool_sizes
+        picks[order] = pools[first[cats[order]] + np.concatenate(within)]
+    return picks
 
 
-def _sample_by_weight(
-    shard: ClientShard, probs: np.ndarray, batch_size: int, rng: np.random.Generator
-) -> Dataset:
-    picks = rng.choice(shard.indices, size=batch_size, p=probs)
-    return shard.dataset.subset(picks)
+def _joint_rows(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features and labels of the distinct datasets end to end, and where each
+    given dataset starts there. Clients of one partition share one dataset,
+    which is then used as it is, without a copy."""
+    distinct = list({id(ds): ds for ds in datasets}.values())
+    first = dict(zip(map(id, distinct), np.cumsum([0, *map(len, distinct)])))
+    offsets = np.array([first[id(ds)] for ds in datasets])
+    if len(distinct) == 1:
+        return distinct[0].features, distinct[0].labels, offsets
+    return (
+        np.concatenate([ds.features for ds in distinct]),
+        np.concatenate([ds.labels for ds in distinct]),
+        offsets,
+    )
 
 
 def local_train(
     spec: ModelSpec,
     params: ParamVector,
-    shard: ClientShard,
-    plan: SamplingPlan | np.ndarray,
-    cfg: TrainerConfig,
-) -> ParamVector:
-    """Run the configured local epochs of weighted minibatch SGD.
+    shards: list[ClientShard],
+    plans: list[SamplingPlan | np.ndarray],
+    cfgs: list[TrainerConfig],
+) -> list[ParamVector]:
+    """Run every client's local epochs of weighted minibatch SGD from ``params``.
 
-    Each epoch touches exactly floor(sampling_ratio * len(shard)) samples, in
-    batches of cfg.batch_size (last batch possibly smaller). ``plan`` is either
-    a category-level SamplingPlan or a per-sample probability vector.
-    Deterministic for a given cfg.seed.
+    Client k trains on ``shards[k]`` under ``plans[k]`` (a category-level
+    SamplingPlan or a per-sample probability vector) with ``cfgs[k]``; see
+    ``batch_sizes`` for its batches. Clients train in lockstep, one stack per
+    distinct (batch sizes, eta). Returns the clients' parameters in order.
+    Deterministic for given config seeds.
     """
-    rng = np.random.default_rng(cfg.seed)
-    budget = math.floor(cfg.sampling_ratio * len(shard))
-    per_sample = isinstance(plan, np.ndarray)
-    if per_sample and plan.shape != (len(shard),):
-        raise ValueError("per-sample probabilities must match the shard size")
-    current = params
-    for _ in range(cfg.local_epochs):
-        left = budget
-        while left > 0:
-            take = min(cfg.batch_size, left)
-            if per_sample:
-                batch = _sample_by_weight(shard, plan, take, rng)
-            else:
-                batch = weighted_sample_batch(shard, plan, take, rng)
-            grad = backward_grad(spec, current, batch)
-            if cfg.eta > 0.0:
-                current = sgd_step(current, grad, cfg.eta)
-            left -= take
-    return current
+    if not len(shards) == len(plans) == len(cfgs):
+        raise ValueError("need one plan and one trainer config per shard")
+    stacks: dict[tuple, list[int]] = {}
+    draws = []
+    for k, (shard, plan, cfg) in enumerate(zip(shards, plans, cfgs)):
+        check_batch(spec, shard.dataset)
+        sizes = batch_sizes(len(shard), cfg)
+        draws.append(draw_batches(shard, plan, sizes, np.random.default_rng(cfg.seed)))
+        stacks.setdefault((sizes, cfg.eta), []).append(k)
+
+    trained: list[ParamVector | None] = [None] * len(shards)
+    for (sizes, eta), members in stacks.items():
+        stack = np.tile(params.values, (len(members), 1))
+        if eta > 0.0:
+            features, labels, offsets = _joint_rows([shards[k].dataset for k in members])
+            rows = np.stack([draws[k] for k in members]) + offsets[:, None]
+            start = 0
+            for size in sizes:
+                batch = rows[:, start : start + size]
+                sgd_step_stack(spec, stack, features[batch], labels[batch], eta)
+                start += size
+        for k, row in zip(members, stack):
+            trained[k] = ParamVector(row, params.layout)
+    return trained
 
 
 def gradnorm_plan(spec: ModelSpec, params: ParamVector, shard: ClientShard) -> np.ndarray:

@@ -1,19 +1,26 @@
-"""Slow reference solvers that the weight solver is checked against.
+"""Slow reference implementations that the fast paths are checked against.
 
 ``enumerate_rho_min`` visits every one of the 2^C - 1 floor patterns; the
 polynomial solver in ``isfl.isweights`` must return its q bit for bit.
 ``brute_force_rho_min`` grid-searches the feasible set and checks both at
 small category counts.
+
+``weighted_sample_batch`` and ``local_train`` train one client alone, one
+validated batch and one gradient at a time; ``isfl.trainer.local_train``
+must leave every client exactly where they do.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from isfl.data import CapacityError, CategoryDistribution
-from isfl.isweights import _effective_floors
+from isfl.data import CapacityError, CategoryDistribution, ClientShard, Dataset
+from isfl.isweights import SamplingPlan, _effective_floors
+from isfl.model import ModelSpec, ParamVector, backward_grad
+from isfl.trainer import TrainerConfig
 
 
 def enumerate_rho_min(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -123,3 +130,75 @@ def brute_force_rho_min(
     values = mismatch * curvature
     best = int(values.argmin())
     return q[best], float(values[best])
+
+
+def weighted_sample_batch(
+    shard: ClientShard, plan: SamplingPlan, batch_size: int, rng: np.random.Generator
+) -> Dataset:
+    """Draw batch_size samples: category by plan probability, then uniform
+    within that category's local pool (with replacement)."""
+    q = plan.q.probs
+    if q.size != shard.dataset.n_classes:
+        raise ValueError("plan and shard category counts differ")
+    support = np.flatnonzero(q > 0.0)
+    if support.size == 0:
+        raise ValueError("sampling plan has empty support")
+    for c in support:
+        if shard.category_pools[c].size == 0:
+            raise ValueError(f"plan assigns mass to category {c} the shard lacks")
+    cats = rng.choice(q.size, size=batch_size, p=q)
+    picks = np.empty(batch_size, dtype=np.int64)
+    for c in np.unique(cats):
+        mask = cats == c
+        pool = shard.category_pools[c]
+        picks[mask] = pool[rng.integers(0, pool.size, size=int(mask.sum()))]
+    return shard.dataset.subset(picks)
+
+
+def _sample_by_weight(
+    shard: ClientShard, probs: np.ndarray, batch_size: int, rng: np.random.Generator
+) -> Dataset:
+    picks = rng.choice(shard.indices, size=batch_size, p=probs)
+    return shard.dataset.subset(picks)
+
+
+def local_train(
+    spec: ModelSpec,
+    params: ParamVector,
+    shard: ClientShard,
+    plan: SamplingPlan | np.ndarray,
+    cfg: TrainerConfig,
+) -> ParamVector:
+    """Run the configured local epochs of weighted minibatch SGD.
+
+    Each epoch touches exactly floor(sampling_ratio * len(shard)) samples, in
+    batches of cfg.batch_size (last batch possibly smaller). ``plan`` is either
+    a category-level SamplingPlan or a per-sample probability vector.
+    Deterministic for a given cfg.seed.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    budget = math.floor(cfg.sampling_ratio * len(shard))
+    per_sample = isinstance(plan, np.ndarray)
+    if per_sample and plan.shape != (len(shard),):
+        raise ValueError("per-sample probabilities must match the shard size")
+    current = params
+    for _ in range(cfg.local_epochs):
+        left = budget
+        while left > 0:
+            take = min(cfg.batch_size, left)
+            if per_sample:
+                batch = _sample_by_weight(shard, plan, take, rng)
+            else:
+                batch = weighted_sample_batch(shard, plan, take, rng)
+            grad = backward_grad(spec, current, batch)
+            if cfg.eta > 0.0:
+                current = sgd_step(current, grad, cfg.eta)
+            left -= take
+    return current
+
+
+def sgd_step(params: ParamVector, grad: ParamVector, eta: float) -> ParamVector:
+    if eta <= 0.0:
+        raise ValueError("eta must be positive")
+    params._check(grad)
+    return ParamVector(params.values - eta * grad.values, params.layout)

@@ -39,7 +39,7 @@ from isfl.isweights import (
     uniform_plan,
 )
 from isfl.model import ModelSpec, backward_grad, evaluate, forward_loss, init_params
-from isfl.model import ParamVector, sgd_step
+from isfl.model import ParamVector
 from isfl.trainer import TrainerConfig, local_train
 from oracles import brute_force_rho_min
 
@@ -420,7 +420,7 @@ def test_criterion_11_single_client_reduction():
     ok = True
     for rnd in range(1, 5):
         child = dataclasses.replace(cfg.trainer, seed=derive_seed(cfg.seed, 1, rnd, 0))
-        params = local_train(cfg.model, params, shards[0], plan, child)
+        params = local_train(cfg.model, params, shards, [plan], [child])[0]
         params = aggregate([params], np.array([1.0]))
         loss, acc_pool = evaluate(cfg.model, params, shards[0].as_dataset())
         _, acc_test = evaluate(cfg.model, params, test_set)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -202,6 +203,83 @@ class TestRunCommand:
         assert "round 5" in capsys.readouterr().err
         for path in tmp_path.rglob("*.csv"):
             assert "nan" not in path.read_text().lower()
+
+
+    def test_timings_split_into_phases(self, tmp_path):
+        cfg_path = write_config(tmp_path, strategies=["fedavg", "isfl"], rounds=3)
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        for strategy in ("fedavg", "isfl"):
+            rows = (out_dir / f"{strategy}_seed1" / "timings.csv").read_text().splitlines()
+            assert rows[0] == "round,secs,train,aggregate,curvature,solve,stats,eval"
+            table = np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
+            assert np.array_equal(table[:, 0], [1, 2, 3])
+            secs, phases = table[:, 1], table[:, 2:]
+            assert np.all(phases >= 0.0) and np.all(phases.sum(axis=1) <= secs + 1e-5)
+            assert np.all(phases[:, 0] > 0.0)  # every round trains
+            if strategy == "fedavg":
+                assert np.all(phases[:, [2, 4]] == 0.0)  # no curvature rows or stats
+            else:
+                assert phases[0, 2] > 0.0 and phases[-1, 2] == 0.0  # no last-round refresh
+
+
+# sha256 of the deterministic artifacts of GOLDEN_CONFIG, recorded before
+# local training moved to lockstep stacks
+GOLDEN_CONFIG = dict(
+    BASE_CONFIG,
+    clients=3,
+    sampling_ratio=0.7,  # 28 of 40 samples per epoch: batches of 16 and 12
+    rounds=3,
+    strategies=["fedavg", "rw_is", "gradnorm_is", "isfl"],
+    seeds=[1, 2],
+)
+GOLDEN_DIGESTS = {
+    "fedavg_seed1/metrics.csv":
+        "3d7a9573fce49032ce6ee13aba4e78d94a897de52b07976afa3926ba7104976d",
+    "fedavg_seed2/metrics.csv":
+        "4dc310fdb2a856284d7088b81c471b80a72b44fb1e031ed99b9458c9692d5fb7",
+    "gradnorm_is_seed1/metrics.csv":
+        "586378de79a60c274cfbe8de6984a96fce852b4fc053e0f86c5ab1ecdc0da09b",
+    "gradnorm_is_seed2/metrics.csv":
+        "8889a5bd44dfe137b2abfc681ed6ca8338f0f80247245af05b5d1a964800445b",
+    "isfl_seed1/bounds.csv":
+        "5cf9e31d6aa3a212ab629b99fa484249060d878693868f492f7aec2f5f8e8f01",
+    "isfl_seed1/diagnostics.jsonl":
+        "a904969f85ec2e16738854689527d7e80df01bbe71a3d5f01a3aa3c692ec3d5f",
+    "isfl_seed1/long.csv":
+        "dc38bd5f5de1e33d450b9966a09b61ddf457f9c37571867743ed7f37e96f6ddf",
+    "isfl_seed1/metrics.csv":
+        "5fc4a14af805c7f3a845363f1946532bebedb63128cb85a9c17c76c8729fda2e",
+    "isfl_seed2/bounds.csv":
+        "0062663dfb2768bc33b3c9e200530044ec8e379a0e210b5056ad9923742818eb",
+    "isfl_seed2/diagnostics.jsonl":
+        "453a73c99d52491dcd5b62486acf11afbb5f172a6f7959471beb9e6c3d989a11",
+    "isfl_seed2/long.csv":
+        "8ea0773354f947edb7d91454e5b9e717f4e8160379d32c96292856ab5aee4391",
+    "isfl_seed2/metrics.csv":
+        "35486567213c057f1dbfe6359b0a4a529e136464ee493298b476876f52b2bc46",
+    "rw_is_seed1/metrics.csv":
+        "aff1a1c9de5fe8c560617426f494cd5e579c694591ae7074b1bf8fbce80223b9",
+    "rw_is_seed2/metrics.csv":
+        "b4647fd22d8615d5f856a098da6a246a0863a4cf1c3cb53e9404112f2fc6fb17",
+}
+
+
+class TestGoldenDigests:
+    def test_every_strategy_reproduces_its_recorded_artifacts(self, tmp_path):
+        """Recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas).
+        Another numpy or BLAS build may round the last bits differently; the
+        digests are then re-recorded there, and the change says why."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(GOLDEN_CONFIG))
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        found = {
+            path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out_dir.rglob("*"))
+            if path.name in ("metrics.csv", "diagnostics.jsonl", "bounds.csv", "long.csv")
+        }
+        assert found == GOLDEN_DIGESTS
 
 
 class TestSweepCommand:

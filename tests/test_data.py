@@ -52,7 +52,7 @@ class TestGenerateSynthetic:
         params = model.zeros_params(spec)
         for _ in range(200):
             grad = model.backward_grad(spec, params, ds)
-            params = model.sgd_step(params, grad, 1.0)
+            params = params - grad
         _, acc = model.evaluate(spec, params, ds)
         assert acc > 0.90
 
@@ -238,6 +238,12 @@ class TestValidation:
             CategoryDistribution(np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
             CategoryDistribution(np.array([1.2, -0.2]))
+
+    @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf]])
+    def test_distribution_rejects_non_finite(self, probs):
+        # NaN fails both "< 0" and "|sum - 1| > tol", so it needs its own check
+        with pytest.raises(ValueError, match="finite"):
+            CategoryDistribution(np.array(probs))
 
     def test_partition_config(self):
         with pytest.raises(ValueError):

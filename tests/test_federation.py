@@ -87,9 +87,9 @@ class TestRun:
                 cfg.trainer, seed=derive_seed(cfg.seed, 1, rnd, 0)
             )
             params = local_train(
-                cfg.model, params, shards[0],
-                uniform_plan(shards[0].local_distribution), child,
-            )
+                cfg.model, params, shards,
+                [uniform_plan(shards[0].local_distribution)], [child],
+            )[0]
             params = aggregate([params], np.array([1.0]))
         from isfl.model import evaluate
 
@@ -173,7 +173,7 @@ class TestRun:
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] > len(shards):  # fail once round 2 starts
+            if calls["n"] > 1:  # one call trains every client; fail in round 2
                 raise ValueError("synthetic failure")
             return real(*args, **kwargs)
 

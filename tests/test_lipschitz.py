@@ -3,16 +3,22 @@ import logging
 import numpy as np
 import pytest
 
-import isfl.lipschitz as lipschitz_mod
+import isfl.model as model_mod
 from isfl.data import Dataset
 from isfl.lipschitz import (
     GradientStats,
     ZeroDeviationError,
     estimate_lipschitz,
     estimate_sgd_stats,
-    lipschitz_row_from_grads,
+    lipschitz_row,
 )
 from isfl.model import ModelSpec, ParamVector, backward_grad, init_params
+
+
+def lipschitz_row_from_grads(grads_a, grads_b, labels, n_classes, deviation_norm):
+    """The curvature row of two whole per-sample gradient matrices."""
+    diff_norms = np.linalg.norm(grads_a - grads_b, axis=1)
+    return lipschitz_row(diff_norms, labels, n_classes, deviation_norm)
 
 
 def probe_dataset(n_classes=3, per_class=6, dim=4, seed=0):
@@ -113,13 +119,13 @@ class TestEstimateLipschitz:
         spec = ModelSpec(4, (), 3)
         probe = probe_dataset()
         calls = []
-        real = lipschitz_mod.per_sample_grads
+        real = model_mod._backprop
 
-        def counting(spec_, params_, batch_):
-            calls.append(len(batch_))
-            return real(spec_, params_, batch_)
+        def counting(spec_, views_, x_, labels_, mean):
+            calls.append(len(labels_))
+            return real(spec_, views_, x_, labels_, mean)
 
-        monkeypatch.setattr(lipschitz_mod, "per_sample_grads", counting)
+        monkeypatch.setattr(model_mod, "_backprop", counting)
         estimate_lipschitz(spec, init_params(spec, 1), init_params(spec, 2), probe)
         assert calls == [len(probe), len(probe)]
 

@@ -13,8 +13,8 @@ from isfl.model import (
     init_params,
     layout_of,
     per_sample_grad_norms,
-    per_sample_grads,
-    sgd_step,
+    per_sample_grad_blocks,
+    sgd_step_stack,
     zeros_params,
 )
 
@@ -132,7 +132,7 @@ class TestBackwardGrad:
         rng = np.random.default_rng(5)
         params = init_params(spec, seed=2)
         batch = random_batch(spec, 4, rng)
-        rows = per_sample_grads(spec, params, batch)
+        rows = next(per_sample_grad_blocks(spec, params, batch, len(batch)))
         for n in range(4):
             single = backward_grad(spec, params, batch.subset(np.array([n])))
             # BLAS picks shape-dependent kernels, so equality holds to a few ulp
@@ -145,8 +145,9 @@ class TestBackwardGrad:
             params = init_params(spec, seed=seed)
             batch = random_batch(spec, 32, rng)
             before = forward_loss(spec, params, batch)
-            stepped = sgd_step(params, backward_grad(spec, params, batch), 1e-3)
-            assert forward_loss(spec, stepped, batch) < before
+            stack = params.values[None, :].copy()
+            sgd_step_stack(spec, stack, batch.features[None], batch.labels[None], 1e-3)
+            assert forward_loss(spec, ParamVector(stack[0], params.layout), batch) < before
 
 
 class TestPerSampleNorms:
@@ -179,28 +180,6 @@ class TestPerSampleNorms:
 
 
 class TestSgdStepAndParamVector:
-    def test_zero_grad_identity(self):
-        spec = ModelSpec(3, (), 2)
-        params = init_params(spec, seed=0)
-        out = sgd_step(params, zeros_params(spec), 0.5)
-        assert np.array_equal(out.values, params.values)
-
-    def test_simple_arithmetic(self):
-        layout = (((1,), 0),)
-        params = ParamVector(np.array([0.0]), layout)
-        grad = ParamVector(np.array([2.0]), layout)
-        assert sgd_step(params, grad, 0.1).values[0] == pytest.approx(-0.2)
-
-    def test_two_half_steps_equal_full_step(self):
-        spec = ModelSpec(4, (5,), 3)
-        params = init_params(spec, seed=1)
-        grad = backward_grad(
-            spec, params, random_batch(spec, 8, np.random.default_rng(0))
-        )
-        twice = sgd_step(sgd_step(params, grad, 0.05), grad, 0.05)
-        once = sgd_step(params, grad, 0.1)
-        assert np.allclose(twice.values, once.values, atol=1e-12)
-
     def test_algebra(self):
         layout = (((3,), 0),)
         a = ParamVector(np.array([1.0, 2.0, 3.0]), layout)
@@ -218,7 +197,7 @@ class TestSgdStepAndParamVector:
         with pytest.raises(ValueError):
             a + b
         with pytest.raises(ValueError):
-            sgd_step(a, b, 0.1)
+            a - b
 
     def test_layout_covers_values(self):
         spec = ModelSpec(7, (4,), 3)
@@ -226,6 +205,34 @@ class TestSgdStepAndParamVector:
         shapes = [s for s, _ in layout_of(spec)]
         assert shapes == [(7, 4), (4,), (4, 3), (3,)]
         assert params.values.size == 7 * 4 + 4 + 4 * 3 + 3
+
+
+class TestStack:
+    @pytest.mark.parametrize("hidden", [(), (1,), (5, 3)])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_stacked_step_matches_separate_steps_bitwise(self, hidden, activation, n):
+        spec = ModelSpec(4, hidden, 3, activation=activation)
+        rng = np.random.default_rng(len(hidden) + n)
+        rows = [init_params(spec, seed=k) for k in range(3)]
+        batches = [random_batch(spec, n, rng) for _ in rows]
+        stack = np.stack([p.values for p in rows])
+        x = np.stack([b.features for b in batches])
+        labels = np.stack([b.labels for b in batches])
+        sgd_step_stack(spec, stack, x, labels, 0.3)
+        for k, (params, batch) in enumerate(zip(rows, batches)):
+            alone = params - backward_grad(spec, params, batch) * 0.3
+            assert np.array_equal(stack[k], alone.values)
+
+    @pytest.mark.parametrize("rows", [1, 3, 128, 500])
+    def test_blocks_equal_whole_matrix_bitwise(self, rows):
+        spec = ModelSpec(5, (6,), 3, activation="tanh")
+        params = init_params(spec, seed=9)
+        batch = random_batch(spec, 130, np.random.default_rng(4))
+        whole = next(per_sample_grad_blocks(spec, params, batch, len(batch)))
+        blocks = [b.copy() for b in per_sample_grad_blocks(spec, params, batch, rows)]
+        assert all(len(b) <= rows for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), whole)
 
 
 class TestEvaluate:

@@ -1,16 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isfl.trainer as trainer_mod
+import oracles
 from isfl.data import CategoryDistribution, ClientShard, Dataset
 from isfl.isweights import SamplingPlan, solve_is_weights, uniform_plan
-from isfl.model import ModelSpec, backward_grad, init_params, sgd_step
+from isfl.model import ModelSpec, backward_grad, init_params
 from isfl.trainer import (
     TrainerConfig,
+    batch_sizes,
+    draw_batches,
     gradnorm_plan,
     local_train,
     rw_plan,
-    weighted_sample_batch,
 )
 
 # chi-squared 1% critical values by degrees of freedom
@@ -22,6 +28,16 @@ def make_shard(labels, dim=3, seed=0):
     rng = np.random.default_rng(seed)
     ds = Dataset(rng.standard_normal((labels.size, dim)), labels, int(labels.max()) + 1)
     return ClientShard.build(0, np.arange(labels.size), ds)
+
+
+def weighted_sample_batch(shard, plan, batch_size, rng):
+    """One batch drawn by the run-long sampler."""
+    return shard.dataset.subset(draw_batches(shard, plan, (batch_size,), rng))
+
+
+def train_alone(spec, params, shard, plan, cfg):
+    """local_train for one client: a stack of one."""
+    return local_train(spec, params, [shard], [plan], [cfg])[0]
 
 
 def plan_from_q(q, p_local):
@@ -93,7 +109,7 @@ class TestLocalTrain:
         spec = ModelSpec(3, (), 3)
         params = init_params(spec, seed=1)
         cfg = TrainerConfig(batch_size=8, local_epochs=2, eta=0.0, seed=0)
-        out = local_train(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
+        out = train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
         assert np.array_equal(out.values, params.values)
 
     def test_reduces_to_full_batch_step(self, monkeypatch):
@@ -102,13 +118,13 @@ class TestLocalTrain:
         params = init_params(spec, seed=2)
         monkeypatch.setattr(
             trainer_mod,
-            "weighted_sample_batch",
-            lambda shard_, plan_, size_, rng_: shard_.as_dataset(),
+            "draw_batches",
+            lambda shard_, plan_, sizes_, rng_: np.tile(shard_.indices, len(sizes_)),
         )
         cfg = TrainerConfig(batch_size=len(shard), local_epochs=1, eta=0.01, seed=0)
-        out = local_train(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
-        expected = sgd_step(params, backward_grad(spec, params, shard.as_dataset()), 0.01)
-        assert np.array_equal(out.values, expected.values)
+        out = train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
+        grad = backward_grad(spec, params, shard.as_dataset())
+        assert np.array_equal(out.values, params.values - 0.01 * grad.values)
 
     def test_deterministic(self):
         shard = make_shard(np.tile([0, 0, 1, 2], 12), seed=5)
@@ -121,8 +137,8 @@ class TestLocalTrain:
             0.05,
         )
         cfg = TrainerConfig(batch_size=16, local_epochs=3, eta=0.05, seed=11)
-        a = local_train(spec, params, shard, plan, cfg)
-        b = local_train(spec, params, shard, plan, cfg)
+        a = train_alone(spec, params, shard, plan, cfg)
+        b = train_alone(spec, params, shard, plan, cfg)
         assert np.array_equal(a.values, b.values)
 
     def test_epoch_touches_exactly_the_sampling_budget(self, monkeypatch):
@@ -130,18 +146,20 @@ class TestLocalTrain:
         spec = ModelSpec(3, (), 3)
         params = init_params(spec, seed=0)
         sizes = []
-        real = trainer_mod.weighted_sample_batch
+        real = trainer_mod.sgd_step_stack
 
-        def recording(shard_, plan_, size_, rng_):
-            sizes.append(size_)
-            return real(shard_, plan_, size_, rng_)
+        def recording(spec_, stack_, x_, labels_, eta_):
+            sizes.append(x_.shape[1])
+            return real(spec_, stack_, x_, labels_, eta_)
 
-        monkeypatch.setattr(trainer_mod, "weighted_sample_batch", recording)
+        monkeypatch.setattr(trainer_mod, "sgd_step_stack", recording)
         cfg = TrainerConfig(batch_size=8, local_epochs=2, eta=0.01, sampling_ratio=0.5, seed=0)
-        local_train(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
+        train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
         budget = int(0.5 * 33)
         assert sum(sizes) == 2 * budget
         assert sizes == [8, 8] * 2  # 16 = floor(0.5 * 33)
+        assert batch_sizes(33, cfg) == (8, 8) * 2
+        assert batch_sizes(35, cfg) == (8, 8, 1) * 2
 
     def test_per_sample_plan_path(self):
         shard = make_shard(np.tile([0, 1], 10))
@@ -149,10 +167,19 @@ class TestLocalTrain:
         params = init_params(spec, seed=4)
         probs = np.full(len(shard), 1.0 / len(shard))
         cfg = TrainerConfig(batch_size=8, local_epochs=1, eta=0.01, seed=2)
-        out = local_train(spec, params, shard, probs, cfg)
+        out = train_alone(spec, params, shard, probs, cfg)
         assert not np.array_equal(out.values, params.values)
         with pytest.raises(ValueError):
-            local_train(spec, params, shard, probs[:-1], cfg)
+            train_alone(spec, params, shard, probs[:-1], cfg)
+        with pytest.raises(ValueError):
+            train_alone(spec, params, shard, np.full(len(shard), np.nan), cfg)
+
+    def test_one_config_per_client_required(self):
+        shard = make_shard(np.tile([0, 1], 4))
+        spec = ModelSpec(3, (), 2)
+        plan = uniform_plan(shard.local_distribution)
+        with pytest.raises(ValueError):
+            local_train(spec, init_params(spec, 0), [shard, shard], [plan, plan], [TrainerConfig()])
 
     def test_minibatch_gradient_unbiased(self):
         # Expected minibatch gradient should equal the q-weighted mixture of
@@ -234,3 +261,111 @@ class TestRwPlan:
             shard = make_shard(labels, seed=seed)
             plan = rw_plan(shard)
             assert abs((shard.local_distribution.probs * plan.w).sum() - 1.0) <= 1e-12
+
+
+ORACLE_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def random_plan(shard, per_sample, rng):
+    """A per-sample vector or a category plan, with some zero entries."""
+    if per_sample:
+        weights = rng.random(len(shard)) * (rng.random(len(shard)) < 0.8)
+        weights[rng.integers(len(shard))] += 0.5
+        return weights / weights.sum()
+    present = np.array([pool.size > 0 for pool in shard.category_pools])
+    weights = rng.random(present.size) * present * (rng.random(present.size) < 0.8)
+    weights[rng.choice(np.flatnonzero(present))] += 0.5
+    return plan_from_q(weights / weights.sum(), shard.local_distribution)
+
+
+@st.composite
+def lockstep_problems(draw):
+    """Clients of unequal size, on one shared dataset or on their own ones,
+    with category or per-sample plans and one trainer config each."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_classes = draw(st.integers(2, 4))
+    dim = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 24), min_size=1, max_size=4))
+    shared = draw(st.booleans())
+
+    def dataset(n):
+        return Dataset(rng.standard_normal((n, dim)), rng.integers(0, n_classes, n), n_classes)
+
+    shards = []
+    if shared:
+        source = dataset(sum(sizes))
+        bounds = np.cumsum([0, *sizes])
+        order = rng.permutation(len(source))
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            shards.append(ClientShard.build(k, order[a:b], source))
+    else:
+        for k, n in enumerate(sizes):
+            shards.append(ClientShard.build(k, np.arange(n), dataset(n)))
+    per_sample = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    plans = [random_plan(s, ps, rng) for s, ps in zip(shards, per_sample)]
+    base = TrainerConfig(
+        batch_size=draw(st.integers(1, 9)),
+        local_epochs=draw(st.integers(1, 3)),
+        eta=draw(st.sampled_from([0.0, 0.05, 0.4])),
+        sampling_ratio=draw(st.sampled_from([1.0, 0.7, 0.35])),
+    )
+    cfgs = []
+    for k in range(len(sizes)):
+        own_batch = draw(st.booleans())
+        cfgs.append(
+            dataclasses.replace(
+                base,
+                batch_size=draw(st.integers(1, 9)) if own_batch else base.batch_size,
+                seed=int(rng.integers(2**32)),
+            )
+        )
+    spec = ModelSpec(
+        dim,
+        draw(st.sampled_from([(), (3,), (4, 2)])),
+        n_classes,
+        activation=draw(st.sampled_from(["relu", "tanh"])),
+    )
+    return spec, init_params(spec, seed=seed % 1000), shards, plans, cfgs
+
+
+class TestLockstepMatchesOracle:
+    """The run-long sampler and the stacked trainer against the per-batch,
+    per-client implementations they replaced (``tests/oracles.py``)."""
+
+    @ORACLE_SETTINGS
+    @given(lockstep_problems())
+    def test_sampler_draws_what_the_per_batch_sampler_draws(self, problem):
+        _, _, shards, plans, cfgs = problem
+        for shard, plan, cfg in zip(shards, plans, cfgs):
+            sizes = batch_sizes(len(shard), cfg)
+            rng = np.random.default_rng(cfg.seed)
+            picks = draw_batches(shard, plan, sizes, rng)
+            again = draw_batches(shard, plan, sizes, np.random.default_rng(cfg.seed))
+            assert np.array_equal(picks, again)
+
+            ref_rng = np.random.default_rng(cfg.seed)
+            per_batch = oracles._sample_by_weight if isinstance(plan, np.ndarray) else (
+                oracles.weighted_sample_batch
+            )
+            batches = [per_batch(shard, plan, take, ref_rng) for take in sizes]
+            assert picks.size == sum(sizes)
+            if batches:
+                drawn = shard.dataset.subset(picks)
+                assert np.array_equal(drawn.features, np.vstack([b.features for b in batches]))
+                assert np.array_equal(drawn.labels, np.concatenate([b.labels for b in batches]))
+            # the same generator calls, so the streams end in the same state
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @ORACLE_SETTINGS
+    @given(lockstep_problems())
+    def test_local_train_matches_training_alone_bitwise(self, problem):
+        spec, params, shards, plans, cfgs = problem
+        start = params.values.copy()
+        together = local_train(spec, params, shards, plans, cfgs)
+        assert np.array_equal(params.values, start)  # the input is not trained in place
+        assert len(together) == len(shards)
+        for out, shard, plan, cfg in zip(together, shards, plans, cfgs):
+            alone = oracles.local_train(spec, params, shard, plan, cfg)
+            assert out.layout == alone.layout
+            assert out.values.tobytes() == alone.values.tobytes()
