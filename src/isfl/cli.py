@@ -109,6 +109,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown strategy {strategy!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if self.eta == 0.0 and "isfl" in self.strategies:
+            # the isfl bound diagnostics divide by eta
+            raise ValueError("eta must be positive for the isfl strategy")
         if self.dataset_path is None and self.per_class < 1:
             raise ValueError("per_class must be >= 1 for synthetic data")
 

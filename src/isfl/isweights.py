@@ -320,15 +320,3 @@ def rho(
     curvature = np.sum(q * l_row**2, axis=-1)
     value = mismatch * curvature
     return float(value) if q.ndim == 1 else value
-
-
-def kkt_partials(
-    q: CategoryDistribution, p: CategoryDistribution, l_row: np.ndarray
-) -> np.ndarray:
-    """Gradient of rho at q: 2(q_j - p_j) * B + L_j^2 * A with A the mismatch
-    factor and B the curvature factor. At an optimum the non-floored entries
-    are all equal (to the multiplier of the sum-to-one constraint)."""
-    l_row = np.asarray(l_row, dtype=np.float64)
-    a = 1.0 + np.sum((p.probs - q.probs) ** 2)
-    b = np.sum(q.probs * l_row**2)
-    return 2.0 * (q.probs - p.probs) * b + l_row**2 * a

@@ -2,8 +2,10 @@
 
 The curvature row for a client measures, per category, the largest ratio of
 per-sample gradient change to parameter change between that client's model and
-the aggregated one. The sampling-weight solver consumes these rows; the noise
-statistics feed diagnostics only.
+the aggregated one. Each gradient change is an outer-product sum per layer, so
+its norm comes from row dot products of activations and deltas, in difference
+form, without forming any per-sample gradient. The sampling-weight solver
+consumes these rows; the noise statistics feed diagnostics only.
 """
 
 from __future__ import annotations
@@ -14,12 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .model import ModelSpec, ParamVector, backward_grad, per_sample_grad_blocks
+from .model import ModelSpec, ParamVector, check_batch, mean_grads, per_sample_grad_change_norms
 
 logger = logging.getLogger(__name__)
-
-# probe rows per per-sample gradient block in estimate_lipschitz
-BLOCK_ROWS = 128
 
 
 class ZeroDeviationError(ValueError):
@@ -79,27 +78,18 @@ def estimate_lipschitz(
     """Curvature row for one client from a probe set.
 
     Costs exactly one backward pass over the probe per parameter vector. The
-    per-sample gradients are then formed BLOCK_ROWS rows at a time, so memory
-    stays at two blocks instead of two N x P matrices. Raises
-    ZeroDeviationError when the two parameter vectors coincide; the caller
-    should keep its previous row in that case.
+    norm of each probe sample's gradient change comes from row dot products of
+    the two passes' activations and deltas (``per_sample_grad_change_norms``),
+    so no per-sample gradient is ever formed. Raises ZeroDeviationError when
+    the two parameter vectors coincide; the caller should keep its previous
+    row in that case.
     """
     deviation = (local_params - global_params).norm()
     if deviation == 0.0:
         raise ZeroDeviationError("local and global parameters coincide")
     if not np.isfinite(deviation):
         raise ValueError("parameter deviation is not finite; the run diverged")
-    diff_norms = np.empty(len(probe))
-    start = 0
-    for block_local, block_global in zip(
-        per_sample_grad_blocks(spec, local_params, probe, BLOCK_ROWS),
-        per_sample_grad_blocks(spec, global_params, probe, BLOCK_ROWS),
-    ):
-        if not (np.all(np.isfinite(block_local)) and np.all(np.isfinite(block_global))):
-            raise ValueError("probe gradients are not finite; the run diverged")
-        stop = start + len(block_local)
-        diff_norms[start:stop] = np.linalg.norm(block_local - block_global, axis=1)
-        start = stop
+    diff_norms = per_sample_grad_change_norms(spec, local_params, global_params, probe)
     return lipschitz_row(diff_norms, probe.labels, probe.n_classes, deviation)
 
 
@@ -121,17 +111,16 @@ def estimate_sgd_stats(
         raise ValueError("need at least two draws")
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
+    check_batch(spec, probe)
     rng = np.random.default_rng(seed)
     n = len(probe)
     if batch_size >= n:
         # every draw is the whole probe, so the spread is zero by definition
-        full = backward_grad(spec, params, probe).values
+        full = mean_grads(spec, params.values, probe.features, probe.labels)
         return GradientStats(sigma2=0.0, g2=float(full @ full))
-    grads = []
-    for _ in range(n_draws):
-        idx = np.sort(rng.choice(n, size=batch_size, replace=False))
-        grads.append(backward_grad(spec, params, probe.subset(idx)).values)
-    stack = np.stack(grads)
+    idx = np.sort([rng.choice(n, size=batch_size, replace=False) for _ in range(n_draws)])
+    # one backward pass over the (n_draws, batch_size, d) stack of batches
+    stack = mean_grads(spec, params.values, probe.features[idx], probe.labels[idx])
     mean = stack.mean(axis=0)
     sigma2 = float(np.mean(np.sum((stack - mean) ** 2, axis=1)))
     g2 = float(np.max(np.sum(stack**2, axis=1)))

@@ -197,12 +197,6 @@ def _backprop(spec: ModelSpec, views, x: np.ndarray, labels: np.ndarray, mean: b
     return acts, _backward_deltas(spec, views, acts, pre, dlogits)
 
 
-def _layer_grads(acts, deltas):
-    """(weight, bias) gradient of each layer, summed over the sample axis."""
-    for a, delta in zip(acts, deltas):
-        yield np.swapaxes(a, -1, -2) @ delta, delta.sum(axis=-2)
-
-
 def forward_loss(spec: ModelSpec, params: ParamVector, batch: Dataset) -> float:
     """Mean softmax cross-entropy over the batch (log-sum-exp stabilized)."""
     check_batch(spec, batch)
@@ -214,13 +208,27 @@ def forward_loss(spec: ModelSpec, params: ParamVector, batch: Dataset) -> float:
 def backward_grad(spec: ModelSpec, params: ParamVector, batch: Dataset) -> ParamVector:
     """Exact gradient of the mean loss, in the same layout as ``params``."""
     check_batch(spec, batch)
-    acts, deltas = _backprop(spec, params.slices(), batch.features, batch.labels, mean=True)
-    grad = zeros_params(spec)
-    views = grad.slices()
-    for i, (w_grad, b_grad) in enumerate(_layer_grads(acts, deltas)):
-        views[2 * i][:] = w_grad
-        views[2 * i + 1][:] = b_grad
-    return grad
+    grad = mean_grads(spec, params.values, batch.features, batch.labels)
+    return ParamVector(grad, params.layout)
+
+
+def mean_grads(
+    spec: ModelSpec, values: np.ndarray, x: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Flat gradients of the mean loss over each batch's sample axis.
+
+    ``values`` is one (P,) vector or a (K, P) stack whose row k sees batch
+    ``x[k]``. A (P,) vector also takes a (D, N, d) stack of D batches and
+    returns a (D, P) array, one gradient per batch.
+    """
+    acts, deltas = _backprop(spec, _views(layout_of(spec), values), x, labels, mean=True)
+    grads = np.empty(x.shape[:-2] + values.shape[-1:])
+    views = _views(layout_of(spec), grads)
+    for i, (a, delta) in enumerate(zip(acts, deltas)):
+        # weight and bias gradients, summed over the sample axis
+        views[2 * i][...] = np.swapaxes(a, -1, -2) @ delta
+        views[2 * i + 1][...] = delta.sum(axis=-2)
+    return grads
 
 
 def sgd_step_stack(
@@ -230,34 +238,12 @@ def sgd_step_stack(
 
     Row k steps on its own batch: features ``x[k]`` and ``labels[k]``.
     """
-    views = _views(layout_of(spec), stack)
-    acts, deltas = _backprop(spec, views, x, labels, mean=True)
-    for i, (w_grad, b_grad) in enumerate(_layer_grads(acts, deltas)):
-        views[2 * i] -= eta * w_grad
-        views[2 * i + 1] -= eta * b_grad
+    stack -= eta * mean_grads(spec, stack, x, labels)
 
 
-def per_sample_grad_blocks(spec: ModelSpec, params: ParamVector, batch: Dataset, rows: int):
-    """Row blocks of the N x P per-sample gradient matrix, in order.
-
-    One backward pass over the whole batch; each yielded (m, P) block, m <=
-    rows, is a view of one reused buffer and is overwritten by the next.
-    Row n is the gradient of sample n's own loss.
-    """
-    check_batch(spec, batch)
-    acts, deltas = _backprop(spec, params.slices(), batch.features, batch.labels, mean=False)
-    n = len(batch)
-    buffer = np.empty((min(rows, n), params.values.size))
-    views = _views(params.layout, buffer)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        for i, delta in enumerate(deltas):
-            np.einsum(
-                "ni,nj->nij", acts[i][start:stop], delta[start:stop],
-                out=views[2 * i][: stop - start],
-            )
-            views[2 * i + 1][: stop - start] = delta[start:stop]
-        yield buffer[: stop - start]
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of each row of u with the same row of v."""
+    return np.einsum("ni,ni->n", u, v)
 
 
 def per_sample_grad_norms(spec: ModelSpec, params: ParamVector, batch: Dataset) -> np.ndarray:
@@ -270,11 +256,40 @@ def per_sample_grad_norms(spec: ModelSpec, params: ParamVector, batch: Dataset) 
     check_batch(spec, batch)
     acts, deltas = _backprop(spec, params.slices(), batch.features, batch.labels, mean=False)
     sq = np.zeros(len(batch))
-    for i, delta in enumerate(deltas):
-        a_sq = np.einsum("ni,ni->n", acts[i], acts[i])
-        d_sq = np.einsum("ni,ni->n", delta, delta)
-        sq += d_sq * (a_sq + 1.0)
+    for a, delta in zip(acts, deltas):
+        sq += _row_dot(delta, delta) * (_row_dot(a, a) + 1.0)
     return np.sqrt(sq)
+
+
+def per_sample_grad_change_norms(
+    spec: ModelSpec, params: ParamVector, base: ParamVector, batch: Dataset
+) -> np.ndarray:
+    """Norm of each sample's loss-gradient change from ``base`` to ``params``,
+    from one backward pass per vector and without forming any gradient.
+
+    Per layer, with activations a and deltas d, a sample's weight-gradient
+    change is ``da (x) d + a_base (x) dd`` with ``da = a - a_base`` and
+    ``dd = d - d_base``, so its squared norm is
+    ``|da|^2 |d|^2 + |a_base|^2 |dd|^2 + 2 (da . a_base)(d . dd)``; the bias
+    adds ``|dd|^2``. Built from the differences, the sum stays accurate for
+    close vectors, where ``|g|^2 + |g_base|^2 - 2 g . g_base`` would cancel.
+    It is clamped at 0 against rounding. Raises ValueError if either pass or
+    the sum is not finite.
+    """
+    check_batch(spec, batch)
+    acts, deltas = _backprop(spec, params.slices(), batch.features, batch.labels, mean=False)
+    acts_b, deltas_b = _backprop(spec, base.slices(), batch.features, batch.labels, mean=False)
+    if not all(np.all(np.isfinite(arr)) for arr in (*acts, *deltas, *acts_b, *deltas_b)):
+        raise ValueError("per-sample gradients are not finite; the run diverged")
+    sq = np.zeros(len(batch))
+    for a, d, a_b, d_b in zip(acts, deltas, acts_b, deltas_b):
+        da, dd = a - a_b, d - d_b
+        dd_sq = _row_dot(dd, dd)
+        sq += _row_dot(da, da) * _row_dot(d, d) + _row_dot(a_b, a_b) * dd_sq
+        sq += 2.0 * _row_dot(da, a_b) * _row_dot(d, dd) + dd_sq
+    if not np.all(np.isfinite(sq)):
+        raise ValueError("per-sample gradients are not finite; the run diverged")
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def evaluate(spec: ModelSpec, params: ParamVector, ds: Dataset) -> tuple[float, float]:

@@ -8,6 +8,13 @@ small category counts.
 ``weighted_sample_batch`` and ``local_train`` train one client alone, one
 validated batch and one gradient at a time; ``isfl.trainer.local_train``
 must leave every client exactly where they do.
+
+``estimate_lipschitz`` forms both per-sample gradient matrices in
+``BLOCK_ROWS``-row blocks and takes the norms of their differences; the
+difference form in ``isfl.lipschitz`` must match its rows to rounding.
+``estimate_sgd_stats`` runs one ``backward_grad`` per draw; the stacked
+estimator must return its statistics bit for bit. ``kkt_partials`` is the
+gradient of rho that the solver's optimality tests check.
 """
 
 from __future__ import annotations
@@ -19,8 +26,12 @@ import numpy as np
 
 from isfl.data import CapacityError, CategoryDistribution, ClientShard, Dataset
 from isfl.isweights import SamplingPlan, _effective_floors
-from isfl.model import ModelSpec, ParamVector, backward_grad
+from isfl.lipschitz import GradientStats, ZeroDeviationError, lipschitz_row
+from isfl.model import ModelSpec, ParamVector, _backprop, _views, backward_grad, check_batch
 from isfl.trainer import TrainerConfig
+
+# probe rows per per-sample gradient block in estimate_lipschitz
+BLOCK_ROWS = 128
 
 
 def enumerate_rho_min(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -202,3 +213,106 @@ def sgd_step(params: ParamVector, grad: ParamVector, eta: float) -> ParamVector:
         raise ValueError("eta must be positive")
     params._check(grad)
     return ParamVector(params.values - eta * grad.values, params.layout)
+
+
+def per_sample_grad_blocks(spec: ModelSpec, params: ParamVector, batch: Dataset, rows: int):
+    """Row blocks of the N x P per-sample gradient matrix, in order.
+
+    One backward pass over the whole batch; each yielded (m, P) block, m <=
+    rows, is a view of one reused buffer and is overwritten by the next.
+    Row n is the gradient of sample n's own loss.
+    """
+    check_batch(spec, batch)
+    acts, deltas = _backprop(spec, params.slices(), batch.features, batch.labels, mean=False)
+    n = len(batch)
+    buffer = np.empty((min(rows, n), params.values.size))
+    views = _views(params.layout, buffer)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        for i, delta in enumerate(deltas):
+            np.einsum(
+                "ni,nj->nij", acts[i][start:stop], delta[start:stop],
+                out=views[2 * i][: stop - start],
+            )
+            views[2 * i + 1][: stop - start] = delta[start:stop]
+        yield buffer[: stop - start]
+
+
+def estimate_lipschitz(
+    spec: ModelSpec,
+    local_params: ParamVector,
+    global_params: ParamVector,
+    probe: Dataset,
+) -> np.ndarray:
+    """Curvature row for one client from a probe set.
+
+    Costs exactly one backward pass over the probe per parameter vector. The
+    per-sample gradients are then formed BLOCK_ROWS rows at a time, so memory
+    stays at two blocks instead of two N x P matrices. Raises
+    ZeroDeviationError when the two parameter vectors coincide; the caller
+    should keep its previous row in that case.
+    """
+    deviation = (local_params - global_params).norm()
+    if deviation == 0.0:
+        raise ZeroDeviationError("local and global parameters coincide")
+    if not np.isfinite(deviation):
+        raise ValueError("parameter deviation is not finite; the run diverged")
+    diff_norms = np.empty(len(probe))
+    start = 0
+    for block_local, block_global in zip(
+        per_sample_grad_blocks(spec, local_params, probe, BLOCK_ROWS),
+        per_sample_grad_blocks(spec, global_params, probe, BLOCK_ROWS),
+    ):
+        if not (np.all(np.isfinite(block_local)) and np.all(np.isfinite(block_global))):
+            raise ValueError("probe gradients are not finite; the run diverged")
+        stop = start + len(block_local)
+        diff_norms[start:stop] = np.linalg.norm(block_local - block_global, axis=1)
+        start = stop
+    return lipschitz_row(diff_norms, probe.labels, probe.n_classes, deviation)
+
+
+def estimate_sgd_stats(
+    spec: ModelSpec,
+    params: ParamVector,
+    probe: Dataset,
+    batch_size: int,
+    n_draws: int,
+    seed: int = 0,
+) -> GradientStats:
+    """Empirical minibatch-gradient spread: sigma2 is the mean squared distance
+    of draws from their mean, g2 the largest squared draw norm.
+
+    Batches at least as large as the probe collapse to the full set, so the
+    variance estimate is exactly zero there.
+    """
+    if n_draws < 2:
+        raise ValueError("need at least two draws")
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    rng = np.random.default_rng(seed)
+    n = len(probe)
+    if batch_size >= n:
+        # every draw is the whole probe, so the spread is zero by definition
+        full = backward_grad(spec, params, probe).values
+        return GradientStats(sigma2=0.0, g2=float(full @ full))
+    grads = []
+    for _ in range(n_draws):
+        idx = np.sort(rng.choice(n, size=batch_size, replace=False))
+        grads.append(backward_grad(spec, params, probe.subset(idx)).values)
+    stack = np.stack(grads)
+    mean = stack.mean(axis=0)
+    sigma2 = float(np.mean(np.sum((stack - mean) ** 2, axis=1)))
+    g2 = float(np.max(np.sum(stack**2, axis=1)))
+    return GradientStats(sigma2=sigma2, g2=g2)
+
+
+def kkt_partials(
+    q: CategoryDistribution, p: CategoryDistribution, l_row: np.ndarray
+) -> np.ndarray:
+    """Gradient of rho at q: 2(q_j - p_j) * B + L_j^2 * A with A the mismatch
+    factor and B the curvature factor. At an optimum the non-floored entries
+    are all equal (to the multiplier of the sum-to-one constraint)."""
+    l_row = np.asarray(l_row, dtype=np.float64)
+    a = 1.0 + np.sum((p.probs - q.probs) ** 2)
+    b = np.sum(q.probs * l_row**2)
+    return 2.0 * (q.probs - p.probs) * b + l_row**2 * a

@@ -33,7 +33,6 @@ from isfl.federation import (
 from isfl.isweights import (
     compute_alpha,
     compute_gamma_star,
-    kkt_partials,
     rho,
     solve_is_weights,
     uniform_plan,
@@ -41,7 +40,7 @@ from isfl.isweights import (
 from isfl.model import ModelSpec, backward_grad, evaluate, forward_loss, init_params
 from isfl.model import ParamVector
 from isfl.trainer import TrainerConfig, local_train
-from oracles import brute_force_rho_min
+from oracles import brute_force_rho_min, kkt_partials
 
 
 def report(criterion, ok, detail):

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from isfl import model
 from isfl.data import (
@@ -125,6 +128,43 @@ class TestSortAndPartition:
         cfg = PartitionConfig(n_clients=2, shard_size=100, shards_per_client=1, nr=1.0, seed=1)
         with pytest.raises(ValueError, match="absent"):
             sort_and_partition(ds, cfg)
+
+
+@st.composite
+def partition_problems(draw):
+    """A PartitionConfig and an unbalanced source with room for it."""
+    cfg = PartitionConfig(
+        n_clients=draw(st.integers(1, 6)),
+        shard_size=draw(st.integers(1, 30)),
+        shards_per_client=draw(st.integers(1, 3)),
+        nr=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    n_classes = draw(st.integers(2, 6))
+    floor = 2 * math.ceil(cfg.n_shards * cfg.shard_size / n_classes)
+    counts = [floor + draw(st.integers(0, 10)) for _ in range(n_classes)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat(np.arange(n_classes), counts))
+    return cfg, Dataset(rng.standard_normal((labels.size, 2)), labels, n_classes)
+
+
+class TestPartitionProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(partition_problems())
+    def test_shards_disjoint_with_their_label_mix(self, problem):
+        cfg, ds = problem
+        try:
+            shards = sort_and_partition(ds, cfg)
+        except ValueError as exc:  # CapacityError, or a category no client holds
+            if not isinstance(exc, CapacityError) and "absent from every client" not in str(exc):
+                raise
+            reject()
+        everything = np.concatenate([s.indices for s in shards])
+        assert np.unique(everything).size == everything.size
+        for shard in shards:
+            assert len(shard) == cfg.shards_per_client * cfg.shard_size
+            expected = CategoryDistribution.from_labels(ds.labels[shard.indices], ds.n_classes)
+            assert np.array_equal(shard.local_distribution.probs, expected.probs)
 
 
 class TestGlobalDistribution:

@@ -11,14 +11,13 @@ from isfl.isweights import (
     SamplingPlan,
     compute_alpha,
     compute_gamma_star,
-    kkt_partials,
     rho,
     solve_is_weights,
     uniform_plan,
     _effective_floors,
     _minimize_rho,
 )
-from oracles import brute_force_rho_min, enumerate_rho_min
+from oracles import brute_force_rho_min, enumerate_rho_min, kkt_partials
 
 # Worked three-category instance used throughout: pooled [0.5, 0.3, 0.2],
 # local [0.8, 0.1, 0.1], curvatures [1, 2, 3], floor weight 0.05.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import isfl.model as model_mod
+import oracles
 from isfl.data import Dataset
 from isfl.lipschitz import (
     GradientStats,
@@ -130,7 +131,66 @@ class TestEstimateLipschitz:
         assert calls == [len(probe), len(probe)]
 
 
+class TestDifferenceForm:
+    """The difference-form rows against the blocked per-sample gradient
+    matrices of ``oracles.estimate_lipschitz``."""
+
+    # Worst relative row error measured over these cases: 5e-14 at a
+    # deviation scale of 1e-3 and 1e-11 at 1e-5. It grows as 1/scale because
+    # the oracle subtracts two nearly equal gradients. The naive
+    # |g|^2 + |g_base|^2 - 2 g.g_base expansion reaches 3e-5 at small
+    # deviations.
+    REL_BOUND = 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_matches_blocked_oracle(self, activation, hidden, scale):
+        spec = ModelSpec(4, hidden, 3, activation=activation)
+        # more probe rows than oracles.BLOCK_ROWS, so the oracle spans two blocks
+        probe = probe_dataset(per_class=50, seed=len(hidden))
+        global_params = init_params(spec, seed=11)
+        shift = init_params(spec, seed=12).values
+        local = ParamVector(
+            global_params.values + scale * shift / np.linalg.norm(shift), global_params.layout
+        )
+        row = estimate_lipschitz(spec, local, global_params, probe)
+        expected = oracles.estimate_lipschitz(spec, local, global_params, probe)
+        assert np.all(expected > 0.0)
+        assert np.max(np.abs(row - expected) / expected) <= self.REL_BOUND
+
+    # inf, nan and 1e300 make the passes non-finite; at 1e160 the passes stay
+    # finite and the summed squares overflow
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e300, 1e160])
+    def test_non_finite_probe_gradients_raise(self, bad):
+        spec = ModelSpec(4, (5,), 3)
+        probe = probe_dataset()
+        probe.features[4, :] = bad
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            estimate_lipschitz(spec, init_params(spec, 1), init_params(spec, 2), probe)
+
+    def test_non_finite_deviation_raises(self):
+        spec = ModelSpec(4, (), 3)
+        params = init_params(spec, 1)
+        broken = params.copy()
+        broken.values[0] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="deviation is not finite"):
+            estimate_lipschitz(spec, broken, params, probe_dataset())
+
+
 class TestEstimateSgdStats:
+    @pytest.mark.parametrize("batch_size", [5, 7, 16, 128])
+    @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_matches_per_draw_oracle_bitwise(self, activation, hidden, batch_size):
+        spec = ModelSpec(4, hidden, 3, activation=activation)
+        probe = probe_dataset(per_class=50, seed=3)
+        params = init_params(spec, seed=batch_size)
+        for seed in range(3):
+            stats = estimate_sgd_stats(spec, params, probe, batch_size, 8, seed=seed)
+            expected = oracles.estimate_sgd_stats(spec, params, probe, batch_size, 8, seed=seed)
+            assert stats == expected
+
     def test_full_batch_zero_variance(self):
         spec = ModelSpec(4, (), 3)
         probe = probe_dataset()

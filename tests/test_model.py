@@ -13,10 +13,10 @@ from isfl.model import (
     init_params,
     layout_of,
     per_sample_grad_norms,
-    per_sample_grad_blocks,
     sgd_step_stack,
     zeros_params,
 )
+from oracles import per_sample_grad_blocks
 
 
 def random_batch(spec, n, rng):
