@@ -47,7 +47,7 @@ from .federation import (
 )
 from .isweights import compute_alpha, rho, solve_is_weights
 from .model import ModelSpec
-from .trainer import TrainerConfig
+from .trainer import TrainerConfig, batch_sizes
 
 METRICS_HEADER = "round,loss,acc_S,acc_G,rho_mean,rho_theory"
 
@@ -95,13 +95,13 @@ class ExperimentConfig:
         # Constructor-level checks run in the module dataclasses; this catches
         # cross-field problems before any heavy work.
         self.model_spec()
-        self.trainer_config(seed=0)
         PartitionConfig(
             n_clients=self.clients,
             shard_size=self.shard_size,
             shards_per_client=self.shards_per_client,
             nr=self.nr,
         )
+        self.check_sampling_ratio(self.sampling_ratio)
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         for strategy in self.strategies:
@@ -114,6 +114,16 @@ class ExperimentConfig:
             raise ValueError("eta must be positive for the isfl strategy")
         if self.dataset_path is None and self.per_class < 1:
             raise ValueError("per_class must be >= 1 for synthetic data")
+
+    def check_sampling_ratio(self, ratio: float) -> None:
+        """Raise unless ``ratio`` makes a valid trainer config whose epochs
+        take at least one sample of a client."""
+        samples = self.shard_size * self.shards_per_client
+        if not batch_sizes(samples, self.trainer_config(seed=0, sampling_ratio=ratio)):
+            raise ValueError(
+                f"sampling_ratio {ratio!r} takes no sample per epoch of a "
+                f"{samples}-sample client"
+            )
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec(
@@ -319,8 +329,7 @@ def cmd_sweep_sr(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     ratios = [float(s) for s in args.sr.split(",") if s.strip()]
     for ratio in ratios:
-        if not 0.0 < ratio <= 1.0:
-            raise ValueError("sampling ratios must lie in (0, 1]")
+        cfg.check_sampling_ratio(ratio)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -154,8 +154,8 @@ def generate_synthetic(
     """
     if n_classes < 2 or per_class < 1 or dim < 2:
         raise ValueError("need n_classes >= 2, per_class >= 1, dim >= 2")
-    if separation <= 0.0:
-        raise ValueError("separation must be positive")
+    if not (math.isfinite(separation) and separation > 0.0):
+        raise ValueError(f"separation must be finite and positive (got {separation!r})")
     rng = np.random.default_rng(seed)
     anchors = rng.standard_normal((n_classes, dim))
     anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
@@ -330,6 +330,13 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
         f.write(ds.labels.astype("<u2").tobytes())
 
 
+def _check_finite(features: np.ndarray, path: str | Path) -> None:
+    """Reject a file whose features hold a NaN or an infinity."""
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0]} has a non-finite feature")
+
+
 def load_dataset(path: str | Path) -> Dataset:
     with open(path, "rb") as f:
         magic = f.read(len(DATASET_MAGIC))
@@ -338,14 +345,20 @@ def load_dataset(path: str | Path) -> Dataset:
         n, d, c = struct.unpack("<III", f.read(12))
         features = np.frombuffer(f.read(n * d * 4), dtype="<f4").reshape(n, d)
         labels = np.frombuffer(f.read(n * 2), dtype="<u2")
+    _check_finite(features, path)
     return Dataset(features.astype(np.float64), labels.astype(np.int64), c)
 
 
 def load_csv_dataset(path: str | Path, n_classes: int | None = None) -> Dataset:
     """Read ``label,f0,f1,...`` rows; infers the class count unless given."""
     raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    labels = raw[:, 0].astype(np.int64)
+    labels = raw[:, 0]
+    bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.round(labels))))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0]} has a non-integer label {labels[bad[0]]!r}")
+    labels = labels.astype(np.int64)
     features = raw[:, 1:]
+    _check_finite(features, path)
     if n_classes is None:
         n_classes = int(labels.max()) + 1
     return Dataset(features, labels, n_classes)

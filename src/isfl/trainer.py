@@ -7,10 +7,13 @@ GradNorm-style baselines instead pass per-sample probabilities directly.
 
 ``local_train`` trains all clients of a round in lockstep. Each client first
 draws the batch indices of its whole local run from its own generator
-(``draw_batches``). Clients whose batch schedules and step sizes agree then
-share one (K, P) parameter stack, and each SGD step updates the whole stack
-at once (``model.sgd_step_stack``). Every client ends bit for bit where it
-would end training alone; a lone client is a stack of one.
+(``draw_batches``). The generator-call contract: a category plan makes two
+calls per batch, ``rng.random(size)`` for the categories and one array-bound
+``rng.integers`` for the pool positions; a per-sample plan makes one
+``rng.random`` call per run. Clients whose batch schedules and step sizes
+agree then share one (K, P) parameter stack, and each SGD step updates the
+whole stack at once (``model.sgd_step_stack``). Every client ends bit for bit
+where it would end training alone; a lone client is a stack of one.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ class TrainerConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.local_epochs < 1:
             raise ValueError("batch_size and local_epochs must be >= 1")
-        if self.eta < 0.0:
-            raise ValueError("eta must be non-negative")
+        if not (math.isfinite(self.eta) and self.eta >= 0.0):
+            raise ValueError(f"eta must be finite and non-negative (got {self.eta!r})")
         if not 0.0 < self.sampling_ratio <= 1.0:
             raise ValueError("sampling_ratio must lie in (0, 1]")
 
@@ -75,25 +78,23 @@ def draw_batches(
 ) -> np.ndarray:
     """Row indices into ``shard.dataset`` for consecutive batches of ``sizes``.
 
-    A category plan draws each batch's categories with one ``rng.random``
-    call, then each category's samples uniformly from its local pool (with
-    replacement) with one ``rng.integers`` call per drawn category, in
-    ascending order. A per-sample probability vector draws shard rows
-    directly. The plan is checked once, before any draw.
+    A category plan makes two generator calls per batch: one ``rng.random``
+    call draws the batch's categories, and one array-bound ``rng.integers``
+    call draws a position (with replacement) in each drawn category's local
+    pool, the draws grouped by ascending category. numpy's array-bound
+    ``integers`` consumes the stream exactly as one scalar-bound call per
+    drawn category would, so the draws equal those of a per-category loop.
+    A per-sample probability vector draws shard rows directly, with one
+    ``rng.random`` call for the whole run. The plan is checked once, before
+    any draw.
     """
-    picks = np.empty(sum(sizes), dtype=np.int64)
     bounds = np.cumsum((0, *sizes))
     if isinstance(plan, np.ndarray):
         if plan.shape != (len(shard),):
             raise ValueError("per-sample probabilities must match the shard size")
         if not (np.all(plan >= 0.0) and abs(plan.sum() - 1.0) <= _SUM_TOL):
             raise ValueError("per-sample probabilities must be non-negative and sum to 1")
-        cdf = _cdf(plan)
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            picks[start:stop] = shard.indices[
-                cdf.searchsorted(rng.random(stop - start), side="right")
-            ]
-        return picks
+        return shard.indices[_cdf(plan).searchsorted(rng.random(bounds[-1]), side="right")]
     q = plan.q.probs
     if q.size != shard.dataset.n_classes:
         raise ValueError("plan and shard category counts differ")
@@ -105,21 +106,14 @@ def draw_batches(
         lacking = support[pool_sizes[support] == 0][0]
         raise ValueError(f"plan assigns mass to category {lacking} the shard lacks")
     cdf = _cdf(q)
-    cats = np.empty(picks.size, dtype=np.int64)
-    within = []  # drawn pool positions, in draw order
+    first = np.cumsum(pool_sizes) - pool_sizes
+    slots = np.empty(bounds[-1], dtype=np.int64)  # positions in the joined pools
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        cats[start:stop] = cdf.searchsorted(rng.random(stop - start), side="right")
-        counts = np.bincount(cats[start:stop], minlength=q.size)
-        for c in np.flatnonzero(counts).tolist():
-            within.append(rng.integers(0, pool_sizes[c], size=counts[c]))
-    if within:
-        # a stable sort by (batch, category) lists the positions in draw order
-        batch_of = np.repeat(np.arange(len(sizes)), sizes)
-        order = np.argsort(batch_of * q.size + cats, kind="stable")
-        pools = np.concatenate(shard.category_pools)
-        first = np.cumsum(pool_sizes) - pool_sizes
-        picks[order] = pools[first[cats[order]] + np.concatenate(within)]
-    return picks
+        cats = cdf.searchsorted(rng.random(stop - start), side="right")
+        order = np.argsort(cats, kind="stable")
+        grouped = cats[order]
+        slots[start + order] = first[grouped] + rng.integers(0, pool_sizes[grouped])
+    return np.concatenate(shard.category_pools)[slots]
 
 
 def _joint_rows(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

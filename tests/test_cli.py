@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from isfl.cli import ExperimentConfig, build_experiment_data, main
+from isfl.data import generate_synthetic
 
 BASE_CONFIG = {
     "classes": 3,
@@ -216,6 +217,51 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+    def test_non_finite_eta_exits_1_before_any_run(self, tmp_path, capsys, eta):
+        cfg_path = write_config(tmp_path, eta=eta)  # written as NaN or Infinity
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert "eta must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("separation", [float("nan"), float("inf")])
+    def test_non_finite_separation_exits_1(self, tmp_path, capsys, separation):
+        cfg_path = write_config(tmp_path, separation=separation)
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert "separation must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "cell, value, message",
+        [((5, 2), np.nan, "non-finite feature"), ((7, 0), 1.7, "non-integer label")],
+        ids=["nan-feature", "fractional-label"],
+    )
+    def test_bad_csv_cell_exits_1(self, tmp_path, capsys, cell, value, message):
+        source = generate_synthetic(3, 80, 4, 2.0, seed=0)
+        table = np.column_stack([source.labels, source.features])
+        csv_path = tmp_path / "data.csv"
+        cfg_path = write_config(tmp_path, dataset_path=str(csv_path))
+        out_dir = tmp_path / "runs"
+        np.savetxt(csv_path, table, delimiter=",")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir / "good")]) == 0
+        table[cell] = value
+        np.savetxt(csv_path, table, delimiter=",")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir / "bad")]) == 1
+        assert f"row {cell[0]} has a {message}" in capsys.readouterr().err
+        assert not (out_dir / "bad").exists()
+
+    def test_epochs_without_a_sample_exit_1_before_any_run(self, tmp_path, capsys):
+        # 40-sample clients: floor(0.02 * 40) = 0 samples per epoch
+        cfg_path = write_config(tmp_path, sampling_ratio=0.02)
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert "takes no sample per epoch" in capsys.readouterr().err
+        assert not out_dir.exists()
+        cfg_path = write_config(tmp_path, sampling_ratio=0.025, rounds=1)  # one sample
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+
     def test_timings_split_into_phases(self, tmp_path):
         cfg_path = write_config(tmp_path, strategies=["fedavg", "isfl"], rounds=3)
         out_dir = tmp_path / "runs"
@@ -322,6 +368,14 @@ class TestSweepCommand:
         cfg_path = write_config(tmp_path)
         assert main(["sweep-sr", "--config", str(cfg_path), "--sr", "0,1.0",
                      "--out", str(tmp_path / "s")]) == 1
+
+    def test_ratio_without_a_sample_exits_1_before_any_run(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        out_dir = tmp_path / "s"
+        assert main(["sweep-sr", "--config", str(cfg_path), "--sr", "1.0,0.02",
+                     "--out", str(out_dir)]) == 1
+        assert "sampling_ratio 0.02 takes no sample" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestBoundsCommand:

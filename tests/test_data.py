@@ -48,6 +48,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(3, 10, 4, 0.0)
 
+    @pytest.mark.parametrize("separation", [math.nan, math.inf, -math.inf])
+    def test_non_finite_separation_rejected(self, separation):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            generate_synthetic(3, 10, 4, separation)
+
     def test_high_separation_is_linearly_learnable(self):
         # Oracle: plain full-batch gradient descent with the model module.
         ds = generate_synthetic(10, 100, 20, 4.0, seed=1)
@@ -248,6 +253,29 @@ class TestFileFormats:
         assert ds.n_classes == 2 and ds.dim == 2 and len(ds) == 3
         assert ds.labels.tolist() == [0, 1, 1]
         assert ds.features[0, 1] == 2.5
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_feature_rejected(self, tmp_path, cell):
+        path = tmp_path / "ds.csv"
+        path.write_text(f"0,1.5,2.5\n1,-1.0,{cell}\n1,0.0,3.0\n")
+        with pytest.raises(ValueError, match="row 1 has a non-finite feature"):
+            load_csv_dataset(path)
+
+    @pytest.mark.parametrize("label", ["1.7", "0.5", "nan", "inf"])
+    def test_csv_non_integer_label_rejected(self, tmp_path, label):
+        path = tmp_path / "ds.csv"
+        path.write_text(f"0,1.5,2.5\n1,-1.0,0.25\n{label},0.0,3.0\n")
+        with pytest.raises(ValueError, match="row 2 has a non-integer label"):
+            load_csv_dataset(path)
+
+    def test_container_non_finite_feature_rejected(self, tmp_path):
+        ds = balanced_source(n_classes=3, per_class=4, dim=2)
+        features = ds.features.copy()
+        features[7, 1] = np.nan
+        path = tmp_path / "ds.bin"
+        save_dataset(Dataset(features, ds.labels, ds.n_classes), path)
+        with pytest.raises(ValueError, match="row 7 has a non-finite feature"):
+            load_dataset(path)
 
     def test_partition_manifest_round_trip(self, tmp_path):
         ds = balanced_source()

@@ -263,6 +263,58 @@ class TestRwPlan:
             assert abs((shard.local_distribution.probs * plan.w).sum() - 1.0) <= 1e-12
 
 
+class TestArrayBoundIntegers:
+    """The numpy behaviour the batch sampler's byte identity rests on:
+    ``rng.integers(0, highs)`` with an int64 array of bounds consumes the
+    stream exactly as one scalar-bound call per run of equal bounds does.
+    Checked on numpy 2.4.6 with PCG64, where both paths run Lemire's method
+    on ``next_uint32`` below 2^32 and on ``next_uint64`` above, and a bound
+    of 1 draws nothing. Another numpy may break it; the sampler's oracle
+    test then fails too."""
+
+    @staticmethod
+    def per_run(highs, rng):
+        runs = np.split(highs, np.flatnonzero(np.diff(highs)) + 1)
+        return np.concatenate([rng.integers(0, run[0], size=run.size) for run in runs])
+
+    @pytest.mark.parametrize(
+        "highs",
+        [
+            [1, 1, 1],
+            [1, 3, 3, 5, 5, 5, 1, 7],
+            [2, 2, 2, 2**31 + 1, 2**31 + 1, 2**31 + 1, 2**31 + 1, 3],
+            [2**32 + 5, 2**32 + 5, 2**32 + 5, 4, 1, 2**32 + 5],
+            [5, 2**31 + 1, 1, 2**32 + 5, 9, 9],
+        ],
+        ids=["ones", "small-pools", "2^31+1", "2^32+5", "mixed"],
+    )
+    def test_array_bound_equals_one_scalar_call_per_run(self, highs):
+        highs = np.array(highs, dtype=np.int64)
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng.random(seed % 3)  # start some draws mid-way through a 64-bit word
+            ref.random(seed % 3)
+            rng.integers(0, 7, size=seed % 2)
+            ref.integers(0, 7, size=seed % 2)
+            assert np.array_equal(rng.integers(0, highs), self.per_run(highs, ref))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_a_bound_of_one_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        start = rng.bit_generator.state
+        assert np.array_equal(rng.integers(0, np.ones(6, dtype=np.int64)), np.zeros(6))
+        assert rng.bit_generator.state == start
+
+    def test_random_grouped_bounds(self):
+        gen = np.random.default_rng(11)
+        for seed in range(300):
+            pools = gen.choice([1, 2, 3, 7, 50, 1000, 2**31 + 1, 2**32 + 5], size=4)
+            highs = np.sort(pools[gen.integers(0, 4, size=gen.integers(1, 40))])
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(rng.integers(0, highs), self.per_run(highs, ref))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
 ORACLE_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
