@@ -1,9 +1,12 @@
 """Round-based federated orchestration with pluggable sampling strategies.
 
 Every round: all clients train locally under their current sampling plans, in
-one lockstep ``local_train`` call, the server takes the weighted parameter
-average, plans are refreshed according to the strategy, and the aggregate is
-broadcast back. Each round's wall time is split into the phases of PHASES.
+one lockstep ``local_train`` call that returns their parameters as one (K, P)
+stack; the server takes the weighted average of its rows, plans are refreshed
+according to the strategy (isfl: from the curvature rows of the whole stack
+against the average), and the aggregate is broadcast back. Parameters are
+plain arrays throughout. Each round's wall time is split into the phases of
+PHASES.
 Strategies:
 
   fedavg       unit weights throughout (plain federated averaging)
@@ -15,20 +18,17 @@ Strategies:
 from __future__ import annotations
 
 import dataclasses
-import logging
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CategoryDistribution, ClientShard, Dataset, global_distribution
+from .data import ClientShard, Dataset, global_distribution
 from .diagnostics import RoundRecord, RunLog
 from .isweights import SamplingPlan, rho, solve_is_weights, uniform_plan
-from .lipschitz import ZeroDeviationError, estimate_lipschitz, estimate_sgd_stats
-from .model import ModelSpec, ParamVector, evaluate, init_params
+from .lipschitz import estimate_lipschitz, estimate_sgd_stats
+from .model import ModelSpec, evaluate, init_params
 from .trainer import TrainerConfig, gradnorm_plan, local_train, rw_plan
-
-logger = logging.getLogger(__name__)
 
 STRATEGIES = ("fedavg", "rw_is", "gradnorm_is", "isfl")
 
@@ -85,17 +85,15 @@ def size_proportional_weights(shards: list[ClientShard]) -> np.ndarray:
     return sizes / sizes.sum()
 
 
-def aggregate(params_list: list[ParamVector], pi: np.ndarray) -> ParamVector:
-    """Exact convex combination of client parameters."""
-    if len(params_list) != len(pi):
+def aggregate(stack: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Convex combination of the rows of a (K, P) client stack, accumulated
+    row by row in client order (``pi @ stack`` rounds differently)."""
+    if len(stack) != len(pi):
         raise ValueError("need one weight per parameter vector")
-    layout = params_list[0].layout
-    total = np.zeros_like(params_list[0].values)
-    for weight, params in zip(pi, params_list):
-        if params.layout != layout:
-            raise ValueError("parameter layouts do not match")
-        total += float(weight) * params.values
-    return ParamVector(total, layout)
+    total = np.zeros(stack.shape[1])
+    for weight, row in zip(pi, stack):
+        total += float(weight) * row
+    return total
 
 
 class _Laps:
@@ -130,8 +128,10 @@ def run(
     every aggregation but the last of a multi-round run, which nothing would
     read. When ``recorder`` is given, per-round diagnostics records are
     appended to it (isfl only).
-    Clients are weighted by shard size. A round whose aggregate parameters or
-    pooled loss are not finite raises RoundFailure, as does any module error.
+    Clients are weighted by shard size. Raises ValueError before round 1 when
+    the pooled loss at the initial parameters is not finite. A round whose
+    aggregate parameters or pooled loss are not finite raises RoundFailure,
+    as does any module error.
     Fully deterministic for a given config and seed.
     """
     if cfg.strategy == "isfl" and probe is None:
@@ -162,6 +162,8 @@ def run(
     # only stand in for a client whose round-1 deviation is zero
     lips = np.ones((n_clients, p_global.probs.size))
     loss_start, _ = evaluate(cfg.model, global_params, pool)
+    if not np.isfinite(loss_start):
+        raise ValueError("the pooled loss at the initial parameters is not finite")
 
     metrics: list[RoundMetrics] = []
     for rnd in range(1, cfg.n_rounds + 1):
@@ -172,27 +174,19 @@ def run(
                 dataclasses.replace(cfg.trainer, seed=derive_seed(cfg.seed, 1, rnd, k))
                 for k in range(n_clients)
             ]
-            local_params = local_train(cfg.model, global_params, shards, plans, children)
+            local_stack = local_train(cfg.model, global_params, shards, plans, children)
             laps.lap("train")
 
-            new_global = aggregate(local_params, pi)
+            new_global = aggregate(local_stack, pi)
             laps.lap("aggregate")
 
             rho_realized = rho_theory = None
             if cfg.strategy == "isfl":
-                q_used = np.stack([_plan_q(plans[k], p_locals[k]) for k in range(n_clients)])
+                q_used = np.stack([plan.q.probs for plan in plans])
                 # refresh the curvature estimates and solve next round's plans
-                fresh = lips.copy()
+                fresh = lips
                 if rnd == 1 or rnd < cfg.n_rounds:
-                    for k in range(n_clients):
-                        try:
-                            fresh[k] = estimate_lipschitz(
-                                cfg.model, local_params[k], new_global, probe
-                            )
-                        except ZeroDeviationError:
-                            logger.warning(
-                                "round %d client %d: zero deviation, keeping row", rnd, k
-                            )
+                    fresh = estimate_lipschitz(cfg.model, local_stack, new_global, probe, lips)
                     laps.lap("curvature")
                     plans = [
                         solve_is_weights(p_global, p_locals[k], fresh[k], cfg.varpi)
@@ -227,7 +221,7 @@ def run(
                         sigma2[k] = stats.sigma2
                         g2 = max(g2, stats.g2)
                     dev2 = np.array(
-                        [(local_params[k] - new_global).norm() ** 2 for k in range(n_clients)]
+                        [float(np.linalg.norm(row - new_global)) ** 2 for row in local_stack]
                     )
                     recorder.records.append(
                         RoundRecord(
@@ -255,7 +249,7 @@ def run(
             global_params = new_global
             train_loss, acc_pool = evaluate(cfg.model, global_params, pool)
             _, acc_test = evaluate(cfg.model, global_params, test_set)
-            if not (np.isfinite(train_loss) and np.all(np.isfinite(global_params.values))):
+            if not (np.isfinite(train_loss) and np.all(np.isfinite(global_params))):
                 raise ValueError("aggregate or pooled loss is not finite; the run diverged")
             laps.lap("eval")
         except Exception as exc:
@@ -275,9 +269,3 @@ def run(
         )
         loss_start = train_loss
     return metrics
-
-
-def _plan_q(plan: SamplingPlan | np.ndarray, p_local: CategoryDistribution) -> np.ndarray:
-    if isinstance(plan, SamplingPlan):
-        return plan.q.probs
-    return p_local.probs

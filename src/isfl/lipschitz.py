@@ -2,10 +2,12 @@
 
 The curvature row for a client measures, per category, the largest ratio of
 per-sample gradient change to parameter change between that client's model and
-the aggregated one. Each gradient change is an outer-product sum per layer, so
-its norm comes from row dot products of activations and deltas, in difference
-form, without forming any per-sample gradient. The sampling-weight solver
-consumes these rows; the noise statistics feed diagnostics only.
+the aggregated one. ``estimate_lipschitz`` takes all clients at once, as the
+(K, P) parameter stack of a round, and backpropagates the aggregate over the
+probe once for all of them. Each gradient change is an outer-product sum per
+layer, so its norm comes from row dot products of activations and deltas, in
+difference form, without forming any per-sample gradient. The sampling-weight
+solver consumes these rows; the noise statistics feed diagnostics only.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .model import ModelSpec, ParamVector, check_batch, mean_grads, per_sample_grad_change_norms
+from .model import (
+    ModelSpec,
+    check_batch,
+    mean_grads,
+    per_sample_grad_change_norms,
+    per_sample_pass,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -71,31 +79,42 @@ def lipschitz_row(
 
 def estimate_lipschitz(
     spec: ModelSpec,
-    local_params: ParamVector,
-    global_params: ParamVector,
+    local_stack: np.ndarray,
+    global_params: np.ndarray,
     probe: Dataset,
+    previous: np.ndarray,
 ) -> np.ndarray:
-    """Curvature row for one client from a probe set.
+    """Curvature rows of all K clients from a probe set, as a (K, C) array.
 
-    Costs exactly one backward pass over the probe per parameter vector. The
-    norm of each probe sample's gradient change comes from row dot products of
-    the two passes' activations and deltas (``per_sample_grad_change_norms``),
-    so no per-sample gradient is ever formed. Raises ZeroDeviationError when
-    the two parameter vectors coincide; the caller should keep its previous
-    row in that case.
+    Row k compares client k's parameters, row k of ``local_stack``, with the
+    aggregate ``global_params``. Costs one backward pass over the probe for
+    the aggregate and one per client, K + 1 in all. The norm of each probe
+    sample's gradient change comes from row dot products of two passes'
+    activations and deltas (``per_sample_grad_change_norms``), so no
+    per-sample gradient is ever formed. A client whose parameters equal the
+    aggregate has no curvature ratio (0/0): it keeps its row of ``previous``,
+    with a warning, and costs no pass. Raises ValueError when a deviation or
+    a pass is not finite.
     """
-    deviation = (local_params - global_params).norm()
-    if deviation == 0.0:
-        raise ZeroDeviationError("local and global parameters coincide")
-    if not np.isfinite(deviation):
-        raise ValueError("parameter deviation is not finite; the run diverged")
-    diff_norms = per_sample_grad_change_norms(spec, local_params, global_params, probe)
-    return lipschitz_row(diff_norms, probe.labels, probe.n_classes, deviation)
+    rows = previous.copy()
+    base = None
+    for k, local in enumerate(local_stack):
+        deviation = float(np.linalg.norm(local - global_params))
+        if deviation == 0.0:
+            logger.warning("client %d: zero deviation, keeping its previous row", k)
+            continue
+        if not np.isfinite(deviation):
+            raise ValueError("parameter deviation is not finite; the run diverged")
+        if base is None:
+            base = per_sample_pass(spec, global_params, probe)
+        diff_norms = per_sample_grad_change_norms(per_sample_pass(spec, local, probe), base)
+        rows[k] = lipschitz_row(diff_norms, probe.labels, probe.n_classes, deviation)
+    return rows
 
 
 def estimate_sgd_stats(
     spec: ModelSpec,
-    params: ParamVector,
+    params: np.ndarray,
     probe: Dataset,
     batch_size: int,
     n_draws: int,
@@ -116,11 +135,11 @@ def estimate_sgd_stats(
     n = len(probe)
     if batch_size >= n:
         # every draw is the whole probe, so the spread is zero by definition
-        full = mean_grads(spec, params.values, probe.features, probe.labels)
+        full = mean_grads(spec, params, probe.features, probe.labels)
         return GradientStats(sigma2=0.0, g2=float(full @ full))
     idx = np.sort([rng.choice(n, size=batch_size, replace=False) for _ in range(n_draws)])
     # one backward pass over the (n_draws, batch_size, d) stack of batches
-    stack = mean_grads(spec, params.values, probe.features[idx], probe.labels[idx])
+    stack = mean_grads(spec, params, probe.features[idx], probe.labels[idx])
     mean = stack.mean(axis=0)
     sigma2 = float(np.mean(np.sum((stack - mean) ** 2, axis=1)))
     g2 = float(np.max(np.sum(stack**2, axis=1)))

@@ -1,14 +1,16 @@
 """Small differentiable classifiers with exact manual backpropagation.
 
-Parameters live in a flat float64 vector with an explicit layer layout, so
-client/server code can add, scale, and measure models without knowing the
-architecture. An empty ``hidden_dims`` gives multinomial logistic regression.
+Parameters are plain float64 arrays: a (P,) vector for one model, or a (K, P)
+stack whose row k is client k's model. The layer layout of a vector follows
+from its ModelSpec alone (``layout_of``), so every function here takes the
+spec and the array. An empty ``hidden_dims`` gives multinomial logistic
+regression.
 
-The forward and backward passes also take a leading stack axis: K parameter
-vectors as a (K, P) array, each applied to its own (N, d) batch. Every slice
-of the stack goes through the same matmul, softmax and reduction kernels as a
-lone vector does, so ``sgd_step_stack`` moves each row exactly as K separate
-steps would, bit for bit.
+The forward and backward passes also take the leading stack axis: a (K, P)
+stack with each row applied to its own (N, d) batch. Every slice of the stack
+goes through the same matmul, softmax and reduction kernels as a lone vector
+does, so ``sgd_step_stack`` moves each row exactly as K separate steps would,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -58,67 +60,18 @@ def layout_of(spec: ModelSpec) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(layout)
 
 
-def _layout_size(layout) -> int:
-    shape, offset = layout[-1]
-    return offset + math.prod(shape)
-
-
-def _views(layout, values: np.ndarray) -> list[np.ndarray]:
+def _views(spec: ModelSpec, values: np.ndarray) -> list[np.ndarray]:
     """Per-layer views of a (P,) vector or a (K, P) stack, in layout order."""
     lead = values.shape[:-1]
-    return [values[..., o : o + math.prod(s)].reshape(lead + s) for s, o in layout]
+    return [values[..., o : o + math.prod(s)].reshape(lead + s) for s, o in layout_of(spec)]
 
 
-@dataclass
-class ParamVector:
-    """Flat parameter vector plus its (shape, offset) layer layout."""
-
-    values: np.ndarray
-    layout: tuple
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.layout = tuple((tuple(s), int(o)) for s, o in self.layout)
-        if self.values.ndim != 1 or self.values.size != _layout_size(self.layout):
-            raise ValueError("layout size must match the value vector length")
-
-    def _check(self, other: "ParamVector") -> None:
-        if self.layout != other.layout:
-            raise ValueError("parameter layouts do not match")
-
-    def __add__(self, other: "ParamVector") -> "ParamVector":
-        self._check(other)
-        return ParamVector(self.values + other.values, self.layout)
-
-    def __sub__(self, other: "ParamVector") -> "ParamVector":
-        self._check(other)
-        return ParamVector(self.values - other.values, self.layout)
-
-    def __mul__(self, scalar: float) -> "ParamVector":
-        return ParamVector(self.values * float(scalar), self.layout)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
-
-    def slices(self) -> list[np.ndarray]:
-        return _views(self.layout, self.values)
-
-
-def zeros_params(spec: ModelSpec) -> ParamVector:
-    layout = layout_of(spec)
-    return ParamVector(np.zeros(_layout_size(layout)), layout)
-
-
-def init_params(spec: ModelSpec, seed: int = 0) -> ParamVector:
-    """Fan-in scaled uniform weights, zero biases."""
+def init_params(spec: ModelSpec, seed: int = 0) -> np.ndarray:
+    """Fan-in scaled uniform weights, zero biases, as one (P,) vector."""
     rng = np.random.default_rng(seed)
-    params = zeros_params(spec)
-    views = params.slices()
+    shape, offset = layout_of(spec)[-1]
+    params = np.zeros(offset + math.prod(shape))
+    views = _views(spec, params)
     dims = spec.layer_dims
     for i in range(len(dims) - 1):
         limit = np.sqrt(6.0 / dims[i])
@@ -197,21 +150,6 @@ def _backprop(spec: ModelSpec, views, x: np.ndarray, labels: np.ndarray, mean: b
     return acts, _backward_deltas(spec, views, acts, pre, dlogits)
 
 
-def forward_loss(spec: ModelSpec, params: ParamVector, batch: Dataset) -> float:
-    """Mean softmax cross-entropy over the batch (log-sum-exp stabilized)."""
-    check_batch(spec, batch)
-    logits, _, _ = _forward(spec, params.slices(), batch.features)
-    losses, _ = _softmax_ce(logits, batch.labels)
-    return float(losses.mean())
-
-
-def backward_grad(spec: ModelSpec, params: ParamVector, batch: Dataset) -> ParamVector:
-    """Exact gradient of the mean loss, in the same layout as ``params``."""
-    check_batch(spec, batch)
-    grad = mean_grads(spec, params.values, batch.features, batch.labels)
-    return ParamVector(grad, params.layout)
-
-
 def mean_grads(
     spec: ModelSpec, values: np.ndarray, x: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
@@ -221,9 +159,9 @@ def mean_grads(
     ``x[k]``. A (P,) vector also takes a (D, N, d) stack of D batches and
     returns a (D, P) array, one gradient per batch.
     """
-    acts, deltas = _backprop(spec, _views(layout_of(spec), values), x, labels, mean=True)
+    acts, deltas = _backprop(spec, _views(spec, values), x, labels, mean=True)
     grads = np.empty(x.shape[:-2] + values.shape[-1:])
-    views = _views(layout_of(spec), grads)
+    views = _views(spec, grads)
     for i, (a, delta) in enumerate(zip(acts, deltas)):
         # weight and bias gradients, summed over the sample axis
         views[2 * i][...] = np.swapaxes(a, -1, -2) @ delta
@@ -246,7 +184,7 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", u, v)
 
 
-def per_sample_grad_norms(spec: ModelSpec, params: ParamVector, batch: Dataset) -> np.ndarray:
+def per_sample_grad_norms(spec: ModelSpec, params: np.ndarray, batch: Dataset) -> np.ndarray:
     """Euclidean norm of each sample's loss gradient, without materializing it.
 
     For each layer the per-sample weight gradient is the outer product of the
@@ -254,18 +192,28 @@ def per_sample_grad_norms(spec: ModelSpec, params: ParamVector, batch: Dataset) 
     ``|a|^2 * |delta|^2``; the bias contributes ``|delta|^2``.
     """
     check_batch(spec, batch)
-    acts, deltas = _backprop(spec, params.slices(), batch.features, batch.labels, mean=False)
+    acts, deltas = _backprop(spec, _views(spec, params), batch.features, batch.labels, mean=False)
     sq = np.zeros(len(batch))
     for a, delta in zip(acts, deltas):
         sq += _row_dot(delta, delta) * (_row_dot(a, a) + 1.0)
     return np.sqrt(sq)
 
 
-def per_sample_grad_change_norms(
-    spec: ModelSpec, params: ParamVector, base: ParamVector, batch: Dataset
-) -> np.ndarray:
-    """Norm of each sample's loss-gradient change from ``base`` to ``params``,
-    from one backward pass per vector and without forming any gradient.
+def per_sample_pass(spec: ModelSpec, params: np.ndarray, batch: Dataset):
+    """Activations and per-sample deltas of one backward pass over ``batch``,
+    the input of ``per_sample_grad_change_norms``. Raises ValueError if any
+    of them is not finite."""
+    check_batch(spec, batch)
+    acts, deltas = _backprop(spec, _views(spec, params), batch.features, batch.labels, mean=False)
+    if not all(np.all(np.isfinite(arr)) for arr in (*acts, *deltas)):
+        raise ValueError("per-sample gradients are not finite; the run diverged")
+    return acts, deltas
+
+
+def per_sample_grad_change_norms(own, base) -> np.ndarray:
+    """Norm of each sample's loss-gradient change from the vector of the pass
+    ``base`` to that of the pass ``own`` (both from ``per_sample_pass`` over one
+    batch), without forming any gradient.
 
     Per layer, with activations a and deltas d, a sample's weight-gradient
     change is ``da (x) d + a_base (x) dd`` with ``da = a - a_base`` and
@@ -273,15 +221,11 @@ def per_sample_grad_change_norms(
     ``|da|^2 |d|^2 + |a_base|^2 |dd|^2 + 2 (da . a_base)(d . dd)``; the bias
     adds ``|dd|^2``. Built from the differences, the sum stays accurate for
     close vectors, where ``|g|^2 + |g_base|^2 - 2 g . g_base`` would cancel.
-    It is clamped at 0 against rounding. Raises ValueError if either pass or
-    the sum is not finite.
+    It is clamped at 0 against rounding. Raises ValueError if the sum is not
+    finite.
     """
-    check_batch(spec, batch)
-    acts, deltas = _backprop(spec, params.slices(), batch.features, batch.labels, mean=False)
-    acts_b, deltas_b = _backprop(spec, base.slices(), batch.features, batch.labels, mean=False)
-    if not all(np.all(np.isfinite(arr)) for arr in (*acts, *deltas, *acts_b, *deltas_b)):
-        raise ValueError("per-sample gradients are not finite; the run diverged")
-    sq = np.zeros(len(batch))
+    (acts, deltas), (acts_b, deltas_b) = own, base
+    sq = np.zeros(len(acts[0]))
     for a, d, a_b, d_b in zip(acts, deltas, acts_b, deltas_b):
         da, dd = a - a_b, d - d_b
         dd_sq = _row_dot(dd, dd)
@@ -292,10 +236,10 @@ def per_sample_grad_change_norms(
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def evaluate(spec: ModelSpec, params: ParamVector, ds: Dataset) -> tuple[float, float]:
+def evaluate(spec: ModelSpec, params: np.ndarray, ds: Dataset) -> tuple[float, float]:
     """Mean loss and top-1 accuracy on ``ds``."""
     check_batch(spec, ds)
-    logits, _, _ = _forward(spec, params.slices(), ds.features)
+    logits, _, _ = _forward(spec, _views(spec, params), ds.features)
     losses, _ = _softmax_ce(logits, ds.labels)
     acc = float(np.mean(logits.argmax(axis=1) == ds.labels))
     return float(losses.mean()), acc

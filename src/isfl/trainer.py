@@ -25,13 +25,7 @@ import numpy as np
 
 from .data import CategoryDistribution, ClientShard, Dataset
 from .isweights import SamplingPlan
-from .model import (
-    ModelSpec,
-    ParamVector,
-    check_batch,
-    per_sample_grad_norms,
-    sgd_step_stack,
-)
+from .model import ModelSpec, check_batch, per_sample_grad_norms, sgd_step_stack
 
 # Generator.choice's tolerance on the sum of a probability vector
 _SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
@@ -134,17 +128,18 @@ def _joint_rows(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def local_train(
     spec: ModelSpec,
-    params: ParamVector,
+    params: np.ndarray,
     shards: list[ClientShard],
     plans: list[SamplingPlan | np.ndarray],
     cfgs: list[TrainerConfig],
-) -> list[ParamVector]:
+) -> np.ndarray:
     """Run every client's local epochs of weighted minibatch SGD from ``params``.
 
     Client k trains on ``shards[k]`` under ``plans[k]`` (a category-level
     SamplingPlan or a per-sample probability vector) with ``cfgs[k]``; see
     ``batch_sizes`` for its batches. Clients train in lockstep, one stack per
-    distinct (batch sizes, eta). Returns the clients' parameters in order.
+    distinct (batch sizes, eta). Returns the (K, P) stack of the clients'
+    parameters, row k for client k.
     Deterministic for given config seeds.
     """
     if not len(shards) == len(plans) == len(cfgs):
@@ -157,9 +152,9 @@ def local_train(
         draws.append(draw_batches(shard, plan, sizes, np.random.default_rng(cfg.seed)))
         stacks.setdefault((sizes, cfg.eta), []).append(k)
 
-    trained: list[ParamVector | None] = [None] * len(shards)
+    trained = np.empty((len(shards), params.size))
     for (sizes, eta), members in stacks.items():
-        stack = np.tile(params.values, (len(members), 1))
+        stack = np.tile(params, (len(members), 1))
         if eta > 0.0:
             features, labels, offsets = _joint_rows([shards[k].dataset for k in members])
             rows = np.stack([draws[k] for k in members]) + offsets[:, None]
@@ -168,12 +163,11 @@ def local_train(
                 batch = rows[:, start : start + size]
                 sgd_step_stack(spec, stack, features[batch], labels[batch], eta)
                 start += size
-        for k, row in zip(members, stack):
-            trained[k] = ParamVector(row, params.layout)
+        trained[members] = stack
     return trained
 
 
-def gradnorm_plan(spec: ModelSpec, params: ParamVector, shard: ClientShard) -> np.ndarray:
+def gradnorm_plan(spec: ModelSpec, params: np.ndarray, shard: ClientShard) -> np.ndarray:
     """Per-sample probabilities proportional to gradient norms at ``params``.
 
     Falls back to uniform when every norm is zero.

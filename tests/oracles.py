@@ -9,10 +9,11 @@ small category counts.
 validated batch and one gradient at a time; ``isfl.trainer.local_train``
 must leave every client exactly where they do.
 
-``estimate_lipschitz`` forms both per-sample gradient matrices in
-``BLOCK_ROWS``-row blocks and takes the norms of their differences; the
-difference form in ``isfl.lipschitz`` must match its rows to rounding.
-``estimate_sgd_stats`` runs one ``backward_grad`` per draw; the stacked
+``estimate_lipschitz`` forms one client's and the aggregate's per-sample
+gradient matrices in ``BLOCK_ROWS``-row blocks and takes the norms of their
+differences; the difference form in ``isfl.lipschitz`` must match its rows to
+rounding.
+``estimate_sgd_stats`` runs one ``mean_grads`` call per draw; the stacked
 estimator must return its statistics bit for bit. ``kkt_partials`` is the
 gradient of rho that the solver's optimality tests check.
 """
@@ -27,7 +28,7 @@ import numpy as np
 from isfl.data import CapacityError, CategoryDistribution, ClientShard, Dataset
 from isfl.isweights import SamplingPlan, _effective_floors
 from isfl.lipschitz import GradientStats, ZeroDeviationError, lipschitz_row
-from isfl.model import ModelSpec, ParamVector, _backprop, _views, backward_grad, check_batch
+from isfl.model import ModelSpec, _backprop, _views, check_batch, mean_grads
 from isfl.trainer import TrainerConfig
 
 # probe rows per per-sample gradient block in estimate_lipschitz
@@ -175,11 +176,11 @@ def _sample_by_weight(
 
 def local_train(
     spec: ModelSpec,
-    params: ParamVector,
+    params: np.ndarray,
     shard: ClientShard,
     plan: SamplingPlan | np.ndarray,
     cfg: TrainerConfig,
-) -> ParamVector:
+) -> np.ndarray:
     """Run the configured local epochs of weighted minibatch SGD.
 
     Each epoch touches exactly floor(sampling_ratio * len(shard)) samples, in
@@ -201,21 +202,21 @@ def local_train(
                 batch = _sample_by_weight(shard, plan, take, rng)
             else:
                 batch = weighted_sample_batch(shard, plan, take, rng)
-            grad = backward_grad(spec, current, batch)
+            check_batch(spec, batch)
+            grad = mean_grads(spec, current, batch.features, batch.labels)
             if cfg.eta > 0.0:
                 current = sgd_step(current, grad, cfg.eta)
             left -= take
     return current
 
 
-def sgd_step(params: ParamVector, grad: ParamVector, eta: float) -> ParamVector:
+def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    params._check(grad)
-    return ParamVector(params.values - eta * grad.values, params.layout)
+    return params - eta * grad
 
 
-def per_sample_grad_blocks(spec: ModelSpec, params: ParamVector, batch: Dataset, rows: int):
+def per_sample_grad_blocks(spec: ModelSpec, params: np.ndarray, batch: Dataset, rows: int):
     """Row blocks of the N x P per-sample gradient matrix, in order.
 
     One backward pass over the whole batch; each yielded (m, P) block, m <=
@@ -223,10 +224,10 @@ def per_sample_grad_blocks(spec: ModelSpec, params: ParamVector, batch: Dataset,
     Row n is the gradient of sample n's own loss.
     """
     check_batch(spec, batch)
-    acts, deltas = _backprop(spec, params.slices(), batch.features, batch.labels, mean=False)
+    acts, deltas = _backprop(spec, _views(spec, params), batch.features, batch.labels, mean=False)
     n = len(batch)
-    buffer = np.empty((min(rows, n), params.values.size))
-    views = _views(params.layout, buffer)
+    buffer = np.empty((min(rows, n), params.size))
+    views = _views(spec, buffer)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         for i, delta in enumerate(deltas):
@@ -240,8 +241,8 @@ def per_sample_grad_blocks(spec: ModelSpec, params: ParamVector, batch: Dataset,
 
 def estimate_lipschitz(
     spec: ModelSpec,
-    local_params: ParamVector,
-    global_params: ParamVector,
+    local_params: np.ndarray,
+    global_params: np.ndarray,
     probe: Dataset,
 ) -> np.ndarray:
     """Curvature row for one client from a probe set.
@@ -252,7 +253,7 @@ def estimate_lipschitz(
     ZeroDeviationError when the two parameter vectors coincide; the caller
     should keep its previous row in that case.
     """
-    deviation = (local_params - global_params).norm()
+    deviation = float(np.linalg.norm(local_params - global_params))
     if deviation == 0.0:
         raise ZeroDeviationError("local and global parameters coincide")
     if not np.isfinite(deviation):
@@ -273,7 +274,7 @@ def estimate_lipschitz(
 
 def estimate_sgd_stats(
     spec: ModelSpec,
-    params: ParamVector,
+    params: np.ndarray,
     probe: Dataset,
     batch_size: int,
     n_draws: int,
@@ -293,12 +294,13 @@ def estimate_sgd_stats(
     n = len(probe)
     if batch_size >= n:
         # every draw is the whole probe, so the spread is zero by definition
-        full = backward_grad(spec, params, probe).values
+        full = mean_grads(spec, params, probe.features, probe.labels)
         return GradientStats(sigma2=0.0, g2=float(full @ full))
     grads = []
     for _ in range(n_draws):
         idx = np.sort(rng.choice(n, size=batch_size, replace=False))
-        grads.append(backward_grad(spec, params, probe.subset(idx)).values)
+        batch = probe.subset(idx)
+        grads.append(mean_grads(spec, params, batch.features, batch.labels))
     stack = np.stack(grads)
     mean = stack.mean(axis=0)
     sigma2 = float(np.mean(np.sum((stack - mean) ** 2, axis=1)))

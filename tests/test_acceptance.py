@@ -37,8 +37,7 @@ from isfl.isweights import (
     solve_is_weights,
     uniform_plan,
 )
-from isfl.model import ModelSpec, backward_grad, evaluate, forward_loss, init_params
-from isfl.model import ParamVector
+from isfl.model import ModelSpec, evaluate, init_params, mean_grads
 from isfl.trainer import TrainerConfig, local_train
 from oracles import brute_force_rho_min, kkt_partials
 
@@ -174,18 +173,15 @@ def test_criterion_5_gradient_correctness():
             rng.integers(0, spec.n_classes, size=6),
             spec.n_classes,
         )
-        grad = backward_grad(spec, params, batch).values
+        grad = mean_grads(spec, params, batch.features, batch.labels)
         fd = np.zeros_like(grad)
         eps = 1e-5
         for i in range(grad.size):
-            up = params.values.copy()
+            up = params.copy()
             up[i] += eps
-            down = params.values.copy()
+            down = params.copy()
             down[i] -= eps
-            fd[i] = (
-                forward_loss(spec, ParamVector(up, params.layout), batch)
-                - forward_loss(spec, ParamVector(down, params.layout), batch)
-            ) / (2 * eps)
+            fd[i] = (evaluate(spec, up, batch)[0] - evaluate(spec, down, batch)[0]) / (2 * eps)
         worst = max(worst, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-4 and elapsed < 10.0
@@ -419,8 +415,8 @@ def test_criterion_11_single_client_reduction():
     ok = True
     for rnd in range(1, 5):
         child = dataclasses.replace(cfg.trainer, seed=derive_seed(cfg.seed, 1, rnd, 0))
-        params = local_train(cfg.model, params, shards, [plan], [child])[0]
-        params = aggregate([params], np.array([1.0]))
+        stack = local_train(cfg.model, params, shards, [plan], [child])
+        params = aggregate(stack, np.array([1.0]))
         loss, acc_pool = evaluate(cfg.model, params, shards[0].as_dataset())
         _, acc_test = evaluate(cfg.model, params, test_set)
         m = metrics[rnd - 1]

@@ -233,6 +233,17 @@ class TestRunCommand:
         assert "separation must be finite" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("strategy", ["fedavg", "isfl"])
+    def test_overflowing_separation_exits_1_before_any_run(self, tmp_path, capsys, strategy):
+        # finite features whose products overflow the first forward pass: the
+        # pooled loss is not finite before any training step
+        cfg_path = write_config(tmp_path, separation=1e308, strategies=[strategy])
+        out_dir = tmp_path / "runs"
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert "pooled loss at the initial parameters is not finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "cell, value, message",
         [((5, 2), np.nan, "non-finite feature"), ((7, 0), 1.7, "non-integer label")],

@@ -57,10 +57,9 @@ class TestGenerateSynthetic:
         # Oracle: plain full-batch gradient descent with the model module.
         ds = generate_synthetic(10, 100, 20, 4.0, seed=1)
         spec = model.ModelSpec(input_dim=20, hidden_dims=(), n_classes=10)
-        params = model.zeros_params(spec)
+        params = np.zeros_like(model.init_params(spec))
         for _ in range(200):
-            grad = model.backward_grad(spec, params, ds)
-            params = params - grad
+            params = params - model.mean_grads(spec, params, ds.features, ds.labels)
         _, acc = model.evaluate(spec, params, ds)
         assert acc > 0.90
 

@@ -22,7 +22,7 @@ from isfl.federation import (
     size_proportional_weights,
 )
 from isfl.isweights import uniform_plan
-from isfl.model import ModelSpec, ParamVector, init_params
+from isfl.model import ModelSpec, init_params
 from isfl.trainer import TrainerConfig, local_train
 
 
@@ -52,27 +52,18 @@ class TestAggregate:
     def test_idempotent_on_identical_params(self):
         spec = ModelSpec(4, (), 3)
         params = init_params(spec, seed=0)
-        out = aggregate([params, params.copy()], np.array([0.5, 0.5]))
-        assert np.allclose(out.values, params.values, atol=1e-15)
+        out = aggregate(np.stack([params, params]), np.array([0.5, 0.5]))
+        assert np.allclose(out, params, atol=1e-15)
 
     def test_simple_arithmetic(self):
-        layout = (((2,), 0),)
-        a = ParamVector(np.array([1.0, 3.0]), layout)
-        b = ParamVector(np.array([3.0, 5.0]), layout)
-        out = aggregate([a, b], np.array([0.5, 0.5]))
-        assert np.array_equal(out.values, np.array([2.0, 4.0]))
+        out = aggregate(np.array([[1.0, 3.0], [3.0, 5.0]]), np.array([0.5, 0.5]))
+        assert np.array_equal(out, np.array([2.0, 4.0]))
 
     def test_degenerate_weights_pick_first(self):
         spec = ModelSpec(4, (3,), 2)
         a, b = init_params(spec, seed=1), init_params(spec, seed=2)
-        out = aggregate([a, b], np.array([1.0, 0.0]))
-        assert np.array_equal(out.values, a.values)
-
-    def test_layout_mismatch(self):
-        a = ParamVector(np.zeros(3), (((3,), 0),))
-        b = ParamVector(np.zeros(4), (((4,), 0),))
-        with pytest.raises(ValueError):
-            aggregate([a, b], np.array([0.5, 0.5]))
+        out = aggregate(np.stack([a, b]), np.array([1.0, 0.0]))
+        assert np.array_equal(out, a)
 
 
 class TestRun:
@@ -86,11 +77,11 @@ class TestRun:
             child = dataclasses.replace(
                 cfg.trainer, seed=derive_seed(cfg.seed, 1, rnd, 0)
             )
-            params = local_train(
+            stack = local_train(
                 cfg.model, params, shards,
                 [uniform_plan(shards[0].local_distribution)], [child],
-            )[0]
-            params = aggregate([params], np.array([1.0]))
+            )
+            params = aggregate(stack, np.array([1.0]))
         from isfl.model import evaluate
 
         loss, acc = evaluate(cfg.model, params, test)
@@ -211,7 +202,9 @@ class TestRun:
 
     @pytest.mark.parametrize("n_rounds, refreshes", [(1, 1), (3, 2)])
     def test_isfl_skips_the_last_rounds_refresh(self, monkeypatch, n_rounds, refreshes):
-        # round 1 is scored on its estimate; a later last round has no next round
+        # round 1 is scored on its estimate; a later last round has no next round.
+        # A refresh estimates every client's row in one call and solves one
+        # plan per client
         shards, probe, test = small_problem()
         calls = {"estimate_lipschitz": 0, "solve_is_weights": 0}
         for name in calls:
@@ -223,7 +216,10 @@ class TestRun:
 
             monkeypatch.setattr(federation_mod, name, counting)
         run(shards, fed_config("isfl", n_rounds=n_rounds), test, probe=probe)
-        assert calls == {name: refreshes * len(shards) for name in calls}
+        assert calls == {
+            "estimate_lipschitz": refreshes,
+            "solve_is_weights": refreshes * len(shards),
+        }
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

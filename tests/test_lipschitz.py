@@ -13,7 +13,30 @@ from isfl.lipschitz import (
     estimate_sgd_stats,
     lipschitz_row,
 )
-from isfl.model import ModelSpec, ParamVector, backward_grad, init_params
+from isfl.model import ModelSpec, init_params, mean_grads
+
+
+def mean_grad(spec, params, ds):
+    return mean_grads(spec, params, ds.features, ds.labels)
+
+
+def one_row(spec, local, global_params, probe):
+    """The curvature row of a single client, from a one-row stack."""
+    previous = np.zeros((1, probe.n_classes))
+    return estimate_lipschitz(spec, local[None], global_params, probe, previous)[0]
+
+
+def count_backprops(monkeypatch):
+    """Record the batch size of every model backward pass from now on."""
+    calls = []
+    real = model_mod._backprop
+
+    def counting(spec_, views_, x_, labels_, mean):
+        calls.append(len(labels_))
+        return real(spec_, views_, x_, labels_, mean)
+
+    monkeypatch.setattr(model_mod, "_backprop", counting)
+    return calls
 
 
 def lipschitz_row_from_grads(grads_a, grads_b, labels, n_classes, deviation_norm):
@@ -84,18 +107,16 @@ class TestEstimateLipschitz:
         local = init_params(spec, seed=1)
         shift = init_params(spec, seed=2)
         global_params = local + 0.1 * shift
-        row = estimate_lipschitz(spec, local, global_params, probe)
+        row = one_row(spec, local, global_params, probe)
 
-        deviation = (local - global_params).norm()
+        deviation = np.linalg.norm(local - global_params)
         expected = np.zeros(3)
         for c in range(3):
             best = 0.0
             for n in np.flatnonzero(probe.labels == c):
                 single = probe.subset(np.array([n]))
-                diff = backward_grad(spec, local, single) - backward_grad(
-                    spec, global_params, single
-                )
-                best = max(best, diff.norm())
+                diff = mean_grad(spec, local, single) - mean_grad(spec, global_params, single)
+                best = max(best, np.linalg.norm(diff))
             expected[c] = best / deviation
         assert np.allclose(row, expected, rtol=1e-12)
 
@@ -105,30 +126,57 @@ class TestEstimateLipschitz:
         a = init_params(spec, seed=3)
         b = init_params(spec, seed=4)
         assert np.allclose(
-            estimate_lipschitz(spec, a, b, probe),
-            estimate_lipschitz(spec, b, a, probe),
+            one_row(spec, a, b, probe),
+            one_row(spec, b, a, probe),
             rtol=1e-15,
         )
 
-    def test_identical_params_raise(self):
+    def test_identical_params_raise(self, caplog):
+        # the curvature ratio is 0/0: the client keeps its previous row
         spec = ModelSpec(4, (), 3)
         params = init_params(spec, seed=0)
-        with pytest.raises(ZeroDeviationError):
-            estimate_lipschitz(spec, params, params.copy(), probe_dataset())
+        previous = np.array([[0.5, 1.5, 2.5]])
+        with caplog.at_level(logging.WARNING):
+            rows = estimate_lipschitz(spec, params[None], params.copy(), probe_dataset(), previous)
+        assert np.array_equal(rows, previous)
+        assert rows is not previous
+        assert "zero deviation" in caplog.text
 
     def test_cost_is_two_passes_over_probe(self, monkeypatch):
+        # one pass for the aggregate and one per client: K + 1 for K clients
         spec = ModelSpec(4, (), 3)
         probe = probe_dataset()
-        calls = []
-        real = model_mod._backprop
+        calls = count_backprops(monkeypatch)
+        local = np.stack([init_params(spec, k) for k in range(1, 4)])
+        estimate_lipschitz(spec, local, init_params(spec, 9), probe, np.ones((3, 3)))
+        assert calls == [len(probe)] * 4
 
-        def counting(spec_, views_, x_, labels_, mean):
-            calls.append(len(labels_))
-            return real(spec_, views_, x_, labels_, mean)
+    @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_rows_equal_one_client_calls_bitwise(self, activation, hidden):
+        spec = ModelSpec(4, hidden, 3, activation=activation)
+        probe = probe_dataset(per_class=10, seed=2)
+        local = np.stack([init_params(spec, k) for k in range(1, 5)])
+        global_params = init_params(spec, seed=9)
+        rows = estimate_lipschitz(spec, local, global_params, probe, np.ones((4, 3)))
+        for k in range(4):
+            assert rows[k].tobytes() == one_row(spec, local[k], global_params, probe).tobytes()
 
-        monkeypatch.setattr(model_mod, "_backprop", counting)
-        estimate_lipschitz(spec, init_params(spec, 1), init_params(spec, 2), probe)
-        assert calls == [len(probe), len(probe)]
+    def test_zero_deviation_client_keeps_its_previous_row(self, monkeypatch, caplog):
+        spec = ModelSpec(4, (5,), 3)
+        probe = probe_dataset()
+        global_params = init_params(spec, seed=9)
+        local = np.stack([init_params(spec, 1), global_params, init_params(spec, 3)])
+        previous = np.arange(9.0).reshape(3, 3)
+        calls = count_backprops(monkeypatch)
+        with caplog.at_level(logging.WARNING):
+            rows = estimate_lipschitz(spec, local, global_params, probe, previous)
+        assert calls == [len(probe)] * 3  # the unmoved client costs no pass
+        assert "client 1: zero deviation" in caplog.text
+        assert np.array_equal(rows[1], previous[1])
+        for k in (0, 2):
+            assert np.array_equal(rows[k], one_row(spec, local[k], global_params, probe))
+        assert np.array_equal(previous, np.arange(9.0).reshape(3, 3))  # not written
 
 
 class TestDifferenceForm:
@@ -150,11 +198,9 @@ class TestDifferenceForm:
         # more probe rows than oracles.BLOCK_ROWS, so the oracle spans two blocks
         probe = probe_dataset(per_class=50, seed=len(hidden))
         global_params = init_params(spec, seed=11)
-        shift = init_params(spec, seed=12).values
-        local = ParamVector(
-            global_params.values + scale * shift / np.linalg.norm(shift), global_params.layout
-        )
-        row = estimate_lipschitz(spec, local, global_params, probe)
+        shift = init_params(spec, seed=12)
+        local = global_params + scale * shift / np.linalg.norm(shift)
+        row = one_row(spec, local, global_params, probe)
         expected = oracles.estimate_lipschitz(spec, local, global_params, probe)
         assert np.all(expected > 0.0)
         assert np.max(np.abs(row - expected) / expected) <= self.REL_BOUND
@@ -167,15 +213,15 @@ class TestDifferenceForm:
         probe = probe_dataset()
         probe.features[4, :] = bad
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
-            estimate_lipschitz(spec, init_params(spec, 1), init_params(spec, 2), probe)
+            one_row(spec, init_params(spec, 1), init_params(spec, 2), probe)
 
     def test_non_finite_deviation_raises(self):
         spec = ModelSpec(4, (), 3)
         params = init_params(spec, 1)
         broken = params.copy()
-        broken.values[0] = np.inf
+        broken[0] = np.inf
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="deviation is not finite"):
-            estimate_lipschitz(spec, broken, params, probe_dataset())
+            one_row(spec, broken, params, probe_dataset())
 
 
 class TestEstimateSgdStats:
@@ -202,8 +248,7 @@ class TestEstimateSgdStats:
         probe = probe_dataset(per_class=10)
         params = init_params(spec, seed=7)
         stats = estimate_sgd_stats(spec, params, probe, 6, 16, seed=2)
-        mean_grad = backward_grad(spec, params, probe)
-        assert stats.g2 >= mean_grad.norm() ** 2 - 1e-12
+        assert stats.g2 >= np.linalg.norm(mean_grad(spec, params, probe)) ** 2 - 1e-12
 
     def test_duplication_invariance_in_expectation(self):
         spec = ModelSpec(3, (), 3)

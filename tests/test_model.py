@@ -6,17 +6,27 @@ import pytest
 from isfl.data import Dataset
 from isfl.model import (
     ModelSpec,
-    ParamVector,
-    backward_grad,
+    _views,
     evaluate,
-    forward_loss,
     init_params,
     layout_of,
+    mean_grads,
     per_sample_grad_norms,
     sgd_step_stack,
-    zeros_params,
 )
 from oracles import per_sample_grad_blocks
+
+
+def zeros(spec):
+    return np.zeros_like(init_params(spec))
+
+
+def mean_loss(spec, params, batch):
+    return evaluate(spec, params, batch)[0]
+
+
+def grad(spec, params, batch):
+    return mean_grads(spec, params, batch.features, batch.labels)
 
 
 def random_batch(spec, n, rng):
@@ -27,7 +37,7 @@ def random_batch(spec, n, rng):
 
 def scalar_loss_oracle(spec, params, batch):
     """Straight-line re-implementation with python floats only."""
-    views = params.slices()
+    views = _views(spec, params)
     dims = spec.layer_dims
     total = 0.0
     for n in range(len(batch)):
@@ -53,16 +63,15 @@ def scalar_loss_oracle(spec, params, batch):
 
 
 def central_difference(spec, params, batch, eps=1e-5):
-    flat = params.values
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        bumped = flat.copy()
+    fd = np.zeros_like(params)
+    for i in range(params.size):
+        bumped = params.copy()
         bumped[i] += eps
-        up = forward_loss(spec, ParamVector(bumped, params.layout), batch)
+        up = mean_loss(spec, bumped, batch)
         bumped[i] -= 2 * eps
-        down = forward_loss(spec, ParamVector(bumped, params.layout), batch)
-        grad[i] = (up - down) / (2 * eps)
-    return grad
+        down = mean_loss(spec, bumped, batch)
+        fd[i] = (up - down) / (2 * eps)
+    return fd
 
 
 SPECS = [
@@ -75,24 +84,24 @@ SPECS = [
 class TestForwardLoss:
     def test_uniform_logits_give_log_c(self):
         spec = ModelSpec(4, (), 5)
-        params = zeros_params(spec)
+        params = zeros(spec)
         rng = np.random.default_rng(0)
         batch = random_batch(spec, 12, rng)
-        assert forward_loss(spec, params, batch) == pytest.approx(math.log(5), abs=1e-12)
+        assert mean_loss(spec, params, batch) == pytest.approx(math.log(5), abs=1e-12)
 
     def test_confident_correct_prediction_near_zero(self):
         spec = ModelSpec(2, (), 3)
-        params = zeros_params(spec)
-        params.slices()[1][0] = 25.0  # bias pushes class 0 to probability ~1
+        params = zeros(spec)
+        _views(spec, params)[1][0] = 25.0  # bias pushes class 0 to probability ~1
         batch = Dataset(np.zeros((1, 2)), np.array([0]), 3)
-        assert forward_loss(spec, params, batch) < 1e-6
+        assert mean_loss(spec, params, batch) < 1e-6
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_scalar_reimplementation(self, spec):
         rng = np.random.default_rng(42)
         params = init_params(spec, seed=1)
         batch = random_batch(spec, 9, rng)
-        ours = forward_loss(spec, params, batch)
+        ours = mean_loss(spec, params, batch)
         oracle = scalar_loss_oracle(spec, params, batch)
         assert ours == pytest.approx(oracle, abs=1e-10)
 
@@ -100,18 +109,17 @@ class TestForwardLoss:
         spec = ModelSpec(4, (), 3)
         batch = Dataset(np.zeros((2, 5)), np.array([0, 1]), 3)
         with pytest.raises(ValueError):
-            forward_loss(spec, zeros_params(spec), batch)
+            mean_loss(spec, zeros(spec), batch)
 
 
 class TestBackwardGrad:
     def test_symmetric_saddle_bias_gradients_vanish(self):
         spec = ModelSpec(3, (), 4)
-        params = zeros_params(spec)
+        params = zeros(spec)
         rng = np.random.default_rng(1)
         features = rng.standard_normal((8, 3))
         labels = np.repeat(np.arange(4), 2)
-        grad = backward_grad(spec, params, Dataset(features, labels, 4))
-        bias = grad.slices()[1]
+        bias = _views(spec, grad(spec, params, Dataset(features, labels, 4)))[1]
         assert np.allclose(bias, 0.0, atol=1e-15)
 
     def test_finite_difference_check_20_pairs(self):
@@ -121,9 +129,9 @@ class TestBackwardGrad:
             rng = np.random.default_rng(100 + trial)
             params = init_params(spec, seed=trial)
             batch = random_batch(spec, 6, rng)
-            grad = backward_grad(spec, params, batch).values
+            exact = grad(spec, params, batch)
             fd = central_difference(spec, params, batch)
-            rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
+            rel = np.linalg.norm(exact - fd) / np.linalg.norm(fd)
             worst = max(worst, rel)
         assert worst <= 1e-4
 
@@ -134,9 +142,9 @@ class TestBackwardGrad:
         batch = random_batch(spec, 4, rng)
         rows = next(per_sample_grad_blocks(spec, params, batch, len(batch)))
         for n in range(4):
-            single = backward_grad(spec, params, batch.subset(np.array([n])))
+            single = grad(spec, params, batch.subset(np.array([n])))
             # BLAS picks shape-dependent kernels, so equality holds to a few ulp
-            assert np.allclose(single.values, rows[n], rtol=0, atol=1e-12)
+            assert np.allclose(single, rows[n], rtol=0, atol=1e-12)
 
     def test_loss_decreases_after_one_step(self):
         for seed in range(5):
@@ -144,10 +152,10 @@ class TestBackwardGrad:
             rng = np.random.default_rng(200 + seed)
             params = init_params(spec, seed=seed)
             batch = random_batch(spec, 32, rng)
-            before = forward_loss(spec, params, batch)
-            stack = params.values[None, :].copy()
+            before = mean_loss(spec, params, batch)
+            stack = params[None, :].copy()
             sgd_step_stack(spec, stack, batch.features[None], batch.labels[None], 1e-3)
-            assert forward_loss(spec, ParamVector(stack[0], params.layout), batch) < before
+            assert mean_loss(spec, stack[0], batch) < before
 
 
 class TestPerSampleNorms:
@@ -165,8 +173,8 @@ class TestPerSampleNorms:
         params = init_params(spec, seed=3)
         batch = random_batch(spec, 16, rng)
         norms = per_sample_grad_norms(spec, params, batch)
-        mean_grad = backward_grad(spec, params, batch)
-        assert norms.mean() >= mean_grad.norm() - 1e-12
+        mean_grad = grad(spec, params, batch)
+        assert norms.mean() >= np.linalg.norm(mean_grad) - 1e-12
 
     def test_norms_match_singleton_backward(self):
         spec = ModelSpec(5, (6,), 3, activation="tanh")
@@ -175,36 +183,17 @@ class TestPerSampleNorms:
         batch = random_batch(spec, 10, rng)
         norms = per_sample_grad_norms(spec, params, batch)
         for n in range(10):
-            single = backward_grad(spec, params, batch.subset(np.array([n])))
-            assert norms[n] == pytest.approx(single.norm(), rel=1e-12)
+            single = grad(spec, params, batch.subset(np.array([n])))
+            assert norms[n] == pytest.approx(np.linalg.norm(single), rel=1e-12)
 
 
-class TestSgdStepAndParamVector:
-    def test_algebra(self):
-        layout = (((3,), 0),)
-        a = ParamVector(np.array([1.0, 2.0, 3.0]), layout)
-        b = ParamVector(np.array([-1.0, 0.5, 2.0]), layout)
-        c = ParamVector(np.array([0.25, 0.25, 0.25]), layout)
-        left = (a + b) + c
-        right = a + (b + c)
-        assert np.allclose(left.values, right.values, atol=1e-12)
-        assert ParamVector(np.zeros(3), layout).norm() == 0.0
-        assert a.norm() > 0.0
-
-    def test_layout_mismatch(self):
-        a = ParamVector(np.zeros(3), (((3,), 0),))
-        b = ParamVector(np.zeros(4), (((4,), 0),))
-        with pytest.raises(ValueError):
-            a + b
-        with pytest.raises(ValueError):
-            a - b
-
+class TestLayout:
     def test_layout_covers_values(self):
         spec = ModelSpec(7, (4,), 3)
         params = init_params(spec, seed=0)
         shapes = [s for s, _ in layout_of(spec)]
         assert shapes == [(7, 4), (4,), (4, 3), (3,)]
-        assert params.values.size == 7 * 4 + 4 + 4 * 3 + 3
+        assert params.size == 7 * 4 + 4 + 4 * 3 + 3
 
 
 class TestStack:
@@ -216,13 +205,13 @@ class TestStack:
         rng = np.random.default_rng(len(hidden) + n)
         rows = [init_params(spec, seed=k) for k in range(3)]
         batches = [random_batch(spec, n, rng) for _ in rows]
-        stack = np.stack([p.values for p in rows])
+        stack = np.stack(rows)
         x = np.stack([b.features for b in batches])
         labels = np.stack([b.labels for b in batches])
         sgd_step_stack(spec, stack, x, labels, 0.3)
         for k, (params, batch) in enumerate(zip(rows, batches)):
-            alone = params - backward_grad(spec, params, batch) * 0.3
-            assert np.array_equal(stack[k], alone.values)
+            alone = params - grad(spec, params, batch) * 0.3
+            assert np.array_equal(stack[k], alone)
 
     @pytest.mark.parametrize("rows", [1, 3, 128, 500])
     def test_blocks_equal_whole_matrix_bitwise(self, rows):
@@ -241,7 +230,7 @@ class TestEvaluate:
         batch = random_batch(spec, 100, np.random.default_rng(0))
         # make every class equally represented
         batch = Dataset(batch.features, np.tile(np.arange(5), 20), 5)
-        _, acc = evaluate(spec, zeros_params(spec), batch)
+        _, acc = evaluate(spec, zeros(spec), batch)
         assert acc == pytest.approx(1 / 5)
 
     def test_matches_handrolled_argmax(self):
@@ -256,7 +245,7 @@ class TestEvaluate:
             losses = []
             for c in range(4):
                 relabeled = Dataset(single.features, np.array([c]), 4)
-                losses.append(forward_loss(spec, params, relabeled))
+                losses.append(mean_loss(spec, params, relabeled))
             hits += int(np.argmin(losses) == ds.labels[n])
         assert acc == pytest.approx(hits / 100)
 

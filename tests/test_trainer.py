@@ -9,7 +9,7 @@ import isfl.trainer as trainer_mod
 import oracles
 from isfl.data import CategoryDistribution, ClientShard, Dataset
 from isfl.isweights import SamplingPlan, solve_is_weights, uniform_plan
-from isfl.model import ModelSpec, backward_grad, init_params
+from isfl.model import ModelSpec, init_params, mean_grads
 from isfl.trainer import (
     TrainerConfig,
     batch_sizes,
@@ -38,6 +38,10 @@ def weighted_sample_batch(shard, plan, batch_size, rng):
 def train_alone(spec, params, shard, plan, cfg):
     """local_train for one client: a stack of one."""
     return local_train(spec, params, [shard], [plan], [cfg])[0]
+
+
+def mean_grad(spec, params, ds):
+    return mean_grads(spec, params, ds.features, ds.labels)
 
 
 def plan_from_q(q, p_local):
@@ -110,7 +114,7 @@ class TestLocalTrain:
         params = init_params(spec, seed=1)
         cfg = TrainerConfig(batch_size=8, local_epochs=2, eta=0.0, seed=0)
         out = train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
-        assert np.array_equal(out.values, params.values)
+        assert np.array_equal(out, params)
 
     def test_reduces_to_full_batch_step(self, monkeypatch):
         shard = make_shard(np.tile([0, 1, 2], 8))
@@ -123,8 +127,8 @@ class TestLocalTrain:
         )
         cfg = TrainerConfig(batch_size=len(shard), local_epochs=1, eta=0.01, seed=0)
         out = train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
-        grad = backward_grad(spec, params, shard.as_dataset())
-        assert np.array_equal(out.values, params.values - 0.01 * grad.values)
+        grad = mean_grad(spec, params, shard.as_dataset())
+        assert np.array_equal(out, params - 0.01 * grad)
 
     def test_deterministic(self):
         shard = make_shard(np.tile([0, 0, 1, 2], 12), seed=5)
@@ -139,7 +143,7 @@ class TestLocalTrain:
         cfg = TrainerConfig(batch_size=16, local_epochs=3, eta=0.05, seed=11)
         a = train_alone(spec, params, shard, plan, cfg)
         b = train_alone(spec, params, shard, plan, cfg)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_epoch_touches_exactly_the_sampling_budget(self, monkeypatch):
         shard = make_shard(np.tile([0, 1, 2], 11))  # 33 samples
@@ -168,7 +172,7 @@ class TestLocalTrain:
         probs = np.full(len(shard), 1.0 / len(shard))
         cfg = TrainerConfig(batch_size=8, local_epochs=1, eta=0.01, seed=2)
         out = train_alone(spec, params, shard, probs, cfg)
-        assert not np.array_equal(out.values, params.values)
+        assert not np.array_equal(out, params)
         with pytest.raises(ValueError):
             train_alone(spec, params, shard, probs[:-1], cfg)
         with pytest.raises(ValueError):
@@ -190,17 +194,17 @@ class TestLocalTrain:
         params = init_params(spec, seed=8)
         plan = plan_from_q([0.5, 0.2, 0.3], shard.local_distribution)
 
-        target = np.zeros(params.values.size)
+        target = np.zeros(params.size)
         for c, qc in enumerate(plan.q.probs):
             pool = shard.dataset.subset(shard.category_pools[c])
-            target += qc * backward_grad(spec, params, pool).values
+            target += qc * mean_grad(spec, params, pool)
 
         rng = np.random.default_rng(9)
         total = np.zeros_like(target)
         n_batches = 10_000
         for _ in range(n_batches):
             batch = weighted_sample_batch(shard, plan, 8, rng)
-            total += backward_grad(spec, params, batch).values
+            total += mean_grad(spec, params, batch)
         mc = total / n_batches
         rel = np.linalg.norm(mc - target) / np.linalg.norm(target)
         assert rel <= 0.02
@@ -413,11 +417,11 @@ class TestLockstepMatchesOracle:
     @given(lockstep_problems())
     def test_local_train_matches_training_alone_bitwise(self, problem):
         spec, params, shards, plans, cfgs = problem
-        start = params.values.copy()
+        start = params.copy()
         together = local_train(spec, params, shards, plans, cfgs)
-        assert np.array_equal(params.values, start)  # the input is not trained in place
-        assert len(together) == len(shards)
+        assert np.array_equal(params, start)  # the input is not trained in place
+        assert together.shape == (len(shards), params.size)
         for out, shard, plan, cfg in zip(together, shards, plans, cfgs):
             alone = oracles.local_train(spec, params, shard, plan, cfg)
-            assert out.layout == alone.layout
-            assert out.values.tobytes() == alone.values.tobytes()
+            assert out.shape == alone.shape
+            assert out.tobytes() == alone.tobytes()
