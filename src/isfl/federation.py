@@ -46,6 +46,11 @@ class RoundFailure(RuntimeError):
     def __init__(self, round_index: int, message: str):
         super().__init__(f"round {round_index}: {message}")
         self.round_index = round_index
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from both fields, so it crosses a worker-process boundary
+        return type(self), (self.round_index, self.message)
 
 
 @dataclass(frozen=True)

@@ -108,13 +108,16 @@ def _forward(spec: ModelSpec, views: list[np.ndarray], x: np.ndarray):
     raise AssertionError("unreachable")
 
 
-def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
-    m = logits.max(axis=-1, keepdims=True)
-    ex = np.exp(logits - m)
-    z = ex.sum(axis=-1, keepdims=True)
-    log_probs = (logits - m) - np.log(z)
-    losses = -np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
-    return losses, ex / z
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample loss of a (N, C) logit matrix."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -log_probs[np.arange(labels.size), labels]
 
 
 def _act_grad(spec: ModelSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -143,7 +146,7 @@ def _backprop(spec: ModelSpec, views, x: np.ndarray, labels: np.ndarray, mean: b
     the deltas of the mean loss instead of each sample's own loss.
     """
     logits, acts, pre = _forward(spec, views, x)
-    _, dlogits = _softmax_ce(logits, labels)
+    dlogits = _softmax(logits)
     dlogits[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
     if mean:
         dlogits /= labels.shape[-1]
@@ -240,6 +243,6 @@ def evaluate(spec: ModelSpec, params: np.ndarray, ds: Dataset) -> tuple[float, f
     """Mean loss and top-1 accuracy on ``ds``."""
     check_batch(spec, ds)
     logits, _, _ = _forward(spec, _views(spec, params), ds.features)
-    losses, _ = _softmax_ce(logits, ds.labels)
+    losses = _cross_entropy(logits, ds.labels)
     acc = float(np.mean(logits.argmax(axis=1) == ds.labels))
     return float(losses.mean()), acc

@@ -100,13 +100,18 @@ def draw_batches(
         lacking = support[pool_sizes[support] == 0][0]
         raise ValueError(f"plan assigns mass to category {lacking} the shard lacks")
     cdf = _cdf(q)
+    cats = np.empty(bounds[-1], dtype=np.int64)
+    positions = np.empty(bounds[-1], dtype=np.int64)  # in each batch, by category
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        drawn = cdf.searchsorted(rng.random(stop - start), side="right")
+        cats[start:stop] = drawn
+        positions[start:stop] = rng.integers(0, pool_sizes[np.sort(drawn)])
+    # the order that groups every batch by category, batch after batch
+    batch = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.argsort(batch * q.size + cats, kind="stable")
     first = np.cumsum(pool_sizes) - pool_sizes
     slots = np.empty(bounds[-1], dtype=np.int64)  # positions in the joined pools
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        cats = cdf.searchsorted(rng.random(stop - start), side="right")
-        order = np.argsort(cats, kind="stable")
-        grouped = cats[order]
-        slots[start + order] = first[grouped] + rng.integers(0, pool_sizes[grouped])
+    slots[order] = first[cats[order]] + positions
     return np.concatenate(shard.category_pools)[slots]
 
 

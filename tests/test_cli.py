@@ -205,6 +205,34 @@ class TestRunCommand:
         for path in tmp_path.rglob("*.csv"):
             assert "nan" not in path.read_text().lower()
 
+    def test_first_failing_job_in_job_order_is_reported(self, tmp_path, capsys):
+        # seed 4 diverges in round 6 and seed 1 in round 5, so the second job
+        # fails first when both run at once; the first job's failure is reported
+        cfg_path = write_config(tmp_path, eta=1e6, rounds=6, seeds=[4, 1])
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 4
+        assert "run failed in round 6:" in capsys.readouterr().err
+
+    def test_capacity_problem_exits_3(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, clients=50)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 3
+        assert "capacity error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, values, repeated", [
+        ("strategies", ["fedavg", "isfl", "fedavg"], "['fedavg']"),
+        ("seeds", [1, 2, 1, 2], "[1, 2]"),
+    ], ids=["strategies", "seeds"])
+    def test_repeated_jobs_exit_1_before_any_run(self, tmp_path, capsys, key, values, repeated):
+        cfg_path = write_config(tmp_path, **{key: values})
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert f"{key} must not repeat; repeated: {repeated}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_no_strategy_exits_1(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, strategies=[])
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1
+        assert "need at least one strategy" in capsys.readouterr().err
+
     def test_eta_zero_with_isfl_exits_1_before_any_run(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, eta=0.0, strategies=["fedavg", "isfl"])
         out_dir = tmp_path / "runs"
@@ -363,6 +391,19 @@ class TestSweepCommand:
         assert rows[0] == "strategy,sr,seed,acc_S,acc_G"
         assert len(rows) == 1 + 2 * 2
 
+    def test_rows_match_their_run_directories(self, tmp_path):
+        cfg_path = write_config(tmp_path, strategies=["fedavg", "rw_is"], seeds=[1, 2], rounds=1)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep-sr", "--config", str(cfg_path), "--sr", "0.5,1.0",
+                     "--out", str(out_dir)]) == 0
+        rows = [r.split(",") for r in (out_dir / "sweep_sr.csv").read_text().splitlines()[1:]]
+        assert [r[:3] for r in rows] == [
+            [s, r, d] for s in ("fedavg", "rw_is") for r in ("0.5", "1.0") for d in ("1", "2")
+        ]
+        for strategy, ratio, seed, acc_s, acc_g in rows:
+            final = (out_dir / f"{strategy}_sr{ratio}_seed{seed}" / "metrics.csv").read_text()
+            assert final.splitlines()[-1].split(",")[2:4] == [acc_s, acc_g]
+
     def test_full_ratio_matches_plain_run(self, tmp_path):
         cfg_path = write_config(tmp_path, rounds=1)
         run_dir, sweep_dir = tmp_path / "runs", tmp_path / "sweep"
@@ -387,6 +428,20 @@ class TestSweepCommand:
                      "--out", str(out_dir)]) == 1
         assert "sampling_ratio 0.02 takes no sample" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("sr", ["0.5,1.0,0.5", "0.5,0.50"])
+    def test_repeated_ratio_exits_1_before_any_run(self, tmp_path, capsys, sr):
+        cfg_path = write_config(tmp_path)
+        out_dir = tmp_path / "s"
+        assert main(["sweep-sr", "--config", str(cfg_path), "--sr", sr,
+                     "--out", str(out_dir)]) == 1
+        assert "sampling ratios must not repeat; repeated: [0.5]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_no_ratio_exits_1(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        assert main(["sweep-sr", "--config", str(cfg_path), "--sr", ",",
+                     "--out", str(tmp_path / "s")]) == 1
 
 
 class TestBoundsCommand:

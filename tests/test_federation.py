@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -172,6 +173,14 @@ class TestRun:
         with pytest.raises(RoundFailure) as exc_info:
             run(shards, fed_config("fedavg"), test)
         assert exc_info.value.round_index == 2
+
+    def test_round_failure_survives_pickling(self):
+        # jobs run in worker processes, which send their exceptions back pickled
+        failure = pickle.loads(pickle.dumps(RoundFailure(5, "the run diverged")))
+        assert type(failure) is RoundFailure
+        assert failure.round_index == 5
+        assert failure.message == "the run diverged"
+        assert str(failure) == "round 5: the run diverged"
 
     def test_size_proportional_weights_unequal_shards(self):
         from isfl.data import ClientShard, generate_synthetic
