@@ -26,11 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics
+from . import diagnostics, isweights
 from .data import (
     CapacityError,
     CategoryDistribution,
     PartitionConfig,
+    check_synthetic,
     generate_synthetic,
     load_csv_dataset,
     load_dataset,
@@ -41,14 +42,13 @@ from .data import (
 )
 from .federation import (
     PHASES,
-    STRATEGIES,
     FederationConfig,
     RoundFailure,
     RoundMetrics,
     derive_seed,
     run,
 )
-from .isweights import compute_alpha, rho, solve_is_weights
+from .isweights import compute_alpha, compute_gamma_star, rho, solve_is_weights
 from .model import ModelSpec
 from .trainer import TrainerConfig, batch_sizes
 
@@ -103,7 +103,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         # Constructor-level checks run in the module dataclasses; this catches
         # cross-field problems before any heavy work.
-        self.model_spec()
         PartitionConfig(
             n_clients=self.clients,
             shard_size=self.shard_size,
@@ -111,27 +110,27 @@ class ExperimentConfig:
             nr=self.nr,
         )
         self.check_sampling_ratio(self.sampling_ratio)
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        for strategy in self.strategies:
-            if strategy not in STRATEGIES:
-                raise ValueError(f"unknown strategy {strategy!r}")
         if not self.strategies or not self.seeds:
             raise ValueError("need at least one strategy and one seed")
+        for strategy in self.strategies:
+            self.federation_config(strategy, seed=0)
         # a repeated job would write one run directory twice
         for key in ("strategies", "seeds"):
             _reject_repeats(key, getattr(self, key))
         if self.eta == 0.0 and "isfl" in self.strategies:
             # the isfl bound diagnostics divide by eta
             raise ValueError("eta must be positive for the isfl strategy")
-        if self.dataset_path is None and self.per_class < 1:
-            raise ValueError("per_class must be >= 1 for synthetic data")
+        for key in ("test_size", "holdout_size", "probe_size"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1 (got {getattr(self, key)!r})")
+        if self.dataset_path is None:
+            check_synthetic(self.classes, self.per_class, self.dim, self.separation)
 
     def check_sampling_ratio(self, ratio: float) -> None:
         """Raise unless ``ratio`` makes a valid trainer config whose epochs
         take at least one sample of a client."""
         samples = self.shard_size * self.shards_per_client
-        if not batch_sizes(samples, self.trainer_config(seed=0, sampling_ratio=ratio)):
+        if not batch_sizes(samples, self.trainer_config(ratio)):
             raise ValueError(
                 f"sampling_ratio {ratio!r} takes no sample per epoch of a "
                 f"{samples}-sample client"
@@ -145,12 +144,23 @@ class ExperimentConfig:
             activation=self.activation,
         )
 
-    def trainer_config(self, seed: int, sampling_ratio: float | None = None) -> TrainerConfig:
+    def trainer_config(self, sampling_ratio: float | None = None) -> TrainerConfig:
         return TrainerConfig(
             batch_size=self.batch_size,
             local_epochs=self.local_epochs,
             eta=self.eta,
             sampling_ratio=self.sampling_ratio if sampling_ratio is None else sampling_ratio,
+        )
+
+    def federation_config(
+        self, strategy: str, seed: int, sampling_ratio: float | None = None
+    ) -> FederationConfig:
+        return FederationConfig(
+            model=self.model_spec(),
+            trainer=self.trainer_config(sampling_ratio),
+            n_rounds=self.rounds,
+            strategy=strategy,
+            varpi=self.varpi,
             seed=seed,
         )
 
@@ -231,14 +241,7 @@ def execute_run(
 ) -> list[RoundMetrics]:
     """One federated run; writes metrics, manifest, and diagnostics artifacts."""
     shards, probe, test = build_experiment_data(cfg, seed)
-    fed_cfg = FederationConfig(
-        model=cfg.model_spec(),
-        trainer=cfg.trainer_config(seed=0, sampling_ratio=sampling_ratio),
-        n_rounds=cfg.rounds,
-        strategy=strategy,
-        varpi=cfg.varpi,
-        seed=derive_seed(seed, 20),
-    )
+    fed_cfg = cfg.federation_config(strategy, derive_seed(seed, 20), sampling_ratio)
     recorder = diagnostics.RunLog() if strategy == "isfl" else None
     metrics = run(shards, fed_cfg, test, probe=probe, recorder=recorder)
 
@@ -354,9 +357,15 @@ def cmd_solve(args) -> int:
     varpi = float(raw.get("varpi", 0.05))
     plan = solve_is_weights(p, p_k, l_row, varpi)
     alpha = compute_alpha(l_row)
+    # the level clamps the floors the solve clamped, and the solve logged that
+    muted, isweights.logger.disabled = isweights.logger.disabled, True
+    try:
+        gamma_star = compute_gamma_star(p, p_k, alpha, varpi)
+    finally:
+        isweights.logger.disabled = muted
     out = {
         "alpha": alpha.alphas.tolist(),
-        "gamma_star": plan.gamma_star,
+        "gamma_star": gamma_star,
         "q": plan.q.probs.tolist(),
         "w": plan.w.tolist(),
         "rho": rho(plan.q, p, l_row),

@@ -87,9 +87,6 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.features[idx], self.labels[idx], self.n_classes)
 
-    def label_histogram(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.n_classes)
-
 
 @dataclass(frozen=True)
 class PartitionConfig:
@@ -144,6 +141,14 @@ class ClientShard:
         return self.dataset.subset(self.indices)
 
 
+def check_synthetic(n_classes: int, per_class: int, dim: int, separation: float) -> None:
+    """Raise unless generate_synthetic accepts these settings."""
+    if n_classes < 2 or per_class < 1 or dim < 2:
+        raise ValueError("need n_classes >= 2, per_class >= 1, dim >= 2")
+    if not (math.isfinite(separation) and separation > 0.0):
+        raise ValueError(f"separation must be finite and positive (got {separation!r})")
+
+
 def generate_synthetic(
     n_classes: int, per_class: int, dim: int, separation: float, seed: int = 0
 ) -> Dataset:
@@ -152,10 +157,7 @@ def generate_synthetic(
     Samples of class ``c`` are drawn from an isotropic unit Gaussian centred at
     ``separation * anchor_c``. Deterministic for a given seed.
     """
-    if n_classes < 2 or per_class < 1 or dim < 2:
-        raise ValueError("need n_classes >= 2, per_class >= 1, dim >= 2")
-    if not (math.isfinite(separation) and separation > 0.0):
-        raise ValueError(f"separation must be finite and positive (got {separation!r})")
+    check_synthetic(n_classes, per_class, dim, separation)
     rng = np.random.default_rng(seed)
     anchors = rng.standard_normal((n_classes, dim))
     anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
@@ -163,6 +165,17 @@ def generate_synthetic(
     noise = rng.standard_normal((labels.size, dim))
     features = separation * anchors[labels] + noise
     return Dataset(features, labels, n_classes)
+
+
+def _shuffled_pools(ds: Dataset, rng: np.random.Generator) -> list[np.ndarray]:
+    """Each category's row indices, shuffled by ``rng`` one category after
+    another."""
+    pools = []
+    for c in range(ds.n_classes):
+        pool = np.flatnonzero(ds.labels == c)
+        rng.shuffle(pool)
+        pools.append(pool)
+    return pools
 
 
 def _even_allocation(capacity: np.ndarray, total: int) -> np.ndarray:
@@ -193,11 +206,7 @@ def sort_and_partition(ds: Dataset, cfg: PartitionConfig) -> list[ClientShard]:
     uni = cfg.shard_size - skew
     rng = np.random.default_rng(cfg.seed)
 
-    pools = []
-    for c in range(ds.n_classes):
-        pool = np.flatnonzero(ds.labels == c)
-        rng.shuffle(pool)
-        pools.append(pool)
+    pools = _shuffled_pools(ds, rng)
     cursors = [0] * ds.n_classes
 
     # Uniform portion: per shard, spread `uni` picks over all categories
@@ -280,11 +289,7 @@ def select_probe_set(ds: Dataset, size: int, seed: int = 0) -> Dataset:
     if size < 1:
         raise ValueError("probe size must be positive")
     rng = np.random.default_rng(seed)
-    pools = []
-    for c in range(ds.n_classes):
-        pool = np.flatnonzero(ds.labels == c)
-        rng.shuffle(pool)
-        pools.append(pool)
+    pools = _shuffled_pools(ds, rng)
     capacity = np.array([p.size for p in pools])
     counts = _even_allocation(capacity, size)
     chosen = np.concatenate([pools[c][: counts[c]] for c in range(ds.n_classes)])
@@ -298,11 +303,7 @@ def train_holdout_test_split(
     if holdout_size + test_size >= len(ds):
         raise CapacityError("holdout + test must leave at least one training sample")
     rng = np.random.default_rng(seed)
-    pools = []
-    for c in range(ds.n_classes):
-        pool = np.flatnonzero(ds.labels == c)
-        rng.shuffle(pool)
-        pools.append(pool)
+    pools = _shuffled_pools(ds, rng)
     capacity = np.array([p.size for p in pools])
     test_counts = _even_allocation(capacity, test_size)
     hold_counts = _even_allocation(capacity - test_counts, holdout_size)

@@ -91,34 +91,46 @@ class RunLog:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "RunLog":
+        """Read a log written by save_jsonl. A line that is not a JSON object,
+        or a record that lacks a field, raises ValueError naming the line."""
+        log = None
         with open(path, "r", encoding="utf-8") as f:
-            lines = [json.loads(line) for line in f if line.strip()]
-        if not lines or lines[0].get("type") != "run":
+            for number, line in enumerate(f, 1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                    if not isinstance(row, dict):
+                        raise TypeError("not a JSON object")
+                    if log is None:
+                        if row.get("type") != "run":
+                            raise ValueError("missing run header record")
+                        log = cls(
+                            p=np.asarray(row["p"], dtype=np.float64),
+                            p_local=np.asarray(row["p_local"], dtype=np.float64),
+                            pi=np.asarray(row["pi"], dtype=np.float64),
+                            varpi=float(row["varpi"]),
+                            eta=float(row["eta"]),
+                            local_epochs=int(row["local_epochs"]),
+                        )
+                    elif row.get("type") == "round":
+                        log.records.append(
+                            RoundRecord(
+                                round_index=int(row["round"]),
+                                lipschitz=np.asarray(row["lipschitz"], dtype=np.float64),
+                                q_used=np.asarray(row["q_used"], dtype=np.float64),
+                                q_star=np.asarray(row["q_star"], dtype=np.float64),
+                                sigma2=np.asarray(row["sigma2"], dtype=np.float64),
+                                g2=float(row["g2"]),
+                                dev2=np.asarray(row["dev2"], dtype=np.float64),
+                                loss_start=float(row["loss_start"]),
+                            )
+                        )
+                except (KeyError, TypeError, ValueError) as exc:
+                    where = f"{path}, line {number}"
+                    raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
+        if log is None:
             raise ValueError(f"{path}: missing run header record")
-        head = lines[0]
-        log = cls(
-            p=np.asarray(head["p"], dtype=np.float64),
-            p_local=np.asarray(head["p_local"], dtype=np.float64),
-            pi=np.asarray(head["pi"], dtype=np.float64),
-            varpi=float(head["varpi"]),
-            eta=float(head["eta"]),
-            local_epochs=int(head["local_epochs"]),
-        )
-        for row in lines[1:]:
-            if row.get("type") != "round":
-                continue
-            log.records.append(
-                RoundRecord(
-                    round_index=int(row["round"]),
-                    lipschitz=np.asarray(row["lipschitz"], dtype=np.float64),
-                    q_used=np.asarray(row["q_used"], dtype=np.float64),
-                    q_star=np.asarray(row["q_star"], dtype=np.float64),
-                    sigma2=np.asarray(row["sigma2"], dtype=np.float64),
-                    g2=float(row["g2"]),
-                    dev2=np.asarray(row["dev2"], dtype=np.float64),
-                    loss_start=float(row["loss_start"]),
-                )
-            )
         return log
 
 
@@ -167,24 +179,6 @@ def _rho_rows(log: RunLog, rec: RoundRecord) -> tuple[np.ndarray, np.ndarray]:
     against its in-effect curvature matrix."""
     p = CategoryDistribution(log.p)
     return rho(rec.q_used, p, rec.lipschitz), rho(rec.q_star, p, rec.lipschitz)
-
-
-def rho_trajectory(log: RunLog) -> list[tuple[float, float]]:
-    """Per-round pi-weighted means of rho(plan in effect) and rho(optimum).
-
-    Both are evaluated against the record's in-effect curvature matrix, so
-    the realized value can never undercut the theoretical minimum. Round 1
-    has no estimate in effect; it is scored on the first one, so its optimum
-    is round 2's plan and its theoretical value equals round 2's. From round
-    two on the plan in effect is itself that optimum.
-    """
-    if not log.records:
-        raise ValueError("run log has no round records")
-    out = []
-    for rec in log.records:
-        realized, theory = _rho_rows(log, rec)
-        out.append((float(realized @ log.pi), float(theory @ log.pi)))
-    return out
 
 
 def bound_rhs(

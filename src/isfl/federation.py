@@ -17,7 +17,6 @@ Strategies:
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -66,7 +65,7 @@ class FederationConfig:
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
+            raise ValueError(f"strategy must be one of {STRATEGIES} (got {self.strategy!r})")
         if not 0.0 <= self.varpi < 1.0:
             raise ValueError("varpi must lie in [0, 1)")
 
@@ -175,11 +174,8 @@ def run(
         t0 = time.perf_counter()
         laps = _Laps()
         try:
-            children = [
-                dataclasses.replace(cfg.trainer, seed=derive_seed(cfg.seed, 1, rnd, k))
-                for k in range(n_clients)
-            ]
-            local_stack = local_train(cfg.model, global_params, shards, plans, children)
+            seeds = [derive_seed(cfg.seed, 1, rnd, k) for k in range(n_clients)]
+            local_stack = local_train(cfg.model, global_params, shards, plans, cfg.trainer, seeds)
             laps.lap("train")
 
             new_global = aggregate(local_stack, pi)

@@ -16,8 +16,9 @@ floor contact (re-solving on the unpinned categories) and may even concentrate
 the remaining mass on the cheapest category. The KKT conditions say which
 floor patterns an optimum can have: the top-k sets of an arrangement of C
 lines, O(C^2) of them. The solver searches exactly those and keeps the exact
-minimizer in O(C^3). compute_gamma_star still reports the classic
-first-contact level.
+minimizer in O(C^3); it needs neither the gap vector nor a level.
+compute_gamma_star reports the classic first-contact level, which ``isfl
+solve`` prints beside the plan.
 """
 
 from __future__ import annotations
@@ -54,31 +55,41 @@ class AlphaVector:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Resampling probabilities q and the matching per-category weights w.
+    """Resampling probabilities q over a client whose local mix is p_local.
 
-    ``w_i = q_i / p_local_i`` on supported categories and 0 where the client
-    owns no samples. ``clamped`` flags instances whose floors had to be cut
-    down to the pooled proportion to stay solvable.
+    ``clamped`` flags instances whose floors had to be cut down to the pooled
+    proportion to stay solvable.
     """
 
     q: CategoryDistribution
-    w: np.ndarray
-    gamma_star: float
-    varpi: float
     p_local: CategoryDistribution
     clamped: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        object.__setattr__(self, "w", w)
-        if self.gamma_star < 0.0 or not 0.0 <= self.varpi < 1.0:
-            raise ValueError("need gamma_star >= 0 and varpi in [0, 1)")
+        if len(self.q) != len(self.p_local):
+            raise ValueError("q and p_local must have equal length")
+
+    @property
+    def w(self) -> np.ndarray:
+        """Per-category weights q_i / p_local_i, and 0 where the client owns no
+        samples."""
         pk = self.p_local.probs
         support = pk > 0.0
-        if np.any(np.abs(pk[support] * w[support] - self.q.probs[support]) > 1e-9):
-            raise ValueError("weights must satisfy q = p_local * w on the support")
-        if np.any(w[~support] != 0.0):
-            raise ValueError("weights must be zero off the support")
+        w = np.zeros(pk.size)
+        w[support] = self.q.probs[support] / pk[support]
+        return w
+
+
+def _curvature_row(l_row: np.ndarray) -> np.ndarray:
+    """The row as floats, checked: 1-D, finite, non-negative, not all zero."""
+    l_row = np.asarray(l_row, dtype=np.float64)
+    if l_row.ndim != 1 or l_row.size < 1:
+        raise ValueError("need a 1-D curvature row")
+    if np.any(l_row < 0.0) or not np.all(np.isfinite(l_row)):
+        raise ValueError("curvatures must be finite and non-negative")
+    if (l_row**2).sum() == 0.0:
+        raise ValueError("curvature row must have at least one positive entry")
+    return l_row
 
 
 def compute_alpha(l_row: np.ndarray) -> AlphaVector:
@@ -88,16 +99,9 @@ def compute_alpha(l_row: np.ndarray) -> AlphaVector:
     negative ones costlier than average. The vector sums to zero and has unit
     norm, except in the degenerate all-equal case where it is identically zero.
     """
-    l_row = np.asarray(l_row, dtype=np.float64)
-    if l_row.ndim != 1 or l_row.size < 1:
-        raise ValueError("need a 1-D curvature row")
-    if np.any(l_row < 0.0) or not np.all(np.isfinite(l_row)):
-        raise ValueError("curvatures must be finite and non-negative")
+    l_row = _curvature_row(l_row)
     sq = l_row**2
-    total = sq.sum()
-    if total == 0.0:
-        raise ValueError("curvature row must have at least one positive entry")
-    gaps = 1.0 - l_row.size * sq / total
+    gaps = 1.0 - l_row.size * sq / sq.sum()
     denom = np.sqrt((gaps**2).sum())
     if denom < _DEGENERATE_EPS:
         return AlphaVector(np.zeros(l_row.size), degenerate=True)
@@ -135,20 +139,12 @@ def compute_gamma_star(
     Returns 0 when no category is down-weighted (degenerate gaps included).
     """
     floors, _ = _effective_floors(p.probs, p_local.probs, varpi)
-    return _first_contact(p.probs, floors, alpha)
-
-
-def _first_contact(p: np.ndarray, floors: np.ndarray, alpha: AlphaVector) -> float:
-    if alpha.alphas.size != p.size:
+    if alpha.alphas.size != floors.size:
         raise ValueError("p, p_local and alpha must have equal length")
     neg = alpha.alphas < 0.0
-    if not neg.any():
-        return 0.0
-    candidates = (p[neg] - floors[neg]) / (-alpha.alphas[neg])
+    candidates = (p.probs[neg] - floors[neg]) / (-alpha.alphas[neg])
     candidates = candidates[candidates >= 0.0]
-    if candidates.size == 0:
-        return 0.0
-    return float(candidates.min())
+    return float(candidates.min()) if candidates.size else 0.0
 
 
 def _pinned_sets(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -253,22 +249,20 @@ def solve_is_weights(
 ) -> SamplingPlan:
     """Optimal resampling plan for one client.
 
-    ``q`` is the exact penalty minimizer over the floored simplex;
-    ``gamma_star`` reports the first-contact water-filling level. Mass
+    ``q`` is the exact penalty minimizer over the floored simplex. Mass
     assigned to categories the client does not own is redistributed
-    proportionally over its support, where the weights ``w = q / p_local``
-    are then formed. If the support is left with no mass at all (possible
-    only at varpi = 0), the plan falls back to the local mix.
+    proportionally over its support. If the support is left with no mass at
+    all (possible only at varpi = 0), the plan falls back to the local mix.
     """
     p_arr = p.probs
     pk_arr = p_local.probs
     if np.any(p_arr <= 0.0):
         raise ValueError("pooled distribution must be strictly positive")
-    alpha = compute_alpha(l_row)
+    l_row = _curvature_row(l_row)
     floors, clamped = _effective_floors(p_arr, pk_arr, varpi)
-    gamma_star = _first_contact(p_arr, floors, alpha)
-    sq = np.asarray(l_row, dtype=np.float64) ** 2
-    q = _minimize_rho(p_arr, floors, sq)
+    if l_row.size != p_arr.size:
+        raise ValueError("the curvature row and p must have equal length")
+    q = _minimize_rho(p_arr, floors, l_row**2)
 
     support = pk_arr > 0.0
     if not support.all():
@@ -278,25 +272,12 @@ def solve_is_weights(
             logger.warning("optimum leaves the client's categories empty; keeping its local mix")
             q = pk_arr
         q = q / q.sum()
-    w = np.zeros_like(q)
-    w[support] = q[support] / pk_arr[support]
-    return SamplingPlan(
-        q=CategoryDistribution(q),
-        w=w,
-        gamma_star=gamma_star,
-        varpi=varpi,
-        p_local=p_local,
-        clamped=clamped,
-    )
+    return SamplingPlan(CategoryDistribution(q), p_local, clamped)
 
 
 def uniform_plan(p_local: CategoryDistribution) -> SamplingPlan:
     """The no-resampling plan: unit weights, q equal to the local mix."""
-    support = p_local.probs > 0.0
-    w = np.where(support, 1.0, 0.0)
-    return SamplingPlan(
-        q=p_local, w=w, gamma_star=0.0, varpi=0.0, p_local=p_local
-    )
+    return SamplingPlan(p_local, p_local)
 
 
 def rho(

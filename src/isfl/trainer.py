@@ -10,10 +10,12 @@ draws the batch indices of its whole local run from its own generator
 (``draw_batches``). The generator-call contract: a category plan makes two
 calls per batch, ``rng.random(size)`` for the categories and one array-bound
 ``rng.integers`` for the pool positions; a per-sample plan makes one
-``rng.random`` call per run. Clients whose batch schedules and step sizes
-agree then share one (K, P) parameter stack, and each SGD step updates the
-whole stack at once (``model.sgd_step_stack``). Every client ends bit for bit
-where it would end training alone; a lone client is a stack of one.
+``rng.random`` call per run. Every client of a run trains with the same
+TrainerConfig, and only its generator seed is its own. Clients with the same
+batch schedule (equal-sized shards have one) then share one (K, P) parameter
+stack, and each SGD step updates the whole stack at once
+(``model.sgd_step_stack``). Every client ends bit for bit where it would end
+training alone; a lone client is a stack of one.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class TrainerConfig:
     local_epochs: int = 5
     eta: float = 1e-3
     sampling_ratio: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1 or self.local_epochs < 1:
@@ -136,37 +137,39 @@ def local_train(
     params: np.ndarray,
     shards: list[ClientShard],
     plans: list[SamplingPlan | np.ndarray],
-    cfgs: list[TrainerConfig],
+    cfg: TrainerConfig,
+    seeds: list[int],
 ) -> np.ndarray:
     """Run every client's local epochs of weighted minibatch SGD from ``params``.
 
     Client k trains on ``shards[k]`` under ``plans[k]`` (a category-level
-    SamplingPlan or a per-sample probability vector) with ``cfgs[k]``; see
-    ``batch_sizes`` for its batches. Clients train in lockstep, one stack per
-    distinct (batch sizes, eta). Returns the (K, P) stack of the clients'
-    parameters, row k for client k.
-    Deterministic for given config seeds.
+    SamplingPlan or a per-sample probability vector), drawing its batches from
+    a generator seeded with ``seeds[k]``; ``cfg`` is shared by every client
+    (see ``batch_sizes`` for the batches). Clients train in lockstep, one
+    stack per distinct batch schedule. Returns the (K, P) stack of the
+    clients' parameters, row k for client k.
+    Deterministic for given seeds.
     """
-    if not len(shards) == len(plans) == len(cfgs):
-        raise ValueError("need one plan and one trainer config per shard")
-    stacks: dict[tuple, list[int]] = {}
+    if not len(shards) == len(plans) == len(seeds):
+        raise ValueError("need one plan and one seed per shard")
+    stacks: dict[tuple[int, ...], list[int]] = {}
     draws = []
-    for k, (shard, plan, cfg) in enumerate(zip(shards, plans, cfgs)):
+    for k, (shard, plan, seed) in enumerate(zip(shards, plans, seeds)):
         check_batch(spec, shard.dataset)
         sizes = batch_sizes(len(shard), cfg)
-        draws.append(draw_batches(shard, plan, sizes, np.random.default_rng(cfg.seed)))
-        stacks.setdefault((sizes, cfg.eta), []).append(k)
+        draws.append(draw_batches(shard, plan, sizes, np.random.default_rng(seed)))
+        stacks.setdefault(sizes, []).append(k)
 
     trained = np.empty((len(shards), params.size))
-    for (sizes, eta), members in stacks.items():
+    for sizes, members in stacks.items():
         stack = np.tile(params, (len(members), 1))
-        if eta > 0.0:
+        if cfg.eta > 0.0:
             features, labels, offsets = _joint_rows([shards[k].dataset for k in members])
             rows = np.stack([draws[k] for k in members]) + offsets[:, None]
             start = 0
             for size in sizes:
                 batch = rows[:, start : start + size]
-                sgd_step_stack(spec, stack, features[batch], labels[batch], eta)
+                sgd_step_stack(spec, stack, features[batch], labels[batch], cfg.eta)
                 start += size
         trained[members] = stack
     return trained
@@ -191,12 +194,4 @@ def rw_plan(shard: ClientShard) -> SamplingPlan:
     pk = shard.local_distribution.probs
     support = pk > 0.0
     q = np.where(support, 1.0 / support.sum(), 0.0)
-    w = np.zeros_like(q)
-    w[support] = q[support] / pk[support]
-    return SamplingPlan(
-        q=CategoryDistribution(q),
-        w=w,
-        gamma_star=0.0,
-        varpi=0.0,
-        p_local=shard.local_distribution,
-    )
+    return SamplingPlan(CategoryDistribution(q), shard.local_distribution)

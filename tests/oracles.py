@@ -180,15 +180,16 @@ def local_train(
     shard: ClientShard,
     plan: SamplingPlan | np.ndarray,
     cfg: TrainerConfig,
+    seed: int,
 ) -> np.ndarray:
     """Run the configured local epochs of weighted minibatch SGD.
 
     Each epoch touches exactly floor(sampling_ratio * len(shard)) samples, in
     batches of cfg.batch_size (last batch possibly smaller). ``plan`` is either
     a category-level SamplingPlan or a per-sample probability vector.
-    Deterministic for a given cfg.seed.
+    Deterministic for a given seed.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     budget = math.floor(cfg.sampling_ratio * len(shard))
     per_sample = isinstance(plan, np.ndarray)
     if per_sample and plan.shape != (len(shard),):

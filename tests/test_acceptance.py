@@ -7,7 +7,6 @@ All runs for those criteria come from one session-scoped fixture so the whole
 gate stays inside the stated runtime budgets.
 """
 
-import dataclasses
 import json
 import time
 
@@ -23,7 +22,7 @@ from isfl.data import (
     select_probe_set,
     sort_and_partition,
 )
-from isfl.diagnostics import RunLog, rho_trajectory
+from isfl.diagnostics import RunLog, bounds_rows
 from isfl.federation import (
     FederationConfig,
     aggregate,
@@ -235,7 +234,7 @@ def trend_run(seed, strategy, varpi=0.05, sampling_ratio=1.0, recorder=None):
         model=TREND_MODEL,
         trainer=TrainerConfig(
             batch_size=TREND_BATCH, local_epochs=5, eta=TREND_ETA,
-            sampling_ratio=sampling_ratio, seed=0,
+            sampling_ratio=sampling_ratio,
         ),
         n_rounds=20,
         strategy=strategy,
@@ -306,7 +305,10 @@ def test_criterion_7_rho_trajectory(trend_results):
     ok = True
     details = []
     for seed in TREND_SEEDS:
-        trajectory = rho_trajectory(trend_results["logs"][seed])
+        trajectory = [
+            (row["rho_realized"], row["rho_theory"])
+            for row in bounds_rows(trend_results["logs"][seed])
+        ]
         monotone = all(theory <= realized + 1e-12 for realized, theory in trajectory)
         gap_first = trajectory[0][0] - trajectory[0][1]
         gap_last = trajectory[-1][0] - trajectory[-1][1]
@@ -402,7 +404,7 @@ def test_criterion_11_single_client_reduction():
     test_set = generate_synthetic(3, 30, 5, separation=2.0, seed=7)
     cfg = FederationConfig(
         model=ModelSpec(5, (4,), 3),
-        trainer=TrainerConfig(batch_size=16, local_epochs=2, eta=0.05, seed=0),
+        trainer=TrainerConfig(batch_size=16, local_epochs=2, eta=0.05),
         n_rounds=4,
         strategy="fedavg",
         seed=11,
@@ -414,8 +416,8 @@ def test_criterion_11_single_client_reduction():
     plan = uniform_plan(shards[0].local_distribution)
     ok = True
     for rnd in range(1, 5):
-        child = dataclasses.replace(cfg.trainer, seed=derive_seed(cfg.seed, 1, rnd, 0))
-        stack = local_train(cfg.model, params, shards, [plan], [child])
+        seed = derive_seed(cfg.seed, 1, rnd, 0)
+        stack = local_train(cfg.model, params, shards, [plan], cfg.trainer, [seed])
         params = aggregate(stack, np.array([1.0]))
         loss, acc_pool = evaluate(cfg.model, params, shards[0].as_dataset())
         _, acc_test = evaluate(cfg.model, params, test_set)

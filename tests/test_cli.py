@@ -1,10 +1,12 @@
 import hashlib
 import json
+import logging
 import time
 
 import numpy as np
 import pytest
 
+import isfl.cli as cli_mod
 from isfl.cli import ExperimentConfig, build_experiment_data, main
 from isfl.data import generate_synthetic
 
@@ -39,7 +41,35 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+# sha256 of the standard output of ``isfl solve`` on three instances: the
+# worked one, one whose first floor exceeds its pooled proportion and is
+# clamped, and one whose client lacks the third category
+SOLVE_PROBLEMS = {
+    "worked": ({"p": [0.5, 0.3, 0.2], "p_k": [0.8, 0.1, 0.1], "L": [1.0, 2.0, 3.0],
+                "varpi": 0.05},
+               "49ba6302d0603cb7c965278b8991a4e1136d8e6290f3cbff9bb3ad27aaa4b648"),
+    "clamped": ({"p": [0.001, 0.499, 0.5], "p_k": [0.9, 0.05, 0.05], "L": [1.0, 2.0, 3.0],
+                 "varpi": 0.05},
+                "dee4b24e35597e3003dfe42ac56304f23b26342a231431d8ca72de7b4ac2fbff"),
+    "off-support": ({"p": [0.5, 0.3, 0.2], "p_k": [0.7, 0.3, 0.0], "L": [1.0, 1.1, 1.2],
+                     "varpi": 0.05},
+                    "fbd17048c482422a0892adf64cde967e4db385679a104e702abfa18e511a8139"),
+}
+
+
 class TestSolveCommand:
+    @pytest.mark.parametrize("name", SOLVE_PROBLEMS)
+    def test_stdout_bytes_and_one_clamp_warning(self, tmp_path, capsys, caplog, name):
+        problem, digest = SOLVE_PROBLEMS[name]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        with caplog.at_level(logging.WARNING):
+            assert main(["solve", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        clamps = [r for r in caplog.records if "clamping" in r.getMessage()]
+        assert len(clamps) == (name == "clamped")
+
     def test_worked_instance(self, tmp_path, capsys):
         problem = tmp_path / "problem.json"
         problem.write_text(
@@ -227,6 +257,27 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
         assert f"{key} must not repeat; repeated: {repeated}" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("varpi", 1.5, "varpi must lie in [0, 1)"),
+        ("varpi", -0.1, "varpi must lie in [0, 1)"),
+        ("probe_size", 0, "probe_size must be >= 1"),
+        ("separation", -1.0, "separation must be finite and positive"),
+        ("test_size", -5, "test_size must be >= 1"),
+        ("holdout_size", 0, "holdout_size must be >= 1"),
+        ("rounds", 0, "n_rounds must be >= 1"),
+        ("strategies", ["fedavg", "bogus"], "(got 'bogus')"),
+    ], ids=["varpi-1.5", "varpi-neg", "probe-0", "separation-neg", "test-neg",
+            "holdout-0", "rounds-0", "strategy"])
+    def test_bad_setting_exits_1_before_any_job(
+        self, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        started = []
+        monkeypatch.setattr(cli_mod, "run_jobs", started.append)
+        cfg_path = write_config(tmp_path, **{key: value})
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1
+        assert message in capsys.readouterr().err
+        assert started == []
 
     def test_no_strategy_exits_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, strategies=[])
@@ -457,6 +508,21 @@ class TestBoundsCommand:
 
     def test_missing_log_exits_2(self, tmp_path):
         assert main(["bounds", "--run-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("header, record, where, message", [
+        (True, '{"type": "round", "round": 1}', 2, "KeyError: 'lipschitz'"),
+        (True, "[1, 2]", 2, "TypeError: not a JSON object"),
+        (False, '{"type": "run", "p": [1.0]}', 1, "KeyError: 'p_local'"),
+    ], ids=["round-missing-key", "not-an-object", "header-missing-key"])
+    def test_malformed_log_exits_1_naming_the_line(
+        self, tmp_path, capsys, header, record, where, message
+    ):
+        head = {"type": "run", "p": [0.5, 0.5], "p_local": [[0.5, 0.5]], "pi": [1.0],
+                "varpi": 0.05, "eta": 0.1, "local_epochs": 1}
+        log = tmp_path / "diagnostics.jsonl"
+        log.write_text((json.dumps(head) + "\n" if header else "") + record + "\n")
+        assert main(["bounds", "--run-dir", str(tmp_path)]) == 1
+        assert f"{log}, line {where}: {message}" in capsys.readouterr().err
 
 
 class TestExperimentConfig:

@@ -9,13 +9,17 @@ from isfl.diagnostics import (
     bounds_rows,
     lemma1_check,
     psi,
-    rho_trajectory,
     write_bounds_csv,
     write_long_csv,
 )
 from isfl.federation import run
 
 from test_federation import fed_config, small_problem
+
+
+def rho_trajectory(log):
+    """Per-round pi-weighted (realized, theory) penalties, from bounds_rows."""
+    return [(row["rho_realized"], row["rho_theory"]) for row in bounds_rows(log)]
 
 
 def stub_log(n_rounds=1, k=2, c=3):

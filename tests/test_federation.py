@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 
 import numpy as np
@@ -41,7 +40,7 @@ def small_problem(n_clients=3, nr=0.8, seed=0):
 def fed_config(strategy, n_rounds=3, seed=7, eta=0.05):
     return FederationConfig(
         model=ModelSpec(5, (4,), 3),
-        trainer=TrainerConfig(batch_size=16, local_epochs=2, eta=eta, seed=0),
+        trainer=TrainerConfig(batch_size=16, local_epochs=2, eta=eta),
         n_rounds=n_rounds,
         strategy=strategy,
         varpi=0.05,
@@ -75,12 +74,10 @@ class TestRun:
 
         params = init_params(cfg.model, seed=derive_seed(cfg.seed, 0))
         for rnd in range(1, 5):
-            child = dataclasses.replace(
-                cfg.trainer, seed=derive_seed(cfg.seed, 1, rnd, 0)
-            )
             stack = local_train(
                 cfg.model, params, shards,
-                [uniform_plan(shards[0].local_distribution)], [child],
+                [uniform_plan(shards[0].local_distribution)],
+                cfg.trainer, [derive_seed(cfg.seed, 1, rnd, 0)],
             )
             params = aggregate(stack, np.array([1.0]))
         from isfl.model import evaluate

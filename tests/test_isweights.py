@@ -144,7 +144,6 @@ class TestSolveIsWeights:
         assert rho_solver <= rho_oracle * (1 + 1e-3)
         assert np.abs(plan.q.probs - q_oracle).max() <= 2 * 0.005
         assert plan.q.probs[2] == 0.05 * PK3.probs[2]  # exactly at its floor
-        assert plan.gamma_star == pytest.approx(0.2572, abs=1e-4)
         assert abs(plan.q.probs.sum() - 1.0) <= 1e-9
         assert np.all(plan.q.probs >= 0.05 * PK3.probs - 1e-12)
 
@@ -175,6 +174,14 @@ class TestSolveIsWeights:
             plan = solve_is_weights(p, pk, np.array([1.0, 2.0, 3.0]), 0.05)
         assert plan.clamped
         assert sum("clamping" in r.getMessage() for r in caplog.records) == 1
+
+    @pytest.mark.parametrize("row", [
+        np.ones((3, 1)), np.array([1.0, np.nan, 2.0]), np.array([1.0, -0.5, 2.0]),
+        np.zeros(3), np.ones(2),
+    ], ids=["2-d", "nan", "negative", "all-zero", "short"])
+    def test_bad_curvature_row_rejected(self, row):
+        with pytest.raises(ValueError):
+            solve_is_weights(P3, PK3, row, 0.05)
 
     def test_zero_pooled_probability_rejected(self):
         bad = CategoryDistribution(np.array([0.0, 0.5, 0.5]))
@@ -232,10 +239,13 @@ class TestSolveIsWeights:
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
-            SamplingPlan(
-                q=P3, w=np.array([1.0, 1.0, 1.0]), gamma_star=0.0,
-                varpi=0.05, p_local=PK3,
-            )
+            SamplingPlan(q=P3, p_local=CategoryDistribution(np.array([0.5, 0.5])))
+
+    def test_weights_derive_from_q_and_p_local(self):
+        pk = CategoryDistribution(np.array([0.7, 0.3, 0.0]))
+        plan = SamplingPlan(q=CategoryDistribution(np.array([0.4, 0.6, 0.0])), p_local=pk)
+        assert np.array_equal(plan.w, [0.4 / 0.7, 0.6 / 0.3, 0.0])
+        assert not plan.clamped
 
     def test_uniform_plan(self):
         plan = uniform_plan(PK3)

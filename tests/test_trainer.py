@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,9 +33,9 @@ def weighted_sample_batch(shard, plan, batch_size, rng):
     return shard.dataset.subset(draw_batches(shard, plan, (batch_size,), rng))
 
 
-def train_alone(spec, params, shard, plan, cfg):
+def train_alone(spec, params, shard, plan, cfg, seed=0):
     """local_train for one client: a stack of one."""
-    return local_train(spec, params, [shard], [plan], [cfg])[0]
+    return local_train(spec, params, [shard], [plan], cfg, [seed])[0]
 
 
 def mean_grad(spec, params, ds):
@@ -45,14 +43,7 @@ def mean_grad(spec, params, ds):
 
 
 def plan_from_q(q, p_local):
-    q = np.asarray(q, dtype=np.float64)
-    pk = p_local.probs
-    w = np.zeros_like(q)
-    support = pk > 0
-    w[support] = q[support] / pk[support]
-    return SamplingPlan(
-        q=CategoryDistribution(q), w=w, gamma_star=0.0, varpi=0.0, p_local=p_local
-    )
+    return SamplingPlan(CategoryDistribution(np.asarray(q, dtype=np.float64)), p_local)
 
 
 class TestWeightedSampleBatch:
@@ -87,9 +78,6 @@ class TestWeightedSampleBatch:
         shard = ClientShard.build(0, np.arange(3), ds)  # no category-2 samples
         plan = SamplingPlan(
             q=CategoryDistribution(np.array([0.0, 0.0, 1.0])),
-            w=np.array([0.0, 0.0, 1.0]),
-            gamma_star=0.0,
-            varpi=0.0,
             p_local=CategoryDistribution(np.array([0.0, 0.0, 1.0])),
         )
         with pytest.raises(ValueError):
@@ -112,7 +100,7 @@ class TestLocalTrain:
         shard = make_shard(np.tile([0, 1, 2], 10))
         spec = ModelSpec(3, (), 3)
         params = init_params(spec, seed=1)
-        cfg = TrainerConfig(batch_size=8, local_epochs=2, eta=0.0, seed=0)
+        cfg = TrainerConfig(batch_size=8, local_epochs=2, eta=0.0)
         out = train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
         assert np.array_equal(out, params)
 
@@ -125,7 +113,7 @@ class TestLocalTrain:
             "draw_batches",
             lambda shard_, plan_, sizes_, rng_: np.tile(shard_.indices, len(sizes_)),
         )
-        cfg = TrainerConfig(batch_size=len(shard), local_epochs=1, eta=0.01, seed=0)
+        cfg = TrainerConfig(batch_size=len(shard), local_epochs=1, eta=0.01)
         out = train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
         grad = mean_grad(spec, params, shard.as_dataset())
         assert np.array_equal(out, params - 0.01 * grad)
@@ -140,9 +128,9 @@ class TestLocalTrain:
             np.array([1.0, 1.3, 0.8]),
             0.05,
         )
-        cfg = TrainerConfig(batch_size=16, local_epochs=3, eta=0.05, seed=11)
-        a = train_alone(spec, params, shard, plan, cfg)
-        b = train_alone(spec, params, shard, plan, cfg)
+        cfg = TrainerConfig(batch_size=16, local_epochs=3, eta=0.05)
+        a = train_alone(spec, params, shard, plan, cfg, seed=11)
+        b = train_alone(spec, params, shard, plan, cfg, seed=11)
         assert np.array_equal(a, b)
 
     def test_epoch_touches_exactly_the_sampling_budget(self, monkeypatch):
@@ -157,7 +145,7 @@ class TestLocalTrain:
             return real(spec_, stack_, x_, labels_, eta_)
 
         monkeypatch.setattr(trainer_mod, "sgd_step_stack", recording)
-        cfg = TrainerConfig(batch_size=8, local_epochs=2, eta=0.01, sampling_ratio=0.5, seed=0)
+        cfg = TrainerConfig(batch_size=8, local_epochs=2, eta=0.01, sampling_ratio=0.5)
         train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
         budget = int(0.5 * 33)
         assert sum(sizes) == 2 * budget
@@ -170,20 +158,20 @@ class TestLocalTrain:
         spec = ModelSpec(3, (), 2)
         params = init_params(spec, seed=4)
         probs = np.full(len(shard), 1.0 / len(shard))
-        cfg = TrainerConfig(batch_size=8, local_epochs=1, eta=0.01, seed=2)
-        out = train_alone(spec, params, shard, probs, cfg)
+        cfg = TrainerConfig(batch_size=8, local_epochs=1, eta=0.01)
+        out = train_alone(spec, params, shard, probs, cfg, seed=2)
         assert not np.array_equal(out, params)
         with pytest.raises(ValueError):
-            train_alone(spec, params, shard, probs[:-1], cfg)
+            train_alone(spec, params, shard, probs[:-1], cfg, seed=2)
         with pytest.raises(ValueError):
-            train_alone(spec, params, shard, np.full(len(shard), np.nan), cfg)
+            train_alone(spec, params, shard, np.full(len(shard), np.nan), cfg, seed=2)
 
-    def test_one_config_per_client_required(self):
+    def test_one_seed_per_client_required(self):
         shard = make_shard(np.tile([0, 1], 4))
         spec = ModelSpec(3, (), 2)
         plan = uniform_plan(shard.local_distribution)
         with pytest.raises(ValueError):
-            local_train(spec, init_params(spec, 0), [shard, shard], [plan, plan], [TrainerConfig()])
+            local_train(spec, init_params(spec, 0), [shard, shard], [plan, plan], TrainerConfig(), [0])
 
     def test_minibatch_gradient_unbiased(self):
         # Expected minibatch gradient should equal the q-weighted mixture of
@@ -337,7 +325,8 @@ def random_plan(shard, per_sample, rng):
 @st.composite
 def lockstep_problems(draw):
     """Clients of unequal size, on one shared dataset or on their own ones,
-    with category or per-sample plans and one trainer config each."""
+    with category or per-sample plans, one shared trainer config and a seed
+    each. Unequal sizes give the clients different batch schedules."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n_classes = draw(st.integers(2, 4))
@@ -360,29 +349,20 @@ def lockstep_problems(draw):
             shards.append(ClientShard.build(k, np.arange(n), dataset(n)))
     per_sample = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
     plans = [random_plan(s, ps, rng) for s, ps in zip(shards, per_sample)]
-    base = TrainerConfig(
+    cfg = TrainerConfig(
         batch_size=draw(st.integers(1, 9)),
         local_epochs=draw(st.integers(1, 3)),
         eta=draw(st.sampled_from([0.0, 0.05, 0.4])),
         sampling_ratio=draw(st.sampled_from([1.0, 0.7, 0.35])),
     )
-    cfgs = []
-    for k in range(len(sizes)):
-        own_batch = draw(st.booleans())
-        cfgs.append(
-            dataclasses.replace(
-                base,
-                batch_size=draw(st.integers(1, 9)) if own_batch else base.batch_size,
-                seed=int(rng.integers(2**32)),
-            )
-        )
+    seeds = [int(seed) for seed in rng.integers(2**32, size=len(sizes))]
     spec = ModelSpec(
         dim,
         draw(st.sampled_from([(), (3,), (4, 2)])),
         n_classes,
         activation=draw(st.sampled_from(["relu", "tanh"])),
     )
-    return spec, init_params(spec, seed=seed % 1000), shards, plans, cfgs
+    return spec, init_params(spec, seed=seed % 1000), shards, plans, cfg, seeds
 
 
 class TestLockstepMatchesOracle:
@@ -392,15 +372,15 @@ class TestLockstepMatchesOracle:
     @ORACLE_SETTINGS
     @given(lockstep_problems())
     def test_sampler_draws_what_the_per_batch_sampler_draws(self, problem):
-        _, _, shards, plans, cfgs = problem
-        for shard, plan, cfg in zip(shards, plans, cfgs):
+        _, _, shards, plans, cfg, seeds = problem
+        for shard, plan, seed in zip(shards, plans, seeds):
             sizes = batch_sizes(len(shard), cfg)
-            rng = np.random.default_rng(cfg.seed)
+            rng = np.random.default_rng(seed)
             picks = draw_batches(shard, plan, sizes, rng)
-            again = draw_batches(shard, plan, sizes, np.random.default_rng(cfg.seed))
+            again = draw_batches(shard, plan, sizes, np.random.default_rng(seed))
             assert np.array_equal(picks, again)
 
-            ref_rng = np.random.default_rng(cfg.seed)
+            ref_rng = np.random.default_rng(seed)
             per_batch = oracles._sample_by_weight if isinstance(plan, np.ndarray) else (
                 oracles.weighted_sample_batch
             )
@@ -416,12 +396,12 @@ class TestLockstepMatchesOracle:
     @ORACLE_SETTINGS
     @given(lockstep_problems())
     def test_local_train_matches_training_alone_bitwise(self, problem):
-        spec, params, shards, plans, cfgs = problem
+        spec, params, shards, plans, cfg, seeds = problem
         start = params.copy()
-        together = local_train(spec, params, shards, plans, cfgs)
+        together = local_train(spec, params, shards, plans, cfg, seeds)
         assert np.array_equal(params, start)  # the input is not trained in place
         assert together.shape == (len(shards), params.size)
-        for out, shard, plan, cfg in zip(together, shards, plans, cfgs):
-            alone = oracles.local_train(spec, params, shard, plan, cfg)
+        for out, shard, plan, seed in zip(together, shards, plans, seeds):
+            alone = oracles.local_train(spec, params, shard, plan, cfg, seed)
             assert out.shape == alone.shape
             assert out.tobytes() == alone.tobytes()
