@@ -1,7 +1,7 @@
 """Command-line entry point for partitioning, runs, sweeps, and diagnostics.
 
 Subcommands:
-  partition   build a label-skewed split and write its manifest
+  partition   build a label-skewed split and print each client's label histogram
   run         execute federated runs for every (strategy, seed) pair
   solve       one-shot sampling-weight solve from a JSON problem
   sweep-sr    final accuracy across sampling ratios
@@ -9,8 +9,9 @@ Subcommands:
 
 run and sweep-sr run their jobs in parallel worker processes, one per CPU.
 
-Exit codes: 1 config/validation, 2 I/O, 3 capacity, 4 a round failed (the run
-diverged or a module raised); the failing round index goes to stderr.
+Exit codes: 1 config, input or run-log validation, 2 I/O, 3 capacity, 4 a
+round failed (the run diverged or a module raised); the failing round index
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, isweights
+from . import diagnostics
 from .data import (
     CapacityError,
     CategoryDistribution,
@@ -35,7 +36,6 @@ from .data import (
     generate_synthetic,
     load_csv_dataset,
     load_dataset,
-    save_partition_manifest,
     select_probe_set,
     sort_and_partition,
     train_holdout_test_split,
@@ -312,18 +312,11 @@ def _final_summary(results: dict) -> str:
 
 def cmd_partition(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     shards, _, _ = build_experiment_data(cfg, seed)
-    save_partition_manifest(shards, out_dir / "partition_manifest.json")
-    print(f"wrote {out_dir / 'partition_manifest.json'}")
     print("client  samples  histogram")
     for shard in shards:
-        hist = np.bincount(
-            shard.dataset.labels[shard.indices], minlength=shard.dataset.n_classes
-        )
-        print(f"{shard.client_id:>6}  {len(shard):>7}  {hist.tolist()}")
+        print(f"{shard.client_id:>6}  {len(shard):>7}  {shard.counts.tolist()}")
     return 0
 
 
@@ -357,15 +350,9 @@ def cmd_solve(args) -> int:
     varpi = float(raw.get("varpi", 0.05))
     plan = solve_is_weights(p, p_k, l_row, varpi)
     alpha = compute_alpha(l_row)
-    # the level clamps the floors the solve clamped, and the solve logged that
-    muted, isweights.logger.disabled = isweights.logger.disabled, True
-    try:
-        gamma_star = compute_gamma_star(p, p_k, alpha, varpi)
-    finally:
-        isweights.logger.disabled = muted
     out = {
-        "alpha": alpha.alphas.tolist(),
-        "gamma_star": gamma_star,
+        "alpha": alpha.tolist(),
+        "gamma_star": compute_gamma_star(p, p_k, alpha, varpi),
         "q": plan.q.probs.tolist(),
         "w": plan.w.tolist(),
         "rho": rho(plan.q, p, l_row),
@@ -421,9 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="isfl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_part = sub.add_parser("partition", help="write a partition manifest")
+    p_part = sub.add_parser("partition", help="print each client's label histogram")
     p_part.add_argument("--config", required=True)
-    p_part.add_argument("--out", default="out")
     p_part.add_argument("--seed", type=int, default=None)
     p_part.set_defaults(func=cmd_partition)
 
@@ -462,7 +448,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, json.JSONDecodeError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        source = {"bounds": "run log", "solve": "input"}.get(args.command, "config")
+        print(f"{source} error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ skewed block.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -44,14 +43,6 @@ class CategoryDistribution:
 
     def __len__(self) -> int:
         return self.probs.size
-
-    @classmethod
-    def from_labels(cls, labels: np.ndarray, n_classes: int) -> "CategoryDistribution":
-        counts = np.bincount(np.asarray(labels), minlength=n_classes).astype(np.float64)
-        total = counts.sum()
-        if total == 0:
-            raise ValueError("cannot build a distribution from zero labels")
-        return cls(counts / total)
 
 
 @dataclass(frozen=True)
@@ -118,21 +109,27 @@ class PartitionConfig:
 
 @dataclass(frozen=True)
 class ClientShard:
-    """One client's local data: indices into a parent dataset plus its label mix."""
+    """One client's local data: indices into a parent dataset, its samples of
+    each category (``category_pools``), their sizes (``counts``) and its label
+    mix."""
 
     client_id: int
     indices: np.ndarray
     dataset: Dataset
     local_distribution: CategoryDistribution
-    category_pools: tuple = field(repr=False, default=())
+    category_pools: tuple = field(repr=False)
+    counts: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, client_id: int, indices: np.ndarray, dataset: Dataset) -> "ClientShard":
         idx = np.asarray(indices, dtype=np.int64)
         labels = dataset.labels[idx]
-        dist = CategoryDistribution.from_labels(labels, dataset.n_classes)
+        counts = np.bincount(labels, minlength=dataset.n_classes)
+        if counts.sum() == 0:
+            raise ValueError("a client shard needs at least one sample")
+        dist = CategoryDistribution(counts / counts.sum())
         pools = tuple(idx[labels == c] for c in range(dataset.n_classes))
-        return cls(client_id, idx, dataset, dist, pools)
+        return cls(client_id, idx, dataset, dist, pools, counts)
 
     def __len__(self) -> int:
         return self.indices.size
@@ -253,9 +250,7 @@ def sort_and_partition(ds: Dataset, cfg: PartitionConfig) -> list[ClientShard]:
         idx = np.concatenate([shard_indices[s] for s in mine])
         shards.append(ClientShard.build(k, idx, ds))
 
-    pooled = np.zeros(ds.n_classes, dtype=np.int64)
-    for shard in shards:
-        pooled += np.bincount(ds.labels[shard.indices], minlength=ds.n_classes)
+    pooled = sum(shard.counts for shard in shards)
     if np.any(pooled == 0):
         missing = np.flatnonzero(pooled == 0).tolist()
         raise ValueError(
@@ -269,12 +264,7 @@ def global_distribution(shards: list[ClientShard]) -> CategoryDistribution:
     """Pooled label distribution over every client's samples."""
     if not shards:
         raise ValueError("need at least one shard")
-    n_classes = shards[0].dataset.n_classes
-    counts = np.zeros(n_classes, dtype=np.float64)
-    for shard in shards:
-        counts += np.bincount(
-            shard.dataset.labels[shard.indices], minlength=n_classes
-        )
+    counts = sum(shard.counts for shard in shards)
     return CategoryDistribution(counts / counts.sum())
 
 
@@ -320,17 +310,6 @@ def train_holdout_test_split(
     )
 
 
-def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write the binary container: magic, u32 N/d/C, f32 features, u16 labels."""
-    if ds.labels.max(initial=0) > 0xFFFF:
-        raise ValueError("labels do not fit in u16")
-    with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        f.write(struct.pack("<III", len(ds), ds.dim, ds.n_classes))
-        f.write(ds.features.astype("<f4").tobytes())
-        f.write(ds.labels.astype("<u2").tobytes())
-
-
 def _check_finite(features: np.ndarray, path: str | Path) -> None:
     """Reject a file whose features hold a NaN or an infinity."""
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
@@ -363,28 +342,3 @@ def load_csv_dataset(path: str | Path, n_classes: int | None = None) -> Dataset:
     if n_classes is None:
         n_classes = int(labels.max()) + 1
     return Dataset(features, labels, n_classes)
-
-
-def partition_manifest(shards: list[ClientShard]) -> dict:
-    """JSON-ready manifest mapping clients to sample indices and histograms."""
-    n_classes = shards[0].dataset.n_classes if shards else 0
-    return {
-        "n_classes": n_classes,
-        "clients": [
-            {
-                "client_id": shard.client_id,
-                "indices": shard.indices.tolist(),
-                "histogram": np.bincount(
-                    shard.dataset.labels[shard.indices], minlength=n_classes
-                ).tolist(),
-            }
-            for shard in shards
-        ],
-    }
-
-
-def save_partition_manifest(shards: list[ClientShard], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(partition_manifest(shards), f, indent=2, sort_keys=True)
-        f.write("\n")
-

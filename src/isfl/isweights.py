@@ -36,24 +36,6 @@ _DEGENERATE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class AlphaVector:
-    """Zero-sum, unit-norm gap factors; all-zero when every curvature is equal."""
-
-    alphas: np.ndarray
-    degenerate: bool
-
-    def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=np.float64)
-        object.__setattr__(self, "alphas", alphas)
-        if self.degenerate:
-            if np.any(alphas != 0.0):
-                raise ValueError("degenerate gap factors must be exactly zero")
-        else:
-            if abs(alphas.sum()) > 1e-9 or abs((alphas**2).sum() - 1.0) > 1e-9:
-                raise ValueError("gap factors must be zero-sum with unit norm")
-
-
-@dataclass(frozen=True)
 class SamplingPlan:
     """Resampling probabilities q over a client whose local mix is p_local.
 
@@ -92,8 +74,9 @@ def _curvature_row(l_row: np.ndarray) -> np.ndarray:
     return l_row
 
 
-def compute_alpha(l_row: np.ndarray) -> AlphaVector:
-    """Normalized gaps between each category's squared curvature and the mean.
+def compute_alpha(l_row: np.ndarray) -> np.ndarray:
+    """Gap factors: normalized gaps between each category's squared curvature
+    and the mean.
 
     Positive entries mark categories cheaper than average (to be up-sampled),
     negative ones costlier than average. The vector sums to zero and has unit
@@ -104,33 +87,27 @@ def compute_alpha(l_row: np.ndarray) -> AlphaVector:
     gaps = 1.0 - l_row.size * sq / sq.sum()
     denom = np.sqrt((gaps**2).sum())
     if denom < _DEGENERATE_EPS:
-        return AlphaVector(np.zeros(l_row.size), degenerate=True)
-    return AlphaVector(gaps / denom, degenerate=False)
+        return np.zeros(l_row.size)
+    return gaps / denom
 
 
 def _effective_floors(
     p: np.ndarray, p_local: np.ndarray, varpi: float
 ) -> tuple[np.ndarray, bool]:
-    """Floors varpi * p_local, cut down to p where they would exceed it."""
+    """Floors varpi * p_local, cut down to p where they would exceed it, and
+    whether any was."""
     if not 0.0 <= varpi < 1.0:
         raise ValueError("varpi must lie in [0, 1)")
     if p.size != p_local.size:
         raise ValueError("p and p_local must have equal length")
     floors = varpi * p_local
-    over = floors > p
-    if over.any():
-        logger.warning(
-            "floor exceeds pooled proportion for categories %s; clamping",
-            np.flatnonzero(over).tolist(),
-        )
-        floors = np.minimum(floors, p)
-    return floors, bool(over.any())
+    return np.minimum(floors, p), bool((floors > p).any())
 
 
 def compute_gamma_star(
     p: CategoryDistribution,
     p_local: CategoryDistribution,
-    alpha: AlphaVector,
+    alpha: np.ndarray,
     varpi: float,
 ) -> float:
     """Water-filling level: the smallest slack-to-gap ratio among down-weighted
@@ -139,10 +116,10 @@ def compute_gamma_star(
     Returns 0 when no category is down-weighted (degenerate gaps included).
     """
     floors, _ = _effective_floors(p.probs, p_local.probs, varpi)
-    if alpha.alphas.size != floors.size:
+    if alpha.size != floors.size:
         raise ValueError("p, p_local and alpha must have equal length")
-    neg = alpha.alphas < 0.0
-    candidates = (p.probs[neg] - floors[neg]) / (-alpha.alphas[neg])
+    neg = alpha < 0.0
+    candidates = (p.probs[neg] - floors[neg]) / (-alpha[neg])
     candidates = candidates[candidates >= 0.0]
     return float(candidates.min()) if candidates.size else 0.0
 
@@ -260,6 +237,11 @@ def solve_is_weights(
         raise ValueError("pooled distribution must be strictly positive")
     l_row = _curvature_row(l_row)
     floors, clamped = _effective_floors(p_arr, pk_arr, varpi)
+    if clamped:
+        logger.warning(
+            "floor exceeds pooled proportion for categories %s; clamping",
+            np.flatnonzero(varpi * pk_arr > p_arr).tolist(),
+        )
     if l_row.size != p_arr.size:
         raise ValueError("the curvature row and p must have equal length")
     q = _minimize_rho(p_arr, floors, l_row**2)

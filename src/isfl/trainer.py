@@ -96,7 +96,7 @@ def draw_batches(
     support = np.flatnonzero(q > 0.0)
     if support.size == 0:
         raise ValueError("sampling plan has empty support")
-    pool_sizes = np.array([pool.size for pool in shard.category_pools])
+    pool_sizes = shard.counts
     if np.any(pool_sizes[support] == 0):
         lacking = support[pool_sizes[support] == 0][0]
         raise ValueError(f"plan assigns mass to category {lacking} the shard lacks")

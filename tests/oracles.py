@@ -16,16 +16,26 @@ rounding.
 ``estimate_sgd_stats`` runs one ``mean_grads`` call per draw; the stacked
 estimator must return its statistics bit for bit. ``kkt_partials`` is the
 gradient of rho that the solver's optimality tests check.
+
+``save_dataset`` writes the binary container that ``isfl.data.load_dataset``
+reads.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache
 
 import numpy as np
 
-from isfl.data import CapacityError, CategoryDistribution, ClientShard, Dataset
+from isfl.data import (
+    DATASET_MAGIC,
+    CapacityError,
+    CategoryDistribution,
+    ClientShard,
+    Dataset,
+)
 from isfl.isweights import SamplingPlan, _effective_floors
 from isfl.lipschitz import GradientStats, ZeroDeviationError, lipschitz_row
 from isfl.model import ModelSpec, _backprop, _views, check_batch, mean_grads
@@ -319,3 +329,14 @@ def kkt_partials(
     a = 1.0 + np.sum((p.probs - q.probs) ** 2)
     b = np.sum(q.probs * l_row**2)
     return 2.0 * (q.probs - p.probs) * b + l_row**2 * a
+
+
+def save_dataset(ds: Dataset, path) -> None:
+    """Write the binary container: magic, u32 N/d/C, f32 features, u16 labels."""
+    if ds.labels.max(initial=0) > 0xFFFF:
+        raise ValueError("labels do not fit in u16")
+    with open(path, "wb") as f:
+        f.write(DATASET_MAGIC)
+        f.write(struct.pack("<III", len(ds), ds.dim, ds.n_classes))
+        f.write(ds.features.astype("<f4").tobytes())
+        f.write(ds.labels.astype("<u2").tobytes())

@@ -105,6 +105,12 @@ class TestSolveCommand:
         bad.write_text(json.dumps({"p": [1.0]}))
         assert main(["solve", "--input", str(bad)]) == 1
 
+    def test_bad_input_labelled_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"p": [0.5, 0.6], "p_k": [0.5, 0.5], "L": [1.0, 2.0]}))
+        assert main(["solve", "--input", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("input error: probs must sum to 1")
+
     def test_missing_file_exits_2(self):
         assert main(["solve", "--input", "/nonexistent/problem.json"]) == 2
 
@@ -123,51 +129,56 @@ class TestSolveCommand:
         assert elapsed < 1.0
 
 
-class TestPartitionCommand:
-    def test_manifest_written(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path)
-        out_dir = tmp_path / "out"
-        assert main(["partition", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
-        manifest = json.loads((out_dir / "partition_manifest.json").read_text())
-        assert len(manifest["clients"]) == 2
-        assert all(len(c["indices"]) == 40 for c in manifest["clients"])
-        stdout = capsys.readouterr().out
-        assert "client" in stdout
+def partition_table(out: str) -> list[tuple[int, int, list[int]]]:
+    """The (client, samples, histogram) rows that ``isfl partition`` prints."""
+    header, *lines = out.splitlines()
+    assert header == "client  samples  histogram"
+    rows = []
+    for line in lines:
+        client, samples, histogram = line.split(maxsplit=2)
+        rows.append((int(client), int(samples), json.loads(histogram)))
+    return rows
 
-    def test_default_scale_partition(self, tmp_path):
+
+class TestPartitionCommand:
+    def test_histogram_table_printed(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(["partition", "--config", str(cfg_path)]) == 0
+        rows = partition_table(capsys.readouterr().out)
+        assert [client for client, _, _ in rows] == [0, 1]
+        assert all(samples == 40 for _, samples, _ in rows)
+        assert all(len(hist) == 3 and sum(hist) == samples for _, samples, hist in rows)
+
+    def test_default_scale_partition(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path, classes=10, per_class=2400, dim=4, clients=20,
             shard_size=500, shards_per_client=2, nr=0.98,
             test_size=1000, holdout_size=600,
         )
-        out_dir = tmp_path / "out"
-        assert main(["partition", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
-        manifest = json.loads((out_dir / "partition_manifest.json").read_text())
-        assert len(manifest["clients"]) == 20
-        assert all(len(c["indices"]) == 1000 for c in manifest["clients"])
+        assert main(["partition", "--config", str(cfg_path)]) == 0
+        rows = partition_table(capsys.readouterr().out)
+        assert len(rows) == 20
+        assert all(samples == 1000 == sum(hist) for _, samples, hist in rows)
 
-    def test_same_seed_identical_bytes(self, tmp_path):
+    def test_same_seed_identical_bytes(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["partition", "--config", str(cfg_path), "--out", str(out_a)])
-        main(["partition", "--config", str(cfg_path), "--out", str(out_b)])
-        assert (out_a / "partition_manifest.json").read_bytes() == (
-            out_b / "partition_manifest.json"
-        ).read_bytes()
+        assert main(["partition", "--config", str(cfg_path)]) == 0
+        first = capsys.readouterr().out
+        assert main(["partition", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == first
+        assert len(partition_table(first)) == 2
 
     def test_missing_config_exits_2(self, tmp_path):
-        assert main(["partition", "--config", str(tmp_path / "none.json"),
-                     "--out", str(tmp_path)]) == 2
+        assert main(["partition", "--config", str(tmp_path / "none.json")]) == 2
 
     def test_capacity_problem_exits_3(self, tmp_path):
         cfg_path = write_config(tmp_path, clients=50)
-        assert main(["partition", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "out")]) == 3
+        assert main(["partition", "--config", str(cfg_path)]) == 3
 
-    def test_unknown_key_exits_1(self, tmp_path):
+    def test_unknown_key_exits_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, bogus_key=1)
-        assert main(["partition", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "out")]) == 1
+        assert main(["partition", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: unknown config keys")
 
 
 class TestRunCommand:
@@ -522,7 +533,7 @@ class TestBoundsCommand:
         log = tmp_path / "diagnostics.jsonl"
         log.write_text((json.dumps(head) + "\n" if header else "") + record + "\n")
         assert main(["bounds", "--run-dir", str(tmp_path)]) == 1
-        assert f"{log}, line {where}: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"run log error: {log}, line {where}: {message}\n"
 
 
 class TestExperimentConfig:

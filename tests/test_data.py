@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,18 +9,18 @@ from isfl import model
 from isfl.data import (
     CapacityError,
     CategoryDistribution,
+    ClientShard,
     Dataset,
     PartitionConfig,
     generate_synthetic,
     global_distribution,
     load_csv_dataset,
     load_dataset,
-    save_dataset,
-    save_partition_manifest,
     select_probe_set,
     sort_and_partition,
     train_holdout_test_split,
 )
+from oracles import save_dataset
 
 
 def balanced_source(n_classes=5, per_class=400, dim=8, seed=3):
@@ -93,10 +92,8 @@ class TestSortAndPartition:
         pooled = np.concatenate([s.indices for s in shards])
         assert pooled.size == np.unique(pooled).size
         for shard in shards:
-            recomputed = CategoryDistribution.from_labels(
-                ds.labels[shard.indices], ds.n_classes
-            )
-            assert np.array_equal(recomputed.probs, shard.local_distribution.probs)
+            recomputed = np.bincount(ds.labels[shard.indices], minlength=ds.n_classes)
+            assert np.array_equal(recomputed / len(shard), shard.local_distribution.probs)
 
     def test_deterministic(self):
         ds = balanced_source()
@@ -167,15 +164,13 @@ class TestPartitionProperties:
         assert np.unique(everything).size == everything.size
         for shard in shards:
             assert len(shard) == cfg.shards_per_client * cfg.shard_size
-            expected = CategoryDistribution.from_labels(ds.labels[shard.indices], ds.n_classes)
-            assert np.array_equal(shard.local_distribution.probs, expected.probs)
+            expected = np.bincount(ds.labels[shard.indices], minlength=ds.n_classes) / len(shard)
+            assert np.array_equal(shard.local_distribution.probs, expected)
 
 
 class TestGlobalDistribution:
     def test_symmetric_pooling(self):
         ds = Dataset(np.zeros((8, 2)), np.array([0, 0, 0, 1, 0, 1, 1, 1]), 2)
-        from isfl.data import ClientShard
-
         a = ClientShard.build(0, np.arange(4), ds)
         b = ClientShard.build(1, np.arange(4, 8), ds)
         pooled = global_distribution([a, b])
@@ -193,6 +188,20 @@ class TestGlobalDistribution:
         cfg = PartitionConfig(n_clients=20, shard_size=500, shards_per_client=2, nr=0.98, seed=0)
         pooled = global_distribution(sort_and_partition(ds, cfg))
         assert np.all(np.abs(pooled.probs - 0.1) <= 0.02)
+
+    def test_shard_counts_match_labels(self):
+        ds = balanced_source()
+        cfg = PartitionConfig(n_clients=3, shard_size=50, shards_per_client=2, nr=0.5, seed=0)
+        shards = sort_and_partition(ds, cfg)
+        for shard in shards:
+            labels = ds.labels[shard.indices]
+            assert np.array_equal(shard.counts, np.bincount(labels, minlength=ds.n_classes))
+            assert shard.counts.sum() == len(shard)
+            assert [pool.size for pool in shard.category_pools] == shard.counts.tolist()
+        pooled = np.bincount(
+            ds.labels[np.concatenate([s.indices for s in shards])], minlength=ds.n_classes
+        )
+        assert np.array_equal(global_distribution(shards).probs, pooled / pooled.sum())
 
 
 class TestSelectProbeSet:
@@ -276,22 +285,6 @@ class TestFileFormats:
         save_dataset(Dataset(features, ds.labels, ds.n_classes), path)
         with pytest.raises(ValueError, match="row 7 has a non-finite feature"):
             load_dataset(path)
-
-    def test_partition_manifest_round_trip(self, tmp_path):
-        ds = balanced_source()
-        cfg = PartitionConfig(n_clients=3, shard_size=50, shards_per_client=2, nr=0.5, seed=0)
-        shards = sort_and_partition(ds, cfg)
-        path = tmp_path / "manifest.json"
-        save_partition_manifest(shards, path)
-        with open(path, encoding="utf-8") as f:
-            manifest = json.load(f)
-        assert manifest["n_classes"] == ds.n_classes
-        assert len(manifest["clients"]) == 3
-        entry = manifest["clients"][1]
-        assert entry["client_id"] == 1
-        assert np.array_equal(np.array(entry["indices"]), shards[1].indices)
-        assert sum(entry["histogram"]) == len(shards[1])
-        json.dumps(manifest)  # stays JSON-serializable
 
 
 class TestValidation:
