@@ -11,6 +11,16 @@ stack with each row applied to its own (N, d) batch. Every slice of the stack
 goes through the same matmul, softmax and reduction kernels as a lone vector
 does, so ``sgd_step_stack`` moves each row exactly as K separate steps would,
 bit for bit.
+
+Kernel contract: the kernels work in place wherever the overwritten array
+is their own (bias adds, the ReLU, every softmax stage, the activation
+derivative) and write gradients straight into the flat result. The row max
+over the class axis is taken one column at a time with ``np.maximum``,
+which is exact in any order. Every sum keeps the order of the plain form:
+the softmax denominator is ``sum(axis=-1)`` over a contiguous row and the
+bias gradient ``sum(axis=-2)``. So ``mean_grads``, ``evaluate`` and the
+per-sample passes equal the plain kernels frozen in ``tests/oracles.py`` bit
+for bit.
 """
 
 from __future__ import annotations
@@ -89,51 +99,54 @@ def check_batch(spec: ModelSpec, batch: Dataset) -> None:
 
 
 def _forward(spec: ModelSpec, views: list[np.ndarray], x: np.ndarray):
-    """Returns (logits, activations, pre_activations); activations[0] is x.
+    """Returns (logits, activations); activations[0] is x.
 
     ``views`` are the layer views of one vector with x of shape (N, d), or of
     a (K, P) stack with x of shape (K, N, d).
     """
     acts = [x]
-    pre = []
     n_layers = len(spec.layer_dims) - 1
     h = x
     for i in range(n_layers):
-        z = h @ views[2 * i] + views[2 * i + 1][..., None, :]
+        z = h @ views[2 * i]
+        z += views[2 * i + 1][..., None, :]
         if i == n_layers - 1:
-            return z, acts, pre
-        pre.append(z)
-        h = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+            return z, acts
+        h = np.maximum(z, 0.0, out=z) if spec.activation == "relu" else np.tanh(z, out=z)
         acts.append(h)
     raise AssertionError("unreachable")
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return ex / ex.sum(axis=-1, keepdims=True)
+def _row_max(z: np.ndarray, first_index: np.ndarray | None = None) -> np.ndarray:
+    """``z.max(axis=-1)``, taken one column at a time.
+
+    ``np.maximum`` is exact, so the result is the same in any order, and
+    over a short class axis the column pass is several times faster than the
+    reduction. If ``first_index`` is given, it receives the index of each
+    row's first maximal entry, as ``np.argmax`` breaks ties (a row holding a
+    NaN is left to the caller).
+    """
+    top = z[..., 0].copy()
+    for j in range(1, z.shape[-1]):
+        column = z[..., j]
+        if first_index is not None:
+            np.copyto(first_index, j, where=column > top)
+        np.maximum(top, column, out=top)
+    return top
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample loss of a (N, C) logit matrix."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return -log_probs[np.arange(labels.size), labels]
-
-
-def _act_grad(spec: ModelSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if spec.activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    return 1.0 - a * a
-
-
-def _backward_deltas(spec, views, acts, pre, dlogits):
+def _backward_deltas(spec, views, acts, dlogits):
     """Per-layer deltas from the logits backwards; dlogits sets the scaling."""
     n_layers = len(spec.layer_dims) - 1
     deltas = [None] * n_layers
     deltas[-1] = dlogits
     for i in range(n_layers - 2, -1, -1):
-        upstream = deltas[i + 1] @ np.swapaxes(views[2 * (i + 1)], -1, -2)
-        deltas[i] = upstream * _act_grad(spec, pre[i], acts[i + 1])
+        up = deltas[i + 1] @ np.swapaxes(views[2 * (i + 1)], -1, -2)
+        # activation derivative from the activation itself: relu(z) > 0
+        # exactly where z > 0, and tanh' = 1 - tanh^2
+        a = acts[i + 1]
+        up *= (a > 0.0) if spec.activation == "relu" else 1.0 - a * a
+        deltas[i] = up
     return deltas
 
 
@@ -145,12 +158,15 @@ def _backprop(spec: ModelSpec, views, x: np.ndarray, labels: np.ndarray, mean: b
     per sample; ``mean`` divides it by N before backpropagation, which gives
     the deltas of the mean loss instead of each sample's own loss.
     """
-    logits, acts, pre = _forward(spec, views, x)
-    dlogits = _softmax(logits)
-    dlogits[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
+    logits, acts = _forward(spec, views, x)
+    # softmax in place on the logits
+    logits -= _row_max(logits)[..., None]
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    logits[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
     if mean:
-        dlogits /= labels.shape[-1]
-    return acts, _backward_deltas(spec, views, acts, pre, dlogits)
+        logits /= labels.shape[-1]
+    return acts, _backward_deltas(spec, views, acts, logits)
 
 
 def mean_grads(
@@ -167,8 +183,8 @@ def mean_grads(
     views = _views(spec, grads)
     for i, (a, delta) in enumerate(zip(acts, deltas)):
         # weight and bias gradients, summed over the sample axis
-        views[2 * i][...] = np.swapaxes(a, -1, -2) @ delta
-        views[2 * i + 1][...] = delta.sum(axis=-2)
+        np.matmul(np.swapaxes(a, -1, -2), delta, out=views[2 * i])
+        np.sum(delta, axis=-2, out=views[2 * i + 1])
     return grads
 
 
@@ -242,7 +258,15 @@ def per_sample_grad_change_norms(own, base) -> np.ndarray:
 def evaluate(spec: ModelSpec, params: np.ndarray, ds: Dataset) -> tuple[float, float]:
     """Mean loss and top-1 accuracy on ``ds``."""
     check_batch(spec, ds)
-    logits, _, _ = _forward(spec, _views(spec, params), ds.features)
-    losses = _cross_entropy(logits, ds.labels)
-    acc = float(np.mean(logits.argmax(axis=1) == ds.labels))
-    return float(losses.mean()), acc
+    logits, _ = _forward(spec, _views(spec, params), ds.features)
+    top = np.zeros(len(ds), dtype=np.intp)
+    row_max = _row_max(logits, first_index=top)
+    nan_rows = np.isnan(row_max)
+    if nan_rows.any():
+        # np.argmax takes a row's first NaN as its maximum
+        top[nan_rows] = np.isnan(logits[nan_rows]).argmax(axis=-1)
+    logits -= row_max[:, None]
+    label_logit = logits[np.arange(len(ds)), ds.labels]
+    np.exp(logits, out=logits)
+    losses = -(label_logit - np.log(logits.sum(axis=-1)))
+    return float(losses.mean()), float(np.mean(top == ds.labels))

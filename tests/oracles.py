@@ -19,6 +19,13 @@ gradient of rho that the solver's optimality tests check.
 
 ``save_dataset`` writes the binary container that ``isfl.data.load_dataset``
 reads.
+
+``_forward``, ``_softmax``, ``_cross_entropy``, ``_act_grad``,
+``_backward_deltas``, ``_backprop``, ``mean_grads`` and ``evaluate`` are the
+model kernels in their plain form: every layer output and every softmax
+stage is a new array, the row max is ``max(axis=-1)`` and the accuracy is a
+row ``argmax``. The in-place kernels of ``isfl.model`` must equal them bit
+for bit. The oracles above that take gradients run on them.
 """
 
 from __future__ import annotations
@@ -38,11 +45,104 @@ from isfl.data import (
 )
 from isfl.isweights import SamplingPlan, _effective_floors
 from isfl.lipschitz import GradientStats, ZeroDeviationError, lipschitz_row
-from isfl.model import ModelSpec, _backprop, _views, check_batch, mean_grads
+from isfl.model import ModelSpec, _views, check_batch
 from isfl.trainer import TrainerConfig
 
 # probe rows per per-sample gradient block in estimate_lipschitz
 BLOCK_ROWS = 128
+
+
+def _forward(spec: ModelSpec, views: list[np.ndarray], x: np.ndarray):
+    """Returns (logits, activations, pre_activations); activations[0] is x.
+
+    ``views`` are the layer views of one vector with x of shape (N, d), or of
+    a (K, P) stack with x of shape (K, N, d).
+    """
+    acts = [x]
+    pre = []
+    n_layers = len(spec.layer_dims) - 1
+    h = x
+    for i in range(n_layers):
+        z = h @ views[2 * i] + views[2 * i + 1][..., None, :]
+        if i == n_layers - 1:
+            return z, acts, pre
+        pre.append(z)
+        h = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+        acts.append(h)
+    raise AssertionError("unreachable")
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample loss of a (N, C) logit matrix."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -log_probs[np.arange(labels.size), labels]
+
+
+def _act_grad(spec: ModelSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    if spec.activation == "relu":
+        return (z > 0.0).astype(np.float64)
+    return 1.0 - a * a
+
+
+def _backward_deltas(spec, views, acts, pre, dlogits):
+    """Per-layer deltas from the logits backwards; dlogits sets the scaling."""
+    n_layers = len(spec.layer_dims) - 1
+    deltas = [None] * n_layers
+    deltas[-1] = dlogits
+    for i in range(n_layers - 2, -1, -1):
+        upstream = deltas[i + 1] @ np.swapaxes(views[2 * (i + 1)], -1, -2)
+        deltas[i] = upstream * _act_grad(spec, pre[i], acts[i + 1])
+    return deltas
+
+
+def _backprop(spec: ModelSpec, views, x: np.ndarray, labels: np.ndarray, mean: bool):
+    """Shared prologue of the gradient functions: run the forward pass and
+    backpropagate the softmax cross-entropy.
+
+    Returns (activations, deltas). The logit gradient is softmax minus one-hot
+    per sample; ``mean`` divides it by N before backpropagation, which gives
+    the deltas of the mean loss instead of each sample's own loss.
+    """
+    logits, acts, pre = _forward(spec, views, x)
+    dlogits = _softmax(logits)
+    dlogits[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
+    if mean:
+        dlogits /= labels.shape[-1]
+    return acts, _backward_deltas(spec, views, acts, pre, dlogits)
+
+
+def mean_grads(
+    spec: ModelSpec, values: np.ndarray, x: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Flat gradients of the mean loss over each batch's sample axis.
+
+    ``values`` is one (P,) vector or a (K, P) stack whose row k sees batch
+    ``x[k]``. A (P,) vector also takes a (D, N, d) stack of D batches and
+    returns a (D, P) array, one gradient per batch.
+    """
+    acts, deltas = _backprop(spec, _views(spec, values), x, labels, mean=True)
+    grads = np.empty(x.shape[:-2] + values.shape[-1:])
+    views = _views(spec, grads)
+    for i, (a, delta) in enumerate(zip(acts, deltas)):
+        # weight and bias gradients, summed over the sample axis
+        views[2 * i][...] = np.swapaxes(a, -1, -2) @ delta
+        views[2 * i + 1][...] = delta.sum(axis=-2)
+    return grads
+
+
+def evaluate(spec: ModelSpec, params: np.ndarray, ds: Dataset) -> tuple[float, float]:
+    """Mean loss and top-1 accuracy on ``ds``."""
+    check_batch(spec, ds)
+    logits, _, _ = _forward(spec, _views(spec, params), ds.features)
+    losses = _cross_entropy(logits, ds.labels)
+    acc = float(np.mean(logits.argmax(axis=1) == ds.labels))
+    return float(losses.mean()), acc
 
 
 def enumerate_rho_min(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarray:

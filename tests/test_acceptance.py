@@ -8,7 +8,10 @@ gate stays inside the stated runtime budgets.
 """
 
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -244,24 +247,34 @@ def trend_run(seed, strategy, varpi=0.05, sampling_ratio=1.0, recorder=None):
     return run(shards, cfg, test, probe=probe, recorder=recorder)
 
 
+def trend_job(seed, strategy, varpi, sampling_ratio, record):
+    """One trend run in a worker: its final pooled accuracy, plus its RunLog
+    if ``record``."""
+    recorder = RunLog() if record else None
+    metrics = trend_run(seed, strategy, varpi, sampling_ratio, recorder)
+    return metrics[-1].acc_pool, recorder
+
+
 @pytest.fixture(scope="module")
 def trend_results():
     t0 = time.perf_counter()
-    out = {"acc": {}, "logs": {}, "elapsed": None}
+    jobs = []  # (seed, strategy, varpi, sampling_ratio, record)
     for seed in TREND_SEEDS:
-        for strategy in ("fedavg", "rw_is", "isfl"):
-            recorder = RunLog() if strategy == "isfl" else None
-            metrics = trend_run(seed, strategy, recorder=recorder)
-            out["acc"][(strategy, seed, 0.05, 1.0)] = metrics[-1].acc_pool
-            if recorder is not None:
-                out["logs"][seed] = recorder
-        out["acc"][("isfl", seed, 0.01, 1.0)] = trend_run(
-            seed, "isfl", varpi=0.01
-        )[-1].acc_pool
-        for strategy in ("fedavg", "isfl"):
-            out["acc"][(strategy, seed, 0.05, 0.25)] = trend_run(
-                seed, strategy, sampling_ratio=0.25
-            )[-1].acc_pool
+        jobs += [(seed, s, 0.05, 1.0, s == "isfl") for s in ("fedavg", "rw_is", "isfl")]
+        jobs.append((seed, "isfl", 0.01, 1.0, False))
+        jobs += [(seed, s, 0.05, 0.25, False) for s in ("fedavg", "isfl")]
+    # One forked worker per CPU, as ``isfl run`` uses: a spawned worker would
+    # re-import numpy and this module. ``map`` returns the results in job order.
+    with ProcessPoolExecutor(
+        max_workers=len(os.sched_getaffinity(0)),
+        mp_context=multiprocessing.get_context("fork"),
+    ) as pool:
+        results = list(pool.map(trend_job, *zip(*jobs)))
+    out = {"acc": {}, "logs": {}, "elapsed": None}
+    for (seed, strategy, varpi, ratio, record), (acc, recorder) in zip(jobs, results):
+        out["acc"][(strategy, seed, varpi, ratio)] = acc
+        if record:
+            out["logs"][seed] = recorder
     out["elapsed"] = time.perf_counter() - t0
     return out
 

@@ -6,6 +6,7 @@ import pytest
 from isfl.data import Dataset
 from isfl.model import (
     ModelSpec,
+    _backprop,
     _views,
     evaluate,
     init_params,
@@ -14,7 +15,7 @@ from isfl.model import (
     per_sample_grad_norms,
     sgd_step_stack,
 )
-from oracles import per_sample_grad_blocks
+import oracles
 
 
 def zeros(spec):
@@ -140,7 +141,7 @@ class TestBackwardGrad:
         rng = np.random.default_rng(5)
         params = init_params(spec, seed=2)
         batch = random_batch(spec, 4, rng)
-        rows = next(per_sample_grad_blocks(spec, params, batch, len(batch)))
+        rows = next(oracles.per_sample_grad_blocks(spec, params, batch, len(batch)))
         for n in range(4):
             single = grad(spec, params, batch.subset(np.array([n])))
             # BLAS picks shape-dependent kernels, so equality holds to a few ulp
@@ -218,8 +219,8 @@ class TestStack:
         spec = ModelSpec(5, (6,), 3, activation="tanh")
         params = init_params(spec, seed=9)
         batch = random_batch(spec, 130, np.random.default_rng(4))
-        whole = next(per_sample_grad_blocks(spec, params, batch, len(batch)))
-        blocks = [b.copy() for b in per_sample_grad_blocks(spec, params, batch, rows)]
+        whole = next(oracles.per_sample_grad_blocks(spec, params, batch, len(batch)))
+        blocks = [b.copy() for b in oracles.per_sample_grad_blocks(spec, params, batch, rows)]
         assert all(len(b) <= rows for b in blocks)
         assert np.array_equal(np.concatenate(blocks), whole)
 
@@ -249,3 +250,81 @@ class TestEvaluate:
             hits += int(np.argmin(losses) == ds.labels[n])
         assert acc == pytest.approx(hits / 100)
 
+
+
+def assert_kernels_match_reference(spec, stack, x, labels):
+    """The in-place kernels against the plain ones of ``oracles``, bit for bit:
+    mean gradients of a (K, P) stack, of its first row over the K batches as
+    a (D, N, d) stack and over one batch, the per-sample backward pass of one
+    batch, and the loss and accuracy on it."""
+    vector, batch = stack[0], Dataset(x[0], labels[0], spec.n_classes)
+    for values, xs, ys in ((stack, x, labels), (vector, x, labels), (vector, x[0], labels[0])):
+        assert np.array_equal(
+            mean_grads(spec, values, xs, ys), oracles.mean_grads(spec, values, xs, ys)
+        )
+    ours = _backprop(spec, _views(spec, vector), x[0], labels[0], mean=False)
+    ref = oracles._backprop(spec, _views(spec, vector), x[0], labels[0], mean=False)
+    for a, b in zip(ours[0] + ours[1], ref[0] + ref[1]):
+        assert np.array_equal(a, b)
+    assert evaluate(spec, vector, batch) == oracles.evaluate(spec, vector, batch)
+
+
+class TestFrozenReference:
+    @pytest.mark.parametrize("n_classes", [2, 5, 10, 12, 100])
+    @pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_kernels_equal_reference_bitwise(self, n_classes, hidden, activation):
+        spec = ModelSpec(7, hidden, n_classes, activation=activation)
+        rng = np.random.default_rng(n_classes * 10 + len(hidden))
+        for k, n in ((1, 1), (2, 2), (3, 37), (4, 128), (2, 200)):
+            stack = np.stack([init_params(spec, seed=int(s)) for s in rng.integers(1e6, size=k)])
+            stack += 0.1 * rng.standard_normal(stack.shape)
+            x = rng.standard_normal((k, n, spec.input_dim))
+            labels = rng.integers(0, n_classes, size=(k, n))
+            assert_kernels_match_reference(spec, stack, x, labels)
+
+    @pytest.mark.parametrize("n_classes", [2, 10, 100])
+    @pytest.mark.parametrize("hidden", [(), (16, 8)])
+    def test_logits_of_1e3_where_exp_underflows(self, n_classes, hidden):
+        spec = ModelSpec(7, hidden, n_classes)
+        rng = np.random.default_rng(n_classes)
+        stack = np.stack([init_params(spec, seed=k) for k in range(3)])
+        x = rng.standard_normal((3, 50, spec.input_dim))
+        labels = rng.integers(0, n_classes, size=(3, 50))
+        logits, _, _ = oracles._forward(spec, _views(spec, stack), x)
+        # scale the output layer so the largest logit of each row of the stack is 1e3
+        w, b = _views(spec, stack)[-2:]
+        scale = 1e3 / np.abs(logits).max(axis=(1, 2))
+        w *= scale[:, None, None]
+        b *= scale[:, None]
+        logits, _, _ = oracles._forward(spec, _views(spec, stack), x)
+        assert np.abs(logits).max() == pytest.approx(1e3)
+        assert (oracles._softmax(logits) == 0.0).any()
+        assert_kernels_match_reference(spec, stack, x, labels)
+
+    def test_tied_logits_take_the_first_index(self):
+        spec = ModelSpec(4, (), 5)
+        params = init_params(spec, seed=3)
+        w, b = _views(spec, params)
+        w[:, 1] = w[:, 3]
+        b[[1, 3]] = 50.0  # classes 1 and 3 tie for the top of every row
+        x = np.random.default_rng(6).standard_normal((1, 40, 4))
+        labels = np.ones((1, 40), dtype=np.intp)
+        logits, _, _ = oracles._forward(spec, _views(spec, params), x[0])
+        assert np.array_equal(logits[:, 1], logits[:, 3])
+        assert_kernels_match_reference(spec, params[None], x, labels)
+        assert evaluate(spec, params, Dataset(x[0], labels[0], 5))[1] == 1.0
+
+    def test_nan_logits_take_argmax_first_nan(self):
+        spec = ModelSpec(3, (), 4)
+        params = init_params(spec, seed=1)
+        _views(spec, params)[0][0, 2] = np.inf  # inf * 0 makes class 2's logit NaN
+        x = np.random.default_rng(2).standard_normal((30, 3))
+        x[::3, 0] = 0.0
+        labels = np.full(30, 2)
+        batch = Dataset(x, labels, 4)
+        with np.errstate(invalid="ignore"):
+            loss, acc = evaluate(spec, params, batch)
+            ref_loss, ref_acc = oracles.evaluate(spec, params, batch)
+        assert np.isnan(loss) and np.isnan(ref_loss)
+        assert acc == ref_acc
