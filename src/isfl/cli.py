@@ -55,6 +55,23 @@ from .trainer import TrainerConfig, batch_sizes
 METRICS_HEADER = "round,loss,acc_S,acc_G,rho_mean,rho_theory"
 
 
+# keys that hold one integer; hidden_dims and seeds hold lists of integers
+_INTEGER_KEYS = (
+    "classes", "per_class", "dim", "test_size", "holdout_size", "clients", "shard_size",
+    "shards_per_client", "batch_size", "local_epochs", "rounds", "probe_size",
+)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_seeds(seeds) -> None:
+    """Raise unless ``seeds`` is a list of non-negative integers."""
+    if not isinstance(seeds, (list, tuple)) or not all(_is_integer(s) and s >= 0 for s in seeds):
+        raise ValueError(f"seeds must be a list of non-negative integers (got {seeds!r})")
+
+
 def _reject_repeats(name: str, values: list) -> None:
     repeated = list(dict.fromkeys(v for v in values if values.count(v) > 1))
     if repeated:
@@ -101,6 +118,16 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        # Types first, so that no later check or job meets a bool or a float
+        # where an integer belongs
+        for key in _INTEGER_KEYS:
+            if not _is_integer(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer (got {getattr(self, key)!r})")
+        if not isinstance(self.hidden_dims, (list, tuple)) or not all(
+            map(_is_integer, self.hidden_dims)
+        ):
+            raise ValueError(f"hidden_dims must be a list of integers (got {self.hidden_dims!r})")
+        _check_seeds(self.seeds)
         # Constructor-level checks run in the module dataclasses; this catches
         # cross-field problems before any heavy work.
         PartitionConfig(
@@ -313,6 +340,7 @@ def _final_summary(results: dict) -> str:
 def cmd_partition(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
+    _check_seeds([seed])
     shards, _, _ = build_experiment_data(cfg, seed)
     print("client  samples  histogram")
     for shard in shards:
@@ -324,6 +352,7 @@ def cmd_run(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     out_dir = Path(args.out)
     seeds = [args.seed] if args.seed is not None else cfg.seeds
+    _check_seeds(seeds)
     jobs = [
         (cfg, strategy, seed, out_dir / f"{strategy}_seed{seed}")
         for strategy in cfg.strategies

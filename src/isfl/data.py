@@ -9,6 +9,7 @@ skewed block.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -111,7 +112,7 @@ class PartitionConfig:
 class ClientShard:
     """One client's local data: indices into a parent dataset, its samples of
     each category (``category_pools``), their sizes (``counts``) and its label
-    mix."""
+    mix. ``category_rows`` is built on first use and then kept."""
 
     client_id: int
     indices: np.ndarray
@@ -134,8 +135,10 @@ class ClientShard:
     def __len__(self) -> int:
         return self.indices.size
 
-    def as_dataset(self) -> Dataset:
-        return self.dataset.subset(self.indices)
+    @functools.cached_property
+    def category_rows(self) -> np.ndarray:
+        """The category pools end to end, in category order."""
+        return np.concatenate(self.category_pools)
 
 
 def check_synthetic(n_classes: int, per_class: int, dim: int, separation: float) -> None:

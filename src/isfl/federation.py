@@ -158,6 +158,12 @@ def run(
         np.concatenate([s.dataset.labels[s.indices] for s in shards]),
         shards[0].dataset.n_classes,
     )
+    # each client's samples as a dataset: a view of its rows of the pool
+    starts = np.cumsum([0, *map(len, shards)])
+    own = [
+        Dataset(pool.features[a:b], pool.labels[a:b], pool.n_classes)
+        for a, b in zip(starts[:-1], starts[1:])
+    ]
 
     global_params = init_params(cfg.model, seed=derive_seed(cfg.seed, 0))
     plans: list[SamplingPlan | np.ndarray] = [uniform_plan(pl) for pl in p_locals]
@@ -214,7 +220,7 @@ def run(
                         stats = estimate_sgd_stats(
                             cfg.model,
                             new_global,
-                            shards[k].as_dataset(),
+                            own[k],
                             cfg.trainer.batch_size,
                             STATS_DRAWS,
                             seed=derive_seed(cfg.seed, 2, rnd, k),
@@ -242,7 +248,7 @@ def run(
                 plans = [rw_plan(shards[k]) for k in range(n_clients)]
             elif cfg.strategy == "gradnorm_is":
                 plans = [
-                    gradnorm_plan(cfg.model, new_global, shards[k])
+                    gradnorm_plan(cfg.model, new_global, own[k])
                     for k in range(n_clients)
                 ]
             laps.lap("solve")

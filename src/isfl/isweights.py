@@ -16,7 +16,9 @@ floor contact (re-solving on the unpinned categories) and may even concentrate
 the remaining mass on the cheapest category. The KKT conditions say which
 floor patterns an optimum can have: the top-k sets of an arrangement of C
 lines, O(C^2) of them. The solver searches exactly those and keeps the exact
-minimizer in O(C^3); it needs neither the gap vector nor a level.
+minimizer in O(C^3); it needs neither the gap vector nor a level. A
+vectorized screen first drops the patterns whose candidates cannot attain
+the minimum, so the per-pattern loop visits only a few of them.
 compute_gamma_star reports the classic first-contact level, which ``isfl
 solve`` prints beside the plan.
 """
@@ -33,6 +35,13 @@ from .data import CategoryDistribution
 logger = logging.getLogger(__name__)
 
 _DEGENERATE_EPS = 1e-12
+
+# Relative rounding margin of the face screen (see _screen_faces). The screen
+# and the exact face loop round their sums of at most C terms differently, by
+# at most a few C * 1.1e-16 of each sum's scale; 1e-10 covers that for any C
+# a solve can take.
+_SCREEN_MARGIN = 1e-10
+_LEVEL_SIGNS = np.array([[-1.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -141,21 +150,125 @@ def _pinned_sets(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarra
     a = floors - p
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = (a[None, :] - a[:, None]) / (sq[:, None] - sq[None, :])
-    cross = np.unique(cross[np.isfinite(cross) & (cross > 0.0)])
+    cross = _without_repeats(np.sort(cross[np.isfinite(cross) & (cross > 0.0)]))
     edges = np.concatenate(([0.0], cross))
-    levels = np.sort(np.r_[cross, (edges[:-1] + edges[1:]) / 2, 2.0 * edges[-1] + 1.0])
+    levels = np.sort(np.concatenate((cross, (edges[:-1] + edges[1:]) / 2, [2.0 * edges[-1] + 1.0])))
 
     order = np.argsort(-(a[None, :] + levels[:, None] * sq[None, :]), axis=1, kind="stable")
     rank = np.argsort(order, axis=1)
     # prefix k of a level differs from the previous level's exactly when one
-    # of its first k categories ranked k or lower there
-    reach = np.maximum.accumulate(np.take_along_axis(rank[:-1], order[1:], axis=1), axis=1)
-    new = np.vstack([np.ones((1, c - 1), dtype=bool), reach[:, :-1] >= np.arange(1, c)])
+    # of its first k categories ranked k or lower there; level 0 has them all
+    ahead = rank.take(order[1:] + c * np.arange(len(levels) - 1)[:, None])
+    rows, ks = np.nonzero(np.maximum.accumulate(ahead, axis=1)[:, :-1] >= np.arange(1, c))
+    masks = np.concatenate((
+        np.zeros((1, c), dtype=bool),
+        rank[0] <= np.arange(c - 1)[:, None],
+        rank[rows + 1] <= ks[:, None],
+    ))
+    return _without_repeats(masks[np.lexsort(masks.T)])
 
-    rows, ks = np.nonzero(new)
-    masks = np.vstack([np.zeros((1, c), dtype=bool), rank[rows] <= ks[:, None]])
-    masks = np.unique(masks, axis=0)
-    return masks[np.lexsort(masks.T)]
+
+def _without_repeats(rows: np.ndarray) -> np.ndarray:
+    """A sorted array without the repeats of any entry (or row)."""
+    repeat = rows[1:] == rows[:-1]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = ~repeat if rows.ndim == 1 else ~repeat.all(axis=1)
+    return rows[keep]
+
+
+def _screen_faces(
+    p: np.ndarray, floors: np.ndarray, sq: np.ndarray, pinned: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which faces (rows of ``pinned``) and which vertices the exact loop of
+    _minimize_rho must visit to find its minimizer, as two boolean masks.
+
+    Every face's candidates (its one point if flat, else its two levels t)
+    and every vertex are evaluated at once, in masked (F, C) arithmetic that
+    follows the loop but sums in another order. Each quantity carries a bound
+    on how far the loop's own value of it can lie: _SCREEN_MARGIN of its
+    scale, carried through the quadratic, so an ill-conditioned level t gets
+    a wide bound. A candidate is kept when its penalty less its bound is at
+    most ``best``, the smallest penalty plus bound of a candidate the loop
+    surely evaluates; a dropped candidate then cannot attain the minimum. A
+    face is kept outright when a branch test of the loop (a flat gap, the
+    sign of the discriminant, t >= 0, feasibility) lies within its bound of
+    a flip, or cannot be evaluated, since the loop may branch the other way.
+    """
+    eps = _SCREEN_MARGIN
+    top = sq.max()
+    weight = (~pinned).astype(np.float64)
+    n = weight.sum(axis=1)
+    shift = (1.0 - (floors.sum() - weight @ floors) - weight @ p) / n
+    base = np.where(pinned, floors, p + shift[:, None])
+    gap = weight * ((weight @ sq / n)[:, None] - sq)
+    dev = base - p
+    with np.errstate(all="ignore"):
+        gap_sq = np.einsum("ij,ij->i", gap, gap)
+        mismatch0 = 1.0 + np.einsum("ij,ij->i", dev, dev)
+        curvature0 = base @ sq
+        # bounds on the distance to the loop's values: base entries lie
+        # within 8 eps, gaps within 4 eps * top
+        err_gap = 4.0 * eps * top
+        err_gap_sq = err_gap * (2.0 * np.sqrt(n * gap_sq) + n * err_gap) + eps * gap_sq
+        err_m0 = eps * (mismatch0 + 8.0 * n)
+        err_c0 = 8.0 * eps * p.size * top
+        flat = (n == 1.0) | (gap_sq < 1e-24)
+        near_flip = (n > 1.0) & ~(np.abs(gap_sq - 1e-24) > err_gap_sq)
+
+        disc = curvature0**2 - 3.0 * gap_sq * mismatch0
+        err_disc = (
+            (2.0 * np.abs(curvature0) + err_c0) * err_c0
+            + 3.0 * ((mismatch0 + err_m0) * err_gap_sq + gap_sq * err_m0)
+            + eps * (curvature0**2 + 3.0 * gap_sq * mismatch0)
+        )
+        real = ~flat & (disc >= 0.0)
+        near_flip |= ~flat & ~(np.abs(disc) > err_disc)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        err_num = (
+            err_c0
+            + err_disc / np.maximum(root, np.sqrt(err_disc))
+            + eps * (np.abs(curvature0) + root)
+        )
+        num = curvature0 + _LEVEL_SIGNS * root  # (2, F): the two levels of each face
+        near_flip |= real & ~(np.abs(num) > err_num).all(axis=0)
+        t = num / (3.0 * gap_sq)
+        err_t = (err_num / 3.0 + np.abs(t) * err_gap_sq) / np.maximum(
+            gap_sq - err_gap_sq, 0.0
+        ) + eps * np.abs(t)
+        valid = real & (t >= 0.0)
+        valid[0] |= flat  # a flat face has the one candidate t = 0
+        t = np.where(valid & ~flat, t, 0.0)
+        err_q = 8.0 * eps + (8.0 * eps * np.abs(t) + 2.0 * np.where(valid & ~flat, err_t, 0.0)) * top
+
+        step = t[..., None] * gap  # (2, F, C)
+        # the loop's test q >= floors - 1e-12, on the free coordinates
+        least = (np.where(pinned, np.inf, base - (floors - 1e-12)) + step).min(axis=-1)
+        near_flip |= (valid & ~(np.abs(least) > err_q)).any(axis=0)
+        q = base + step
+        dev = q - p
+        mismatch = 1.0 + np.einsum("kfc,kfc->kf", dev, dev)
+        curvature = q @ sq
+        value = mismatch * curvature
+        # the gradient of rho, and its change over err_q, bound the spread
+        err_value = (err_q + 3.0 * eps) * mismatch * (n + 5.0) * (np.abs(curvature) + 4.0 * top)
+
+        # vertex j: every category at its floor but j, which takes the rest
+        mass = 1.0 - floors.sum()
+        below = floors - p
+        vertex_value = (1.0 + below @ below + 2.0 * mass * below + mass * mass) * (
+            floors @ sq + mass * sq
+        )
+        err_vertex = 16.0 * eps * vertex_value
+
+        candidate = valid & (least >= 0.0)
+        best = min(
+            np.where(candidate & ~near_flip, value + err_value, np.inf).min(),
+            (vertex_value + err_vertex).min(),
+        )
+        if not np.isfinite(best):
+            return np.ones(len(pinned), dtype=bool), np.ones(p.size, dtype=bool)
+        faces = near_flip | (candidate & ~(value - err_value > best)).any(axis=0)
+        return faces, ~(vertex_value - err_vertex > best)
 
 
 def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -170,7 +283,9 @@ def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarr
     and returns the q that searching all 2^C - 1 faces would, bit for bit.
     The one exception is an optimum on several faces at once, as when an
     exactly tied curvature meets a clamped floor: those faces agree up to
-    rounding, and which of them is kept may differ.
+    rounding, and which of them is kept may differ. _screen_faces first drops
+    the faces and vertices whose candidates cannot attain the minimum; the
+    loop visits the rest in the same order, so the same q wins, ties included.
     """
     c = p.size
     best_q, best_v = floors.copy(), np.inf
@@ -183,7 +298,9 @@ def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarr
         if value < best_v:
             best_q, best_v = q, value
 
-    for pinned in _pinned_sets(p, floors, sq):
+    pinned_sets = _pinned_sets(p, floors, sq)
+    faces, vertices = _screen_faces(p, floors, sq, pinned_sets)
+    for pinned in pinned_sets[faces]:
         free = np.flatnonzero(~pinned)
         mass = 1.0 - floors[pinned].sum()
         shift = (mass - p[free].sum()) / free.size
@@ -211,7 +328,7 @@ def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarr
                 consider(q)
 
     slack = 1.0 - floors.sum()
-    for j in range(c):
+    for j in np.flatnonzero(vertices):
         q = floors.copy()
         q[j] += slack
         consider(q)

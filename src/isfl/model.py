@@ -25,6 +25,7 @@ for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,8 +57,10 @@ class ModelSpec:
         return [self.input_dim, *self.hidden_dims, self.n_classes]
 
 
+@functools.cache
 def layout_of(spec: ModelSpec) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Flat layout as (shape, offset) pairs: W then b for each layer."""
+    """Flat layout as (shape, offset) pairs: W then b for each layer; built
+    once per spec."""
     dims = spec.layer_dims
     layout = []
     offset = 0
@@ -163,7 +166,10 @@ def _backprop(spec: ModelSpec, views, x: np.ndarray, labels: np.ndarray, mean: b
     logits -= _row_max(logits)[..., None]
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
-    logits[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
+    # minus the one-hot, through one flat index into the contiguous logits;
+    # reshape(copy=False) raises rather than hand back a copy
+    flat = logits.reshape(-1, copy=False)
+    flat[np.arange(0, flat.size, logits.shape[-1]) + labels.reshape(-1)] -= 1.0
     if mean:
         logits /= labels.shape[-1]
     return acts, _backward_deltas(spec, views, acts, logits)

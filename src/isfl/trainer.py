@@ -107,13 +107,15 @@ def draw_batches(
         drawn = cdf.searchsorted(rng.random(stop - start), side="right")
         cats[start:stop] = drawn
         positions[start:stop] = rng.integers(0, pool_sizes[np.sort(drawn)])
-    # the order that groups every batch by category, batch after batch
+    # the order that groups every batch by category, batch after batch; a
+    # stable sort gives the same order on any integer type that holds the keys
     batch = np.repeat(np.arange(len(sizes)), sizes)
-    order = np.argsort(batch * q.size + cats, kind="stable")
+    keys = (batch * q.size + cats).astype(np.min_scalar_type(len(sizes) * q.size))
+    order = np.argsort(keys, kind="stable")
     first = np.cumsum(pool_sizes) - pool_sizes
     slots = np.empty(bounds[-1], dtype=np.int64)  # positions in the joined pools
     slots[order] = first[cats[order]] + positions
-    return np.concatenate(shard.category_pools)[slots]
+    return shard.category_rows[slots]
 
 
 def _joint_rows(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,23 +171,24 @@ def local_train(
             start = 0
             for size in sizes:
                 batch = rows[:, start : start + size]
-                sgd_step_stack(spec, stack, features[batch], labels[batch], cfg.eta)
+                sgd_step_stack(
+                    spec, stack, features.take(batch, axis=0), labels.take(batch), cfg.eta
+                )
                 start += size
         trained[members] = stack
     return trained
 
 
-def gradnorm_plan(spec: ModelSpec, params: np.ndarray, shard: ClientShard) -> np.ndarray:
-    """Per-sample probabilities proportional to gradient norms at ``params``.
+def gradnorm_plan(spec: ModelSpec, params: np.ndarray, data: Dataset) -> np.ndarray:
+    """Per-sample probabilities over a client's samples ``data``, proportional
+    to their gradient norms at ``params``.
 
     Falls back to uniform when every norm is zero.
     """
-    if len(shard) == 0:
-        raise ValueError("shard is empty")
-    norms = per_sample_grad_norms(spec, params, shard.as_dataset())
+    norms = per_sample_grad_norms(spec, params, data)
     total = norms.sum()
     if total == 0.0:
-        return np.full(len(shard), 1.0 / len(shard))
+        return np.full(len(data), 1.0 / len(data))
     return norms / total
 
 

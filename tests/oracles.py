@@ -3,7 +3,9 @@
 ``enumerate_rho_min`` visits every one of the 2^C - 1 floor patterns; the
 polynomial solver in ``isfl.isweights`` must return its q bit for bit.
 ``brute_force_rho_min`` grid-searches the feasible set and checks both at
-small category counts.
+small category counts. ``_pinned_sets`` and ``_minimize_rho`` are the
+polynomial solver before it screened its faces: it visits every face a KKT
+point can lie on, and the screened solver must return its q bit for bit.
 
 ``weighted_sample_batch`` and ``local_train`` train one client alone, one
 validated batch and one gradient at a time; ``isfl.trainer.local_train``
@@ -168,6 +170,100 @@ def enumerate_rho_min(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.n
 
     for pattern in range(2**c - 1):
         pinned = np.array([(pattern >> j) & 1 for j in range(c)], dtype=bool)
+        free = np.flatnonzero(~pinned)
+        mass = 1.0 - floors[pinned].sum()
+        shift = (mass - p[free].sum()) / free.size
+        base = p[free] + shift
+        gap = sq[free].mean() - sq[free]
+        gap_sq = float(gap @ gap)
+        mismatch0 = 1.0 + ((floors[pinned] - p[pinned]) ** 2).sum() + free.size * shift**2
+        curvature0 = float(floors[pinned] @ sq[pinned]) + float(base @ sq[free])
+        if gap_sq < 1e-24 or free.size == 1:
+            q = np.empty(c)
+            q[pinned] = floors[pinned]
+            q[free] = base
+            consider(q)
+            continue
+        # stationary levels: 2 t * curvature(t) = mismatch(t), a quadratic in t
+        disc = curvature0**2 - 3.0 * gap_sq * mismatch0
+        if disc < 0.0:
+            continue
+        root = np.sqrt(disc)
+        for t in ((curvature0 - root) / (3.0 * gap_sq), (curvature0 + root) / (3.0 * gap_sq)):
+            if t >= 0.0:
+                q = np.empty(c)
+                q[pinned] = floors[pinned]
+                q[free] = base + t * gap
+                consider(q)
+
+    slack = 1.0 - floors.sum()
+    for j in range(c):
+        q = floors.copy()
+        q[j] += slack
+        consider(q)
+    return best_q
+
+
+def _pinned_sets(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Every floor pattern a KKT point can have, as rows of a boolean matrix.
+
+    With A the mismatch and B the curvature factor of rho, t = A / (2B) > 0
+    and mu the scaled multiplier, category j sits on its floor exactly when
+    (floors_j - p_j) + sq_j * t >= mu. The pinned set is therefore a top-k
+    prefix of the order of the C lines (floors_j - p_j) + sq_j * t, and that
+    order only changes where two lines cross: sorting at every crossing and
+    inside every interval between crossings yields O(C^2) distinct sets. The
+    all-pinned set has no free mass and is left out. Rows come in the order
+    of the floor-pattern integers (bit j for category j), the order a full
+    enumeration visits them in, so candidates of equal value tie-break alike.
+    """
+    c = p.size
+    a = floors - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (a[None, :] - a[:, None]) / (sq[:, None] - sq[None, :])
+    cross = np.unique(cross[np.isfinite(cross) & (cross > 0.0)])
+    edges = np.concatenate(([0.0], cross))
+    levels = np.sort(np.r_[cross, (edges[:-1] + edges[1:]) / 2, 2.0 * edges[-1] + 1.0])
+
+    order = np.argsort(-(a[None, :] + levels[:, None] * sq[None, :]), axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)
+    # prefix k of a level differs from the previous level's exactly when one
+    # of its first k categories ranked k or lower there
+    reach = np.maximum.accumulate(np.take_along_axis(rank[:-1], order[1:], axis=1), axis=1)
+    new = np.vstack([np.ones((1, c - 1), dtype=bool), reach[:, :-1] >= np.arange(1, c)])
+
+    rows, ks = np.nonzero(new)
+    masks = np.vstack([np.zeros((1, c), dtype=bool), rank[rows] <= ks[:, None]])
+    masks = np.unique(masks, axis=0)
+    return masks[np.lexsort(masks.T)]
+
+
+def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Exact minimizer of rho over {sum q = 1, q >= floors}.
+
+    The minimum sits either at a stationary point of some face (a subset of
+    coordinates pinned to their floors) or at a vertex. On each face the
+    stationarity conditions confine q to a line: the mass-shifted pooled mix
+    plus t times the curvature-gap direction of the unpinned set; the
+    self-consistent levels t solve a quadratic. Only the O(C^2) faces a KKT
+    point can lie on are searched (see _pinned_sets), so a solve costs O(C^3)
+    and returns the q that searching all 2^C - 1 faces would, bit for bit.
+    The one exception is an optimum on several faces at once, as when an
+    exactly tied curvature meets a clamped floor: those faces agree up to
+    rounding, and which of them is kept may differ.
+    """
+    c = p.size
+    best_q, best_v = floors.copy(), np.inf
+
+    def consider(q: np.ndarray) -> None:
+        nonlocal best_q, best_v
+        if np.any(q < floors - 1e-12):
+            return
+        value = (1.0 + ((q - p) ** 2).sum()) * (q @ sq)
+        if value < best_v:
+            best_q, best_v = q, value
+
+    for pinned in _pinned_sets(p, floors, sq):
         free = np.flatnonzero(~pinned)
         mass = 1.0 - floors[pinned].sum()
         shift = (mass - p[free].sum()) / free.size

@@ -432,7 +432,7 @@ def test_criterion_11_single_client_reduction():
         seed = derive_seed(cfg.seed, 1, rnd, 0)
         stack = local_train(cfg.model, params, shards, [plan], cfg.trainer, [seed])
         params = aggregate(stack, np.array([1.0]))
-        loss, acc_pool = evaluate(cfg.model, params, shards[0].as_dataset())
+        loss, acc_pool = evaluate(cfg.model, params, shards[0].dataset.subset(shards[0].indices))
         _, acc_test = evaluate(cfg.model, params, test_set)
         m = metrics[rnd - 1]
         ok &= (m.train_loss == loss) and (m.acc_pool == acc_pool) and (m.acc_test == acc_test)

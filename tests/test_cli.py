@@ -278,8 +278,15 @@ class TestRunCommand:
         ("holdout_size", 0, "holdout_size must be >= 1"),
         ("rounds", 0, "n_rounds must be >= 1"),
         ("strategies", ["fedavg", "bogus"], "(got 'bogus')"),
+        ("seeds", [True], "seeds must be a list of non-negative integers (got [True])"),
+        ("hidden_dims", [16.5], "hidden_dims must be a list of integers (got [16.5])"),
+        ("batch_size", True, "batch_size must be an integer (got True)"),
+        ("seeds", [-1], "seeds must be a list of non-negative integers (got [-1])"),
+        ("rounds", 1.5, "rounds must be an integer (got 1.5)"),
+        ("probe_size", 10.5, "probe_size must be an integer (got 10.5)"),
     ], ids=["varpi-1.5", "varpi-neg", "probe-0", "separation-neg", "test-neg",
-            "holdout-0", "rounds-0", "strategy"])
+            "holdout-0", "rounds-0", "strategy", "seed-bool", "hidden-float", "batch-bool",
+            "seed-negative", "rounds-float", "probe-float"])
     def test_bad_setting_exits_1_before_any_job(
         self, tmp_path, capsys, monkeypatch, key, value, message
     ):
@@ -288,6 +295,15 @@ class TestRunCommand:
         cfg_path = write_config(tmp_path, **{key: value})
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1
         assert message in capsys.readouterr().err
+        assert started == []
+
+    def test_negative_seed_option_exits_1_before_any_job(self, tmp_path, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(cli_mod, "run_jobs", started.append)
+        cfg_path = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs"),
+                     "--seed", "-2"]) == 1
+        assert "seeds must be a list of non-negative integers (got [-2])" in capsys.readouterr().err
         assert started == []
 
     def test_no_strategy_exits_1(self, tmp_path, capsys):
@@ -381,11 +397,13 @@ class TestRunCommand:
                 assert phases[0, 2] > 0.0 and phases[-1, 2] == 0.0  # no last-round refresh
 
 
-# sha256 of the deterministic artifacts of GOLDEN_CONFIG. The fedavg, rw_is
-# and gradnorm_is digests were recorded before local training moved to
-# lockstep stacks. The isfl digests were re-recorded when the curvature rows
-# moved to the difference form, which rounds the rows differently in the last
-# bits and so moves the last digit of a few rho values.
+# sha256 of the deterministic artifacts of GOLDEN_CONFIG, and under c10/ of
+# GOLDEN_C10_CONFIG. The fedavg, rw_is and gradnorm_is digests were recorded
+# before local training moved to lockstep stacks. The isfl digests were
+# re-recorded when the curvature rows moved to the difference form, which
+# rounds the rows differently in the last bits and so moves the last digit of
+# a few rho values. The c10/ digests were recorded before the solver screened
+# its faces: with 10 categories a solve has many faces to skip.
 GOLDEN_CONFIG = dict(
     BASE_CONFIG,
     clients=3,
@@ -394,7 +412,28 @@ GOLDEN_CONFIG = dict(
     strategies=["fedavg", "rw_is", "gradnorm_is", "isfl"],
     seeds=[1, 2],
 )
+GOLDEN_C10_CONFIG = dict(
+    BASE_CONFIG,
+    classes=10,
+    per_class=40,
+    dim=6,
+    test_size=50,
+    holdout_size=60,
+    clients=4,
+    hidden_dims=[8],
+    rounds=3,
+    strategies=["isfl"],
+    probe_size=50,
+)
 GOLDEN_DIGESTS = {
+    "c10/isfl_seed1/bounds.csv":
+        "ee2d788a07580e4c8677e01337570c39ecea005ed19683f8111a698a6a2ea101",
+    "c10/isfl_seed1/diagnostics.jsonl":
+        "959bb83384af840f6870ef654c2ea3150af0dac639df3e94ee27e02819f2cf3d",
+    "c10/isfl_seed1/long.csv":
+        "850d9574f282f6a18991d83863098d4bf3d7caff07f68a50763404ec891dc6ba",
+    "c10/isfl_seed1/metrics.csv":
+        "cdb2d2d3cd1abd4263a18e9a0abe1bb33bd607d04822b9f45982ffe225d9c30a",
     "fedavg_seed1/metrics.csv":
         "3d7a9573fce49032ce6ee13aba4e78d94a897de52b07976afa3926ba7104976d",
     "fedavg_seed2/metrics.csv":
@@ -431,10 +470,12 @@ class TestGoldenDigests:
         """Recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas).
         Another numpy or BLAS build may round the last bits differently; the
         digests are then re-recorded there, and the change says why."""
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(GOLDEN_CONFIG))
         out_dir = tmp_path / "runs"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        for name, cfg, out in (("config.json", GOLDEN_CONFIG, out_dir),
+                               ("c10.json", GOLDEN_C10_CONFIG, out_dir / "c10")):
+            cfg_path = tmp_path / name
+            cfg_path.write_text(json.dumps(cfg))
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         found = {
             path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out_dir.rglob("*"))

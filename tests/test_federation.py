@@ -85,7 +85,7 @@ class TestRun:
         loss, acc = evaluate(cfg.model, params, test)
         assert metrics[-1].acc_test == acc
         assert metrics[-1].train_loss == pytest.approx(
-            evaluate(cfg.model, params, shards[0].as_dataset())[0]
+            evaluate(cfg.model, params, shards[0].dataset.subset(shards[0].indices))[0]
         )
 
     def test_fedavg_equals_stubbed_isfl_bitwise(self, monkeypatch):

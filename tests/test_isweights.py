@@ -16,6 +16,9 @@ from isfl.isweights import (
     _effective_floors,
     _minimize_rho,
 )
+import isfl.isweights as isweights_mod
+import oracles
+from isfl.cli import ExperimentConfig, execute_run
 from oracles import brute_force_rho_min, enumerate_rho_min, kkt_partials
 
 # Worked three-category instance used throughout: pooled [0.5, 0.3, 0.2],
@@ -368,6 +371,128 @@ class TestMinimizeRho:
             scale = np.abs(parts).max()
             assert np.ptp(parts[free]) <= 1e-9 * scale
             assert np.all(parts[~free] >= parts[free].min() - 1e-9 * scale)
+
+
+def tied_clamped_instance(rng, c):
+    """Curvatures tied across categories next to floors clamped to tiny
+    pooled shares, where the optimum can sit on several faces at once."""
+    p = rng.dirichlet(np.ones(c))
+    rare = rng.random(c) < 0.3
+    p = np.where(rare, 1e-3, p)
+    p /= p.sum()
+    pk = rng.dirichlet(np.ones(c)) + 2.0 * rare
+    floors, _ = _effective_floors(p, pk / pk.sum(), float(rng.choice([0.2, 0.5, 0.9])))
+    return p, floors, rng.choice([0.25, 1.0, 4.0], size=c)
+
+
+def no_floor_instance(rng, c):
+    """varpi = 0: every floor is 0."""
+    p = rng.dirichlet(np.ones(c))
+    if rng.random() < 0.5:
+        return p, np.zeros(c), rng.choice([0.25, 1.0, 4.0], size=c)
+    return p, np.zeros(c), rng.uniform(0.01, 9.0, size=c)
+
+
+def zero_disc_instance(rng, c):
+    """Curvatures 1 + b * z with b chosen so that the all-free face's
+    discriminant is 0 in exact arithmetic: within about 1e-13 of 0 in
+    floating point, on either side."""
+    p = rng.dirichlet(np.ones(c))
+    floors, _ = _effective_floors(p, rng.dirichlet(np.ones(c)), 0.05)
+    while True:
+        z = rng.random(c)
+        # with base = p and mismatch 1, the discriminant is
+        # (1 + b p.z)^2 - 3 b^2 sum (z - mean z)^2
+        spread = np.sqrt(3.0 * ((z - z.mean()) ** 2).sum()) - p @ z
+        if spread > 0.1:
+            return p, floors, 1.0 + z / spread * (1.0 + rng.integers(-3, 4) * 1e-15)
+
+
+def flat_gap_instance(rng, c):
+    """Curvatures whose squared gap over all categories lies within a few
+    parts in 1e4 of the flat-face threshold 1e-24, on either side."""
+    p = rng.dirichlet(np.ones(c))
+    floors, _ = _effective_floors(p, rng.dirichlet(np.ones(c)), 0.05)
+    z = rng.random(c)
+    scale = rng.uniform(0.25, 4.0)
+    spread = 1e-12 / (scale * np.sqrt(((z - z.mean()) ** 2).sum()))
+    return p, floors, scale * (1.0 + spread * (1.0 + rng.integers(-5, 6) * 2e-5) * z)
+
+
+def floor_edge_instance(rng, c):
+    """A floor moved to 1e-12 above the optimum's coordinate, give or take a
+    few ulps, so that the optimum sits on the edge of the solver's
+    feasibility test q >= floors - 1e-12."""
+    while True:
+        p, floors, sq, _ = solver_instance(rng, c)
+        room = oracles._minimize_rho(p, floors, sq) - floors
+        if np.sum(room > 1e-6) >= 2:
+            break
+    j = int(np.argmax(room))
+    edge = floors[j] + room[j] + 1e-12
+    floors = floors.copy()
+    floors[j] = edge + rng.integers(-4, 5) * np.spacing(edge)
+    return p, floors, sq
+
+
+# instances per category count for the screened-solver check, fewer where
+# a solve costs more; 2,005 in all
+SCREEN_INSTANCES = {**dict.fromkeys(range(2, 13), 160), **dict.fromkeys(range(13, 17), 50),
+                    20: 30, 30: 15}
+ADVERSARIAL = {
+    "tied-clamped": tied_clamped_instance,
+    "no-floors": no_floor_instance,
+    "zero-disc": zero_disc_instance,
+    "flat-gap": flat_gap_instance,
+    "floor-edge": floor_edge_instance,
+}
+
+
+class TestScreenedSolver:
+    """The face screen only picks which faces the exact loop visits, so the
+    solver must return what it returned before it screened
+    (``oracles._minimize_rho``), bit for bit, ties included."""
+
+    @pytest.mark.parametrize("c", SCREEN_INSTANCES)
+    def test_matches_unscreened_solver_on_random_instances(self, c):
+        rng = np.random.default_rng(3000 + c)
+        for _ in range(SCREEN_INSTANCES[c]):
+            p, floors, sq, _ = solver_instance(rng, c)
+            assert np.array_equal(isweights_mod._pinned_sets(p, floors, sq),
+                                  oracles._pinned_sets(p, floors, sq))
+            assert np.array_equal(_minimize_rho(p, floors, sq),
+                                  oracles._minimize_rho(p, floors, sq)), (p, floors, sq)
+
+    @pytest.mark.parametrize("family", ADVERSARIAL)
+    def test_matches_unscreened_solver_on_adversarial_instances(self, family):
+        for c in (3, 5, 8, 10, 16):
+            rng = np.random.default_rng([c, list(ADVERSARIAL).index(family)])
+            for _ in range(40):
+                p, floors, sq = ADVERSARIAL[family](rng, c)
+                assert np.array_equal(_minimize_rho(p, floors, sq),
+                                      oracles._minimize_rho(p, floors, sq)), (p, floors, sq)
+
+    def test_matches_unscreened_solver_on_a_paper_scale_run(self, tmp_path, monkeypatch):
+        # the solve inputs of one isfl run of the paper-scale bench workload:
+        # README defaults with per_class 2200, eta 0.05 and 3 rounds
+        recorded = []
+
+        def record(p, floors, sq):
+            recorded.append((p.copy(), floors.copy(), sq.copy()))
+            return _minimize_rho(p, floors, sq)
+
+        monkeypatch.setattr(isweights_mod, "_minimize_rho", record)
+        cfg = ExperimentConfig(per_class=2200, eta=0.05, rounds=3)
+        execute_run(cfg, "isfl", 0, tmp_path / "run")
+        assert len(recorded) == 2 * cfg.clients
+        kept = total = 0
+        for p, floors, sq in recorded:
+            assert np.array_equal(_minimize_rho(p, floors, sq), oracles._minimize_rho(p, floors, sq))
+            pinned = isweights_mod._pinned_sets(p, floors, sq)
+            kept += isweights_mod._screen_faces(p, floors, sq, pinned)[0].sum()
+            total += len(pinned)
+        # the screen keeps 1.3 of 28.8 faces per solve here
+        assert kept <= 0.1 * total
 
 
 @st.composite

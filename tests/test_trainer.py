@@ -115,7 +115,7 @@ class TestLocalTrain:
         )
         cfg = TrainerConfig(batch_size=len(shard), local_epochs=1, eta=0.01)
         out = train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
-        grad = mean_grad(spec, params, shard.as_dataset())
+        grad = mean_grad(spec, params, shard.dataset.subset(shard.indices))
         assert np.array_equal(out, params - 0.01 * grad)
 
     def test_deterministic(self):
@@ -207,7 +207,7 @@ class TestGradnormPlan:
             "per_sample_grad_norms",
             lambda spec_, params_, ds_: np.array([0.0, 1.0, 3.0]),
         )
-        probs = gradnorm_plan(spec, init_params(spec, 0), shard)
+        probs = gradnorm_plan(spec, init_params(spec, 0), shard.dataset.subset(shard.indices))
         assert np.allclose(probs, [0.0, 0.25, 0.75])
 
     def test_identical_samples_uniform(self):
@@ -215,7 +215,7 @@ class TestGradnormPlan:
         ds = Dataset(np.tile(row, (4, 1)), np.full(4, 1), 3)
         shard = ClientShard.build(0, np.arange(4), ds)
         spec = ModelSpec(3, (), 3)
-        probs = gradnorm_plan(spec, init_params(spec, 1), shard)
+        probs = gradnorm_plan(spec, init_params(spec, 1), shard.dataset.subset(shard.indices))
         assert np.allclose(probs, 0.25)
 
     def test_zero_norms_fall_back_to_uniform(self, monkeypatch):
@@ -224,13 +224,13 @@ class TestGradnormPlan:
         monkeypatch.setattr(
             trainer_mod, "per_sample_grad_norms", lambda *a: np.zeros(4)
         )
-        assert np.allclose(gradnorm_plan(spec, init_params(spec, 0), shard), 0.25)
+        assert np.allclose(gradnorm_plan(spec, init_params(spec, 0), shard.dataset.subset(shard.indices)), 0.25)
 
     def test_normalization_over_seeded_instances(self):
         spec = ModelSpec(3, (4,), 3)
         for seed in range(100):
             shard = make_shard(np.random.default_rng(seed).integers(0, 3, 12), seed=seed)
-            probs = gradnorm_plan(spec, init_params(spec, seed), shard)
+            probs = gradnorm_plan(spec, init_params(spec, seed), shard.dataset.subset(shard.indices))
             assert abs(probs.sum() - 1.0) <= 1e-12
 
 
