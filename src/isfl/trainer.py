@@ -7,19 +7,21 @@ GradNorm-style baselines instead pass per-sample probabilities directly.
 
 ``local_train`` trains all clients of a round in lockstep. Each client first
 draws the batch indices of its whole local run from its own generator
-(``draw_batches``). The generator-call contract: a category plan makes two
-calls per batch, ``rng.random(size)`` for the categories and one array-bound
-``rng.integers`` for the pool positions; a per-sample plan makes one
-``rng.random`` call per run. Every client of a run trains with the same
-TrainerConfig, and only its generator seed is its own. Clients with the same
-batch schedule (equal-sized shards have one) then share one (K, P) parameter
-stack, and each SGD step updates the whole stack at once
+(``draw_batches``). The generator contract: under a category plan, the draws
+and the generator's end state equal two calls per batch, ``rng.random(size)``
+for the categories and one array-bound ``rng.integers`` for the pool
+positions; on PCG64 they are read from one ``random_raw`` block per run. A
+per-sample plan makes one ``rng.random`` call per run. Every client of a run
+trains with the same TrainerConfig, and only its generator seed is its own.
+Clients with the same batch schedule (equal-sized shards have one) then share
+one (K, P) parameter stack, and each SGD step updates the whole stack at once
 (``model.sgd_step_stack``). Every client ends bit for bit where it would end
 training alone; a lone client is a stack of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +67,91 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _lemire(halves: np.ndarray, pools: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw below 2**32 (Lemire, arXiv 1805.10941) on uint64
+    arrays of 32-bit ``halves`` and of pool sizes from 2 to 2**32: the
+    positions ``(half * pool) >> 32``, and the indices of the halves numpy
+    would reject and replace with the next one."""
+    scaled = halves * pools
+    low = scaled & 0xFFFFFFFF
+    # numpy's own shortcut: its threshold (2**32 - pool) % pool is below pool
+    near = np.flatnonzero(low < pools)
+    rejected = near[low[near] < (2**32 - pools[near]) % pools[near]]
+    return (scaled >> 32).view(np.int64), rejected
+
+
+@functools.lru_cache(maxsize=8)
+def _word_layout(sizes: tuple[int, ...], held: int) -> tuple[np.ndarray, ...]:
+    """Where a batch schedule's draws sit in its block of raw PCG64 words,
+    when ``held`` (0 or 1) halves are buffered at the start: the word of each
+    double, the word of each pair of position halves, and each draw's batch.
+    Every position reads one 32-bit half, the low half of a word first."""
+    bounds = np.cumsum((0, *sizes))
+    before = (bounds - held + 1) // 2  # position words fetched before each batch
+    # batch b reads its doubles, then fetches the position words first read in it
+    doubles = np.arange(bounds[-1]) + np.repeat(before[:-1], sizes)
+    pairs = np.repeat(bounds[1:], np.diff(before)) + np.arange(before[-1])
+    batch = np.repeat(np.arange(len(sizes)), sizes)
+    for layout in (doubles, pairs, batch):
+        layout.flags.writeable = False
+    return doubles, pairs, batch
+
+
+def _raw_draws(
+    cdf: np.ndarray, pool_sizes: np.ndarray, sizes: tuple[int, ...], bit_gen: np.random.PCG64
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The categories and pool positions of ``_per_batch_draws``, read from
+    one ``random_raw`` block of PCG64 words, with the generator left in the
+    same state. Every pool must hold at least 2 samples, so that each
+    position reads one 32-bit half. Returns None, with the generator as it
+    was, if numpy would reject a half. The README says why this is exact."""
+    start = bit_gen.state
+    held = start["has_uint32"]  # a half buffered by an earlier 32-bit draw
+    doubles, pairs, batch = _word_layout(sizes, held)
+    n = doubles.size
+    words = bit_gen.random_raw(n + pairs.size)
+    cats = cdf.searchsorted((words[doubles] >> 11) * 2.0**-53, side="right")
+    # the positions are drawn by category within each batch, batch after
+    # batch; a stable sort gives that order on any integer type that holds the keys
+    keys = (batch * cdf.size + cats).astype(np.min_scalar_type(len(sizes) * cdf.size))
+    order = np.argsort(keys, kind="stable")
+    fetched = words[pairs]
+    halves = np.empty(held + 2 * fetched.size, dtype=np.uint64)
+    halves[:held] = start["uinteger"]
+    halves[held::2] = fetched & 0xFFFFFFFF
+    halves[held + 1 :: 2] = fetched >> 32
+    grouped, rejected = _lemire(halves[:n], pool_sizes.astype(np.uint64)[cats[order]])
+    if rejected.size:
+        bit_gen.state = start
+        return None
+    end = bit_gen.state
+    end["has_uint32"] = (n - held) % 2
+    if fetched.size:  # numpy keeps the high half even once it is read
+        end["uinteger"] = int(fetched[-1] >> 32)
+    bit_gen.state = end
+    positions = np.empty(n, dtype=np.int64)
+    positions[order] = grouped
+    return cats, positions
+
+
+def _per_batch_draws(
+    cdf: np.ndarray, pool_sizes: np.ndarray, sizes: tuple[int, ...], rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each draw's category and position in its category's pool, with two
+    generator calls per batch: ``rng.random`` for the categories and one
+    array-bound ``rng.integers`` for the positions, grouped by category."""
+    cats = np.empty(sum(sizes), dtype=np.int64)
+    positions = np.empty(sum(sizes), dtype=np.int64)
+    start = 0
+    for size in sizes:
+        drawn = cdf.searchsorted(rng.random(size), side="right")
+        by_cat = start + np.argsort(drawn, kind="stable")
+        cats[start : start + size] = drawn
+        positions[by_cat] = rng.integers(0, pool_sizes[cats[by_cat]])
+        start += size
+    return cats, positions
+
+
 def draw_batches(
     shard: ClientShard,
     plan: SamplingPlan | np.ndarray,
@@ -73,23 +160,23 @@ def draw_batches(
 ) -> np.ndarray:
     """Row indices into ``shard.dataset`` for consecutive batches of ``sizes``.
 
-    A category plan makes two generator calls per batch: one ``rng.random``
-    call draws the batch's categories, and one array-bound ``rng.integers``
-    call draws a position (with replacement) in each drawn category's local
-    pool, the draws grouped by ascending category. numpy's array-bound
-    ``integers`` consumes the stream exactly as one scalar-bound call per
-    drawn category would, so the draws equal those of a per-category loop.
-    A per-sample probability vector draws shard rows directly, with one
-    ``rng.random`` call for the whole run. The plan is checked once, before
-    any draw.
+    A category plan draws, for each batch, the categories and then a position
+    (with replacement) in each drawn category's local pool. The draws, and
+    the state the generator ends in, equal two generator calls per batch: one
+    ``rng.random`` for the categories and one array-bound ``rng.integers``
+    for the positions, grouped by ascending category. On PCG64 they are read
+    from one raw block of the whole run (``_raw_draws``); another bit
+    generator, a support pool of one sample or a half that numpy would
+    reject makes the calls themselves (``_per_batch_draws``). A per-sample
+    probability vector draws shard rows directly, with one ``rng.random``
+    call for the whole run. The plan is checked once, before any draw.
     """
-    bounds = np.cumsum((0, *sizes))
     if isinstance(plan, np.ndarray):
         if plan.shape != (len(shard),):
             raise ValueError("per-sample probabilities must match the shard size")
         if not (np.all(plan >= 0.0) and abs(plan.sum() - 1.0) <= _SUM_TOL):
             raise ValueError("per-sample probabilities must be non-negative and sum to 1")
-        return shard.indices[_cdf(plan).searchsorted(rng.random(bounds[-1]), side="right")]
+        return shard.indices[_cdf(plan).searchsorted(rng.random(sum(sizes)), side="right")]
     q = plan.q.probs
     if q.size != shard.dataset.n_classes:
         raise ValueError("plan and shard category counts differ")
@@ -101,21 +188,14 @@ def draw_batches(
         lacking = support[pool_sizes[support] == 0][0]
         raise ValueError(f"plan assigns mass to category {lacking} the shard lacks")
     cdf = _cdf(q)
-    cats = np.empty(bounds[-1], dtype=np.int64)
-    positions = np.empty(bounds[-1], dtype=np.int64)  # in each batch, by category
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        drawn = cdf.searchsorted(rng.random(stop - start), side="right")
-        cats[start:stop] = drawn
-        positions[start:stop] = rng.integers(0, pool_sizes[np.sort(drawn)])
-    # the order that groups every batch by category, batch after batch; a
-    # stable sort gives the same order on any integer type that holds the keys
-    batch = np.repeat(np.arange(len(sizes)), sizes)
-    keys = (batch * q.size + cats).astype(np.min_scalar_type(len(sizes) * q.size))
-    order = np.argsort(keys, kind="stable")
+    drawn = None
+    if type(rng.bit_generator) is np.random.PCG64 and pool_sizes[support].min() > 1:
+        drawn = _raw_draws(cdf, pool_sizes, sizes, rng.bit_generator)
+    if drawn is None:
+        drawn = _per_batch_draws(cdf, pool_sizes, sizes, rng)
+    cats, positions = drawn
     first = np.cumsum(pool_sizes) - pool_sizes
-    slots = np.empty(bounds[-1], dtype=np.int64)  # positions in the joined pools
-    slots[order] = first[cats[order]] + positions
-    return shard.category_rows[slots]
+    return shard.category_rows[first[cats] + positions]
 
 
 def _joint_rows(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

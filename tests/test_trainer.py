@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -405,3 +407,228 @@ class TestLockstepMatchesOracle:
             alone = oracles.local_train(spec, params, shard, plan, cfg, seed)
             assert out.shape == alone.shape
             assert out.tobytes() == alone.tobytes()
+
+
+def halves_read(seed, state):
+    """32-bit halves a fresh PCG64(seed) has handed out to reach ``state``,
+    when only 32-bit draws were made: two per word fetched, less a buffered one."""
+    ref = np.random.PCG64(seed)
+    words = 0
+    while ref.state["state"] != state["state"]:
+        ref.random_raw()
+        words += 1
+    return 2 * words - state["has_uint32"]
+
+
+def assert_matches_oracle(shard, plan, sizes, make_rng, before=lambda rng: None):
+    """draw_batches against the oracle's per-batch sampler: the same rows, and
+    the generator left in the same state."""
+    rng, ref = make_rng(), make_rng()
+    before(rng)
+    before(ref)
+    picks = draw_batches(shard, plan, sizes, rng)
+    batches = [oracles.weighted_sample_batch(shard, plan, size, ref) for size in sizes]
+    assert picks.size == sum(sizes)
+    if batches:
+        drawn = shard.dataset.subset(picks)
+        assert np.array_equal(drawn.features, np.vstack([b.features for b in batches]))
+        assert np.array_equal(drawn.labels, np.concatenate([b.labels for b in batches]))
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)  # MT19937's holds an array
+
+
+def spy(monkeypatch, name):
+    """Count the calls of trainer_mod.<name>, which still runs."""
+    calls = []
+    real = getattr(trainer_mod, name)
+    monkeypatch.setattr(trainer_mod, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+class TestRawStreamSampler:
+    """The edges of the one-block PCG64 path (``_raw_draws``) and of the
+    fallbacks to the per-batch generator calls (``_per_batch_draws``)."""
+
+    SHARD_LABELS = np.repeat([0, 1, 2], [7, 2, 12])  # every pool holds >= 2 samples
+
+    def plan(self, shard):
+        return plan_from_q([0.5, 0.2, 0.3], shard.local_distribution)
+
+    @pytest.mark.parametrize("prior", [0, 1], ids=["fresh", "buffered-half"])
+    def test_empty_schedule_draws_nothing(self, prior):
+        shard = make_shard(self.SHARD_LABELS)
+        rng = np.random.default_rng(4)
+        rng.integers(0, 7, size=prior)
+        start = rng.bit_generator.state
+        picks = draw_batches(shard, self.plan(shard), (), rng)
+        assert picks.shape == (0,)
+        assert rng.bit_generator.state == start
+
+    @pytest.mark.parametrize("sizes", [(13,) * 7 + (5,), (7, 1, 128, 3), (1,)])
+    def test_buffered_half_at_entry(self, sizes):
+        """A generator whose last 32-bit draw left a half buffered: the first
+        position reads that half, and the word layout shifts by one half."""
+        shard = make_shard(self.SHARD_LABELS)
+        for seed in range(10):
+            assert_matches_oracle(
+                shard, self.plan(shard), sizes, lambda: np.random.default_rng(seed),
+                before=lambda rng: rng.integers(0, 9, size=3),
+            )
+
+    def test_lemire_flags_numpys_first_rejection(self):
+        """Bounds above 2**31 reject about a third of their halves."""
+        gen = np.random.default_rng(8)
+        seen = set()
+        for seed in range(150):
+            bounds = gen.integers(2**31 + 1, 2**31 + 2**30, size=12)
+            words = np.random.PCG64(seed).random_raw(6)
+            halves = np.empty(12, dtype=np.uint64)
+            halves[0::2] = words & 0xFFFFFFFF
+            halves[1::2] = words >> 32
+            positions, rejected = trainer_mod._lemire(halves, bounds.astype(np.uint64))
+            rng = np.random.Generator(np.random.PCG64(seed))
+            values = rng.integers(0, bounds)
+            stepper = np.random.Generator(np.random.PCG64(seed))
+            first = bounds.size
+            for i, bound in enumerate(bounds):
+                stepper.integers(0, int(bound))
+                if halves_read(seed, stepper.bit_generator.state) > i + 1:
+                    first = i
+                    break
+            assert (rejected[0] if rejected.size else bounds.size) == first
+            assert np.array_equal(positions[:first], values[:first])
+            seen.add(min(first, 3))
+        assert seen == {0, 1, 2, 3}  # rejections at the start, later and none in the first three
+
+    def test_injected_rejection_falls_back_to_the_loop(self, monkeypatch):
+        shard = make_shard(self.SHARD_LABELS)
+        real = trainer_mod._lemire
+
+        def rejecting(halves, pools):
+            positions, _ = real(halves, pools)
+            return positions, np.array([halves.size // 2])
+
+        monkeypatch.setattr(trainer_mod, "_lemire", rejecting)
+        loops = spy(monkeypatch, "_per_batch_draws")
+        for seed in range(5):
+            assert_matches_oracle(shard, self.plan(shard), (16, 16, 9), lambda: np.random.default_rng(seed))
+        assert len(loops) == 5
+
+    def test_real_rejection_falls_back_to_the_loop(self, monkeypatch):
+        """A pool of 199,831 samples: numpy rejects about 1 half in 21,500
+        (2**32 % 199831 of 2**32), and with seed 46 one of the first 512
+        positions in it is rejected."""
+        labels = np.repeat([0, 1], [199_831, 2])
+        ds = Dataset(np.arange(labels.size, dtype=np.float64)[:, None], labels, 2)
+        shard = ClientShard.build(0, np.arange(labels.size), ds)
+        plan = plan_from_q([0.5, 0.5], shard.local_distribution)
+        loops = spy(monkeypatch, "_per_batch_draws")
+        assert_matches_oracle(shard, plan, (128,) * 8, lambda: np.random.default_rng(46))
+        assert len(loops) == 1
+
+    def test_one_sample_support_pool_uses_the_loop(self, monkeypatch):
+        shard = make_shard(np.repeat([0, 1, 2], [9, 1, 6]))
+        plan = plan_from_q([0.4, 0.3, 0.3], shard.local_distribution)
+        loops = spy(monkeypatch, "_per_batch_draws")
+        for seed in range(5):
+            assert_matches_oracle(shard, plan, (8, 8, 3), lambda: np.random.default_rng(seed))
+        assert len(loops) == 5
+        # a one-sample pool outside the support does not force the loop
+        plan = plan_from_q([0.5, 0.0, 0.5], shard.local_distribution)
+        assert_matches_oracle(shard, plan, (8, 8, 3), lambda: np.random.default_rng(0))
+        assert len(loops) == 5
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+    def test_other_bit_generators_use_the_loop(self, monkeypatch, bit_generator):
+        shard = make_shard(self.SHARD_LABELS)
+        loops = spy(monkeypatch, "_per_batch_draws")
+        for seed in range(5):
+            assert_matches_oracle(
+                shard, self.plan(shard), (13, 13, 2), lambda: np.random.Generator(bit_generator(seed))
+            )
+        assert len(loops) == 5
+
+
+# The client shards of the three benchmark workloads (bench/harness.py):
+# pools of hundreds of samples, schedules of up to 715 batches
+BENCH_SHAPES = {
+    "trend-desk": dict(
+        classes=5, per_class=800, dim=20, separation=1.2, clients=10, shard_size=100,
+        nr=0.9, probe_size=500, holdout_size=500, test_size=1000,
+    ),
+    "paper-scale": dict(per_class=2200),
+    "wide-probe": dict(
+        classes=5, per_class=1600, dim=64, clients=10, shard_size=250, probe_size=1000,
+        holdout_size=1000, test_size=1000, sampling_ratio=0.5,
+    ),
+}
+
+
+@functools.cache
+def bench_clients(shape, data_seed):
+    """The shards of a bench workload, each with a uniform plan and a solver
+    plan for a random curvature row."""
+    from isfl.cli import ExperimentConfig, build_experiment_data
+
+    cfg = ExperimentConfig(**BENCH_SHAPES[shape])
+    shards = build_experiment_data(cfg, data_seed)[0]
+    counts = sum(shard.counts for shard in shards)
+    pooled = CategoryDistribution(counts / counts.sum())
+    rng = np.random.default_rng(data_seed)
+    plans = [
+        (uniform_plan(shard.local_distribution),
+         solve_is_weights(pooled, shard.local_distribution, rng.uniform(0.5, 3.0, cfg.classes)))
+        for shard in shards
+    ]
+    return shards, plans, cfg.sampling_ratio
+
+
+class TestBenchShapedSampler:
+    @pytest.mark.parametrize("data_seed", [0, 1])
+    @pytest.mark.parametrize("shape", sorted(BENCH_SHAPES))
+    def test_raw_block_draws_what_the_loop_draws(self, monkeypatch, shape, data_seed):
+        shards, plans, ratio = bench_clients(shape, data_seed)
+        seeds = np.random.default_rng(data_seed).integers(2**32, size=len(shards))
+        routes = spy(monkeypatch, "_raw_draws")
+        for batch_size in (128, 13, 7):
+            cfg = TrainerConfig(batch_size=batch_size, sampling_ratio=ratio)
+            for shard, pair, seed in zip(shards, plans, seeds):
+                sizes = batch_sizes(len(shard), cfg)
+                for plan in pair:
+                    rng = np.random.default_rng(seed)
+                    picks = draw_batches(shard, plan, sizes, rng)
+                    ref = np.random.default_rng(seed)
+                    with monkeypatch.context() as m:
+                        m.setattr(trainer_mod, "_raw_draws", lambda *a: None)
+                        loop_picks = draw_batches(shard, plan, sizes, ref)
+                    assert np.array_equal(picks, loop_picks)
+                    assert rng.bit_generator.state == ref.bit_generator.state
+        assert len(routes) == 3 * 2 * len(shards)
+
+
+class TestRoute:
+    """local_train on the golden config and on bench shapes never reaches
+    the per-batch loop: a later edit to the path condition would."""
+
+    def test_local_train_reads_one_raw_block_per_client(self, monkeypatch, tmp_path):
+        from isfl.cli import ExperimentConfig, execute_run
+        from test_cli import GOLDEN_CONFIG
+
+        def forbidden(*args):
+            raise AssertionError("the per-batch loop ran")
+
+        monkeypatch.setattr(trainer_mod, "_per_batch_draws", forbidden)
+        blocks = spy(monkeypatch, "_raw_draws")
+        cfg = ExperimentConfig(**GOLDEN_CONFIG)
+        for seed in cfg.seeds:
+            for strategy in ("fedavg", "rw_is", "isfl"):
+                execute_run(cfg, strategy, seed, tmp_path / f"{strategy}_{seed}")
+        assert len(blocks) == 2 * 3 * cfg.rounds * cfg.clients
+
+        shards, plans, _ = bench_clients("paper-scale", 0)
+        spec = ModelSpec(32, (16,), 10)
+        for pick in (0, 1):
+            local_train(
+                spec, init_params(spec, 0), shards, [pair[pick] for pair in plans],
+                TrainerConfig(eta=0.0), list(range(len(shards))),
+            )
+        assert len(blocks) == 2 * 3 * cfg.rounds * cfg.clients + 2 * len(shards)
