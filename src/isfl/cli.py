@@ -8,6 +8,10 @@ Subcommands:
   bounds      recompute bounds.csv from a run's diagnostics log
 
 run and sweep-sr run their jobs in parallel worker processes, one per CPU.
+Round 1 is the same FedAvg round for every strategy of one (seed, ratio)
+(federation's opening), so a worker task runs the strategies of one seed
+from one data build and one round 1 (``run_task``) wherever that keeps every
+worker busy (``group_jobs``). The artifacts do not depend on the CPU count.
 
 Exit codes: 1 config, input or run-log validation, 2 I/O, 3 capacity, 4 a
 round failed (the run diverged or a module raised); the failing round index
@@ -46,6 +50,7 @@ from .federation import (
     RoundFailure,
     RoundMetrics,
     derive_seed,
+    open_run,
     run,
 )
 from .isweights import compute_alpha, compute_gamma_star, rho, solve_is_weights
@@ -265,12 +270,17 @@ def execute_run(
     seed: int,
     out_dir: Path,
     sampling_ratio: float | None = None,
+    opened: tuple | None = None,
 ) -> list[RoundMetrics]:
-    """One federated run; writes metrics, manifest, and diagnostics artifacts."""
-    shards, probe, test = build_experiment_data(cfg, seed)
+    """One federated run; writes metrics, manifest, and diagnostics artifacts.
+
+    ``opened`` is ``(shards, probe, test, opening)`` for this seed and ratio,
+    as ``run_task`` builds it; without it the run builds its own.
+    """
+    shards, probe, test, opening = opened or (*build_experiment_data(cfg, seed), None)
     fed_cfg = cfg.federation_config(strategy, derive_seed(seed, 20), sampling_ratio)
     recorder = diagnostics.RunLog() if strategy == "isfl" else None
-    metrics = run(shards, fed_cfg, test, probe=probe, recorder=recorder)
+    metrics = run(shards, fed_cfg, test, probe=probe, recorder=recorder, opening=opening)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -293,32 +303,75 @@ def execute_run(
     return metrics
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on; all of them where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def group_jobs(keys: list, workers: int) -> list[list[int]]:
+    """Worker tasks as lists of job indices, given each job's (seed, ratio)
+    key. With G distinct keys on W workers, the jobs of the first G - G mod W
+    keys make one task per key, in job order; every other job is a task of
+    its own. So a worker that would have had a job still has one."""
+    distinct = list(dict.fromkeys(keys))
+    grouped = distinct[: len(distinct) - len(distinct) % workers]
+    tasks = [[j for j, key in enumerate(keys) if key == g] for g in grouped]
+    return tasks + [[j] for j, key in enumerate(keys) if key not in grouped]
+
+
+def run_task(jobs: list[tuple]) -> tuple[list[list[RoundMetrics]], Exception | None]:
+    """``execute_run(*job)`` for jobs of one (seed, ratio) key in order, all
+    from one data build and one opening. Stops at the first failing job and
+    returns the finished jobs' metrics with that job's exception (or None)."""
+    done = []
+    try:
+        cfg, strategy, seed, _, *ratio = jobs[0]
+        data = build_experiment_data(cfg, seed)
+        fed_cfg = cfg.federation_config(strategy, derive_seed(seed, 20), *ratio)
+        opened = (*data, open_run(data[0], fed_cfg, data[2]))
+        for job in jobs:
+            done.append(execute_run(*job, opened=opened))
+    except Exception as exc:  # the worker's boundary: run_jobs raises it in job order
+        return done, exc
+    return done, None
+
+
 def run_jobs(jobs: list[tuple]) -> list[list[RoundMetrics]]:
     """``execute_run(*job)`` for every job, in worker processes; results in job order.
 
-    One worker per available CPU, at most one per job. Workers are forked
-    where the platform offers it: a spawned worker re-imports numpy, about
-    0.1-0.2 s, which a desk-scale job cannot repay. The executor forks every
-    worker before it starts its management thread (Python 3.11), so no fork
-    copies a thread of its own. The first job to fail, in job order, raises
-    its exception here, and jobs not yet started are cancelled.
+    One worker per usable CPU, at most one per job, and the tasks of
+    ``group_jobs``. Workers are forked where the platform offers it: a
+    spawned worker re-imports numpy, about 0.1-0.2 s, which a desk-scale job
+    cannot repay. The executor forks every worker before it starts its
+    management thread (Python 3.11), so no fork copies a thread of its own.
+    The first job to fail, in job order, raises its exception here; the
+    later jobs of its task and tasks not yet started do not run.
     """
     # imported here: ``from isfl import cli`` stays as cheap as before
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
+    workers = min(len(jobs), usable_cpus())
+    tasks = group_jobs([(job[2], *job[4:]) for job in jobs], workers)
     fork = "fork" in multiprocessing.get_all_start_methods()
     pool = ProcessPoolExecutor(
-        max_workers=min(len(jobs), cpus),
+        max_workers=workers,
         mp_context=multiprocessing.get_context("fork" if fork else None),
     )
     try:
-        futures = [pool.submit(execute_run, *job) for job in jobs]
-        return [future.result() for future in futures]
+        futures = [pool.submit(run_task, [jobs[j] for j in task]) for task in tasks]
+        place = {j: (f, i) for f, task in zip(futures, tasks) for i, j in enumerate(task)}
+        results = []
+        for j in range(len(jobs)):
+            future, i = place[j]
+            done, failure = future.result()
+            if i == len(done):
+                raise failure
+            results.append(done[i])
+        return results
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -7,6 +7,14 @@ according to the strategy (isfl: from the curvature rows of the whole stack
 against the average), and the aggregate is broadcast back. Parameters are
 plain arrays throughout. Each round's wall time is split into the phases of
 PHASES.
+
+Round 1 is the same for every strategy: all start from unit-weight plans,
+``init_params`` seeded by ``derive_seed(seed, 0)`` and the client seeds
+``derive_seed(seed, 1, 1, k)`` under one model and trainer config, and the
+strategy and ``varpi`` first act in round 1's server phases. So an opening
+(``open_run``) trains, aggregates and evaluates round 1 once, and the
+strategies of one seed run from it with the same bytes.
+
 Strategies:
 
   fedavg       unit weights throughout (plain federated averaging)
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,12 +127,82 @@ def derive_seed(master: int, *tags: int) -> int:
     return int(np.random.SeedSequence([master, *tags]).generate_state(1)[0])
 
 
+def _train_round(cfg, params, shards, plans, seeds, pi, pool, test_set, laps):
+    """One round's local stack from ``params``, its aggregate, and the
+    aggregate's pooled loss, pooled accuracy and test accuracy."""
+    stack = local_train(cfg.model, params, shards, plans, cfg.trainer, seeds)
+    laps.lap("train")
+    new = aggregate(stack, pi)
+    laps.lap("aggregate")
+    loss, acc_pool = evaluate(cfg.model, new, pool)
+    _, acc_test = evaluate(cfg.model, new, test_set)
+    laps.lap("eval")
+    return stack, new, loss, acc_pool, acc_test
+
+
+class Opening(NamedTuple):
+    """What the strategies of one run share (module docstring): the pooled
+    data with each client's rows as a view, the pooled loss at the initial
+    parameters, and round 1 as ``_train_round`` returns it, with the seconds
+    of its train, aggregate and eval phases. Its arrays are read-only."""
+
+    shards: tuple[ClientShard, ...]
+    test_set: Dataset
+    model: ModelSpec
+    trainer: TrainerConfig
+    seed: int
+    pool: Dataset
+    own: tuple[Dataset, ...]
+    loss_start: float
+    round_one: tuple
+    phases: dict[str, float]
+
+
+def open_run(shards: list[ClientShard], cfg: FederationConfig, test_set: Dataset) -> Opening:
+    """Round 1 of ``run`` under ``cfg``, for any strategy. Raises ValueError
+    when the pooled loss at the initial parameters is not finite, and
+    RoundFailure for round 1 when a module raises."""
+    pool = Dataset(
+        np.vstack([s.dataset.features[s.indices] for s in shards]),
+        np.concatenate([s.dataset.labels[s.indices] for s in shards]),
+        shards[0].dataset.n_classes,
+    )
+    pool.features.flags.writeable = pool.labels.flags.writeable = False
+    # each client's samples as a dataset: a view of its rows of the pool
+    starts = np.cumsum([0, *map(len, shards)])
+    own = tuple(
+        Dataset(pool.features[a:b], pool.labels[a:b], pool.n_classes)
+        for a, b in zip(starts[:-1], starts[1:])
+    )
+    params = init_params(cfg.model, seed=derive_seed(cfg.seed, 0))
+    loss_start, _ = evaluate(cfg.model, params, pool)
+    if not np.isfinite(loss_start):
+        raise ValueError("the pooled loss at the initial parameters is not finite")
+    plans = [uniform_plan(s.local_distribution) for s in shards]
+    seeds = [derive_seed(cfg.seed, 1, 1, k) for k in range(len(shards))]
+    laps = _Laps()
+    try:
+        round_one = _train_round(
+            cfg, params, shards, plans, seeds, size_proportional_weights(shards), pool,
+            test_set, laps,
+        )
+    except Exception as exc:
+        raise RoundFailure(1, str(exc)) from exc
+    for array in round_one[:2]:
+        array.flags.writeable = False
+    return Opening(
+        tuple(shards), test_set, cfg.model, cfg.trainer, cfg.seed, pool, own, loss_start,
+        round_one, laps.seconds,
+    )
+
+
 def run(
     shards: list[ClientShard],
     cfg: FederationConfig,
     test_set: Dataset,
     probe: Dataset | None = None,
     recorder: RunLog | None = None,
+    opening: Opening | None = None,
 ) -> list[RoundMetrics]:
     """Execute the full federated schedule and return per-round metrics.
 
@@ -131,15 +210,24 @@ def run(
     re-estimates curvature rows on it and solves the next round's plans at
     every aggregation but the last of a multi-round run, which nothing would
     read. When ``recorder`` is given, per-round diagnostics records are
-    appended to it (isfl only).
+    appended to it (isfl only). Round 1 comes from ``opening``, or from one
+    ``open_run`` builds here; an opening built for other shards, another
+    test set, model, trainer config or seed raises ValueError.
     Clients are weighted by shard size. Raises ValueError before round 1 when
     the pooled loss at the initial parameters is not finite. A round whose
-    aggregate parameters or pooled loss are not finite raises RoundFailure,
-    as does any module error.
+    aggregate parameters or pooled loss are not finite raises RoundFailure
+    after its server phases, as does any module error.
     Fully deterministic for a given config and seed.
     """
     if cfg.strategy == "isfl" and probe is None:
         raise ValueError("the isfl strategy needs a probe dataset")
+    if opening is None:
+        opening = open_run(shards, cfg, test_set)
+    data_ids = [*map(id, shards), id(test_set)]
+    if [*map(id, opening.shards), id(opening.test_set)] != data_ids or (
+        (opening.model, opening.trainer, opening.seed) != (cfg.model, cfg.trainer, cfg.seed)
+    ):
+        raise ValueError("the opening was built for another run's data, model, trainer or seed")
     n_clients = len(shards)
     pi = size_proportional_weights(shards)
     p_global = global_distribution(shards)
@@ -153,39 +241,27 @@ def run(
         recorder.eta = cfg.trainer.eta
         recorder.local_epochs = cfg.trainer.local_epochs
 
-    pool = Dataset(
-        np.vstack([s.dataset.features[s.indices] for s in shards]),
-        np.concatenate([s.dataset.labels[s.indices] for s in shards]),
-        shards[0].dataset.n_classes,
-    )
-    # each client's samples as a dataset: a view of its rows of the pool
-    starts = np.cumsum([0, *map(len, shards)])
-    own = [
-        Dataset(pool.features[a:b], pool.labels[a:b], pool.n_classes)
-        for a, b in zip(starts[:-1], starts[1:])
-    ]
-
-    global_params = init_params(cfg.model, seed=derive_seed(cfg.seed, 0))
+    own = opening.own
     plans: list[SamplingPlan | np.ndarray] = [uniform_plan(pl) for pl in p_locals]
     # isfl: curvature rows the plans in effect were solved from. Round 1 trains
     # under unit weights before any estimate exists, so these all-ones rows
     # only stand in for a client whose round-1 deviation is zero
     lips = np.ones((n_clients, p_global.probs.size))
-    loss_start, _ = evaluate(cfg.model, global_params, pool)
-    if not np.isfinite(loss_start):
-        raise ValueError("the pooled loss at the initial parameters is not finite")
+    loss_start = opening.loss_start
 
     metrics: list[RoundMetrics] = []
     for rnd in range(1, cfg.n_rounds + 1):
         t0 = time.perf_counter()
         laps = _Laps()
         try:
-            seeds = [derive_seed(cfg.seed, 1, rnd, k) for k in range(n_clients)]
-            local_stack = local_train(cfg.model, global_params, shards, plans, cfg.trainer, seeds)
-            laps.lap("train")
-
-            new_global = aggregate(local_stack, pi)
-            laps.lap("aggregate")
+            if rnd == 1:
+                trained = opening.round_one
+            else:
+                seeds = [derive_seed(cfg.seed, 1, rnd, k) for k in range(n_clients)]
+                trained = _train_round(
+                    cfg, global_params, shards, plans, seeds, pi, opening.pool, test_set, laps
+                )
+            local_stack, new_global, train_loss, acc_pool, acc_test = trained
 
             rho_realized = rho_theory = None
             if cfg.strategy == "isfl":
@@ -254,13 +330,15 @@ def run(
             laps.lap("solve")
 
             global_params = new_global
-            train_loss, acc_pool = evaluate(cfg.model, global_params, pool)
-            _, acc_test = evaluate(cfg.model, global_params, test_set)
             if not (np.isfinite(train_loss) and np.all(np.isfinite(global_params))):
                 raise ValueError("aggregate or pooled loss is not finite; the run diverged")
-            laps.lap("eval")
         except Exception as exc:
             raise RoundFailure(rnd, str(exc)) from exc
+        seconds = time.perf_counter() - t0
+        if rnd == 1:  # the opening trained, aggregated and evaluated round 1
+            for phase, secs in opening.phases.items():
+                laps.seconds[phase] += secs
+            seconds += sum(opening.phases.values())
 
         metrics.append(
             RoundMetrics(
@@ -270,7 +348,7 @@ def run(
                 acc_pool=acc_pool,
                 rho_realized=rho_realized,
                 rho_theory=rho_theory,
-                seconds=time.perf_counter() - t0,
+                seconds=seconds,
                 phases=laps.seconds,
             )
         )

@@ -9,7 +9,6 @@ gate stays inside the stated runtime budgets.
 
 import json
 import multiprocessing
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 import conftest
-from isfl.cli import main as cli_main
+from isfl.cli import main as cli_main, usable_cpus
 from isfl.data import (
     CategoryDistribution,
     PartitionConfig,
@@ -266,7 +265,7 @@ def trend_results():
     # One forked worker per CPU, as ``isfl run`` uses: a spawned worker would
     # re-import numpy and this module. ``map`` returns the results in job order.
     with ProcessPoolExecutor(
-        max_workers=len(os.sched_getaffinity(0)),
+        max_workers=usable_cpus(),
         mp_context=multiprocessing.get_context("fork"),
     ) as pool:
         results = list(pool.map(trend_job, *zip(*jobs)))

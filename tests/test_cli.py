@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import isfl.cli as cli_mod
+import isfl.federation as federation_mod
 from isfl.cli import ExperimentConfig, build_experiment_data, main
 from isfl.data import generate_synthetic
+from isfl.federation import RoundFailure
 
 BASE_CONFIG = {
     "classes": 3,
@@ -31,6 +33,15 @@ BASE_CONFIG = {
     "probe_size": 20,
     "seeds": [1],
 }
+
+
+def force_workers(monkeypatch, workers):
+    """Group the jobs of ``run_jobs`` as on ``workers`` workers, whatever the
+    CPU count: 1 groups every key, and as many as jobs groups none."""
+    real = cli_mod.group_jobs
+    monkeypatch.setattr(
+        cli_mod, "group_jobs", lambda keys, _: real(keys, workers or len(keys))
+    )
 
 
 def write_config(tmp_path, **overrides):
@@ -252,6 +263,29 @@ class TestRunCommand:
         cfg_path = write_config(tmp_path, eta=1e6, rounds=6, seeds=[4, 1])
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 4
         assert "run failed in round 6:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [1, None], ids=["grouped", "default"])
+    def test_first_failing_job_of_grouped_strategies_is_reported(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        # job order: fedavg on seeds 4 and 1, then isfl on both; fedavg on
+        # seed 4 is the first job and fails in round 6
+        if workers is not None:
+            force_workers(monkeypatch, workers)
+        cfg_path = write_config(
+            tmp_path, eta=1e6, rounds=6, seeds=[4, 1], strategies=["fedavg", "isfl"]
+        )
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 4
+        assert "run failed in round 6:" in capsys.readouterr().err
+
+    def test_failed_task_runs_none_of_its_later_strategies(self, tmp_path, monkeypatch):
+        force_workers(monkeypatch, 1)
+        cfg_path = write_config(
+            tmp_path, eta=1e6, rounds=6, seeds=[4, 1], strategies=["fedavg", "isfl"]
+        )
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 4
+        assert not any(out_dir.glob("isfl_seed*"))
 
     def test_capacity_problem_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, clients=50)
@@ -482,6 +516,91 @@ class TestGoldenDigests:
             if path.name in ("metrics.csv", "diagnostics.jsonl", "bounds.csv", "long.csv")
         }
         assert found == GOLDEN_DIGESTS
+
+
+class TestSchedules:
+    """Whether the strategies of a seed share one worker and one opening
+    depends on the CPU count; the artifacts must not."""
+
+    @staticmethod
+    def artifacts(out_dir):
+        return {
+            path.relative_to(out_dir).as_posix(): path.read_bytes()
+            for path in sorted(out_dir.rglob("*"))
+            if path.is_file() and path.name != "timings.csv"
+        }
+
+    def test_artifacts_do_not_depend_on_the_schedule(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(GOLDEN_CONFIG))
+        found = {}
+        for schedule, workers in (("grouped", 1), ("single", None)):
+            force_workers(monkeypatch, workers)
+            out_dir = tmp_path / schedule
+            assert main(["run", "--config", str(cfg_path), "--out", str(out_dir / "run")]) == 0
+            assert main(["sweep-sr", "--config", str(cfg_path), "--sr", "0.5,1.0",
+                         "--out", str(out_dir / "sweep")]) == 0
+            found[schedule] = self.artifacts(out_dir)
+            digests = {
+                name[len("run/"):]: hashlib.sha256(data).hexdigest()
+                for name, data in found[schedule].items()
+                if name.startswith("run/") and name.endswith(
+                    ("metrics.csv", "diagnostics.jsonl", "bounds.csv", "long.csv")
+                )
+            }
+            assert digests == {
+                k: v for k, v in GOLDEN_DIGESTS.items() if not k.startswith("c10/")
+            }
+        assert found["grouped"] == found["single"]
+        # per seed and ratio 2 files for each of 3 strategies and 5 for isfl:
+        # 2 keys of the run, 4 of the sweep, and sweep_sr.csv
+        assert len(found["grouped"]) == (2 + 4) * (3 * 2 + 5) + 1
+
+    @pytest.mark.parametrize("n_keys, workers, strategies, tasks", [
+        (1, 2, 2, [[0], [1]]),
+        (2, 2, 2, [[0, 2], [1, 3]]),
+        (3, 2, 2, [[0, 3], [1, 4], [2], [5]]),
+        (2, 4, 2, [[0], [1], [2], [3]]),
+        (4, 2, 1, [[0], [1], [2], [3]]),
+    ], ids=["one-key", "two-keys", "three-keys", "more-workers", "one-strategy"])
+    def test_group_jobs(self, n_keys, workers, strategies, tasks):
+        # jobs in job order: strategy-major, one key per seed
+        keys = [seed for _ in range(strategies) for seed in range(n_keys)]
+        assert cli_mod.group_jobs(keys, workers) == tasks
+
+    def test_failures_are_reported_in_job_order_across_tasks(self, tmp_path, monkeypatch):
+        # tasks [fedavg 4, isfl 4] and [fedavg 1, isfl 1]: the second task's
+        # first job comes before the first task's failing job in job order
+        force_workers(monkeypatch, 1)
+
+        def fake(cfg, strategy, seed, out_dir, opened=None):
+            if (strategy, seed) in (("isfl", 4), ("fedavg", 1)):
+                raise RoundFailure(2, f"{strategy} on seed {seed}")
+            return []
+
+        monkeypatch.setattr(cli_mod, "execute_run", fake)  # forked workers inherit it
+        cfg = ExperimentConfig(**BASE_CONFIG)
+        jobs = [(cfg, s, d, tmp_path / f"{s}_{d}") for s in ("fedavg", "isfl") for d in (4, 1)]
+        with pytest.raises(RoundFailure, match="round 2: fedavg on seed 1"):
+            cli_mod.run_jobs(jobs)
+
+    def test_task_builds_data_once_and_trains_round_one_once(self, tmp_path, monkeypatch):
+        calls = {"build_experiment_data": 0, "local_train": 0}
+        for module, name in ((cli_mod, "build_experiment_data"), (federation_mod, "local_train")):
+            real = getattr(module, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        cfg = ExperimentConfig(**dict(GOLDEN_CONFIG, rounds=4))
+        done, failure = cli_mod.run_task([(cfg, s, 1, tmp_path / s, 0.5) for s in cfg.strategies])
+        assert failure is None and len(done) == len(cfg.strategies)
+        assert calls == {
+            "build_experiment_data": 1,
+            "local_train": len(cfg.strategies) * (cfg.rounds - 1) + 1,
+        }
 
 
 class TestSweepCommand:

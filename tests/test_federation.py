@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import numpy as np
@@ -14,10 +15,12 @@ from isfl.data import (
 )
 from isfl.diagnostics import RunLog
 from isfl.federation import (
+    STRATEGIES,
     FederationConfig,
     RoundFailure,
     aggregate,
     derive_seed,
+    open_run,
     run,
     size_proportional_weights,
 )
@@ -230,6 +233,89 @@ class TestRun:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             fed_config("nonsense")
+
+
+def outcome(metrics):
+    """A run's metrics without the wall-clock fields."""
+    return [
+        (m.round_index, m.train_loss, m.acc_test, m.acc_pool, m.rho_realized, m.rho_theory)
+        for m in metrics
+    ]
+
+
+class TestOpening:
+    """Round 1 is the same for every strategy, so a run from an opening built
+    once must equal a run that builds its own, bit for bit."""
+
+    def test_shared_opening_matches_own_for_every_strategy(self, tmp_path):
+        shards, probe, test = small_problem()
+        opening = open_run(shards, fed_config("fedavg"), test)
+        for strategy in STRATEGIES:
+            cfg = fed_config(strategy)
+            logs = {}
+            outcomes = {}
+            for name, given in (("own", None), ("shared", opening)):
+                recorder = RunLog()
+                metrics = run(shards, cfg, test, probe=probe, recorder=recorder, opening=given)
+                outcomes[name] = outcome(metrics)
+                recorder.save_jsonl(tmp_path / f"{strategy}_{name}.jsonl")
+                logs[name] = (tmp_path / f"{strategy}_{name}.jsonl").read_bytes()
+            assert outcomes["shared"] == outcomes["own"]
+            assert logs["shared"] == logs["own"]
+            if strategy == "isfl":
+                assert len(logs["own"].splitlines()) == 1 + cfg.n_rounds
+
+    @pytest.mark.parametrize("change", ["seed", "trainer", "model", "shards", "test_set"])
+    def test_opening_of_another_run_raises(self, change):
+        shards, probe, test = small_problem()
+        cfg = fed_config("fedavg")
+        opening = open_run(shards, cfg, test)
+        if change == "seed":
+            cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
+        elif change == "trainer":
+            cfg = dataclasses.replace(cfg, trainer=TrainerConfig(batch_size=16, local_epochs=1))
+        elif change == "model":
+            cfg = dataclasses.replace(cfg, model=ModelSpec(5, (6,), 3))
+        elif change == "shards":
+            shards = small_problem()[0]  # equal content, other objects
+        else:
+            test = small_problem()[2]
+        with pytest.raises(ValueError, match="the opening was built for another run"):
+            run(shards, cfg, test, opening=opening)
+
+    def test_opening_arrays_are_read_only(self):
+        shards, _, test = small_problem()
+        opening = open_run(shards, fed_config("fedavg"), test)
+        stack, params = opening.round_one[:2]
+        arrays = [stack, params, opening.pool.features, opening.pool.labels]
+        arrays += [a for ds in opening.own for a in (ds.features, ds.labels)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_round_one_divergence_fails_as_before(self):
+        # isfl's curvature phase still runs before the finiteness check
+        shards, probe, test = small_problem()
+        opening = open_run(shards, fed_config("fedavg", eta=1e30), test)
+        for strategy in STRATEGIES:
+            for given in (None, opening):
+                with pytest.raises(RoundFailure) as exc_info:
+                    run(shards, fed_config(strategy, eta=1e30), test, probe=probe, opening=given)
+                assert exc_info.value.round_index == 1
+                assert exc_info.value.message == (
+                    "parameter deviation is not finite; the run diverged" if strategy == "isfl"
+                    else "aggregate or pooled loss is not finite; the run diverged"
+                )
+
+    def test_round_one_phases_are_the_openings(self):
+        shards, probe, test = small_problem()
+        opening = open_run(shards, fed_config("fedavg"), test)
+        for strategy in ("fedavg", "isfl"):
+            first = run(shards, fed_config(strategy), test, probe=probe, opening=opening)[0]
+            for phase in ("train", "aggregate", "eval"):
+                assert first.phases[phase] == opening.phases[phase] > 0.0
+            assert first.seconds >= sum(first.phases.values())
 
 
 class TestGlobalDistributionWiring:
