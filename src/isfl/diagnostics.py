@@ -33,8 +33,8 @@ class RoundRecord:
     lipschitz: np.ndarray          # K x C, rows the plans in effect were solved from
     q_used: np.ndarray             # K x C, plan in effect during the round
     q_star: np.ndarray             # K x C, optimum for this curvature
-    sigma2: np.ndarray             # per-client variance estimates
-    g2: float                      # squared gradient-norm bound estimate
+    sigma2: np.ndarray             # per client, E||g_B - gbar_k||^2 of a uniform batch
+    g2: float                      # max over clients of E||g_B||^2, the G^2 plug-in
     dev2: np.ndarray               # per-client ||local - aggregated||^2
     loss_start: float              # pooled train loss at round start
 

@@ -4,9 +4,9 @@ Every round: all clients train locally under their current sampling plans, in
 one lockstep ``local_train`` call that returns their parameters as one (K, P)
 stack; the server takes the weighted average of its rows, plans are refreshed
 according to the strategy (isfl: from the curvature rows of the whole stack
-against the average), and the aggregate is broadcast back. Parameters are
-plain arrays throughout. Each round's wall time is split into the phases of
-PHASES.
+against the average), and the aggregate is broadcast back; no strategy
+refreshes plans after the last round. Parameters are plain arrays throughout.
+Each round's wall time is split into the phases of PHASES.
 
 Round 1 is the same for every strategy: all start from unit-weight plans,
 ``init_params`` seeded by ``derive_seed(seed, 0)`` and the client seeds
@@ -39,8 +39,6 @@ from .model import ModelSpec, evaluate, init_params
 from .trainer import TrainerConfig, gradnorm_plan, local_train, rw_plan
 
 STRATEGIES = ("fedavg", "rw_is", "gradnorm_is", "isfl")
-
-STATS_DRAWS = 8
 
 # Wall-clock phases of a round, in order: local training, aggregation, the
 # curvature rows, next round's plans and their rho scores, the noise
@@ -208,9 +206,9 @@ def run(
 
     ``probe`` (held-out data) is required for the isfl strategy, which
     re-estimates curvature rows on it and solves the next round's plans at
-    every aggregation but the last of a multi-round run, which nothing would
-    read. When ``recorder`` is given, per-round diagnostics records are
-    appended to it (isfl only). Round 1 comes from ``opening``, or from one
+    every aggregation but the last of a multi-round run. When ``recorder`` is
+    given, per-round diagnostics records are appended to it (isfl only).
+    Round 1 comes from ``opening``, or from one
     ``open_run`` builds here; an opening built for other shards, another
     test set, model, trainer config or seed raises ValueError.
     Clients are weighted by shard size. Raises ValueError before round 1 when
@@ -242,6 +240,7 @@ def run(
         recorder.local_epochs = cfg.trainer.local_epochs
 
     own = opening.own
+    bounds = np.cumsum([0, *map(len, own)])  # client k: pool rows bounds[k]:bounds[k + 1]
     plans: list[SamplingPlan | np.ndarray] = [uniform_plan(pl) for pl in p_locals]
     # isfl: curvature rows the plans in effect were solved from. Round 1 trains
     # under unit weights before any estimate exists, so these all-ones rows
@@ -290,19 +289,9 @@ def run(
                 rho_theory = float(rho(q_star, p_global, in_effect) @ pi)
                 laps.lap("solve")
                 if recorder is not None:
-                    sigma2 = np.empty(n_clients)
-                    g2 = 0.0
-                    for k in range(n_clients):
-                        stats = estimate_sgd_stats(
-                            cfg.model,
-                            new_global,
-                            own[k],
-                            cfg.trainer.batch_size,
-                            STATS_DRAWS,
-                            seed=derive_seed(cfg.seed, 2, rnd, k),
-                        )
-                        sigma2[k] = stats.sigma2
-                        g2 = max(g2, stats.g2)
+                    stats = estimate_sgd_stats(
+                        cfg.model, new_global, opening.pool, bounds, cfg.trainer.batch_size
+                    )
                     dev2 = np.array(
                         [float(np.linalg.norm(row - new_global)) ** 2 for row in local_stack]
                     )
@@ -312,17 +301,17 @@ def run(
                             lipschitz=in_effect,
                             q_used=q_used,
                             q_star=q_star,
-                            sigma2=sigma2,
-                            g2=g2,
+                            sigma2=stats.sigma2,
+                            g2=stats.g2,
                             dev2=dev2,
                             loss_start=loss_start,
                         )
                     )
                     laps.lap("stats")
                 lips = fresh
-            elif cfg.strategy == "rw_is":
+            elif cfg.strategy == "rw_is" and rnd < cfg.n_rounds:
                 plans = [rw_plan(shards[k]) for k in range(n_clients)]
-            elif cfg.strategy == "gradnorm_is":
+            elif cfg.strategy == "gradnorm_is" and rnd < cfg.n_rounds:
                 plans = [
                     gradnorm_plan(cfg.model, new_global, own[k])
                     for k in range(n_clients)

@@ -7,7 +7,7 @@ the aggregated one. ``estimate_lipschitz`` takes all clients at once, as the
 probe once for all of them. Each gradient change is an outer-product sum per
 layer, so its norm comes from row dot products of activations and deltas, in
 difference form, without forming any per-sample gradient. The sampling-weight
-solver consumes these rows; the noise statistics feed diagnostics only.
+solver consumes these rows; the exact noise statistics feed diagnostics only.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import numpy as np
 from .data import Dataset
 from .model import (
     ModelSpec,
-    check_batch,
-    mean_grads,
     per_sample_grad_change_norms,
     per_sample_pass,
+    per_sample_sq_norms,
 )
 
 logger = logging.getLogger(__name__)
@@ -35,15 +34,15 @@ class ZeroDeviationError(ValueError):
 
 @dataclass(frozen=True)
 class GradientStats:
-    """Plug-in estimates of minibatch-gradient variance and squared norm bound."""
+    """Minibatch-gradient variance per client and the squared norm bound."""
 
-    sigma2: float
+    sigma2: np.ndarray
     g2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma2) and np.isfinite(self.g2)):
+        if not (np.all(np.isfinite(self.sigma2)) and np.isfinite(self.g2)):
             raise ValueError("estimates must be finite")
-        if self.sigma2 < 0.0 or self.g2 < 0.0:
+        if np.any(self.sigma2 < 0.0) or self.g2 < 0.0:
             raise ValueError("estimates must be non-negative")
 
 
@@ -113,34 +112,39 @@ def estimate_lipschitz(
 
 
 def estimate_sgd_stats(
-    spec: ModelSpec,
-    params: np.ndarray,
-    probe: Dataset,
-    batch_size: int,
-    n_draws: int,
-    seed: int = 0,
+    spec: ModelSpec, params: np.ndarray, pool: Dataset, bounds, batch_size: int
 ) -> GradientStats:
-    """Empirical minibatch-gradient spread: sigma2 is the mean squared distance
-    of draws from their mean, g2 the largest squared draw norm.
+    """Exact minibatch-gradient noise of every client at ``params``, from one
+    backward pass over ``pool``; client k holds its rows bounds[k]:bounds[k+1].
 
-    Batches at least as large as the probe collapse to the full set, so the
-    variance estimate is exactly zero there.
+    A batch of B of client k's n_k samples, drawn uniformly without
+    replacement, has mean gradient g_B with E g_B = gbar_k and
+    ``sigma2[k]`` = E|g_B - gbar_k|^2 = (n_k - B) / (B (n_k - 1)) *
+    (mean_i |g_i|^2 - |gbar_k|^2), clamped at 0 against rounding; 0 when
+    B >= n_k. ``g2`` = max_k E|g_B|^2 = max_k (|gbar_k|^2 + sigma2[k]) is the
+    plug-in for the bound E|g|^2 <= G^2. Raises ValueError when the bounds do
+    not split the pool into non-empty clients or a statistic is not finite.
     """
-    if n_draws < 2:
-        raise ValueError("need at least two draws")
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    check_batch(spec, probe)
-    rng = np.random.default_rng(seed)
-    n = len(probe)
-    if batch_size >= n:
-        # every draw is the whole probe, so the spread is zero by definition
-        full = mean_grads(spec, params, probe.features, probe.labels)
-        return GradientStats(sigma2=0.0, g2=float(full @ full))
-    idx = np.sort([rng.choice(n, size=batch_size, replace=False) for _ in range(n_draws)])
-    # one backward pass over the (n_draws, batch_size, d) stack of batches
-    stack = mean_grads(spec, params, probe.features[idx], probe.labels[idx])
-    mean = stack.mean(axis=0)
-    sigma2 = float(np.mean(np.sum((stack - mean) ** 2, axis=1)))
-    g2 = float(np.max(np.sum(stack**2, axis=1)))
-    return GradientStats(sigma2=sigma2, g2=g2)
+    bounds = np.asarray(bounds)
+    sizes = np.diff(bounds)
+    if bounds[0] != 0 or bounds[-1] != len(pool) or np.any(sizes < 1):
+        raise ValueError("client bounds must split the pool into non-empty runs of rows")
+    # a non-finite entry of the pass makes its client's sigma2 non-finite
+    # (0 * inf is nan), which GradientStats rejects
+    acts, deltas = per_sample_pass(spec, params, pool, check=False)
+    mean_sq = np.add.reduceat(per_sample_sq_norms(acts, deltas), bounds[:-1]) / sizes
+    # |n_k gbar_k|^2 from each layer's weight and bias gradients summed over
+    # the client's rows
+    sum_sq = np.zeros(len(sizes))
+    ones = np.ones(sizes.max())
+    for a, d in zip(acts, deltas):
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            w_sum = a[lo:hi].T @ d[lo:hi]
+            b_sum = ones[: hi - lo] @ d[lo:hi]
+            sum_sq[k] += np.vdot(w_sum, w_sum) + b_sum @ b_sum
+    gbar_sq = sum_sq / sizes**2
+    scale = np.maximum(sizes - batch_size, 0) / (batch_size * np.maximum(sizes - 1, 1))
+    sigma2 = scale * np.maximum(mean_sq - gbar_sq, 0.0)
+    return GradientStats(sigma2=sigma2, g2=float(np.max(gbar_sq + sigma2)))

@@ -209,28 +209,32 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", u, v)
 
 
-def per_sample_grad_norms(spec: ModelSpec, params: np.ndarray, batch: Dataset) -> np.ndarray:
-    """Euclidean norm of each sample's loss gradient, without materializing it.
+def per_sample_sq_norms(acts, deltas) -> np.ndarray:
+    """Squared norm of each sample's loss gradient from the activations and
+    per-sample deltas of one backward pass over a batch, without forming it.
 
     For each layer the per-sample weight gradient is the outer product of the
     incoming activation and the delta, so its squared norm factorizes into
     ``|a|^2 * |delta|^2``; the bias contributes ``|delta|^2``.
     """
-    check_batch(spec, batch)
-    acts, deltas = _backprop(spec, _views(spec, params), batch.features, batch.labels, mean=False)
-    sq = np.zeros(len(batch))
+    sq = np.zeros(len(acts[0]))
     for a, delta in zip(acts, deltas):
         sq += _row_dot(delta, delta) * (_row_dot(a, a) + 1.0)
-    return np.sqrt(sq)
+    return sq
 
 
-def per_sample_pass(spec: ModelSpec, params: np.ndarray, batch: Dataset):
+def per_sample_grad_norms(spec: ModelSpec, params: np.ndarray, batch: Dataset) -> np.ndarray:
+    """Euclidean norm of each sample's loss gradient (``per_sample_sq_norms``)."""
+    return np.sqrt(per_sample_sq_norms(*per_sample_pass(spec, params, batch, check=False)))
+
+
+def per_sample_pass(spec: ModelSpec, params: np.ndarray, batch: Dataset, check: bool = True):
     """Activations and per-sample deltas of one backward pass over ``batch``,
-    the input of ``per_sample_grad_change_norms``. Raises ValueError if any
-    of them is not finite."""
+    the input of ``per_sample_grad_change_norms`` and ``per_sample_sq_norms``.
+    Unless ``check`` is false, raises ValueError if any of them is not finite."""
     check_batch(spec, batch)
     acts, deltas = _backprop(spec, _views(spec, params), batch.features, batch.labels, mean=False)
-    if not all(np.all(np.isfinite(arr)) for arr in (*acts, *deltas)):
+    if check and not all(np.all(np.isfinite(arr)) for arr in (*acts, *deltas)):
         raise ValueError("per-sample gradients are not finite; the run diverged")
     return acts, deltas
 

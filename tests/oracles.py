@@ -15,9 +15,11 @@ must leave every client exactly where they do.
 gradient matrices in ``BLOCK_ROWS``-row blocks and takes the norms of their
 differences; the difference form in ``isfl.lipschitz`` must match its rows to
 rounding.
-``estimate_sgd_stats`` runs one ``mean_grads`` call per draw; the stacked
-estimator must return its statistics bit for bit. ``kkt_partials`` is the
-gradient of rho that the solver's optimality tests check.
+``every_batch_mean_grads`` enumerates every B-subset of a small client and
+takes each one's mean gradient; the moments over these equally likely draws
+are what the exact noise statistics of ``isfl.lipschitz.estimate_sgd_stats``
+must equal to rounding. ``kkt_partials`` is the gradient of rho that the
+solver's optimality tests check.
 
 ``save_dataset`` writes the binary container that ``isfl.data.load_dataset``
 reads.
@@ -32,6 +34,7 @@ for bit. The oracles above that take gradients run on them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from functools import lru_cache
@@ -46,7 +49,7 @@ from isfl.data import (
     Dataset,
 )
 from isfl.isweights import SamplingPlan, _effective_floors
-from isfl.lipschitz import GradientStats, ZeroDeviationError, lipschitz_row
+from isfl.lipschitz import ZeroDeviationError, lipschitz_row
 from isfl.model import ModelSpec, _views, check_batch
 from isfl.trainer import TrainerConfig
 
@@ -479,40 +482,14 @@ def estimate_lipschitz(
     return lipschitz_row(diff_norms, probe.labels, probe.n_classes, deviation)
 
 
-def estimate_sgd_stats(
-    spec: ModelSpec,
-    params: np.ndarray,
-    probe: Dataset,
-    batch_size: int,
-    n_draws: int,
-    seed: int = 0,
-) -> GradientStats:
-    """Empirical minibatch-gradient spread: sigma2 is the mean squared distance
-    of draws from their mean, g2 the largest squared draw norm.
-
-    Batches at least as large as the probe collapse to the full set, so the
-    variance estimate is exactly zero there.
-    """
-    if n_draws < 2:
-        raise ValueError("need at least two draws")
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    rng = np.random.default_rng(seed)
-    n = len(probe)
-    if batch_size >= n:
-        # every draw is the whole probe, so the spread is zero by definition
-        full = mean_grads(spec, params, probe.features, probe.labels)
-        return GradientStats(sigma2=0.0, g2=float(full @ full))
-    grads = []
-    for _ in range(n_draws):
-        idx = np.sort(rng.choice(n, size=batch_size, replace=False))
-        batch = probe.subset(idx)
-        grads.append(mean_grads(spec, params, batch.features, batch.labels))
-    stack = np.stack(grads)
-    mean = stack.mean(axis=0)
-    sigma2 = float(np.mean(np.sum((stack - mean) ** 2, axis=1)))
-    g2 = float(np.max(np.sum(stack**2, axis=1)))
-    return GradientStats(sigma2=sigma2, g2=g2)
+def every_batch_mean_grads(
+    spec: ModelSpec, params: np.ndarray, data: Dataset, batch_size: int
+) -> np.ndarray:
+    """Mean gradient of every ``batch_size``-subset of ``data``, one row per
+    subset in ``itertools.combinations`` order; the whole set when
+    ``batch_size`` is at least its size."""
+    idx = np.array(list(itertools.combinations(range(len(data)), min(batch_size, len(data)))))
+    return mean_grads(spec, params, data.features[idx], data.labels[idx])
 
 
 def kkt_partials(

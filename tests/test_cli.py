@@ -436,8 +436,11 @@ class TestRunCommand:
 # before local training moved to lockstep stacks. The isfl digests were
 # re-recorded when the curvature rows moved to the difference form, which
 # rounds the rows differently in the last bits and so moves the last digit of
-# a few rho values. The c10/ digests were recorded before the solver screened
-# its faces: with 10 categories a solve has many faces to skip.
+# a few rho values. The c10/ metrics.csv digest was recorded before the solver
+# screened its faces: with 10 categories a solve has many faces to skip. Every
+# isfl diagnostics.jsonl, bounds.csv and long.csv digest was re-recorded when
+# the noise statistics became exact expectations in place of 8 random draws
+# per client; no metrics.csv digest moved with them.
 GOLDEN_CONFIG = dict(
     BASE_CONFIG,
     clients=3,
@@ -461,11 +464,11 @@ GOLDEN_C10_CONFIG = dict(
 )
 GOLDEN_DIGESTS = {
     "c10/isfl_seed1/bounds.csv":
-        "ee2d788a07580e4c8677e01337570c39ecea005ed19683f8111a698a6a2ea101",
+        "7f15ebd9a9e8102aeac937f01a71d0928ada9a118ab160c2555371791de85714",
     "c10/isfl_seed1/diagnostics.jsonl":
-        "959bb83384af840f6870ef654c2ea3150af0dac639df3e94ee27e02819f2cf3d",
+        "b70105e4a066600916b30d4d278621aca9d6f39de21266c29b60fdfa97328589",
     "c10/isfl_seed1/long.csv":
-        "850d9574f282f6a18991d83863098d4bf3d7caff07f68a50763404ec891dc6ba",
+        "cb0542d67e56a134d7860484f3653b95da63d3c566be5a456ae33c40444099c4",
     "c10/isfl_seed1/metrics.csv":
         "cdb2d2d3cd1abd4263a18e9a0abe1bb33bd607d04822b9f45982ffe225d9c30a",
     "fedavg_seed1/metrics.csv":
@@ -477,19 +480,19 @@ GOLDEN_DIGESTS = {
     "gradnorm_is_seed2/metrics.csv":
         "8889a5bd44dfe137b2abfc681ed6ca8338f0f80247245af05b5d1a964800445b",
     "isfl_seed1/bounds.csv":
-        "1503355ec0021666fa8aa2ccbdfda94b28ed30254c602774728f55ca561ac410",
+        "d6a27884113b5a12d363ed1ce629998965f6a89ed2a01e546a6b0b158a56a701",
     "isfl_seed1/diagnostics.jsonl":
-        "860e603a65977b9e6f4e6d44c049cb2562005c7c7595cb9c181a899957645bcc",
+        "59642a1ca8caee19417d1360b12450161aa06bd46475a91616e9fd7e38a87e4a",
     "isfl_seed1/long.csv":
-        "880a917b324fae9da003aacab0df50bd57aace65f7c4213f99fc739dca08e639",
+        "bdc11c690c3a1a1aac70ad982b64563e3c6f08e3e3bed99a2a23b4e46b5c2cc7",
     "isfl_seed1/metrics.csv":
         "5b92844aa58eed027cc1cceb7df30f8a35899386214e58763570414a34ee3cc6",
     "isfl_seed2/bounds.csv":
-        "95b67f3a2c45e21627c18a0b2f5f57ab814f6851e21df4ed426b92a84aecb314",
+        "9f6739a7cec5360d1dfd4f5d450f812c54107a0763eb7d1458f4ad7ecb4adb0e",
     "isfl_seed2/diagnostics.jsonl":
-        "09cf58e261ff9a562a6a70ef5f5ff45c0bc6a1f382999b07df08258ae23c32b2",
+        "3b7088615c66bce3b32564e70d5ee844b38d8b93add73e6a09caeb34d31d9fb6",
     "isfl_seed2/long.csv":
-        "a07be41da52b9475d5c23a2789abcbe6a575486486b9498d4075199b1dd7541b",
+        "e3cf910ae3c04f96c4d84df2eed887253c8a310eeb00ad4e2960c0ec74b17755",
     "isfl_seed2/metrics.csv":
         "bcc48c5b72f63a89e8214fc54bc769e175980c147ed1bb4e4379ef5397f6d2ec",
     "rw_is_seed1/metrics.csv":

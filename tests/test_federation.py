@@ -25,6 +25,7 @@ from isfl.federation import (
     size_proportional_weights,
 )
 from isfl.isweights import uniform_plan
+from isfl.lipschitz import estimate_sgd_stats
 from isfl.model import ModelSpec, init_params
 from isfl.trainer import TrainerConfig, local_train
 
@@ -153,6 +154,26 @@ class TestRun:
         # plans changed between rounds (a refresh actually happened)
         assert not np.allclose(recorder.records[1].q_used, p_locals)
 
+    def test_recorded_noise_statistics_are_the_exact_ones_at_each_aggregate(self, monkeypatch):
+        shards, probe, test = small_problem(nr=0.5)
+        cfg = fed_config("isfl", n_rounds=3)
+        aggregates = []
+        real = federation_mod.aggregate
+
+        def keeping(*args):
+            aggregates.append(real(*args))
+            return aggregates[-1]
+
+        monkeypatch.setattr(federation_mod, "aggregate", keeping)
+        opening = open_run(shards, cfg, test)
+        recorder = RunLog()
+        run(shards, cfg, test, probe=probe, recorder=recorder, opening=opening)
+        bounds = np.cumsum([0, *map(len, shards)])
+        for rec, params in zip(recorder.records, aggregates, strict=True):
+            stats = estimate_sgd_stats(cfg.model, params, opening.pool, bounds, 16)
+            assert np.array_equal(rec.sigma2, stats.sigma2) and rec.g2 == stats.g2
+            assert np.all(rec.sigma2 > 0.0)
+
     def test_isfl_requires_probe(self):
         shards, _, test = small_problem()
         with pytest.raises(ValueError):
@@ -196,18 +217,25 @@ class TestRun:
         assert np.all(np.abs(pi - sizes / sizes.sum()) <= 1e-12)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_gradnorm_plans_refresh_once_per_round(self, monkeypatch):
+    @pytest.mark.parametrize("strategy, planner", [
+        ("gradnorm_is", "gradnorm_plan"), ("rw_is", "rw_plan"),
+    ])
+    @pytest.mark.parametrize("n_rounds, refreshes", [(1, 0), (3, 2)])
+    def test_plans_skip_the_last_rounds_refresh(
+        self, monkeypatch, strategy, planner, n_rounds, refreshes
+    ):
+        # one plan per client after every round that has a next one
         shards, probe, test = small_problem()
         calls = {"n": 0}
-        real = federation_mod.gradnorm_plan
+        real = getattr(federation_mod, planner)
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(federation_mod, "gradnorm_plan", counting)
-        run(shards, fed_config("gradnorm_is", n_rounds=3), test)
-        assert calls["n"] == 3 * len(shards)
+        monkeypatch.setattr(federation_mod, planner, counting)
+        run(shards, fed_config(strategy, n_rounds=n_rounds), test)
+        assert calls["n"] == refreshes * len(shards)
 
     @pytest.mark.parametrize("n_rounds, refreshes", [(1, 1), (3, 2)])
     def test_isfl_skips_the_last_rounds_refresh(self, monkeypatch, n_rounds, refreshes):

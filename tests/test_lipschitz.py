@@ -5,7 +5,7 @@ import pytest
 
 import isfl.model as model_mod
 import oracles
-from isfl.data import Dataset
+from isfl.data import Dataset, generate_synthetic
 from isfl.lipschitz import (
     GradientStats,
     ZeroDeviationError,
@@ -224,52 +224,134 @@ class TestDifferenceForm:
             one_row(spec, broken, params, probe_dataset())
 
 
+def pooled(*datasets):
+    """One dataset of the given clients' rows in order, and their bounds."""
+    pool = Dataset(
+        np.vstack([ds.features for ds in datasets]),
+        np.concatenate([ds.labels for ds in datasets]),
+        datasets[0].n_classes,
+    )
+    return pool, np.cumsum([0, *map(len, datasets)])
+
+
+def per_sample_grads(spec, params, ds):
+    """(N, P) gradients of each sample's own loss, as N batches of one."""
+    return oracles.mean_grads(spec, params, ds.features[:, None], ds.labels[:, None])
+
+
 class TestEstimateSgdStats:
-    @pytest.mark.parametrize("batch_size", [5, 7, 16, 128])
+    @pytest.mark.parametrize("batch_size", [1, 3, 5, 7])
     @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_matches_per_draw_oracle_bitwise(self, activation, hidden, batch_size):
+    def test_matches_every_batch_enumeration(self, activation, hidden, batch_size):
+        # two clients of 7 and 5 samples; a batch of 5 or 7 is the whole of
+        # the second client, and 7 of the first
         spec = ModelSpec(4, hidden, 3, activation=activation)
-        probe = probe_dataset(per_class=50, seed=3)
+        data = probe_dataset(per_class=4, seed=3)
+        clients = [data.subset([0, 1, 2, 4, 6, 8, 10]), data.subset([3, 5, 7, 9, 11])]
         params = init_params(spec, seed=batch_size)
-        for seed in range(3):
-            stats = estimate_sgd_stats(spec, params, probe, batch_size, 8, seed=seed)
-            expected = oracles.estimate_sgd_stats(spec, params, probe, batch_size, 8, seed=seed)
-            assert stats == expected
+        pool, bounds = pooled(*clients)
+        stats = estimate_sgd_stats(spec, params, pool, bounds, batch_size)
+        expected, g2 = [], []
+        for client in clients:
+            draws = oracles.every_batch_mean_grads(spec, params, client, batch_size)
+            full = oracles.mean_grads(spec, params, client.features, client.labels)
+            expected.append(np.mean(np.sum((draws - full) ** 2, axis=1)))
+            g2.append(np.mean(np.sum(draws**2, axis=1)))
+        np.testing.assert_allclose(stats.sigma2, expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(stats.g2, max(g2), rtol=1e-12, atol=0.0)
+        assert (stats.sigma2[1] == 0.0) == (batch_size >= 5)
+        assert (stats.sigma2[0] == 0.0) == (batch_size >= 7)
+
+    def test_matches_monte_carlo_within_standard_errors(self):
+        # a desk-scale client: 100 samples in 20 dimensions, batches of 16
+        spec = ModelSpec(20, (16,), 5)
+        client = probe_dataset(n_classes=5, per_class=20, dim=20, seed=11)
+        params = init_params(spec, seed=5)
+        stats = estimate_sgd_stats(spec, params, *pooled(client), 16)
+        grads = per_sample_grads(spec, params, client)
+        full = grads.mean(axis=0)
+        rng = np.random.default_rng(0)
+        n_draws = 20_000
+        # uniform 16-subsets: the first 16 of a random permutation
+        idx = np.argsort(rng.random((n_draws, len(client))), axis=1)[:, :16]
+        draws = np.stack([grads[rows].mean(axis=0) for rows in idx])
+        for observed, target in (
+            (np.sum((draws - full) ** 2, axis=1), stats.sigma2[0]),
+            (np.sum(draws**2, axis=1), stats.g2),
+        ):
+            stderr = observed.std() / np.sqrt(n_draws)
+            assert stderr < 0.005 * target  # the check has teeth
+            assert abs(observed.mean() - target) <= 4.0 * stderr
 
     def test_full_batch_zero_variance(self):
-        spec = ModelSpec(4, (), 3)
-        probe = probe_dataset()
-        stats = estimate_sgd_stats(spec, init_params(spec, 0), probe, len(probe), 5, seed=1)
-        assert stats.sigma2 == 0.0
+        spec = ModelSpec(4, (5,), 3)
+        client = probe_dataset()
+        params = init_params(spec, 0)
+        full = mean_grad(spec, params, client)
+        for batch_size in (len(client), len(client) + 1, len(client) + 30):
+            stats = estimate_sgd_stats(spec, params, *pooled(client), batch_size)
+            assert stats.sigma2.tolist() == [0.0]
+            assert stats.g2 == pytest.approx(full @ full, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_one_sample_client(self, batch_size):
+        spec = ModelSpec(4, (5,), 3)
+        data = probe_dataset()
+        params = init_params(spec, 2)
+        lone, rest = data.subset([0]), data.subset(list(range(1, len(data))))
+        with np.errstate(all="raise"):
+            stats = estimate_sgd_stats(spec, params, *pooled(lone, rest), batch_size)
+        grad = mean_grad(spec, params, lone)
+        assert stats.sigma2[0] == 0.0 and stats.sigma2[1] > 0.0
+        assert stats.g2 >= grad @ grad * (1.0 - 1e-12)
+
+    def test_unequal_clients_equal_lone_client_calls(self):
+        spec = ModelSpec(5, (4,), 3)
+        ds = generate_synthetic(3, 60, 5, separation=2.0, seed=0)
+        clients = [ds.subset(range(0, 90)), ds.subset(range(90, 150)), ds.subset(range(150, 180))]
+        params = init_params(spec, seed=1)
+        stats = estimate_sgd_stats(spec, params, ds, [0, 90, 150, 180], 16)
+        lone = [estimate_sgd_stats(spec, params, *pooled(c), 16) for c in clients]
+        np.testing.assert_allclose(stats.sigma2, [s.sigma2[0] for s in lone], rtol=1e-13)
+        assert stats.g2 == pytest.approx(max(s.g2 for s in lone), rel=1e-13)
+        assert len(set(stats.sigma2.tolist())) == 3
+
+    def test_identical_samples_give_no_negative_variance(self):
+        spec = ModelSpec(4, (6,), 3)
+        one = probe_dataset().subset([4])
+        copies = Dataset(np.repeat(one.features, 40, axis=0), np.repeat(one.labels, 40), 3)
+        for seed in range(20):
+            params = init_params(spec, seed=seed)
+            stats = estimate_sgd_stats(spec, params, *pooled(copies), 8)
+            assert 0.0 <= stats.sigma2[0] <= 1e-12 * stats.g2
 
     def test_g2_dominates_mean_norm(self):
         spec = ModelSpec(4, (5,), 3)
         probe = probe_dataset(per_class=10)
         params = init_params(spec, seed=7)
-        stats = estimate_sgd_stats(spec, params, probe, 6, 16, seed=2)
+        stats = estimate_sgd_stats(spec, params, *pooled(probe), 6)
         assert stats.g2 >= np.linalg.norm(mean_grad(spec, params, probe)) ** 2 - 1e-12
 
-    def test_duplication_invariance_in_expectation(self):
-        spec = ModelSpec(3, (), 3)
-        probe = probe_dataset(per_class=8, dim=3, seed=9)
-        doubled = Dataset(
-            np.vstack([probe.features, probe.features]),
-            np.concatenate([probe.labels, probe.labels]),
-            probe.n_classes,
-        )
-        params = init_params(spec, seed=4)
-        base, dup = [], []
-        for seed in range(50):
-            base.append(estimate_sgd_stats(spec, params, probe, 8, 6, seed=seed).sigma2)
-            dup.append(estimate_sgd_stats(spec, params, doubled, 8, 6, seed=1000 + seed).sigma2)
-        rel = abs(np.mean(dup) - np.mean(base)) / np.mean(base)
-        assert rel <= 0.2
+    @pytest.mark.parametrize("batch_size", [4, 18])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
+    def test_non_finite_pass_raises(self, bad, batch_size):
+        spec = ModelSpec(4, (5,), 3)
+        params = init_params(spec, 0)
+        params[3] = bad
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            estimate_sgd_stats(spec, params, *pooled(probe_dataset()), batch_size)
 
-    def test_needs_two_draws(self):
+    @pytest.mark.parametrize("bounds", [[0, 10], [1, 18], [0, 9, 9, 18], [0, 12, 9, 18]])
+    def test_bounds_must_split_the_pool(self, bounds):
         spec = ModelSpec(4, (), 3)
-        with pytest.raises(ValueError):
-            estimate_sgd_stats(spec, init_params(spec, 0), probe_dataset(), 4, 1)
+        with pytest.raises(ValueError, match="client bounds"):
+            estimate_sgd_stats(spec, init_params(spec, 0), probe_dataset(), bounds, 4)
+
+    def test_batch_size_must_be_positive(self):
+        spec = ModelSpec(4, (), 3)
+        with pytest.raises(ValueError, match="batch_size"):
+            estimate_sgd_stats(spec, init_params(spec, 0), *pooled(probe_dataset()), 0)
 
 
 class TestContainers:
