@@ -487,9 +487,14 @@ def every_batch_mean_grads(
 ) -> np.ndarray:
     """Mean gradient of every ``batch_size``-subset of ``data``, one row per
     subset in ``itertools.combinations`` order; the whole set when
-    ``batch_size`` is at least its size."""
+    ``batch_size`` is at least its size. The subsets go through ``mean_grads``
+    in blocks of about 2**14 rows."""
     idx = np.array(list(itertools.combinations(range(len(data)), min(batch_size, len(data)))))
-    return mean_grads(spec, params, data.features[idx], data.labels[idx])
+    step = max(1, 2**14 // idx.shape[1])
+    return np.concatenate([
+        mean_grads(spec, params, data.features[block], data.labels[block])
+        for block in np.split(idx, range(step, len(idx), step))
+    ])
 
 
 def kkt_partials(

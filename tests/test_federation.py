@@ -217,15 +217,10 @@ class TestRun:
         assert np.all(np.abs(pi - sizes / sizes.sum()) <= 1e-12)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("strategy, planner", [
-        ("gradnorm_is", "gradnorm_plan"), ("rw_is", "rw_plan"),
-    ])
-    @pytest.mark.parametrize("n_rounds, refreshes", [(1, 0), (3, 2)])
-    def test_plans_skip_the_last_rounds_refresh(
-        self, monkeypatch, strategy, planner, n_rounds, refreshes
-    ):
-        # one plan per client after every round that has a next one
-        shards, probe, test = small_problem()
+    @staticmethod
+    def plan_refreshes(monkeypatch, strategy, planner, n_rounds):
+        """Plans per client that ``planner`` makes over a run of ``strategy``."""
+        shards, _, test = small_problem()
         calls = {"n": 0}
         real = getattr(federation_mod, planner)
 
@@ -233,9 +228,20 @@ class TestRun:
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(federation_mod, planner, counting)
-        run(shards, fed_config(strategy, n_rounds=n_rounds), test)
-        assert calls["n"] == refreshes * len(shards)
+        with monkeypatch.context() as patch:
+            patch.setattr(federation_mod, planner, counting)
+            run(shards, fed_config(strategy, n_rounds=n_rounds), test)
+        return calls["n"] / len(shards)
+
+    def test_gradnorm_plans_refresh_once_per_round(self, monkeypatch):
+        # one plan per client after every round that has a next one
+        for n_rounds in (1, 3):
+            refreshes = self.plan_refreshes(monkeypatch, "gradnorm_is", "gradnorm_plan", n_rounds)
+            assert refreshes == n_rounds - 1
+
+    @pytest.mark.parametrize("n_rounds, refreshes", [(1, 0), (3, 2)])
+    def test_rw_plans_refresh_once_per_round(self, monkeypatch, n_rounds, refreshes):
+        assert self.plan_refreshes(monkeypatch, "rw_is", "rw_plan", n_rounds) == refreshes
 
     @pytest.mark.parametrize("n_rounds, refreshes", [(1, 1), (3, 2)])
     def test_isfl_skips_the_last_rounds_refresh(self, monkeypatch, n_rounds, refreshes):

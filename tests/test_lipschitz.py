@@ -240,28 +240,36 @@ def per_sample_grads(spec, params, ds):
 
 
 class TestEstimateSgdStats:
-    @pytest.mark.parametrize("batch_size", [1, 3, 5, 7])
+    @pytest.mark.parametrize("batch_size", [1, 3, 5, 7, 16, 128])
     @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_matches_every_batch_enumeration(self, activation, hidden, batch_size):
-        # two clients of 7 and 5 samples; a batch of 5 or 7 is the whole of
-        # the second client, and 7 of the first
+    def test_matches_per_draw_oracle_bitwise(self, activation, hidden, batch_size):
+        # the oracle takes one mean gradient per possible draw: every B-subset
+        # of each client. Clients of B + 2, B and 7 samples: two draws per
+        # sample left out, a batch that is the whole client, and for B < 7 a
+        # client of many draws. The exact statistics are sums in another order
+        # than any per-draw oracle's, so they match its moments to rounding;
+        # the zeros of whole-client batches match bit for bit.
         spec = ModelSpec(4, hidden, 3, activation=activation)
-        data = probe_dataset(per_class=4, seed=3)
-        clients = [data.subset([0, 1, 2, 4, 6, 8, 10]), data.subset([3, 5, 7, 9, 11])]
+        sizes = [batch_size + 2, batch_size, 7]
+        per_class = sum(sizes) // 3 + 1
+        data = probe_dataset(per_class=per_class, seed=3)
+        # the classes in turn, so that every client holds each of them
+        data = data.subset(np.argsort(np.arange(len(data)) % per_class, kind="stable"))
         params = init_params(spec, seed=batch_size)
-        pool, bounds = pooled(*clients)
-        stats = estimate_sgd_stats(spec, params, pool, bounds, batch_size)
+        bounds = np.cumsum([0, *sizes])
+        stats = estimate_sgd_stats(spec, params, data.subset(range(bounds[-1])), bounds, batch_size)
         expected, g2 = [], []
-        for client in clients:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            client = data.subset(range(lo, hi))
             draws = oracles.every_batch_mean_grads(spec, params, client, batch_size)
             full = oracles.mean_grads(spec, params, client.features, client.labels)
             expected.append(np.mean(np.sum((draws - full) ** 2, axis=1)))
             g2.append(np.mean(np.sum(draws**2, axis=1)))
         np.testing.assert_allclose(stats.sigma2, expected, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(stats.g2, max(g2), rtol=1e-12, atol=0.0)
-        assert (stats.sigma2[1] == 0.0) == (batch_size >= 5)
-        assert (stats.sigma2[0] == 0.0) == (batch_size >= 7)
+        assert stats.sigma2[0] > 0.0 and stats.sigma2[1] == 0.0
+        assert (stats.sigma2[2] == 0.0) == (batch_size >= 7)
 
     def test_matches_monte_carlo_within_standard_errors(self):
         # a desk-scale client: 100 samples in 20 dimensions, batches of 16
@@ -332,6 +340,31 @@ class TestEstimateSgdStats:
         params = init_params(spec, seed=7)
         stats = estimate_sgd_stats(spec, params, *pooled(probe), 6)
         assert stats.g2 >= np.linalg.norm(mean_grad(spec, params, probe)) ** 2 - 1e-12
+
+    def test_duplication_invariance_in_expectation(self):
+        # two copies of every sample keep the mean gradient and the spread of
+        # the per-sample gradients; only the without-replacement factor
+        # (n - B) / (B (n - 1)) of sigma2 moves with n
+        spec = ModelSpec(3, (), 3)
+        probe = probe_dataset(per_class=8, dim=3, seed=9)
+        doubled = Dataset(
+            np.vstack([probe.features, probe.features]),
+            np.concatenate([probe.labels, probe.labels]),
+            probe.n_classes,
+        )
+        params = init_params(spec, seed=4)
+        n, batch_size = len(probe), 8
+        base = estimate_sgd_stats(spec, params, *pooled(probe), batch_size)
+        dup = estimate_sgd_stats(spec, params, *pooled(doubled), batch_size)
+
+        def spread(stats, size):
+            return stats.sigma2[0] * batch_size * (size - 1) / (size - batch_size)
+
+        assert spread(dup, 2 * n) == pytest.approx(spread(base, n), rel=1e-12, abs=0.0)
+        assert dup.sigma2[0] > base.sigma2[0] > 0.0
+        gbar = mean_grad(spec, params, probe)
+        for stats in (base, dup):
+            assert stats.g2 - stats.sigma2[0] == pytest.approx(gbar @ gbar, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("batch_size", [4, 18])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
