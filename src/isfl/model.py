@@ -16,11 +16,13 @@ Kernel contract: the kernels work in place wherever the overwritten array
 is their own (bias adds, the ReLU, every softmax stage, the activation
 derivative) and write gradients straight into the flat result. The row max
 over the class axis is taken one column at a time with ``np.maximum``,
-which is exact in any order. Every sum keeps the order of the plain form:
-the softmax denominator is ``sum(axis=-1)`` over a contiguous row and the
-bias gradient ``sum(axis=-2)``. So ``mean_grads``, ``evaluate`` and the
-per-sample passes equal the plain kernels frozen in ``tests/oracles.py`` bit
-for bit.
+which is exact in any order. Every sum over an axis is a BLAS product with
+a ones vector: the softmax denominator is ``logits @ ones(C)`` and the bias
+gradient ``ones(N) @ delta``. The softmax scales its row once, by
+``1 / (N * denominator)`` for the mean loss, and the one-hot then subtracts
+``1 / N``. Each slice of a stack goes through the same product shapes as a
+lone call, so ``mean_grads``, ``evaluate`` and the per-sample passes equal
+the plain kernels frozen in ``tests/oracles.py`` bit for bit.
 """
 
 from __future__ import annotations
@@ -158,20 +160,22 @@ def _backprop(spec: ModelSpec, views, x: np.ndarray, labels: np.ndarray, mean: b
     backpropagate the softmax cross-entropy.
 
     Returns (activations, deltas). The logit gradient is softmax minus one-hot
-    per sample; ``mean`` divides it by N before backpropagation, which gives
+    per sample; ``mean`` scales it by 1/N before backpropagation, which gives
     the deltas of the mean loss instead of each sample's own loss.
     """
     logits, acts = _forward(spec, views, x)
-    # softmax in place on the logits
+    # softmax in place on the logits, with the mean's 1/N folded into the
+    # one scaling pass
+    n = labels.shape[-1] if mean else 1
     logits -= _row_max(logits)[..., None]
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    # minus the one-hot, through one flat index into the contiguous logits;
-    # reshape(copy=False) raises rather than hand back a copy
+    denom = logits @ np.ones(logits.shape[-1])
+    denom *= n
+    logits *= np.divide(1.0, denom, out=denom)[..., None]
+    # minus the (scaled) one-hot, through one flat index into the contiguous
+    # logits; reshape(copy=False) raises rather than hand back a copy
     flat = logits.reshape(-1, copy=False)
-    flat[np.arange(0, flat.size, logits.shape[-1]) + labels.reshape(-1)] -= 1.0
-    if mean:
-        logits /= labels.shape[-1]
+    flat[np.arange(0, flat.size, logits.shape[-1]) + labels.reshape(-1)] -= 1.0 / n
     return acts, _backward_deltas(spec, views, acts, logits)
 
 
@@ -187,10 +191,11 @@ def mean_grads(
     acts, deltas = _backprop(spec, _views(spec, values), x, labels, mean=True)
     grads = np.empty(x.shape[:-2] + values.shape[-1:])
     views = _views(spec, grads)
+    ones = np.ones(x.shape[-2])
     for i, (a, delta) in enumerate(zip(acts, deltas)):
         # weight and bias gradients, summed over the sample axis
         np.matmul(np.swapaxes(a, -1, -2), delta, out=views[2 * i])
-        np.sum(delta, axis=-2, out=views[2 * i + 1])
+        np.matmul(ones, delta, out=views[2 * i + 1])
     return grads
 
 
@@ -278,5 +283,5 @@ def evaluate(spec: ModelSpec, params: np.ndarray, ds: Dataset) -> tuple[float, f
     logits -= row_max[:, None]
     label_logit = logits[np.arange(len(ds)), ds.labels]
     np.exp(logits, out=logits)
-    losses = -(label_logit - np.log(logits.sum(axis=-1)))
+    losses = -(label_logit - np.log(logits @ np.ones(spec.n_classes)))
     return float(losses.mean()), float(np.mean(top == ds.labels))

@@ -28,8 +28,12 @@ reads.
 ``_backward_deltas``, ``_backprop``, ``mean_grads`` and ``evaluate`` are the
 model kernels in their plain form: every layer output and every softmax
 stage is a new array, the row max is ``max(axis=-1)`` and the accuracy is a
-row ``argmax``. The in-place kernels of ``isfl.model`` must equal them bit
-for bit. The oracles above that take gradients run on them.
+row ``argmax``. They reduce in the kernels' order: the softmax denominator
+and the log-sum-exp are ``@ ones(C)``, the bias gradient ``ones(N) @``, and
+the mean gradient's 1/N rides on the softmax's one scaling, a multiply by
+1 / (N * denominator), with 1/N subtracted at the label. The in-place
+kernels of ``isfl.model`` must equal them bit for bit. The oracles above
+that take gradients run on them.
 """
 
 from __future__ import annotations
@@ -77,15 +81,16 @@ def _forward(spec: ModelSpec, views: list[np.ndarray], x: np.ndarray):
     raise AssertionError("unreachable")
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _softmax(logits: np.ndarray, n: int = 1) -> np.ndarray:
+    """Row softmax divided by ``n``, as one multiply by 1 / (n * row sum)."""
     ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return ex / ex.sum(axis=-1, keepdims=True)
+    return ex * (1.0 / (n * (ex @ np.ones(ex.shape[-1]))))[..., None]
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample loss of a (N, C) logit matrix."""
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = shifted - np.log(np.exp(shifted) @ np.ones(shifted.shape[1]))[:, None]
     return -log_probs[np.arange(labels.size), labels]
 
 
@@ -111,14 +116,13 @@ def _backprop(spec: ModelSpec, views, x: np.ndarray, labels: np.ndarray, mean: b
     backpropagate the softmax cross-entropy.
 
     Returns (activations, deltas). The logit gradient is softmax minus one-hot
-    per sample; ``mean`` divides it by N before backpropagation, which gives
-    the deltas of the mean loss instead of each sample's own loss.
+    per sample; ``mean`` scales both by 1/N before backpropagation, which
+    gives the deltas of the mean loss instead of each sample's own loss.
     """
     logits, acts, pre = _forward(spec, views, x)
-    dlogits = _softmax(logits)
-    dlogits[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
-    if mean:
-        dlogits /= labels.shape[-1]
+    n = labels.shape[-1] if mean else 1
+    dlogits = _softmax(logits, n)
+    dlogits[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0 / n
     return acts, _backward_deltas(spec, views, acts, pre, dlogits)
 
 
@@ -137,7 +141,7 @@ def mean_grads(
     for i, (a, delta) in enumerate(zip(acts, deltas)):
         # weight and bias gradients, summed over the sample axis
         views[2 * i][...] = np.swapaxes(a, -1, -2) @ delta
-        views[2 * i + 1][...] = delta.sum(axis=-2)
+        views[2 * i + 1][...] = np.ones(delta.shape[-2]) @ delta
     return grads
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -256,12 +259,18 @@ def assert_kernels_match_reference(spec, stack, x, labels):
     """The in-place kernels against the plain ones of ``oracles``, bit for bit:
     mean gradients of a (K, P) stack, of its first row over the K batches as
     a (D, N, d) stack and over one batch, the per-sample backward pass of one
-    batch, and the loss and accuracy on it."""
+    batch, and the loss and accuracy on it. Each row of the stack's mean
+    gradients also equals a lone call on its own batch, byte for byte: the
+    BLAS sums pick their kernels by shape, and a stack row has a lone call's
+    shapes."""
     vector, batch = stack[0], Dataset(x[0], labels[0], spec.n_classes)
     for values, xs, ys in ((stack, x, labels), (vector, x, labels), (vector, x[0], labels[0])):
         assert np.array_equal(
             mean_grads(spec, values, xs, ys), oracles.mean_grads(spec, values, xs, ys)
         )
+    stacked = mean_grads(spec, stack, x, labels)
+    for k, row in enumerate(stack):
+        assert stacked[k].tobytes() == mean_grads(spec, row, x[k], labels[k]).tobytes()
     ours = _backprop(spec, _views(spec, vector), x[0], labels[0], mean=False)
     ref = oracles._backprop(spec, _views(spec, vector), x[0], labels[0], mean=False)
     for a, b in zip(ours[0] + ours[1], ref[0] + ref[1]):
@@ -276,7 +285,7 @@ class TestFrozenReference:
     def test_kernels_equal_reference_bitwise(self, n_classes, hidden, activation):
         spec = ModelSpec(7, hidden, n_classes, activation=activation)
         rng = np.random.default_rng(n_classes * 10 + len(hidden))
-        for k, n in ((1, 1), (2, 2), (3, 37), (4, 128), (2, 200)):
+        for k, n in ((1, 1), (2, 2), (3, 37), (4, 128), (2, 200), (5, 5), (10, 104), (10, 129)):
             stack = np.stack([init_params(spec, seed=int(s)) for s in rng.integers(1e6, size=k)])
             stack += 0.1 * rng.standard_normal(stack.shape)
             x = rng.standard_normal((k, n, spec.input_dim))
@@ -328,3 +337,56 @@ class TestFrozenReference:
             ref_loss, ref_acc = oracles.evaluate(spec, params, batch)
         assert np.isnan(loss) and np.isnan(ref_loss)
         assert acc == ref_acc
+
+
+# Hashes the bytes of the kernels' results at paper-scale and wide-probe
+# sizes, and prints the BLAS thread count where the library reports it.
+THREAD_PROBE = """
+import ctypes, hashlib
+import numpy as np
+from isfl.data import Dataset
+from isfl.model import ModelSpec, evaluate, init_params, mean_grads, per_sample_pass
+
+def threads():
+    try:
+        paths = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(ctypes.CDLL(path), name, None)
+            if getter is not None:
+                return getter()
+    return None
+
+rng = np.random.default_rng(0)
+paper, wide = ModelSpec(32, (16,), 10), ModelSpec(64, (64,), 5)
+stack = np.stack([init_params(paper, seed=k) for k in range(20)])
+x, y = rng.standard_normal((20, 128, 32)), rng.integers(0, 10, size=(20, 128))
+rows = Dataset(rng.standard_normal((20000, 32)), rng.integers(0, 10, size=20000), 10)
+probe = Dataset(rng.standard_normal((5000, 64)), rng.integers(0, 5, size=5000), 5)
+acts, deltas = per_sample_pass(wide, init_params(wide, seed=1), probe)
+print(threads())
+print(hashlib.sha256(mean_grads(paper, stack, x, y).tobytes()).hexdigest())
+print([v.hex() for v in evaluate(paper, stack[0], rows)])
+print(hashlib.sha256(b"".join(a.tobytes() for a in (*acts, *deltas))).hexdigest())
+"""
+
+
+def test_kernels_do_not_depend_on_the_blas_thread_count():
+    """The BLAS sums of ``mean_grads``, ``evaluate`` and ``per_sample_pass``
+    give the same bytes under one and two BLAS threads. This covers the model
+    kernels only: the per-client gemm of ``lipschitz.estimate_sgd_stats`` does
+    depend on the thread count (a FOUND line in CHANGES.md, ROADMAP item 2)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        reported, *digests = done.stdout.splitlines()
+        assert reported in ("None", threads)  # the setting took, where readable
+        outputs.append(digests)
+    assert outputs[0] == outputs[1]
