@@ -15,12 +15,10 @@ rises. Because the penalty is a product, descent can continue past the first
 floor contact (re-solving on the unpinned categories) and may even concentrate
 the remaining mass on the cheapest category. The KKT conditions say which
 floor patterns an optimum can have: the top-k sets of an arrangement of C
-lines, O(C^2) of them. The solver searches exactly those and keeps the exact
-minimizer in O(C^3); it needs neither the gap vector nor a level. A
-vectorized screen first drops the patterns whose candidates cannot attain
-the minimum, so the per-pattern loop visits only a few of them.
-compute_gamma_star reports the classic first-contact level, which ``isfl
-solve`` prints beside the plan.
+lines, O(C^2) of them. The solver scores exactly those, all at once in
+row-wise array arithmetic, and keeps the exact minimizer in O(C^3); it needs
+neither the gap vector nor a level. compute_gamma_star reports the classic
+first-contact level, which ``isfl solve`` prints beside the plan.
 """
 
 from __future__ import annotations
@@ -35,13 +33,6 @@ from .data import CategoryDistribution
 logger = logging.getLogger(__name__)
 
 _DEGENERATE_EPS = 1e-12
-
-# Relative rounding margin of the face screen (see _screen_faces). The screen
-# and the exact face loop round their sums of at most C terms differently, by
-# at most a few C * 1.1e-16 of each sum's scale; 1e-10 covers that for any C
-# a solve can take.
-_SCREEN_MARGIN = 1e-10
-_LEVEL_SIGNS = np.array([[-1.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -71,16 +62,27 @@ class SamplingPlan:
         return w
 
 
-def _curvature_row(l_row: np.ndarray) -> np.ndarray:
-    """The row as floats, checked: 1-D, finite, non-negative, not all zero."""
+def _curvature_squares(l_row: np.ndarray) -> np.ndarray:
+    """The squares L_i^2 of a checked curvature row: 1-D, finite,
+    non-negative, not all zero, with squares that neither all underflow to
+    zero nor overflow where the solver squares their sums."""
     l_row = np.asarray(l_row, dtype=np.float64)
     if l_row.ndim != 1 or l_row.size < 1:
         raise ValueError("need a 1-D curvature row")
     if np.any(l_row < 0.0) or not np.all(np.isfinite(l_row)):
         raise ValueError("curvatures must be finite and non-negative")
-    if (l_row**2).sum() == 0.0:
+    if not l_row.any():
         raise ValueError("curvature row must have at least one positive entry")
-    return l_row
+    with np.errstate(over="ignore", under="ignore"):
+        sq = l_row**2
+        total = sq.sum()
+        # a face's discriminant stays below 8 C times the squared sum
+        overflow = not np.isfinite(8.0 * sq.size * total**2)
+    if overflow:
+        raise ValueError("curvatures too large: their squares overflow in the solve")
+    if total == 0.0:
+        raise ValueError("curvatures too small: their squares underflow to zero")
+    return sq
 
 
 def compute_alpha(l_row: np.ndarray) -> np.ndarray:
@@ -91,12 +93,11 @@ def compute_alpha(l_row: np.ndarray) -> np.ndarray:
     negative ones costlier than average. The vector sums to zero and has unit
     norm, except in the degenerate all-equal case where it is identically zero.
     """
-    l_row = _curvature_row(l_row)
-    sq = l_row**2
-    gaps = 1.0 - l_row.size * sq / sq.sum()
+    sq = _curvature_squares(l_row)
+    gaps = 1.0 - sq.size * sq / sq.sum()
     denom = np.sqrt((gaps**2).sum())
     if denom < _DEGENERATE_EPS:
-        return np.zeros(l_row.size)
+        return np.zeros(sq.size)
     return gaps / denom
 
 
@@ -176,99 +177,11 @@ def _without_repeats(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def _screen_faces(
-    p: np.ndarray, floors: np.ndarray, sq: np.ndarray, pinned: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Which faces (rows of ``pinned``) and which vertices the exact loop of
-    _minimize_rho must visit to find its minimizer, as two boolean masks.
-
-    Every face's candidates (its one point if flat, else its two levels t)
-    and every vertex are evaluated at once, in masked (F, C) arithmetic that
-    follows the loop but sums in another order. Each quantity carries a bound
-    on how far the loop's own value of it can lie: _SCREEN_MARGIN of its
-    scale, carried through the quadratic, so an ill-conditioned level t gets
-    a wide bound. A candidate is kept when its penalty less its bound is at
-    most ``best``, the smallest penalty plus bound of a candidate the loop
-    surely evaluates; a dropped candidate then cannot attain the minimum. A
-    face is kept outright when a branch test of the loop (a flat gap, the
-    sign of the discriminant, t >= 0, feasibility) lies within its bound of
-    a flip, or cannot be evaluated, since the loop may branch the other way.
-    """
-    eps = _SCREEN_MARGIN
-    top = sq.max()
-    weight = (~pinned).astype(np.float64)
-    n = weight.sum(axis=1)
-    shift = (1.0 - (floors.sum() - weight @ floors) - weight @ p) / n
-    base = np.where(pinned, floors, p + shift[:, None])
-    gap = weight * ((weight @ sq / n)[:, None] - sq)
-    dev = base - p
-    with np.errstate(all="ignore"):
-        gap_sq = np.einsum("ij,ij->i", gap, gap)
-        mismatch0 = 1.0 + np.einsum("ij,ij->i", dev, dev)
-        curvature0 = base @ sq
-        # bounds on the distance to the loop's values: base entries lie
-        # within 8 eps, gaps within 4 eps * top
-        err_gap = 4.0 * eps * top
-        err_gap_sq = err_gap * (2.0 * np.sqrt(n * gap_sq) + n * err_gap) + eps * gap_sq
-        err_m0 = eps * (mismatch0 + 8.0 * n)
-        err_c0 = 8.0 * eps * p.size * top
-        flat = (n == 1.0) | (gap_sq < 1e-24)
-        near_flip = (n > 1.0) & ~(np.abs(gap_sq - 1e-24) > err_gap_sq)
-
-        disc = curvature0**2 - 3.0 * gap_sq * mismatch0
-        err_disc = (
-            (2.0 * np.abs(curvature0) + err_c0) * err_c0
-            + 3.0 * ((mismatch0 + err_m0) * err_gap_sq + gap_sq * err_m0)
-            + eps * (curvature0**2 + 3.0 * gap_sq * mismatch0)
-        )
-        real = ~flat & (disc >= 0.0)
-        near_flip |= ~flat & ~(np.abs(disc) > err_disc)
-        root = np.sqrt(np.maximum(disc, 0.0))
-        err_num = (
-            err_c0
-            + err_disc / np.maximum(root, np.sqrt(err_disc))
-            + eps * (np.abs(curvature0) + root)
-        )
-        num = curvature0 + _LEVEL_SIGNS * root  # (2, F): the two levels of each face
-        near_flip |= real & ~(np.abs(num) > err_num).all(axis=0)
-        t = num / (3.0 * gap_sq)
-        err_t = (err_num / 3.0 + np.abs(t) * err_gap_sq) / np.maximum(
-            gap_sq - err_gap_sq, 0.0
-        ) + eps * np.abs(t)
-        valid = real & (t >= 0.0)
-        valid[0] |= flat  # a flat face has the one candidate t = 0
-        t = np.where(valid & ~flat, t, 0.0)
-        err_q = 8.0 * eps + (8.0 * eps * np.abs(t) + 2.0 * np.where(valid & ~flat, err_t, 0.0)) * top
-
-        step = t[..., None] * gap  # (2, F, C)
-        # the loop's test q >= floors - 1e-12, on the free coordinates
-        least = (np.where(pinned, np.inf, base - (floors - 1e-12)) + step).min(axis=-1)
-        near_flip |= (valid & ~(np.abs(least) > err_q)).any(axis=0)
-        q = base + step
-        dev = q - p
-        mismatch = 1.0 + np.einsum("kfc,kfc->kf", dev, dev)
-        curvature = q @ sq
-        value = mismatch * curvature
-        # the gradient of rho, and its change over err_q, bound the spread
-        err_value = (err_q + 3.0 * eps) * mismatch * (n + 5.0) * (np.abs(curvature) + 4.0 * top)
-
-        # vertex j: every category at its floor but j, which takes the rest
-        mass = 1.0 - floors.sum()
-        below = floors - p
-        vertex_value = (1.0 + below @ below + 2.0 * mass * below + mass * mass) * (
-            floors @ sq + mass * sq
-        )
-        err_vertex = 16.0 * eps * vertex_value
-
-        candidate = valid & (least >= 0.0)
-        best = min(
-            np.where(candidate & ~near_flip, value + err_value, np.inf).min(),
-            (vertex_value + err_vertex).min(),
-        )
-        if not np.isfinite(best):
-            return np.ones(len(pinned), dtype=bool), np.ones(p.size, dtype=bool)
-        faces = near_flip | (candidate & ~(value - err_value > best)).any(axis=0)
-        return faces, ~(vertex_value - err_vertex > best)
+def _penalty(q: np.ndarray, p: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """rho of each plan along the last axis of ``q``, from the squared
+    curvatures ``sq``. The sums run over that axis alone, so a plan's value
+    does not depend on the plans stacked beside it."""
+    return (1.0 + np.sum((p - q) ** 2, axis=-1)) * np.sum(q * sq, axis=-1)
 
 
 def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -279,60 +192,44 @@ def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarr
     stationarity conditions confine q to a line: the mass-shifted pooled mix
     plus t times the curvature-gap direction of the unpinned set; the
     self-consistent levels t solve a quadratic. Only the O(C^2) faces a KKT
-    point can lie on are searched (see _pinned_sets), so a solve costs O(C^3)
-    and returns the q that searching all 2^C - 1 faces would, bit for bit.
-    The one exception is an optimum on several faces at once, as when an
-    exactly tied curvature meets a clamped floor: those faces agree up to
-    rounding, and which of them is kept may differ. _screen_faces first drops
-    the faces and vertices whose candidates cannot attain the minimum; the
-    loop visits the rest in the same order, so the same q wins, ties included.
+    point can lie on are scored (see _pinned_sets), so a solve costs O(C^3).
+    Every face is one row of masked (F, C) arithmetic whose sums run along
+    the row, so its candidates round as they would among all 2^C - 1 faces.
+    The candidates are scored face by face, lower level first, then the
+    vertices; invalid and infeasible ones score inf, and the first smallest
+    wins, as it does in the full enumeration.
     """
     c = p.size
-    best_q, best_v = floors.copy(), np.inf
-
-    def consider(q: np.ndarray) -> None:
-        nonlocal best_q, best_v
-        if np.any(q < floors - 1e-12):
-            return
-        value = (1.0 + ((q - p) ** 2).sum()) * (q @ sq)
-        if value < best_v:
-            best_q, best_v = q, value
-
-    pinned_sets = _pinned_sets(p, floors, sq)
-    faces, vertices = _screen_faces(p, floors, sq, pinned_sets)
-    for pinned in pinned_sets[faces]:
-        free = np.flatnonzero(~pinned)
-        mass = 1.0 - floors[pinned].sum()
-        shift = (mass - p[free].sum()) / free.size
-        base = p[free] + shift
-        gap = sq[free].mean() - sq[free]
-        gap_sq = float(gap @ gap)
-        mismatch0 = 1.0 + ((floors[pinned] - p[pinned]) ** 2).sum() + free.size * shift**2
-        curvature0 = float(floors[pinned] @ sq[pinned]) + float(base @ sq[free])
-        if gap_sq < 1e-24 or free.size == 1:
-            q = np.empty(c)
-            q[pinned] = floors[pinned]
-            q[free] = base
-            consider(q)
-            continue
+    pinned = _pinned_sets(p, floors, sq)
+    n = c - pinned.sum(axis=1)
+    shift = (1.0 - np.where(pinned, floors, p).sum(axis=1)) / n
+    base = np.where(pinned, floors, p + shift[:, None])
+    mean = np.where(pinned, 0.0, sq).sum(axis=1) / n
+    gap = np.where(pinned, 0.0, mean[:, None] - sq)
+    gap_sq = (gap * gap).sum(axis=1)
+    mismatch0 = 1.0 + ((base - p) ** 2).sum(axis=1)
+    curvature0 = (base * sq).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
         # stationary levels: 2 t * curvature(t) = mismatch(t), a quadratic in t
-        disc = curvature0**2 - 3.0 * gap_sq * mismatch0
-        if disc < 0.0:
-            continue
-        root = np.sqrt(disc)
-        for t in ((curvature0 - root) / (3.0 * gap_sq), (curvature0 + root) / (3.0 * gap_sq)):
-            if t >= 0.0:
-                q = np.empty(c)
-                q[pinned] = floors[pinned]
-                q[free] = base + t * gap
-                consider(q)
+        root = np.sqrt(curvature0**2 - 3.0 * gap_sq * mismatch0)
+        t = (curvature0[:, None] + root[:, None] * [-1.0, 1.0]) / (3.0 * gap_sq[:, None])
+    # a flat face has the one candidate t = 0; NaN marks the levels that are
+    # no candidate: the second of a flat face, a negative one, or either one
+    # of a negative discriminant
+    flat = ((n == 1) | (gap_sq < 1e-24))[:, None]
+    t = np.where(flat, [0.0, np.nan], np.where(t >= 0.0, t, np.nan))
 
-    slack = 1.0 - floors.sum()
-    for j in np.flatnonzero(vertices):
-        q = floors.copy()
-        q[j] += slack
-        consider(q)
-    return best_q
+    # faces' candidates in (face, level) order, then vertex j: every category
+    # at its floor but j, which takes the rest
+    q = np.concatenate((
+        (base[:, None, :] + t[..., None] * gap[:, None, :]).reshape(-1, c),
+        floors + np.eye(c) * (1.0 - floors.sum()),
+    ))
+    with np.errstate(invalid="ignore", over="ignore"):
+        value = _penalty(q, p, sq)
+    value[np.isnan(value) | (q < floors - 1e-12).any(axis=1)] = np.inf
+    best = np.argmin(value)
+    return (q[best] if value[best] < np.inf else floors).copy()
 
 
 def solve_is_weights(
@@ -352,16 +249,16 @@ def solve_is_weights(
     pk_arr = p_local.probs
     if np.any(p_arr <= 0.0):
         raise ValueError("pooled distribution must be strictly positive")
-    l_row = _curvature_row(l_row)
+    sq = _curvature_squares(l_row)
+    if sq.size != p_arr.size:
+        raise ValueError("the curvature row and p must have equal length")
     floors, clamped = _effective_floors(p_arr, pk_arr, varpi)
     if clamped:
         logger.warning(
             "floor exceeds pooled proportion for categories %s; clamping",
             np.flatnonzero(varpi * pk_arr > p_arr).tolist(),
         )
-    if l_row.size != p_arr.size:
-        raise ValueError("the curvature row and p must have equal length")
-    q = _minimize_rho(p_arr, floors, l_row**2)
+    q = _minimize_rho(p_arr, floors, sq)
 
     support = pk_arr > 0.0
     if not support.all():
@@ -396,7 +293,5 @@ def rho(
     l_row = np.asarray(l_row, dtype=np.float64)
     if q.ndim not in (1, 2) or q.shape[-1] != len(p) or l_row.shape != q.shape:
         raise ValueError("q, p and the curvature rows must have equal length")
-    mismatch = 1.0 + np.sum((p.probs - q) ** 2, axis=-1)
-    curvature = np.sum(q * l_row**2, axis=-1)
-    value = mismatch * curvature
+    value = _penalty(q, p.probs, l_row**2)
     return float(value) if q.ndim == 1 else value

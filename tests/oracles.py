@@ -1,11 +1,12 @@
 """Slow reference implementations that the fast paths are checked against.
 
-``enumerate_rho_min`` visits every one of the 2^C - 1 floor patterns; the
-polynomial solver in ``isfl.isweights`` must return its q bit for bit.
-``brute_force_rho_min`` grid-searches the feasible set and checks both at
-small category counts. ``_pinned_sets`` and ``_minimize_rho`` are the
-polynomial solver before it screened its faces: it visits every face a KKT
-point can lie on, and the screened solver must return its q bit for bit.
+``enumerate_rho_min`` scores every one of the 2^C - 1 floor patterns, each in
+masked row arithmetic of its own; the polynomial solver in ``isfl.isweights``
+scores only the patterns a KKT point can have, in the same row arithmetic,
+and must return its q bit for bit. ``brute_force_rho_min`` grid-searches the
+feasible set and checks both at small category counts. ``_pinned_sets`` is
+the reference list of the patterns a KKT point can have, built with
+``np.unique``.
 
 ``weighted_sample_batch`` and ``local_train`` train one client alone, one
 validated batch and one gradient at a time; ``isfl.trainer.local_train``
@@ -154,6 +155,35 @@ def evaluate(spec: ModelSpec, params: np.ndarray, ds: Dataset) -> tuple[float, f
     return float(losses.mean()), acc
 
 
+def _face_points(
+    p: np.ndarray, floors: np.ndarray, sq: np.ndarray, pinned: np.ndarray
+) -> np.ndarray:
+    """The candidates of every face (a row of ``pinned``), two per face in
+    (face, level) order: the face's stationary points, NaN where a level is
+    no candidate. Each face is one row of masked arithmetic whose sums run
+    along the row, so its candidates do not depend on the other rows."""
+    c = p.size
+    free = ~pinned
+    n = free.sum(axis=1)
+    shift = (1.0 - np.where(pinned, floors, p).sum(axis=1)) / n
+    base = np.where(free, p + shift[:, None], floors)
+    gap = np.where(free, (np.where(free, sq, 0.0).sum(axis=1) / n)[:, None] - sq, 0.0)
+    gap_sq = (gap * gap).sum(axis=1)
+    mismatch0 = 1.0 + ((base - p) ** 2).sum(axis=1)
+    curvature0 = (base * sq).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # stationary levels: 2 t * curvature(t) = mismatch(t), a quadratic in t
+        disc = curvature0**2 - 3.0 * gap_sq * mismatch0
+        root = np.sqrt(disc)
+        t = np.stack(((curvature0 - root) / (3.0 * gap_sq),
+                      (curvature0 + root) / (3.0 * gap_sq)), axis=1)
+        flat = (gap_sq < 1e-24) | (n == 1)
+        real = ~flat[:, None] & (disc >= 0.0)[:, None] & (t >= 0.0)
+        points = np.where(real[..., None], base[:, None] + t[..., None] * gap[:, None], np.nan)
+    points[flat, 0] = base[flat]  # a flat face has the one point t = 0
+    return points.reshape(-1, c)
+
+
 def enumerate_rho_min(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """Exact minimizer of rho over {sum q = 1, q >= floors}.
 
@@ -161,53 +191,28 @@ def enumerate_rho_min(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.n
     coordinates pinned to their floors) or at a vertex. On each face the
     stationarity conditions confine q to a line: the mass-shifted pooled mix
     plus t times the curvature-gap direction of the unpinned set; the
-    self-consistent levels t solve a quadratic. All faces are enumerated, so
-    the cost grows as 2^C.
+    self-consistent levels t solve a quadratic. All 2^C - 1 faces are
+    scored, face by face in the order of their floor-pattern integers (bit j
+    for category j), lower level first, then every vertex; the first
+    candidate of smallest penalty wins. The cost grows as 2^C.
     """
     c = p.size
     best_q, best_v = floors.copy(), np.inf
-
-    def consider(q: np.ndarray) -> None:
-        nonlocal best_q, best_v
-        if np.any(q < floors - 1e-12):
-            return
-        value = (1.0 + ((q - p) ** 2).sum()) * (q @ sq)
-        if value < best_v:
-            best_q, best_v = q, value
-
-    for pattern in range(2**c - 1):
-        pinned = np.array([(pattern >> j) & 1 for j in range(c)], dtype=bool)
-        free = np.flatnonzero(~pinned)
-        mass = 1.0 - floors[pinned].sum()
-        shift = (mass - p[free].sum()) / free.size
-        base = p[free] + shift
-        gap = sq[free].mean() - sq[free]
-        gap_sq = float(gap @ gap)
-        mismatch0 = 1.0 + ((floors[pinned] - p[pinned]) ** 2).sum() + free.size * shift**2
-        curvature0 = float(floors[pinned] @ sq[pinned]) + float(base @ sq[free])
-        if gap_sq < 1e-24 or free.size == 1:
-            q = np.empty(c)
-            q[pinned] = floors[pinned]
-            q[free] = base
-            consider(q)
-            continue
-        # stationary levels: 2 t * curvature(t) = mismatch(t), a quadratic in t
-        disc = curvature0**2 - 3.0 * gap_sq * mismatch0
-        if disc < 0.0:
-            continue
-        root = np.sqrt(disc)
-        for t in ((curvature0 - root) / (3.0 * gap_sq), (curvature0 + root) / (3.0 * gap_sq)):
-            if t >= 0.0:
-                q = np.empty(c)
-                q[pinned] = floors[pinned]
-                q[free] = base + t * gap
-                consider(q)
-
     slack = 1.0 - floors.sum()
-    for j in range(c):
-        q = floors.copy()
-        q[j] += slack
-        consider(q)
+    patterns = np.arange(2**c - 1)
+    faces = (
+        _face_points(p, floors, sq, (block[:, None] >> np.arange(c)) & 1 == 1)
+        for block in np.split(patterns, range(4096, patterns.size, 4096))
+    )
+    for q in itertools.chain(faces, [floors + slack * np.eye(c)]):
+        # the feasible candidates, in order
+        q = q[~(np.isnan(q) | (q < floors - 1e-12)).any(axis=1)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            value = (1.0 + ((p - q) ** 2).sum(axis=1)) * (q * sq).sum(axis=1)
+        value[np.isnan(value)] = np.inf
+        if value.size and value.min() < best_v:
+            k = int(np.argmin(value))
+            best_q, best_v = q[k], value[k]
     return best_q
 
 
@@ -243,66 +248,6 @@ def _pinned_sets(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarra
     masks = np.vstack([np.zeros((1, c), dtype=bool), rank[rows] <= ks[:, None]])
     masks = np.unique(masks, axis=0)
     return masks[np.lexsort(masks.T)]
-
-
-def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Exact minimizer of rho over {sum q = 1, q >= floors}.
-
-    The minimum sits either at a stationary point of some face (a subset of
-    coordinates pinned to their floors) or at a vertex. On each face the
-    stationarity conditions confine q to a line: the mass-shifted pooled mix
-    plus t times the curvature-gap direction of the unpinned set; the
-    self-consistent levels t solve a quadratic. Only the O(C^2) faces a KKT
-    point can lie on are searched (see _pinned_sets), so a solve costs O(C^3)
-    and returns the q that searching all 2^C - 1 faces would, bit for bit.
-    The one exception is an optimum on several faces at once, as when an
-    exactly tied curvature meets a clamped floor: those faces agree up to
-    rounding, and which of them is kept may differ.
-    """
-    c = p.size
-    best_q, best_v = floors.copy(), np.inf
-
-    def consider(q: np.ndarray) -> None:
-        nonlocal best_q, best_v
-        if np.any(q < floors - 1e-12):
-            return
-        value = (1.0 + ((q - p) ** 2).sum()) * (q @ sq)
-        if value < best_v:
-            best_q, best_v = q, value
-
-    for pinned in _pinned_sets(p, floors, sq):
-        free = np.flatnonzero(~pinned)
-        mass = 1.0 - floors[pinned].sum()
-        shift = (mass - p[free].sum()) / free.size
-        base = p[free] + shift
-        gap = sq[free].mean() - sq[free]
-        gap_sq = float(gap @ gap)
-        mismatch0 = 1.0 + ((floors[pinned] - p[pinned]) ** 2).sum() + free.size * shift**2
-        curvature0 = float(floors[pinned] @ sq[pinned]) + float(base @ sq[free])
-        if gap_sq < 1e-24 or free.size == 1:
-            q = np.empty(c)
-            q[pinned] = floors[pinned]
-            q[free] = base
-            consider(q)
-            continue
-        # stationary levels: 2 t * curvature(t) = mismatch(t), a quadratic in t
-        disc = curvature0**2 - 3.0 * gap_sq * mismatch0
-        if disc < 0.0:
-            continue
-        root = np.sqrt(disc)
-        for t in ((curvature0 - root) / (3.0 * gap_sq), (curvature0 + root) / (3.0 * gap_sq)):
-            if t >= 0.0:
-                q = np.empty(c)
-                q[pinned] = floors[pinned]
-                q[free] = base + t * gap
-                consider(q)
-
-    slack = 1.0 - floors.sum()
-    for j in range(c):
-        q = floors.copy()
-        q[j] += slack
-        consider(q)
-    return best_q
 
 
 @lru_cache(maxsize=8)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ class TestSolveCommand:
         bad.write_text(json.dumps({"p": [0.5, 0.6], "p_k": [0.5, 0.5], "L": [1.0, 2.0]}))
         assert main(["solve", "--input", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("input error: probs must sum to 1")
+
+    @pytest.mark.parametrize("l_row, message", [
+        ([1e200, 1.0], "curvatures too large"), ([1e-170, 1e-170], "curvatures too small"),
+    ], ids=["overflow", "underflow"])
+    def test_extreme_curvatures_exit_1_with_their_own_message(self, tmp_path, capsys,
+                                                               l_row, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"p": [0.5, 0.5], "p_k": [0.9, 0.1], "L": l_row}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--input", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"input error: {message}")
 
     def test_missing_file_exits_2(self):
         assert main(["solve", "--input", "/nonexistent/problem.json"]) == 2
@@ -442,7 +455,10 @@ class TestRunCommand:
 # softmax denominator, the log-sum-exp and the bias gradients) and folded
 # the mean's 1/N into the softmax scaling, which rounds the gradients
 # differently in the last bits. The other digests did not move with it: this
-# small model's steps round those bits away.
+# small model's steps round those bits away. The weight solver moved to
+# masked row arithmetic over its KKT faces, which rounds q differently in the
+# last bits; the isfl diagnostics.jsonl digests and every c10/ digest were
+# re-recorded for that, and only the rho columns of that metrics.csv changed.
 GOLDEN_CONFIG = dict(
     BASE_CONFIG,
     clients=3,
@@ -466,13 +482,13 @@ GOLDEN_C10_CONFIG = dict(
 )
 GOLDEN_DIGESTS = {
     "c10/isfl_seed1/bounds.csv":
-        "f3a0d35cced860d8a8b222a9f6ef23d7873058f087b70dda2abf36cb6d96a815",
+        "bfd21bf735c0f7818fc0de4ab17bdae7b78b916c97b72a9f0799146ade9386f5",
     "c10/isfl_seed1/diagnostics.jsonl":
-        "0fa9a61b4c8c3181828666b1e071f5a5c05ff3c68d1d061bd28f8d8d40069afe",
+        "b57a2c4aa2e580d57d049e9588891d4dad9340e8d7287bf733327cd0af456dbf",
     "c10/isfl_seed1/long.csv":
-        "036f1832b3cf178f27d9e74188418dfc395c750ebb159edda06d6ce43e1f2b60",
+        "40391e2f1cbb29673aa52202b26e3a1d5eb352ef59cf0f0a0caa43dd7022c01a",
     "c10/isfl_seed1/metrics.csv":
-        "3b646d45c46a6fb29d1b0c8b974f289070978cb7661d0e88e2f8cbcf84aeb1da",
+        "0a9e64b1d416d3353ab5e471967d8e856a346392407a16f2e475c6ecabe8d821",
     "fedavg_seed1/metrics.csv":
         "3d7a9573fce49032ce6ee13aba4e78d94a897de52b07976afa3926ba7104976d",
     "fedavg_seed2/metrics.csv":
@@ -484,7 +500,7 @@ GOLDEN_DIGESTS = {
     "isfl_seed1/bounds.csv":
         "c108f53ce0af806de7e7d28a8641d075537d6a104e2c5510ba848ecfa798dd9c",
     "isfl_seed1/diagnostics.jsonl":
-        "4d2aeedbe93e4120b9fbc50b492d27697e1a188f4734d7091c6128eae2364765",
+        "60d269930925df25cb662dee2b57c936495342d78f5fa131c3c9c7237ced8566",
     "isfl_seed1/long.csv":
         "640075cca5a4cd2725386517ac61d43c2c0fb38a62842532788d1739903aba24",
     "isfl_seed1/metrics.csv":
@@ -492,7 +508,7 @@ GOLDEN_DIGESTS = {
     "isfl_seed2/bounds.csv":
         "468e3684e109dd1dea82f758f174857949129c2e7a906cbd3b0975affe62e500",
     "isfl_seed2/diagnostics.jsonl":
-        "6193b4f4469398a62f15bd22640c21215475c5805e5b1c22f870f2f2a127d92c",
+        "8764c6dcb4df7bacc44b1a61749dc66516640c2b4784f6193a8a6be04b98bb54",
     "isfl_seed2/long.csv":
         "434b9e8da18164a55e915c5b1be97a55c7d4575767ade4e83b13972ead1c706f",
     "isfl_seed2/metrics.csv":

@@ -169,13 +169,27 @@ class TestSolveIsWeights:
         assert plan.clamped
         assert sum("clamping" in r.getMessage() for r in caplog.records) == 1
 
-    @pytest.mark.parametrize("row", [
-        np.ones((3, 1)), np.array([1.0, np.nan, 2.0]), np.array([1.0, -0.5, 2.0]),
-        np.zeros(3), np.ones(2),
-    ], ids=["2-d", "nan", "negative", "all-zero", "short"])
-    def test_bad_curvature_row_rejected(self, row):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("row, message", [
+        (np.ones((3, 1)), "1-D"),
+        (np.array([1.0, np.nan, 2.0]), "finite"),
+        (np.array([1.0, -0.5, 2.0]), "non-negative"),
+        (np.zeros(3), "at least one positive"),
+        (np.ones(2), "equal length"),
+        (np.array([1e200, 1.0, 1.0]), "too large"),
+        (np.array([1e100, 1.0, 1.0]), "too large"),
+        (np.array([1e-170, 1e-170, 1e-170]), "underflow"),
+    ], ids=["2-d", "nan", "negative", "all-zero", "short", "overflow", "sum-overflow",
+            "underflow"])
+    def test_bad_curvature_row_rejected(self, row, message):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
             solve_is_weights(P3, PK3, row, 0.05)
+
+    def test_short_row_rejected_before_clamping(self, caplog):
+        p = CategoryDistribution(np.array([0.001, 0.499, 0.5]))
+        pk = CategoryDistribution(np.array([0.9, 0.05, 0.05]))
+        with caplog.at_level(logging.WARNING), pytest.raises(ValueError, match="equal length"):
+            solve_is_weights(p, pk, np.ones(2), 0.05)
+        assert "clamping" not in caplog.text
 
     def test_zero_pooled_probability_rejected(self):
         bad = CategoryDistribution(np.array([0.0, 0.5, 0.5]))
@@ -327,30 +341,38 @@ def solver_instance(rng, c):
     return p, floors, l_row**2, clamped
 
 
+def assert_matches_enumeration(p, floors, sq, multi_face):
+    """The solver's q must be the full enumeration's, bit for bit. Where the
+    optimum can sit on several faces at once (``multi_face``), those faces
+    give the same q up to rounding and either may win, so q is held to
+    rounding error instead: |dq| <= 1e-15 and a penalty at most 1 + 1e-15
+    times the enumeration's."""
+    q = _minimize_rho(p, floors, sq)
+    q_enum = enumerate_rho_min(p, floors, sq)
+    if not multi_face:
+        assert np.array_equal(q, q_enum), (p, floors, sq)
+    assert np.abs(q - q_enum).max() <= 1e-15
+    assert penalty(q, p, sq) <= penalty(q_enum, p, sq) * (1 + 1e-15)
+
+
 # instances per category count, fewer where the 2^C faces cost more
 BITWISE_INSTANCES = {2: 700, 3: 700, 4: 700, 5: 700, 6: 300, 7: 200, 8: 150,
-                     9: 100, 10: 50, 11: 20, 12: 12}
+                     9: 100, 10: 50, 11: 20, 12: 12, 13: 10, 14: 10, 15: 10, 16: 10}
 
 
 class TestMinimizeRho:
     def test_matches_face_enumeration_bitwise(self):
         # An exactly tied curvature next to a clamped floor can put the
-        # optimum on several faces at once; those faces give the same q up
-        # to rounding and the enumeration keeps whichever rounds lowest, so
-        # that family is held to rounding error instead of bit equality.
+        # optimum on several faces at once, so that family is held to
+        # rounding error; every other instance must match bit for bit.
         exact = 0
         for c, count in BITWISE_INSTANCES.items():
             rng = np.random.default_rng(1000 + c)
             for _ in range(count):
                 p, floors, sq, clamped = solver_instance(rng, c)
-                q = _minimize_rho(p, floors, sq)
-                q_enum = enumerate_rho_min(p, floors, sq)
-                if clamped and np.unique(sq).size < c:
-                    assert np.abs(q - q_enum).max() <= 1e-15
-                    assert penalty(q, p, sq) <= penalty(q_enum, p, sq) * (1 + 1e-15)
-                else:
-                    assert np.array_equal(q, q_enum), (c, p, floors, sq)
-                    exact += 1
+                multi_face = clamped and np.unique(sq).size < c
+                assert_matches_enumeration(p, floors, sq, multi_face)
+                exact += not multi_face
         assert exact >= 3000
 
     @pytest.mark.parametrize("c", [50, 100])
@@ -421,11 +443,12 @@ def flat_gap_instance(rng, c):
 
 def floor_edge_instance(rng, c):
     """A floor moved to 1e-12 above the optimum's coordinate, give or take a
-    few ulps, so that the optimum sits on the edge of the solver's
-    feasibility test q >= floors - 1e-12."""
+    few ulps, so that the optimum sits on the edge of the feasibility test
+    q >= floors - 1e-12. The optimum is the enumeration's, which the solver
+    equals bit for bit."""
     while True:
         p, floors, sq, _ = solver_instance(rng, c)
-        room = oracles._minimize_rho(p, floors, sq) - floors
+        room = enumerate_rho_min(p, floors, sq) - floors
         if np.sum(room > 1e-6) >= 2:
             break
     j = int(np.argmax(room))
@@ -435,8 +458,8 @@ def floor_edge_instance(rng, c):
     return p, floors, sq
 
 
-# instances per category count for the screened-solver check, fewer where
-# a solve costs more; 2,005 in all
+# instances per category count for the KKT face check, fewer where a solve
+# costs more; 2,005 in all
 SCREEN_INSTANCES = {**dict.fromkeys(range(2, 13), 160), **dict.fromkeys(range(13, 17), 50),
                     20: 30, 30: 15}
 ADVERSARIAL = {
@@ -446,31 +469,34 @@ ADVERSARIAL = {
     "flat-gap": flat_gap_instance,
     "floor-edge": floor_edge_instance,
 }
+# families whose optimum can sit on several faces at once
+MULTI_FACE = {"tied-clamped", "flat-gap"}
+# adversarial instances per category count, fewer where the 2^C faces cost more
+ADVERSARIAL_INSTANCES = {3: 40, 5: 40, 8: 40, 10: 40, 16: 10}
 
 
 class TestScreenedSolver:
-    """The face screen only picks which faces the exact loop visits, so the
-    solver must return what it returned before it screened
-    (``oracles._minimize_rho``), bit for bit, ties included."""
+    """The solver scores only the faces a KKT point can lie on; the
+    enumeration (``oracles.enumerate_rho_min``) is the unscreened solver,
+    which scores all 2^C - 1 faces. The solver must return its q bit for bit,
+    ties included, except where the optimum sits on several faces at once."""
 
     @pytest.mark.parametrize("c", SCREEN_INSTANCES)
     def test_matches_unscreened_solver_on_random_instances(self, c):
+        # the KKT faces, at category counts too large to enumerate too
         rng = np.random.default_rng(3000 + c)
         for _ in range(SCREEN_INSTANCES[c]):
             p, floors, sq, _ = solver_instance(rng, c)
             assert np.array_equal(isweights_mod._pinned_sets(p, floors, sq),
                                   oracles._pinned_sets(p, floors, sq))
-            assert np.array_equal(_minimize_rho(p, floors, sq),
-                                  oracles._minimize_rho(p, floors, sq)), (p, floors, sq)
 
     @pytest.mark.parametrize("family", ADVERSARIAL)
     def test_matches_unscreened_solver_on_adversarial_instances(self, family):
-        for c in (3, 5, 8, 10, 16):
+        for c, count in ADVERSARIAL_INSTANCES.items():
             rng = np.random.default_rng([c, list(ADVERSARIAL).index(family)])
-            for _ in range(40):
+            for _ in range(count):
                 p, floors, sq = ADVERSARIAL[family](rng, c)
-                assert np.array_equal(_minimize_rho(p, floors, sq),
-                                      oracles._minimize_rho(p, floors, sq)), (p, floors, sq)
+                assert_matches_enumeration(p, floors, sq, family in MULTI_FACE)
 
     def test_matches_unscreened_solver_on_a_paper_scale_run(self, tmp_path, monkeypatch):
         # the solve inputs of one isfl run of the paper-scale bench workload:
@@ -485,14 +511,8 @@ class TestScreenedSolver:
         cfg = ExperimentConfig(per_class=2200, eta=0.05, rounds=3)
         execute_run(cfg, "isfl", 0, tmp_path / "run")
         assert len(recorded) == 2 * cfg.clients
-        kept = total = 0
         for p, floors, sq in recorded:
-            assert np.array_equal(_minimize_rho(p, floors, sq), oracles._minimize_rho(p, floors, sq))
-            pinned = isweights_mod._pinned_sets(p, floors, sq)
-            kept += isweights_mod._screen_faces(p, floors, sq, pinned)[0].sum()
-            total += len(pinned)
-        # the screen keeps 1.3 of 28.8 faces per solve here
-        assert kept <= 0.1 * total
+            assert_matches_enumeration(p, floors, sq, multi_face=False)
 
 
 @st.composite
