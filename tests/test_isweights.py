@@ -355,6 +355,23 @@ def assert_matches_enumeration(p, floors, sq, multi_face):
     assert penalty(q, p, sq) <= penalty(q_enum, p, sq) * (1 + 1e-15)
 
 
+def assert_kkt_point(p, floors, sq):
+    """The solver's q must be feasible and satisfy the KKT conditions."""
+    q = _minimize_rho(p, floors, sq)
+    assert abs(q.sum() - 1.0) <= 1e-9
+    assert np.all(q >= floors - 1e-12)
+    # stationarity: equal partials on the free coordinates, no
+    # smaller ones on the coordinates held at their floors
+    parts = kkt_partials(
+        CategoryDistribution(q), CategoryDistribution(p), np.sqrt(sq)
+    )
+    free = q > floors + 1e-9
+    assert free.any()
+    scale = np.abs(parts).max()
+    assert np.ptp(parts[free]) <= 1e-9 * scale
+    assert np.all(parts[~free] >= parts[free].min() - 1e-9 * scale)
+
+
 # instances per category count, fewer where the 2^C faces cost more
 BITWISE_INSTANCES = {2: 700, 3: 700, 4: 700, 5: 700, 6: 300, 7: 200, 8: 150,
                      9: 100, 10: 50, 11: 20, 12: 12, 13: 10, 14: 10, 15: 10, 16: 10}
@@ -380,19 +397,7 @@ class TestMinimizeRho:
         rng = np.random.default_rng(c)
         for _ in range(3):
             p, floors, sq, _ = solver_instance(rng, c)
-            q = _minimize_rho(p, floors, sq)
-            assert abs(q.sum() - 1.0) <= 1e-9
-            assert np.all(q >= floors - 1e-12)
-            # stationarity: equal partials on the free coordinates, no
-            # smaller ones on the coordinates held at their floors
-            parts = kkt_partials(
-                CategoryDistribution(q), CategoryDistribution(p), np.sqrt(sq)
-            )
-            free = q > floors + 1e-9
-            assert free.any()
-            scale = np.abs(parts).max()
-            assert np.ptp(parts[free]) <= 1e-9 * scale
-            assert np.all(parts[~free] >= parts[free].min() - 1e-9 * scale)
+            assert_kkt_point(p, floors, sq)
 
 
 def tied_clamped_instance(rng, c):
@@ -458,8 +463,8 @@ def floor_edge_instance(rng, c):
     return p, floors, sq
 
 
-# instances per category count for the KKT face check, fewer where a solve
-# costs more; 2,005 in all
+# instances per category count for the KKT face and KKT point checks, fewer
+# where a solve costs more; 2,005 in all
 SCREEN_INSTANCES = {**dict.fromkeys(range(2, 13), 160), **dict.fromkeys(range(13, 17), 50),
                     20: 30, 30: 15}
 ADVERSARIAL = {
@@ -471,30 +476,35 @@ ADVERSARIAL = {
 }
 # families whose optimum can sit on several faces at once
 MULTI_FACE = {"tied-clamped", "flat-gap"}
-# adversarial instances per category count, fewer where the 2^C faces cost more
-ADVERSARIAL_INSTANCES = {3: 40, 5: 40, 8: 40, 10: 40, 16: 10}
+# category counts of the adversarial families, 40 instances each
+ADVERSARIAL_SIZES = (3, 5, 8, 10, 16)
 
 
 class TestScreenedSolver:
     """The solver scores only the faces a KKT point can lie on; the
     enumeration (``oracles.enumerate_rho_min``) is the unscreened solver,
     which scores all 2^C - 1 faces. The solver must return its q bit for bit,
-    ties included, except where the optimum sits on several faces at once."""
+    ties included, except where the optimum sits on several faces at once.
+    The random instances reach category counts too large to enumerate, so
+    there the faces are checked against the reference ``_pinned_sets`` and
+    each solve against the KKT conditions."""
 
     @pytest.mark.parametrize("c", SCREEN_INSTANCES)
     def test_matches_unscreened_solver_on_random_instances(self, c):
-        # the KKT faces, at category counts too large to enumerate too
+        # at category counts too large to enumerate too: the KKT faces
+        # equal the reference's, and every solve is a feasible KKT point
         rng = np.random.default_rng(3000 + c)
         for _ in range(SCREEN_INSTANCES[c]):
             p, floors, sq, _ = solver_instance(rng, c)
             assert np.array_equal(isweights_mod._pinned_sets(p, floors, sq),
                                   oracles._pinned_sets(p, floors, sq))
+            assert_kkt_point(p, floors, sq)
 
     @pytest.mark.parametrize("family", ADVERSARIAL)
     def test_matches_unscreened_solver_on_adversarial_instances(self, family):
-        for c, count in ADVERSARIAL_INSTANCES.items():
+        for c in ADVERSARIAL_SIZES:
             rng = np.random.default_rng([c, list(ADVERSARIAL).index(family)])
-            for _ in range(count):
+            for _ in range(40):
                 p, floors, sq = ADVERSARIAL[family](rng, c)
                 assert_matches_enumeration(p, floors, sq, family in MULTI_FACE)
 
