@@ -444,8 +444,8 @@ class TestRunCommand:
                 assert phases[0, 2] > 0.0 and phases[-1, 2] == 0.0  # no last-round refresh
 
 
-# sha256 of the deterministic artifacts of GOLDEN_CONFIG, and under c10/ of
-# GOLDEN_C10_CONFIG. The fedavg, gradnorm_is and rw_is seed-2 digests were
+# sha256 of the deterministic artifacts of GOLDEN_CONFIG, under c10/ of
+# GOLDEN_C10_CONFIG and under bits/ of GOLDEN_BITS_CONFIG. The fedavg, gradnorm_is and rw_is seed-2 digests were
 # recorded before local training moved to lockstep stacks. The isfl digests
 # were re-recorded when the curvature rows moved to the difference form, and
 # every isfl diagnostics.jsonl, bounds.csv and long.csv digest again when the
@@ -480,7 +480,46 @@ GOLDEN_C10_CONFIG = dict(
     strategies=["isfl"],
     probe_size=50,
 )
+# every batch of 12 rounds its 1/N, and the wider model at eta 0.5 keeps a
+# last-bit change of a gradient, a weight or a sum's order in every
+# strategy's metrics.csv
+GOLDEN_BITS_CONFIG = dict(
+    GOLDEN_CONFIG,
+    sampling_ratio=0.9,  # 36 of 40 samples per epoch: 3 batches of 12
+    batch_size=12,
+    hidden_dims=[16],
+    eta=0.5,
+    rounds=6,
+)
 GOLDEN_DIGESTS = {
+    "bits/fedavg_seed1/metrics.csv":
+        "48cece654b9015fa16b5502b083f5ed4949ae18e655bb30f4cbb6821b9040ccc",
+    "bits/fedavg_seed2/metrics.csv":
+        "8cb7f01422964b47a68494635242efe9c433b098a5def76915b83093bced8fe3",
+    "bits/gradnorm_is_seed1/metrics.csv":
+        "3de01e18438754de96c49be8d6d8dee0f91d242c3c66a02e0ecf0eb2582b668c",
+    "bits/gradnorm_is_seed2/metrics.csv":
+        "928ce948844206b09473c8c9405c957fe75520024cbad3bebb5148321649ef45",
+    "bits/isfl_seed1/bounds.csv":
+        "759f2c87474aed5d9e2d6cf7a681dd4b4efed0face2e90933fe0087f764241e7",
+    "bits/isfl_seed1/diagnostics.jsonl":
+        "bef1775a0d030c0f0a325e1b7bc6d5b6be2f347cb772b765458bdb26809752be",
+    "bits/isfl_seed1/long.csv":
+        "a58a7a6dd4832fa82acfa752d5c2c07cedc4f460fa95014f55f3c9aa56e9cf65",
+    "bits/isfl_seed1/metrics.csv":
+        "caefd2de284e755190bcc8b3efb68b6c65f487dca40e012095dd531f53522b3c",
+    "bits/isfl_seed2/bounds.csv":
+        "70cbe82a91f3999398e41c5f767e1268d0c2150dc1a6154e28c93610aeab3abc",
+    "bits/isfl_seed2/diagnostics.jsonl":
+        "6fbf273ff5d1ccd2d1f8e443d7c66224d1575da0d06d35e89996a615e7308b45",
+    "bits/isfl_seed2/long.csv":
+        "c596a1c9e811e5aed9b0564db1c69dc702f797313c139ebbbd8d83eccd707345",
+    "bits/isfl_seed2/metrics.csv":
+        "0f913526ca96eecb5d5a0dccb19b3ac630a34b2dcca37101f1263250dfd16911",
+    "bits/rw_is_seed1/metrics.csv":
+        "29dbf018f8e3a3f5687054504aed609fd201bae581cfb97ce9b34c8a1a7fef94",
+    "bits/rw_is_seed2/metrics.csv":
+        "67bba0ce8d180df140e2f58be290d6c33aa60aec30274005d704f7b97d123be5",
     "c10/isfl_seed1/bounds.csv":
         "bfd21bf735c0f7818fc0de4ab17bdae7b78b916c97b72a9f0799146ade9386f5",
     "c10/isfl_seed1/diagnostics.jsonl":
@@ -527,7 +566,8 @@ class TestGoldenDigests:
         digests are then re-recorded there, and the change says why."""
         out_dir = tmp_path / "runs"
         for name, cfg, out in (("config.json", GOLDEN_CONFIG, out_dir),
-                               ("c10.json", GOLDEN_C10_CONFIG, out_dir / "c10")):
+                               ("c10.json", GOLDEN_C10_CONFIG, out_dir / "c10"),
+                               ("bits.json", GOLDEN_BITS_CONFIG, out_dir / "bits")):
             cfg_path = tmp_path / name
             cfg_path.write_text(json.dumps(cfg))
             assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -570,7 +610,7 @@ class TestSchedules:
                 )
             }
             assert digests == {
-                k: v for k, v in GOLDEN_DIGESTS.items() if not k.startswith("c10/")
+                k: v for k, v in GOLDEN_DIGESTS.items() if not k.startswith(("c10/", "bits/"))
             }
         assert found["grouped"] == found["single"]
         # per seed and ratio 2 files for each of 3 strategies and 5 for isfl:
