@@ -432,12 +432,17 @@ def cmd_solve(args) -> int:
     varpi = float(raw.get("varpi", 0.05))
     plan = solve_is_weights(p, p_k, l_row, varpi)
     alpha = compute_alpha(l_row)
+    # the plan does not depend on the row's scale, but rho takes it as given
+    with np.errstate(over="ignore"):
+        penalty = rho(plan.q, p, l_row)
+    if not np.isfinite(penalty):
+        raise ValueError("the penalty rho of the plan overflows at these curvatures")
     out = {
         "alpha": alpha.tolist(),
         "gamma_star": compute_gamma_star(p, p_k, alpha, varpi),
         "q": plan.q.probs.tolist(),
         "w": plan.w.tolist(),
-        "rho": rho(plan.q, p, l_row),
+        "rho": penalty,
     }
     text = json.dumps(out, indent=2, sort_keys=True)
     print(text)

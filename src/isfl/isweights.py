@@ -63,9 +63,10 @@ class SamplingPlan:
 
 
 def _curvature_squares(l_row: np.ndarray) -> np.ndarray:
-    """The squares L_i^2 of a checked curvature row: 1-D, finite,
-    non-negative, not all zero, with squares that neither all underflow to
-    zero nor overflow where the solver squares their sums."""
+    """The squares (L_i / max L)^2 of a checked curvature row: 1-D, finite,
+    non-negative, not all zero. rho is linear in the squares, so dividing by
+    the largest entry leaves the minimizer alone; the squares then lie in
+    [0, 1] with a largest of exactly 1, whatever the row's scale."""
     l_row = np.asarray(l_row, dtype=np.float64)
     if l_row.ndim != 1 or l_row.size < 1:
         raise ValueError("need a 1-D curvature row")
@@ -73,16 +74,7 @@ def _curvature_squares(l_row: np.ndarray) -> np.ndarray:
         raise ValueError("curvatures must be finite and non-negative")
     if not l_row.any():
         raise ValueError("curvature row must have at least one positive entry")
-    with np.errstate(over="ignore", under="ignore"):
-        sq = l_row**2
-        total = sq.sum()
-        # a face's discriminant stays below 8 C times the squared sum
-        overflow = not np.isfinite(8.0 * sq.size * total**2)
-    if overflow:
-        raise ValueError("curvatures too large: their squares overflow in the solve")
-    if total == 0.0:
-        raise ValueError("curvatures too small: their squares underflow to zero")
-    return sq
+    return (l_row / l_row.max()) ** 2
 
 
 def compute_alpha(l_row: np.ndarray) -> np.ndarray:
