@@ -65,6 +65,8 @@ _INTEGER_KEYS = (
     "classes", "per_class", "dim", "test_size", "holdout_size", "clients", "shard_size",
     "shards_per_client", "batch_size", "local_epochs", "rounds", "probe_size",
 )
+# keys that hold one number, integral or not
+_FLOAT_KEYS = ("separation", "nr", "eta", "sampling_ratio", "varpi")
 
 
 def _is_integer(value) -> bool:
@@ -114,6 +116,8 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config must be a JSON object (got {type(raw).__name__})")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -123,11 +127,15 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        # Types first, so that no later check or job meets a bool or a float
-        # where an integer belongs
+        # Types first, so that no later check or job meets a bool or a string
+        # where a number belongs, or a float where an integer does
         for key in _INTEGER_KEYS:
             if not _is_integer(getattr(self, key)):
                 raise ValueError(f"{key} must be an integer (got {getattr(self, key)!r})")
+        for key in _FLOAT_KEYS:
+            value = getattr(self, key)
+            if not (_is_integer(value) or isinstance(value, (float, np.floating))):
+                raise ValueError(f"{key} must be a number (got {value!r})")
         if not isinstance(self.hidden_dims, (list, tuple)) or not all(
             map(_is_integer, self.hidden_dims)
         ):

@@ -213,6 +213,16 @@ class TestPartitionCommand:
         assert main(["partition", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("config error: unknown config keys")
 
+    @pytest.mark.parametrize("text, kind", [('"abc"', "str"), ("5", "int"), ("[1, 2]", "list")],
+                             ids=["string", "number", "list"])
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys, text, kind):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        assert main(["partition", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: a config must be a JSON object (got {kind})\n"
+        )
+
 
 class TestRunCommand:
     def test_single_strategy_smoke(self, tmp_path, capsys):
@@ -340,9 +350,16 @@ class TestRunCommand:
         ("seeds", [-1], "seeds must be a list of non-negative integers (got [-1])"),
         ("rounds", 1.5, "rounds must be an integer (got 1.5)"),
         ("probe_size", 10.5, "probe_size must be an integer (got 10.5)"),
+        ("eta", True, "eta must be a number (got True)"),
+        ("sampling_ratio", True, "sampling_ratio must be a number (got True)"),
+        ("separation", False, "separation must be a number (got False)"),
+        ("nr", "0.8", "nr must be a number (got '0.8')"),
+        ("varpi", "0.05", "varpi must be a number (got '0.05')"),
+        ("eta", None, "eta must be a number (got None)"),
     ], ids=["varpi-1.5", "varpi-neg", "probe-0", "separation-neg", "test-neg",
             "holdout-0", "rounds-0", "strategy", "seed-bool", "hidden-float", "batch-bool",
-            "seed-negative", "rounds-float", "probe-float"])
+            "seed-negative", "rounds-float", "probe-float", "eta-bool", "ratio-bool",
+            "separation-bool", "nr-string", "varpi-string", "eta-null"])
     def test_bad_setting_exits_1_before_any_job(
         self, tmp_path, capsys, monkeypatch, key, value, message
     ):
