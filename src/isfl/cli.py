@@ -249,17 +249,16 @@ def run_id_of(payload: dict) -> str:
     return hashlib.sha256(canonical).hexdigest()[:12]
 
 
-def write_metrics_csv(metrics: list[RoundMetrics], path: Path) -> None:
+def write_metrics_csv(metrics: list[RoundMetrics], rows: list[dict], path: Path) -> None:
+    """The rho columns are those of ``rows`` (``diagnostics.bounds_rows``) for
+    the same round, and blank for a round without one."""
+    scores = {r["round"]: f"{r['rho_realized']!r},{r['rho_theory']!r}" for r in rows}
     with open(path, "w", encoding="utf-8") as f:
         f.write(METRICS_HEADER + "\n")
         for m in metrics:
-            if m.rho_realized is None:
-                rho_mean = rho_theory = ""
-            else:
-                rho_mean, rho_theory = repr(m.rho_realized), repr(m.rho_theory)
             f.write(
                 f"{m.round_index},{m.train_loss!r},{m.acc_test!r},"
-                f"{m.acc_pool!r},{rho_mean},{rho_theory}\n"
+                f"{m.acc_pool!r},{scores.get(m.round_index, ',')}\n"
             )
 
 
@@ -287,8 +286,8 @@ def execute_run(
     """
     shards, probe, test, opening = opened or (*build_experiment_data(cfg, seed), None)
     fed_cfg = cfg.federation_config(strategy, derive_seed(seed, 20), sampling_ratio)
-    recorder = diagnostics.RunLog() if strategy == "isfl" else None
-    metrics = run(shards, fed_cfg, test, probe=probe, recorder=recorder, opening=opening)
+    metrics, log = run(shards, fed_cfg, test, probe=probe, opening=opening)
+    rows = diagnostics.bounds_rows(log) if log.records else []
 
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -301,11 +300,10 @@ def execute_run(
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    write_metrics_csv(metrics, out_dir / "metrics.csv")
+    write_metrics_csv(metrics, rows, out_dir / "metrics.csv")
     write_timings_csv(metrics, out_dir / "timings.csv")
-    if recorder is not None and recorder.records:
-        recorder.save_jsonl(out_dir / "diagnostics.jsonl")
-        rows = diagnostics.bounds_rows(recorder)
+    if rows:
+        log.save_jsonl(out_dir / "diagnostics.jsonl")
         diagnostics.write_bounds_csv(rows, out_dir / "bounds.csv")
         diagnostics.write_long_csv(rows, out_dir / "long.csv")
     return metrics

@@ -5,7 +5,9 @@ Per aggregation round the orchestrator records the curvature matrix in effect
 in effect, the optimum for that curvature, noise statistics, and parameter
 deviations. Everything here is read-only post-processing over those records:
 the noise/aggregation terms (psi, phi), the deviation bound check, and the
-penalty trajectories (realized versus theoretical minimum).
+penalty trajectories (realized versus theoretical minimum). ``bounds_rows``
+scores a log once, for bounds.csv, long.csv and the rho columns of
+metrics.csv.
 """
 
 from __future__ import annotations
@@ -41,17 +43,14 @@ class RoundRecord:
 
 @dataclass
 class RunLog:
-    """Run-level constants plus one record per aggregation round.
+    """Run-level constants plus one record per aggregation round."""
 
-    The orchestrator fills the run-level fields when handed an empty log.
-    """
-
-    p: np.ndarray | None = None
-    p_local: np.ndarray | None = None    # K x C
-    pi: np.ndarray | None = None
-    varpi: float = 0.0
-    eta: float = 0.0
-    local_epochs: int = 1
+    p: np.ndarray
+    p_local: np.ndarray    # K x C
+    pi: np.ndarray
+    varpi: float
+    eta: float
+    local_epochs: int
     records: list[RoundRecord] = field(default_factory=list)
 
     @property
@@ -134,37 +133,11 @@ class RunLog:
         return log
 
 
-def psi(
-    eta: float,
-    lbar: float,
-    pi: np.ndarray,
-    sigma2: np.ndarray,
-    g2: np.ndarray,
-    n_categories: int,
-) -> float:
-    """Aggregation-noise term over a window.
-
-    ``sigma2`` is per-epoch-per-client (T x K), ``g2`` per-epoch (T,). Averages
-    eta * lbar * sum_k pi_k sigma2_k(t) + 2 * C * g2(t) over the window.
-    """
-    sigma2 = np.atleast_2d(np.asarray(sigma2, dtype=np.float64))
-    g2 = np.atleast_1d(np.asarray(g2, dtype=np.float64))
-    if sigma2.shape[0] != g2.size:
-        raise ValueError("sigma2 and g2 must cover the same epochs")
-    per_epoch = eta * lbar * (sigma2 @ np.asarray(pi)) + 2.0 * n_categories * g2
-    return float(per_epoch.mean())
-
-
-def lemma1_check(
-    eta: float, local_epochs: int, measured_dev2: float, phi_k: float
-) -> tuple[float, float, bool]:
-    """Compare a measured squared deviation against its drift bound.
-
-    Returns (lhs, rhs, holds). Violations are expected occasionally because the
-    noise constants are plug-in estimates, so callers log rather than fail.
-    """
-    rhs = 2.0 * eta**2 * local_epochs * phi_k
-    return measured_dev2, rhs, measured_dev2 <= rhs
+def psi(log: RunLog, rec: RoundRecord) -> float:
+    """Aggregation-noise term of one round, eta * lbar * sum_k pi_k sigma2_k
+    + 2 * C * g2, with lbar the p-weighted mean of the pi-weighted curvature."""
+    lbar = float(log.p @ (log.pi @ rec.lipschitz))
+    return float(log.eta * lbar * (rec.sigma2 @ log.pi) + 2.0 * log.n_categories * rec.g2)
 
 
 def _phi_per_epoch(log: RunLog, rec: RoundRecord) -> np.ndarray:
@@ -172,13 +145,6 @@ def _phi_per_epoch(log: RunLog, rec: RoundRecord) -> np.ndarray:
     sigma2_l. The round's constants make it the same for every epoch, so phi
     at the round's end is local_epochs times this."""
     return (log.n_clients + 1) * rec.g2 + rec.sigma2 + float(rec.sigma2 @ log.pi)
-
-
-def _rho_rows(log: RunLog, rec: RoundRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Per-client rho(plan in effect) and rho(optimum) for one record, both
-    against its in-effect curvature matrix."""
-    p = CategoryDistribution(log.p)
-    return rho(rec.q_used, p, rec.lipschitz), rho(rec.q_star, p, rec.lipschitz)
 
 
 def bound_rhs(
@@ -207,24 +173,27 @@ BOUNDS_HEADER = "round,rho_realized,rho_theory,psi,phi_mean,dev_mean,lemma1_pass
 
 
 def bounds_rows(log: RunLog) -> list[dict]:
-    """One summary row per round for bounds.csv and long.csv, with the
-    per-client deviations under ``dev2``."""
+    """One summary row per round for bounds.csv, long.csv and the rho columns
+    of metrics.csv, with the per-client deviations under ``dev2``.
+
+    The penalties are rho of the plan in effect and of the optimum, against
+    the round's in-effect curvature, pi-weighted over clients. The Lemma-1
+    pass rate is the share of clients whose deviation is within the drift
+    bound 2 eta^2 T phi_k; violations are expected occasionally, because the
+    noise constants are plug-in estimates, so they are reported, never raised.
+    """
     if not log.records:
         raise ValueError("run log has no round records")
     best_loss = min(rec.loss_start for rec in log.records)
+    p = CategoryDistribution(log.p)
     rows = []
     for rec in log.records:
-        realized, theory = _rho_rows(log, rec)
-        lbar = float(log.p @ (log.pi @ rec.lipschitz))
-        psi_val = psi(
-            log.eta, lbar, log.pi, rec.sigma2[None, :], [rec.g2], log.n_categories
-        )
+        realized = rho(rec.q_used, p, rec.lipschitz)
+        theory = rho(rec.q_star, p, rec.lipschitz)
+        psi_val = psi(log, rec)
         per_tau = _phi_per_epoch(log, rec)
         phis = log.local_epochs * per_tau
-        holds = [
-            lemma1_check(log.eta, log.local_epochs, float(rec.dev2[k]), float(phis[k]))[2]
-            for k in range(log.n_clients)
-        ]
+        holds = rec.dev2 <= 2.0 * log.eta**2 * log.local_epochs * phis
         rows.append(
             {
                 "round": rec.round_index,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import ClientShard, Dataset, global_distribution
 from .diagnostics import RoundRecord, RunLog
-from .isweights import SamplingPlan, rho, solve_is_weights, uniform_plan
+from .isweights import SamplingPlan, solve_is_weights, uniform_plan
 from .lipschitz import estimate_lipschitz, estimate_sgd_stats
 from .model import ModelSpec, evaluate, init_params
 from .trainer import TrainerConfig, gradnorm_plan, local_train, rw_plan
@@ -41,8 +41,8 @@ from .trainer import TrainerConfig, gradnorm_plan, local_train, rw_plan
 STRATEGIES = ("fedavg", "rw_is", "gradnorm_is", "isfl")
 
 # Wall-clock phases of a round, in order: local training, aggregation, the
-# curvature rows, next round's plans and their rho scores, the noise
-# statistics of the diagnostics record, and evaluation of the aggregate
+# curvature rows, next round's plans, the noise statistics of the diagnostics
+# record, and evaluation of the aggregate
 PHASES = ("train", "aggregate", "curvature", "solve", "stats", "eval")
 
 
@@ -79,14 +79,13 @@ class FederationConfig:
 
 @dataclass
 class RoundMetrics:
-    """One round's outcome; the rho fields are pi-weighted client means (isfl only)."""
+    """One round's outcome; isfl's penalty scores come from the run's RunLog
+    (``diagnostics.bounds_rows``)."""
 
     round_index: int
     train_loss: float
     acc_test: float
     acc_pool: float
-    rho_realized: float | None
-    rho_theory: float | None
     seconds: float
     phases: dict[str, float]  # wall seconds per PHASES entry; they sum to at most seconds
 
@@ -199,16 +198,16 @@ def run(
     cfg: FederationConfig,
     test_set: Dataset,
     probe: Dataset | None = None,
-    recorder: RunLog | None = None,
     opening: Opening | None = None,
-) -> list[RoundMetrics]:
-    """Execute the full federated schedule and return per-round metrics.
+) -> tuple[list[RoundMetrics], RunLog]:
+    """Execute the full federated schedule; return per-round metrics and the
+    run's log.
 
     ``probe`` (held-out data) is required for the isfl strategy, which
     re-estimates curvature rows on it and solves the next round's plans at
-    every aggregation but the last of a multi-round run. When ``recorder`` is
-    given, per-round diagnostics records are appended to it (isfl only).
-    Round 1 comes from ``opening``, or from one
+    every aggregation but the last of a multi-round run. The log holds the
+    run-level constants for every strategy and, for isfl, one diagnostics
+    record per round. Round 1 comes from ``opening``, or from one
     ``open_run`` builds here; an opening built for other shards, another
     test set, model, trainer config or seed raises ValueError.
     Clients are weighted by shard size. Raises ValueError before round 1 when
@@ -230,14 +229,14 @@ def run(
     pi = size_proportional_weights(shards)
     p_global = global_distribution(shards)
     p_locals = [s.local_distribution for s in shards]
-
-    if recorder is not None:
-        recorder.p = p_global.probs
-        recorder.p_local = np.stack([pl.probs for pl in p_locals])
-        recorder.pi = pi
-        recorder.varpi = cfg.varpi
-        recorder.eta = cfg.trainer.eta
-        recorder.local_epochs = cfg.trainer.local_epochs
+    log = RunLog(
+        p=p_global.probs,
+        p_local=np.stack([pl.probs for pl in p_locals]),
+        pi=pi,
+        varpi=cfg.varpi,
+        eta=cfg.trainer.eta,
+        local_epochs=cfg.trainer.local_epochs,
+    )
 
     own = opening.own
     bounds = np.cumsum([0, *map(len, own)])  # client k: pool rows bounds[k]:bounds[k + 1]
@@ -262,7 +261,6 @@ def run(
                 )
             local_stack, new_global, train_loss, acc_pool, acc_test = trained
 
-            rho_realized = rho_theory = None
             if cfg.strategy == "isfl":
                 q_used = np.stack([plan.q.probs for plan in plans])
                 # refresh the curvature estimates and solve next round's plans
@@ -285,29 +283,26 @@ def run(
                 else:
                     in_effect = lips
                     q_star = q_used
-                rho_realized = float(rho(q_used, p_global, in_effect) @ pi)
-                rho_theory = float(rho(q_star, p_global, in_effect) @ pi)
                 laps.lap("solve")
-                if recorder is not None:
-                    stats = estimate_sgd_stats(
-                        cfg.model, new_global, opening.pool, bounds, cfg.trainer.batch_size
+                stats = estimate_sgd_stats(
+                    cfg.model, new_global, opening.pool, bounds, cfg.trainer.batch_size
+                )
+                dev2 = np.array(
+                    [float(np.linalg.norm(row - new_global)) ** 2 for row in local_stack]
+                )
+                log.records.append(
+                    RoundRecord(
+                        round_index=rnd,
+                        lipschitz=in_effect,
+                        q_used=q_used,
+                        q_star=q_star,
+                        sigma2=stats.sigma2,
+                        g2=stats.g2,
+                        dev2=dev2,
+                        loss_start=loss_start,
                     )
-                    dev2 = np.array(
-                        [float(np.linalg.norm(row - new_global)) ** 2 for row in local_stack]
-                    )
-                    recorder.records.append(
-                        RoundRecord(
-                            round_index=rnd,
-                            lipschitz=in_effect,
-                            q_used=q_used,
-                            q_star=q_star,
-                            sigma2=stats.sigma2,
-                            g2=stats.g2,
-                            dev2=dev2,
-                            loss_start=loss_start,
-                        )
-                    )
-                    laps.lap("stats")
+                )
+                laps.lap("stats")
                 lips = fresh
             elif cfg.strategy == "rw_is" and rnd < cfg.n_rounds:
                 plans = [rw_plan(shards[k]) for k in range(n_clients)]
@@ -335,11 +330,9 @@ def run(
                 train_loss=train_loss,
                 acc_test=acc_test,
                 acc_pool=acc_pool,
-                rho_realized=rho_realized,
-                rho_theory=rho_theory,
                 seconds=seconds,
                 phases=laps.seconds,
             )
         )
         loss_start = train_loss
-    return metrics
+    return metrics, log

@@ -24,7 +24,7 @@ from isfl.data import (
     select_probe_set,
     sort_and_partition,
 )
-from isfl.diagnostics import RunLog, bounds_rows
+from isfl.diagnostics import bounds_rows
 from isfl.federation import (
     FederationConfig,
     aggregate,
@@ -225,7 +225,7 @@ def trend_data(seed):
     )
 
 
-def trend_run(seed, strategy, varpi=0.05, sampling_ratio=1.0, recorder=None):
+def trend_run(seed, strategy, varpi=0.05, sampling_ratio=1.0):
     train, holdout, test = trend_data(seed)
     part = PartitionConfig(
         n_clients=10, shard_size=100, shards_per_client=2, nr=0.9, seed=seed + 2
@@ -243,15 +243,14 @@ def trend_run(seed, strategy, varpi=0.05, sampling_ratio=1.0, recorder=None):
         varpi=varpi,
         seed=seed + 4,
     )
-    return run(shards, cfg, test, probe=probe, recorder=recorder)
+    return run(shards, cfg, test, probe=probe)
 
 
 def trend_job(seed, strategy, varpi, sampling_ratio, record):
     """One trend run in a worker: its final pooled accuracy, plus its RunLog
     if ``record``."""
-    recorder = RunLog() if record else None
-    metrics = trend_run(seed, strategy, varpi, sampling_ratio, recorder)
-    return metrics[-1].acc_pool, recorder
+    metrics, log = trend_run(seed, strategy, varpi, sampling_ratio)
+    return metrics[-1].acc_pool, log if record else None
 
 
 @pytest.fixture(scope="module")
@@ -270,10 +269,10 @@ def trend_results():
     ) as pool:
         results = list(pool.map(trend_job, *zip(*jobs)))
     out = {"acc": {}, "logs": {}, "elapsed": None}
-    for (seed, strategy, varpi, ratio, record), (acc, recorder) in zip(jobs, results):
+    for (seed, strategy, varpi, ratio, record), (acc, log) in zip(jobs, results):
         out["acc"][(strategy, seed, varpi, ratio)] = acc
         if record:
-            out["logs"][seed] = recorder
+            out["logs"][seed] = log
     out["elapsed"] = time.perf_counter() - t0
     return out
 
@@ -421,7 +420,7 @@ def test_criterion_11_single_client_reduction():
         strategy="fedavg",
         seed=11,
     )
-    metrics = run(shards, cfg, test_set)
+    metrics, _ = run(shards, cfg, test_set)
 
     # centralized replay: identical seeds, trivial aggregation
     params = init_params(cfg.model, seed=derive_seed(cfg.seed, 0))

@@ -591,24 +591,46 @@ GOLDEN_DIGESTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    """``isfl run`` of GOLDEN_CONFIG, and of the other two golden configs
+    under c10/ and bits/ of the same directory, which it returns."""
+    tmp_path = tmp_path_factory.mktemp("golden")
+    out_dir = tmp_path / "runs"
+    for name, cfg, out in (("config.json", GOLDEN_CONFIG, out_dir),
+                           ("c10.json", GOLDEN_C10_CONFIG, out_dir / "c10"),
+                           ("bits.json", GOLDEN_BITS_CONFIG, out_dir / "bits")):
+        cfg_path = tmp_path / name
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out_dir
+
+
 class TestGoldenDigests:
-    def test_every_strategy_reproduces_its_recorded_artifacts(self, tmp_path):
+    def test_every_strategy_reproduces_its_recorded_artifacts(self, golden_runs):
         """Recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas).
         Another numpy or BLAS build may round the last bits differently; the
         digests are then re-recorded there, and the change says why."""
-        out_dir = tmp_path / "runs"
-        for name, cfg, out in (("config.json", GOLDEN_CONFIG, out_dir),
-                               ("c10.json", GOLDEN_C10_CONFIG, out_dir / "c10"),
-                               ("bits.json", GOLDEN_BITS_CONFIG, out_dir / "bits")):
-            cfg_path = tmp_path / name
-            cfg_path.write_text(json.dumps(cfg))
-            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        out_dir = golden_runs
         found = {
             path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out_dir.rglob("*"))
             if path.name in ("metrics.csv", "diagnostics.jsonl", "bounds.csv", "long.csv")
         }
         assert found == GOLDEN_DIGESTS
+
+    def test_metrics_rho_columns_are_the_bounds_cells(self, golden_runs):
+        # one scoring of the run log writes both files: isfl's rho columns
+        # are bounds.csv's cells string for string, and the others' are blank
+        run_dirs = sorted(path.parent for path in golden_runs.rglob("metrics.csv"))
+        assert len(run_dirs) == 8 + 1 + 8
+        for run_dir in run_dirs:
+            metrics = [r.split(",") for r in (run_dir / "metrics.csv").read_text().splitlines()]
+            if run_dir.name.startswith("isfl_"):
+                bounds = [r.split(",") for r in (run_dir / "bounds.csv").read_text().splitlines()]
+                assert [m[:1] + m[4:] for m in metrics[1:]] == [b[:3] for b in bounds[1:]]
+            else:
+                assert all(m[4:] == ["", ""] for m in metrics[1:])
 
 
 class TestSchedules:

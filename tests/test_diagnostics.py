@@ -7,8 +7,6 @@ from isfl.diagnostics import (
     RunLog,
     bound_rhs,
     bounds_rows,
-    lemma1_check,
-    psi,
     write_bounds_csv,
     write_long_csv,
 )
@@ -22,10 +20,12 @@ def rho_trajectory(log):
     return [(row["rho_realized"], row["rho_theory"]) for row in bounds_rows(log)]
 
 
-def stub_log(n_rounds=1, k=2, c=3):
-    """Log with unit weights and unit curvature everywhere."""
-    p = np.array([0.5, 0.3, 0.2])
-    p_local = np.array([[0.8, 0.1, 0.1], [0.2, 0.5, 0.3]])
+def stub_log(n_rounds=1, split=1):
+    """Log of two clients with unit weights and unit curvature everywhere;
+    ``split`` cuts each of its three categories into that many equal ones."""
+    p = np.repeat([0.5, 0.3, 0.2], split) / split
+    p_local = np.repeat([[0.8, 0.1, 0.1], [0.2, 0.5, 0.3]], split, axis=1) / split
+    k, c = p_local.shape
     log = RunLog(
         p=p,
         p_local=p_local,
@@ -50,34 +50,53 @@ def stub_log(n_rounds=1, k=2, c=3):
     return log
 
 
+def round_row(log, **fields):
+    """bounds_rows' row for the log's one round, with ``fields`` set on its record."""
+    (rec,) = log.records
+    for name, value in fields.items():
+        setattr(rec, name, value)
+    (row,) = bounds_rows(log)
+    return row
+
+
 class TestPsi:
+    """psi = eta * lbar * sum_k pi_k sigma2_k + 2 * C * g2, with lbar = 1 on
+    the stub's unit curvature."""
+
     def test_vanishing_noise(self):
-        assert psi(1e-3, 1.0, np.array([0.5, 0.5]), np.zeros((3, 2)), np.zeros(3), 4) == 0.0
+        assert round_row(stub_log(), sigma2=np.zeros(2), g2=0.0)["psi"] == 0.0
 
     def test_hand_evaluation(self):
-        value = psi(
-            1e-3, 1.0, np.array([0.5, 0.5]),
-            np.array([[1.0, 1.0]]), np.array([1.0]), 3,
-        )
-        assert value == pytest.approx(6.001, abs=1e-12)
+        # 1e-3 * 1 * 1 + 2 * 3 * 1
+        row = round_row(stub_log(), sigma2=np.ones(2), g2=1.0)
+        assert row["psi"] == pytest.approx(6.001, abs=1e-12)
 
     def test_linear_in_category_count(self):
-        args = (1e-3, 1.0, np.array([1.0]), np.array([[0.0]]), np.array([2.0]))
-        assert psi(*args, 10) == pytest.approx(2 * psi(*args, 5), rel=1e-12)
+        three = round_row(stub_log(), sigma2=np.zeros(2), g2=2.0)["psi"]
+        six = round_row(stub_log(split=2), sigma2=np.zeros(2), g2=2.0)["psi"]
+        assert three == pytest.approx(12.0, rel=1e-12)
+        assert six == pytest.approx(2 * three, rel=1e-12)
 
 
 class TestLemma1Check:
+    """A client passes when dev2_k <= 2 eta^2 T phi_k. On the stub phi_k is
+    T * ((K + 1) g2 + sigma2_k + sum_l pi_l sigma2_l) = 5 * 4 = 20, so the
+    bound is 2 * 1e-6 * 5 * 20 = 2e-4."""
+
     def test_zero_deviation_at_aggregation(self):
-        lhs, rhs, holds = lemma1_check(1e-3, 5, 0.0, 0.0)
-        assert lhs == 0.0 and rhs == 0.0 and holds
+        assert round_row(stub_log(), dev2=np.zeros(2))["lemma1_pass_rate"] == 1.0
 
     def test_frozen_training(self):
-        lhs, rhs, holds = lemma1_check(0.0, 5, 0.0, 123.0)
-        assert rhs == 0.0 and holds
+        # no gradient noise: the bound is 0, and a client that did not move
+        # meets it with equality, while one that moved does not
+        row = round_row(stub_log(), sigma2=np.zeros(2), g2=0.0, dev2=np.array([0.0, 1e-300]))
+        assert row["phi_mean"] == 0.0 and row["lemma1_pass_rate"] == 0.5
 
     def test_violation_reported_not_fatal(self):
-        lhs, rhs, holds = lemma1_check(1e-3, 5, 1.0, 1.0)
-        assert not holds and lhs == 1.0
+        assert round_row(stub_log(), dev2=np.array([1.9e-4, 1e-6]))["lemma1_pass_rate"] == 1.0
+        row = round_row(stub_log(), dev2=np.array([2.1e-4, 1e-6]))
+        assert row["lemma1_pass_rate"] == 0.5
+        assert row["dev_mean"] == pytest.approx(1.055e-4, rel=1e-12)
 
 
 class TestRhoTrajectory:
@@ -94,9 +113,8 @@ class TestRhoTrajectory:
 
     def test_theory_never_exceeds_realized_on_real_run(self):
         shards, probe, test = small_problem()
-        recorder = RunLog()
-        run(shards, fed_config("isfl", n_rounds=4), test, probe=probe, recorder=recorder)
-        for realized, theory in rho_trajectory(recorder):
+        _, log = run(shards, fed_config("isfl", n_rounds=4), test, probe=probe)
+        for realized, theory in rho_trajectory(log):
             assert theory <= realized + 1e-12
 
     def test_empty_log_rejected(self):
@@ -122,9 +140,8 @@ class TestBoundsArtifacts:
 
     def test_rows_and_csv(self, tmp_path):
         shards, probe, test = small_problem()
-        recorder = RunLog()
-        run(shards, fed_config("isfl", n_rounds=3), test, probe=probe, recorder=recorder)
-        rows = bounds_rows(recorder)
+        _, log = run(shards, fed_config("isfl", n_rounds=3), test, probe=probe)
+        rows = bounds_rows(log)
         assert len(rows) == 3
         for row in rows:
             assert 0.0 <= row["lemma1_pass_rate"] <= 1.0
@@ -145,19 +162,18 @@ class TestBoundsArtifacts:
 
     def test_jsonl_round_trip(self, tmp_path):
         shards, probe, test = small_problem()
-        recorder = RunLog()
-        run(shards, fed_config("isfl", n_rounds=2), test, probe=probe, recorder=recorder)
+        _, log = run(shards, fed_config("isfl", n_rounds=2), test, probe=probe)
         path = tmp_path / "diagnostics.jsonl"
-        recorder.save_jsonl(path)
+        log.save_jsonl(path)
         back = RunLog.load_jsonl(path)
-        assert np.array_equal(back.p, recorder.p)
-        assert np.array_equal(back.pi, recorder.pi)
+        assert np.array_equal(back.p, log.p)
+        assert np.array_equal(back.pi, log.pi)
         assert len(back.records) == 2
-        assert np.array_equal(back.records[1].lipschitz, recorder.records[1].lipschitz)
-        assert np.array_equal(back.records[1].q_star, recorder.records[1].q_star)
-        assert back.records[1].g2 == recorder.records[1].g2
+        assert np.array_equal(back.records[1].lipschitz, log.records[1].lipschitz)
+        assert np.array_equal(back.records[1].q_star, log.records[1].q_star)
+        assert back.records[1].g2 == log.records[1].g2
         # trajectories recomputed from disk match in-memory ones
-        assert rho_trajectory(back) == rho_trajectory(recorder)
+        assert rho_trajectory(back) == rho_trajectory(log)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.jsonl"
@@ -183,12 +199,8 @@ class TestQualitativeTrend:
         good = 0
         for seed in range(5):
             shards, probe, test = small_problem(seed=10 * seed)
-            recorder = RunLog()
-            run(
-                shards, fed_config("isfl", n_rounds=8, seed=seed), test,
-                probe=probe, recorder=recorder,
-            )
-            theory = [t for _, t in rho_trajectory(recorder)]
+            _, log = run(shards, fed_config("isfl", n_rounds=8, seed=seed), test, probe=probe)
+            theory = [t for _, t in rho_trajectory(log)]
             slope = np.polyfit(np.arange(1, len(theory) + 1), theory, 1)[0]
             good += slope <= 0.0
         assert good >= 4

@@ -13,7 +13,7 @@ from isfl.data import (
     sort_and_partition,
     train_holdout_test_split,
 )
-from isfl.diagnostics import RunLog
+from isfl.diagnostics import bounds_rows
 from isfl.federation import (
     STRATEGIES,
     FederationConfig,
@@ -74,7 +74,7 @@ class TestRun:
     def test_single_client_equals_centralized(self):
         shards, probe, test = small_problem(n_clients=1)
         cfg = fed_config("fedavg", n_rounds=4)
-        metrics = run(shards, cfg, test)
+        metrics, _ = run(shards, cfg, test)
 
         params = init_params(cfg.model, seed=derive_seed(cfg.seed, 0))
         for rnd in range(1, 5):
@@ -94,14 +94,14 @@ class TestRun:
 
     def test_fedavg_equals_stubbed_isfl_bitwise(self, monkeypatch):
         shards, probe, test = small_problem()
-        fed = run(shards, fed_config("fedavg"), test)
+        fed, _ = run(shards, fed_config("fedavg"), test)
 
         monkeypatch.setattr(
             federation_mod,
             "solve_is_weights",
             lambda p, pk, row, varpi: uniform_plan(pk),
         )
-        stub = run(shards, fed_config("isfl"), test, probe=probe)
+        stub, _ = run(shards, fed_config("isfl"), test, probe=probe)
         for a, b in zip(fed, stub):
             assert a.train_loss == b.train_loss
             assert a.acc_test == b.acc_test
@@ -110,22 +110,23 @@ class TestRun:
     def test_deterministic_across_reruns(self):
         shards, probe, test = small_problem()
         cfg = fed_config("isfl")
-        a = run(shards, cfg, test, probe=probe)
-        b = run(shards, cfg, test, probe=probe)
+        a, log_a = run(shards, cfg, test, probe=probe)
+        b, log_b = run(shards, cfg, test, probe=probe)
         for x, y in zip(a, b):
             assert x.train_loss == y.train_loss
-            assert np.array_equal(x.rho_realized, y.rho_realized)
+        for x, y in zip(bounds_rows(log_a), bounds_rows(log_b), strict=True):
+            assert (x["rho_realized"], x["rho_theory"]) == (y["rho_realized"], y["rho_theory"])
 
     def test_all_strategies_execute(self):
         shards, probe, test = small_problem()
         for strategy in ("fedavg", "rw_is", "gradnorm_is", "isfl"):
-            metrics = run(shards, fed_config(strategy, n_rounds=2), test, probe=probe)
+            metrics, log = run(shards, fed_config(strategy, n_rounds=2), test, probe=probe)
             assert len(metrics) == 2
             assert all(0.0 <= m.acc_test <= 1.0 for m in metrics)
-            if strategy == "isfl":
-                assert metrics[0].rho_realized is not None
-            else:
-                assert metrics[0].rho_realized is None
+            # every run's log has its header; only isfl records its rounds
+            assert np.array_equal(log.pi, size_proportional_weights(shards))
+            assert log.p_local.shape == (len(shards), 3) and log.local_epochs == 2
+            assert len(log.records) == (2 if strategy == "isfl" else 0)
 
     def test_shards_unchanged_by_run(self):
         shards, probe, test = small_problem()
@@ -138,21 +139,20 @@ class TestRun:
 
     def test_plans_refresh_only_at_rounds(self):
         shards, probe, test = small_problem()
-        recorder = RunLog()
-        run(shards, fed_config("isfl", n_rounds=3), test, probe=probe, recorder=recorder)
-        assert len(recorder.records) == 3
+        _, log = run(shards, fed_config("isfl", n_rounds=3), test, probe=probe)
+        assert len(log.records) == 3
         p_locals = np.stack([s.local_distribution.probs for s in shards])
         # round 1 trains under unit weights and is scored on the first
         # curvature estimate, the one round 2's plans are solved from; from
         # round 2 on the plan in effect is the optimum for the recorded
         # in-effect curvature
-        assert np.allclose(recorder.records[0].q_used, p_locals)
-        assert np.array_equal(recorder.records[0].lipschitz, recorder.records[1].lipschitz)
-        assert np.array_equal(recorder.records[0].q_star, recorder.records[1].q_used)
-        for cur in recorder.records[1:]:
+        assert np.allclose(log.records[0].q_used, p_locals)
+        assert np.array_equal(log.records[0].lipschitz, log.records[1].lipschitz)
+        assert np.array_equal(log.records[0].q_star, log.records[1].q_used)
+        for cur in log.records[1:]:
             assert np.array_equal(cur.q_used, cur.q_star)
         # plans changed between rounds (a refresh actually happened)
-        assert not np.allclose(recorder.records[1].q_used, p_locals)
+        assert not np.allclose(log.records[1].q_used, p_locals)
 
     def test_recorded_noise_statistics_are_the_exact_ones_at_each_aggregate(self, monkeypatch):
         shards, probe, test = small_problem(nr=0.5)
@@ -166,10 +166,9 @@ class TestRun:
 
         monkeypatch.setattr(federation_mod, "aggregate", keeping)
         opening = open_run(shards, cfg, test)
-        recorder = RunLog()
-        run(shards, cfg, test, probe=probe, recorder=recorder, opening=opening)
+        _, log = run(shards, cfg, test, probe=probe, opening=opening)
         bounds = np.cumsum([0, *map(len, shards)])
-        for rec, params in zip(recorder.records, aggregates, strict=True):
+        for rec, params in zip(log.records, aggregates, strict=True):
             stats = estimate_sgd_stats(cfg.model, params, opening.pool, bounds, 16)
             assert np.array_equal(rec.sigma2, stats.sigma2) and rec.g2 == stats.g2
             assert np.all(rec.sigma2 > 0.0)
@@ -272,8 +271,7 @@ class TestRun:
 def outcome(metrics):
     """A run's metrics without the wall-clock fields."""
     return [
-        (m.round_index, m.train_loss, m.acc_test, m.acc_pool, m.rho_realized, m.rho_theory)
-        for m in metrics
+        (m.round_index, m.train_loss, m.acc_test, m.acc_pool) for m in metrics
     ]
 
 
@@ -289,10 +287,9 @@ class TestOpening:
             logs = {}
             outcomes = {}
             for name, given in (("own", None), ("shared", opening)):
-                recorder = RunLog()
-                metrics = run(shards, cfg, test, probe=probe, recorder=recorder, opening=given)
+                metrics, log = run(shards, cfg, test, probe=probe, opening=given)
                 outcomes[name] = outcome(metrics)
-                recorder.save_jsonl(tmp_path / f"{strategy}_{name}.jsonl")
+                log.save_jsonl(tmp_path / f"{strategy}_{name}.jsonl")
                 logs[name] = (tmp_path / f"{strategy}_{name}.jsonl").read_bytes()
             assert outcomes["shared"] == outcomes["own"]
             assert logs["shared"] == logs["own"]
@@ -346,7 +343,7 @@ class TestOpening:
         shards, probe, test = small_problem()
         opening = open_run(shards, fed_config("fedavg"), test)
         for strategy in ("fedavg", "isfl"):
-            first = run(shards, fed_config(strategy), test, probe=probe, opening=opening)[0]
+            first = run(shards, fed_config(strategy), test, probe=probe, opening=opening)[0][0]
             for phase in ("train", "aggregate", "eval"):
                 assert first.phases[phase] == opening.phases[phase] > 0.0
             assert first.seconds >= sum(first.phases.values())
