@@ -10,8 +10,10 @@ Subcommands:
 run and sweep-sr run their jobs in parallel worker processes, one per CPU.
 Round 1 is the same FedAvg round for every strategy of one (seed, ratio)
 (federation's opening), so a worker task runs the strategies of one seed
-from one data build and one round 1 (``run_task``) wherever that keeps every
-worker busy (``group_jobs``). The artifacts do not depend on the CPU count.
+from one data build and one round 1 wherever that keeps every worker busy
+(``group_jobs``). The task's strategies train in lockstep, one stacked local
+run per round (``run_task``, ``federation.run_lockstep``). The artifacts do
+not depend on the CPU count.
 
 Exit codes: 1 config, input or run-log validation, 2 I/O, 3 capacity, 4 a
 round failed (the run diverged or a module raised); the failing round index
@@ -50,8 +52,7 @@ from .federation import (
     RoundFailure,
     RoundMetrics,
     derive_seed,
-    open_run,
-    run,
+    run_lockstep,
 )
 from .isweights import compute_alpha, compute_gamma_star, rho, solve_is_weights
 from .model import ModelSpec
@@ -140,6 +141,14 @@ class ExperimentConfig:
             map(_is_integer, self.hidden_dims)
         ):
             raise ValueError(f"hidden_dims must be a list of integers (got {self.hidden_dims!r})")
+        if not isinstance(self.strategies, (list, tuple)) or not all(
+            isinstance(s, str) for s in self.strategies
+        ):
+            raise ValueError(
+                f"strategies must be a list of strategy names (got {self.strategies!r})"
+            )
+        if not (self.dataset_path is None or isinstance(self.dataset_path, str)):
+            raise ValueError(f"dataset_path must be a string or null (got {self.dataset_path!r})")
         _check_seeds(self.seeds)
         # Constructor-level checks run in the module dataclasses; this catches
         # cross-field problems before any heavy work.
@@ -271,24 +280,18 @@ def write_timings_csv(metrics: list[RoundMetrics], path: Path) -> None:
             f.write(f"{m.round_index}," + ",".join(f"{c:.6f}" for c in cells) + "\n")
 
 
-def execute_run(
+def write_run(
+    metrics: list[RoundMetrics],
+    log: diagnostics.RunLog,
     cfg: ExperimentConfig,
     strategy: str,
     seed: int,
     out_dir: Path,
     sampling_ratio: float | None = None,
-    opened: tuple | None = None,
-) -> list[RoundMetrics]:
-    """One federated run; writes metrics, manifest, and diagnostics artifacts.
-
-    ``opened`` is ``(shards, probe, test, opening)`` for this seed and ratio,
-    as ``run_task`` builds it; without it the run builds its own.
-    """
-    shards, probe, test, opening = opened or (*build_experiment_data(cfg, seed), None)
-    fed_cfg = cfg.federation_config(strategy, derive_seed(seed, 20), sampling_ratio)
-    metrics, log = run(shards, fed_cfg, test, probe=probe, opening=opening)
+) -> None:
+    """Write one job's manifest, metrics and timings, and the diagnostics
+    artifacts when its log has round records."""
     rows = diagnostics.bounds_rows(log) if log.records else []
-
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config": cfg.to_dict(),
@@ -306,7 +309,21 @@ def execute_run(
         log.save_jsonl(out_dir / "diagnostics.jsonl")
         diagnostics.write_bounds_csv(rows, out_dir / "bounds.csv")
         diagnostics.write_long_csv(rows, out_dir / "long.csv")
-    return metrics
+
+
+def execute_run(
+    cfg: ExperimentConfig,
+    strategy: str,
+    seed: int,
+    out_dir: Path,
+    sampling_ratio: float | None = None,
+) -> list[RoundMetrics]:
+    """One federated run; writes metrics, manifest, and diagnostics artifacts.
+    This is ``run_task`` of the one job."""
+    done, failure = run_task([(cfg, strategy, seed, out_dir, sampling_ratio)])
+    if failure is not None:
+        raise failure
+    return done[0]
 
 
 def usable_cpus() -> int:
@@ -329,24 +346,29 @@ def group_jobs(keys: list, workers: int) -> list[list[int]]:
 
 
 def run_task(jobs: list[tuple]) -> tuple[list[list[RoundMetrics]], Exception | None]:
-    """``execute_run(*job)`` for jobs of one (seed, ratio) key in order, all
-    from one data build and one opening. Stops at the first failing job and
-    returns the finished jobs' metrics with that job's exception (or None)."""
+    """The jobs ``(cfg, strategy, seed, out_dir[, sampling_ratio])`` of one
+    (seed, ratio) key from one data build, as one lockstep loop of their
+    strategies (``federation.run_lockstep``); then each finished job's
+    artifacts, in job order (``write_run``). Returns the finished jobs'
+    metrics with the exception of the first job that failed (or None); the
+    jobs after it write nothing."""
     done = []
     try:
-        cfg, strategy, seed, _, *ratio = jobs[0]
-        data = build_experiment_data(cfg, seed)
-        fed_cfg = cfg.federation_config(strategy, derive_seed(seed, 20), *ratio)
-        opened = (*data, open_run(data[0], fed_cfg, data[2]))
-        for job in jobs:
-            done.append(execute_run(*job, opened=opened))
+        cfg, _, seed, _, *ratio = jobs[0]
+        shards, probe, test = build_experiment_data(cfg, seed)
+        fed_cfgs = [c.federation_config(s, derive_seed(seed, 20), *ratio) for c, s, *_ in jobs]
+        outcomes, failure = run_lockstep(shards, fed_cfgs, test, probe)
+        for job, (metrics, log) in zip(jobs, outcomes):
+            write_run(metrics, log, *job)
+            done.append(metrics)
     except Exception as exc:  # the worker's boundary: run_jobs raises it in job order
         return done, exc
-    return done, None
+    return done, failure
 
 
 def run_jobs(jobs: list[tuple]) -> list[list[RoundMetrics]]:
-    """``execute_run(*job)`` for every job, in worker processes; results in job order.
+    """Every job's run and artifacts (``run_task``), in worker processes;
+    each job's metrics, in job order.
 
     One worker per usable CPU, at most one per job, and the tasks of
     ``group_jobs``. Workers are forked where the platform offers it: a
@@ -354,7 +376,8 @@ def run_jobs(jobs: list[tuple]) -> list[list[RoundMetrics]]:
     cannot repay. The executor forks every worker before it starts its
     management thread (Python 3.11), so no fork copies a thread of its own.
     The first job to fail, in job order, raises its exception here; the
-    later jobs of its task and tasks not yet started do not run.
+    later jobs of its task stop training and write nothing, and tasks not
+    yet started do not run.
     """
     # imported here: ``from isfl import cli`` stays as cheap as before
     import multiprocessing

@@ -15,6 +15,15 @@ strategy and ``varpi`` first act in round 1's server phases. So an opening
 (``open_run``) trains, aggregates and evaluates round 1 once, and the
 strategies of one seed run from it with the same bytes.
 
+From round 2 on, the strategies of one seed also train together
+(``run_lockstep``): one ``local_train`` call per round trains the clients of
+every strategy as one (S K, P) stack, each strategy's rows from its own
+aggregate under its own plans, with the shared client seeds
+``derive_seed(seed, 1, round, k)``. Each strategy then aggregates its own K
+rows, evaluates and runs its server phases as it would alone. Stacked rows
+go through the same per-slice kernels, so every strategy's bytes equal its
+solo run's; ``run`` is the loop over one config.
+
 Strategies:
 
   fedavg       unit weights throughout (plain federated averaging)
@@ -25,6 +34,7 @@ Strategies:
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,7 +46,7 @@ from .diagnostics import RoundRecord, RunLog
 from .isweights import SamplingPlan, solve_is_weights, uniform_plan
 from .lipschitz import estimate_lipschitz, estimate_sgd_stats
 from .model import ModelSpec, evaluate, init_params
-from .trainer import TrainerConfig, gradnorm_plan, local_train, rw_plan
+from .trainer import TrainerConfig, check_plan, gradnorm_plan, local_train, rw_plan
 
 STRATEGIES = ("fedavg", "rw_is", "gradnorm_is", "isfl")
 
@@ -107,16 +117,25 @@ def aggregate(stack: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 class _Laps:
-    """Wall seconds per phase; each lap runs from the previous one."""
+    """Wall seconds per phase; each lap runs from the previous one. A round's
+    laps start from ``shared``, the seconds of its phases that ran outside
+    its own code: round 1's opening, or the training call a later round
+    shares with the other strategies of its lockstep loop."""
 
-    def __init__(self):
-        self.seconds = dict.fromkeys(PHASES, 0.0)
-        self._mark = time.perf_counter()
+    def __init__(self, shared: dict[str, float] | None = None):
+        shared = shared or {}
+        self.seconds = dict.fromkeys(PHASES, 0.0) | shared
+        self._shared = sum(shared.values())
+        self._start = self._mark = time.perf_counter()
 
     def lap(self, phase: str) -> None:
         now = time.perf_counter()
         self.seconds[phase] += now - self._mark
         self._mark = now
+
+    def total(self) -> float:
+        """The shared seconds and the wall seconds since the laps began."""
+        return self._shared + time.perf_counter() - self._start
 
 
 def derive_seed(master: int, *tags: int) -> int:
@@ -124,15 +143,13 @@ def derive_seed(master: int, *tags: int) -> int:
     return int(np.random.SeedSequence([master, *tags]).generate_state(1)[0])
 
 
-def _train_round(cfg, params, shards, plans, seeds, pi, pool, test_set, laps):
-    """One round's local stack from ``params``, its aggregate, and the
-    aggregate's pooled loss, pooled accuracy and test accuracy."""
-    stack = local_train(cfg.model, params, shards, plans, cfg.trainer, seeds)
-    laps.lap("train")
+def _aggregate_round(spec, stack, pi, pool, test_set, laps):
+    """A round's local ``stack``, its aggregate, and the aggregate's pooled
+    loss, pooled accuracy and test accuracy."""
     new = aggregate(stack, pi)
     laps.lap("aggregate")
-    loss, acc_pool = evaluate(cfg.model, new, pool)
-    _, acc_test = evaluate(cfg.model, new, test_set)
+    loss, acc_pool = evaluate(spec, new, pool)
+    _, acc_test = evaluate(spec, new, test_set)
     laps.lap("eval")
     return stack, new, loss, acc_pool, acc_test
 
@@ -179,9 +196,10 @@ def open_run(shards: list[ClientShard], cfg: FederationConfig, test_set: Dataset
     seeds = [derive_seed(cfg.seed, 1, 1, k) for k in range(len(shards))]
     laps = _Laps()
     try:
-        round_one = _train_round(
-            cfg, params, shards, plans, seeds, size_proportional_weights(shards), pool,
-            test_set, laps,
+        stack = local_train(cfg.model, params, shards, plans, cfg.trainer, seeds)
+        laps.lap("train")
+        round_one = _aggregate_round(
+            cfg.model, stack, size_proportional_weights(shards), pool, test_set, laps
         )
     except Exception as exc:
         raise RoundFailure(1, str(exc)) from exc
@@ -193,38 +211,12 @@ def open_run(shards: list[ClientShard], cfg: FederationConfig, test_set: Dataset
     )
 
 
-def run(
-    shards: list[ClientShard],
-    cfg: FederationConfig,
-    test_set: Dataset,
-    probe: Dataset | None = None,
-    opening: Opening | None = None,
-) -> tuple[list[RoundMetrics], RunLog]:
-    """Execute the full federated schedule; return per-round metrics and the
-    run's log.
-
-    ``probe`` (held-out data) is required for the isfl strategy, which
-    re-estimates curvature rows on it and solves the next round's plans at
-    every aggregation but the last of a multi-round run. The log holds the
-    run-level constants for every strategy and, for isfl, one diagnostics
-    record per round. Round 1 comes from ``opening``, or from one
-    ``open_run`` builds here; an opening built for other shards, another
-    test set, model, trainer config or seed raises ValueError.
-    Clients are weighted by shard size. Raises ValueError before round 1 when
-    the pooled loss at the initial parameters is not finite. A round whose
-    aggregate parameters or pooled loss are not finite raises RoundFailure
-    after its server phases, as does any module error.
-    Fully deterministic for a given config and seed.
-    """
-    if cfg.strategy == "isfl" and probe is None:
-        raise ValueError("the isfl strategy needs a probe dataset")
-    if opening is None:
-        opening = open_run(shards, cfg, test_set)
-    data_ids = [*map(id, shards), id(test_set)]
-    if [*map(id, opening.shards), id(opening.test_set)] != data_ids or (
-        (opening.model, opening.trainer, opening.seed) != (cfg.model, cfg.trainer, cfg.seed)
-    ):
-        raise ValueError("the opening was built for another run's data, model, trainer or seed")
+def _rounds(shards, cfg, test_set, probe, opening):
+    """The schedule of ``cfg`` from ``opening``, as a generator: before each
+    round after the first it checks its plans and yields the aggregate its
+    clients start from with those plans, and it is sent the round's (K, P)
+    local stack with the seconds of the training call. It returns the run's
+    metrics and log, and raises RoundFailure for a failed round (``run``)."""
     n_clients = len(shards)
     pi = size_proportional_weights(shards)
     p_global = global_distribution(shards)
@@ -249,15 +241,17 @@ def run(
 
     metrics: list[RoundMetrics] = []
     for rnd in range(1, cfg.n_rounds + 1):
-        t0 = time.perf_counter()
-        laps = _Laps()
         try:
             if rnd == 1:
+                laps = _Laps(opening.phases)
                 trained = opening.round_one
             else:
-                seeds = [derive_seed(cfg.seed, 1, rnd, k) for k in range(n_clients)]
-                trained = _train_round(
-                    cfg, global_params, shards, plans, seeds, pi, opening.pool, test_set, laps
+                for shard, plan in zip(shards, plans):
+                    check_plan(shard, plan)
+                local_stack, train_s = yield global_params, plans
+                laps = _Laps({"train": train_s})
+                trained = _aggregate_round(
+                    cfg.model, local_stack, pi, opening.pool, test_set, laps
                 )
             local_stack, new_global, train_loss, acc_pool, acc_test = trained
 
@@ -318,11 +312,6 @@ def run(
                 raise ValueError("aggregate or pooled loss is not finite; the run diverged")
         except Exception as exc:
             raise RoundFailure(rnd, str(exc)) from exc
-        seconds = time.perf_counter() - t0
-        if rnd == 1:  # the opening trained, aggregated and evaluated round 1
-            for phase, secs in opening.phases.items():
-                laps.seconds[phase] += secs
-            seconds += sum(opening.phases.values())
 
         metrics.append(
             RoundMetrics(
@@ -330,9 +319,111 @@ def run(
                 train_loss=train_loss,
                 acc_test=acc_test,
                 acc_pool=acc_pool,
-                seconds=seconds,
+                seconds=laps.total(),
                 phases=laps.seconds,
             )
         )
         loss_start = train_loss
     return metrics, log
+
+
+def run_lockstep(
+    shards: list[ClientShard],
+    cfgs: list[FederationConfig],
+    test_set: Dataset,
+    probe: Dataset | None = None,
+    opening: Opening | None = None,
+) -> tuple[list[tuple[list[RoundMetrics], RunLog]], RoundFailure | None]:
+    """``run`` for every config of ``cfgs``, one per strategy, in lockstep.
+
+    The configs must share model, trainer config and seed (else ValueError),
+    so they share round 1 (``opening``, or one built here) and the client
+    seeds. From round 2 on one ``local_train`` call trains every run's
+    clients as one stack, each run from its own aggregate under its own
+    plans; then each run, in order, aggregates its own rows, evaluates and
+    runs its server phases, as it would alone, bit for bit.
+
+    Returns the (metrics, log) of every config before the first one that
+    failed, in order, and that config's RoundFailure, or None. A failed run
+    drops the runs after it, which train no further; the runs before it
+    finish. A training call that raises fails the first run in it.
+    """
+    first = cfgs[0]
+    if any((c.model, c.trainer, c.seed) != (first.model, first.trainer, first.seed) for c in cfgs):
+        raise ValueError("lockstep runs must share model, trainer config and seed")
+    if probe is None and any(c.strategy == "isfl" for c in cfgs):
+        raise ValueError("the isfl strategy needs a probe dataset")
+    if opening is None:
+        opening = open_run(shards, first, test_set)
+    data_ids = [*map(id, shards), id(test_set)]
+    if [*map(id, opening.shards), id(opening.test_set)] != data_ids or (
+        (opening.model, opening.trainer, opening.seed) != (first.model, first.trainer, first.seed)
+    ):
+        raise ValueError("the opening was built for another run's data, model, trainer or seed")
+
+    runs = [_rounds(shards, cfg, test_set, probe, opening) for cfg in cfgs]
+    outcomes: list = [None] * len(runs)
+    failure = None
+    sent = dict.fromkeys(range(len(runs)))  # what each run still training is sent next
+    n_clients = len(shards)
+    for rnd in itertools.count(2):
+        requests = {}
+        for i, value in sent.items():
+            try:
+                requests[i] = runs[i].send(value)
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except RoundFailure as exc:  # the runs after it are dropped
+                del outcomes[i:]
+                failure = exc
+                break
+        if not requests:
+            return outcomes, failure
+        starts = np.repeat(np.stack([start for start, _ in requests.values()]), n_clients, axis=0)
+        began = time.perf_counter()
+        try:
+            stack = local_train(
+                first.model, starts, list(shards) * len(requests),
+                [plan for _, plans in requests.values() for plan in plans], first.trainer,
+                [derive_seed(first.seed, 1, rnd, k) for k in range(n_clients)] * len(requests),
+            )
+        except Exception as exc:  # it fails every run in it; the first is reported
+            del outcomes[min(requests) :]
+            failure = RoundFailure(rnd, str(exc))
+            failure.__cause__ = exc
+            return outcomes, failure
+        train_s = time.perf_counter() - began
+        sent = {
+            i: (stack[n * n_clients : (n + 1) * n_clients], train_s)
+            for n, i in enumerate(requests)
+        }
+
+
+def run(
+    shards: list[ClientShard],
+    cfg: FederationConfig,
+    test_set: Dataset,
+    probe: Dataset | None = None,
+    opening: Opening | None = None,
+) -> tuple[list[RoundMetrics], RunLog]:
+    """Execute the full federated schedule; return per-round metrics and the
+    run's log.
+
+    ``probe`` (held-out data) is required for the isfl strategy, which
+    re-estimates curvature rows on it and solves the next round's plans at
+    every aggregation but the last of a multi-round run. The log holds the
+    run-level constants for every strategy and, for isfl, one diagnostics
+    record per round. Round 1 comes from ``opening``, or from one
+    ``open_run`` builds here; an opening built for other shards, another
+    test set, model, trainer config or seed raises ValueError.
+    Clients are weighted by shard size. Raises ValueError before round 1 when
+    the pooled loss at the initial parameters is not finite. A round whose
+    aggregate parameters or pooled loss are not finite raises RoundFailure
+    after its server phases, as does any module error.
+    Fully deterministic for a given config and seed. This is
+    ``run_lockstep`` over the one config.
+    """
+    outcomes, failure = run_lockstep(shards, [cfg], test_set, probe, opening)
+    if failure is not None:
+        raise failure
+    return outcomes[0]

@@ -9,8 +9,8 @@ regression.
 The forward and backward passes also take the leading stack axis: a (K, P)
 stack with each row applied to its own (N, d) batch. Every slice of the stack
 goes through the same matmul, softmax and reduction kernels as a lone vector
-does, so ``sgd_step_stack`` moves each row exactly as K separate steps would,
-bit for bit.
+does, so a step of ``sgd_stepper`` moves each row exactly as K separate steps
+would, bit for bit.
 
 Kernel contract: the kernels work in place wherever the overwritten array
 is their own (bias adds, the ReLU, every softmax stage, the activation
@@ -179,6 +179,18 @@ def _backprop(spec: ModelSpec, views, x: np.ndarray, labels: np.ndarray, mean: b
     return acts, _backward_deltas(spec, views, acts, logits)
 
 
+def _grads_into(spec: ModelSpec, views, x: np.ndarray, labels: np.ndarray, out) -> None:
+    """Write the flat gradients of the mean loss over each batch's sample axis
+    into ``out``, the layer views of the result (``_views``); ``views`` are
+    those of the parameters."""
+    acts, deltas = _backprop(spec, views, x, labels, mean=True)
+    ones = np.ones(x.shape[-2])
+    for i, (a, delta) in enumerate(zip(acts, deltas)):
+        # weight and bias gradients, summed over the sample axis
+        np.matmul(np.swapaxes(a, -1, -2), delta, out=out[2 * i])
+        np.matmul(ones, delta, out=out[2 * i + 1])
+
+
 def mean_grads(
     spec: ModelSpec, values: np.ndarray, x: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
@@ -188,25 +200,27 @@ def mean_grads(
     ``x[k]``. A (P,) vector also takes a (D, N, d) stack of D batches and
     returns a (D, P) array, one gradient per batch.
     """
-    acts, deltas = _backprop(spec, _views(spec, values), x, labels, mean=True)
     grads = np.empty(x.shape[:-2] + values.shape[-1:])
-    views = _views(spec, grads)
-    ones = np.ones(x.shape[-2])
-    for i, (a, delta) in enumerate(zip(acts, deltas)):
-        # weight and bias gradients, summed over the sample axis
-        np.matmul(np.swapaxes(a, -1, -2), delta, out=views[2 * i])
-        np.matmul(ones, delta, out=views[2 * i + 1])
+    _grads_into(spec, _views(spec, values), x, labels, _views(spec, grads))
     return grads
 
 
-def sgd_step_stack(
-    spec: ModelSpec, stack: np.ndarray, x: np.ndarray, labels: np.ndarray, eta: float
-) -> None:
-    """One SGD step on the mean loss for every row of a (K, P) stack, in place.
+def sgd_stepper(spec: ModelSpec, stack: np.ndarray):
+    """``step(x, labels, eta)``: one SGD step on the mean loss for every row of
+    the (K, P) ``stack``, in place, row k on features ``x[k]`` and labels
+    ``labels[k]``. The stack's layer views and one gradient buffer are built
+    here, once, and every step writes into them through the kernel of
+    ``mean_grads``."""
+    views = _views(spec, stack)
+    grads = np.empty_like(stack)
+    grad_views = _views(spec, grads)
 
-    Row k steps on its own batch: features ``x[k]`` and ``labels[k]``.
-    """
-    stack -= eta * mean_grads(spec, stack, x, labels)
+    def step(x: np.ndarray, labels: np.ndarray, eta: float) -> None:
+        _grads_into(spec, views, x, labels, grad_views)
+        np.multiply(grads, eta, out=grads)
+        np.subtract(stack, grads, out=stack)
+
+    return step
 
 
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -12,11 +12,12 @@ and the generator's end state equal two calls per batch, ``rng.random(size)``
 for the categories and one array-bound ``rng.integers`` for the pool
 positions; on PCG64 they are read from one ``random_raw`` block per run. A
 per-sample plan makes one ``rng.random`` call per run. Every client of a run
-trains with the same TrainerConfig, and only its generator seed is its own.
-Clients with the same batch schedule (equal-sized shards have one) then share
-one (K, P) parameter stack, and each SGD step updates the whole stack at once
-(``model.sgd_step_stack``). Every client ends bit for bit where it would end
-training alone; a lone client is a stack of one.
+trains with the same TrainerConfig; its start, plan and generator seed are
+its own, so the clients of several federated runs (one per strategy) train
+in one call. Clients with the same batch schedule (equal-sized shards have
+one) then share one (K, P) parameter stack, and each SGD step updates the
+whole stack at once (``model.sgd_stepper``). Every client ends bit for bit
+where it would end training alone; a lone client is a stack of one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .data import CategoryDistribution, ClientShard, Dataset
 from .isweights import SamplingPlan
-from .model import ModelSpec, check_batch, per_sample_grad_norms, sgd_step_stack
+from .model import ModelSpec, check_batch, per_sample_grad_norms, sgd_stepper
 
 # Generator.choice's tolerance on the sum of a probability vector
 _SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
@@ -152,6 +153,28 @@ def _per_batch_draws(
     return cats, positions
 
 
+def check_plan(shard: ClientShard, plan: SamplingPlan | np.ndarray) -> None:
+    """Raise ValueError unless ``plan`` can draw from ``shard``: per-sample
+    probabilities, one per shard row, non-negative and summing to 1, or a
+    category plan over the shard's categories with mass only on categories
+    the shard holds."""
+    if isinstance(plan, np.ndarray):
+        if plan.shape != (len(shard),):
+            raise ValueError("per-sample probabilities must match the shard size")
+        if not (np.all(plan >= 0.0) and abs(plan.sum() - 1.0) <= _SUM_TOL):
+            raise ValueError("per-sample probabilities must be non-negative and sum to 1")
+        return
+    q = plan.q.probs
+    if q.size != shard.dataset.n_classes:
+        raise ValueError("plan and shard category counts differ")
+    support = np.flatnonzero(q > 0.0)
+    if support.size == 0:
+        raise ValueError("sampling plan has empty support")
+    if np.any(shard.counts[support] == 0):
+        lacking = support[shard.counts[support] == 0][0]
+        raise ValueError(f"plan assigns mass to category {lacking} the shard lacks")
+
+
 def draw_batches(
     shard: ClientShard,
     plan: SamplingPlan | np.ndarray,
@@ -169,27 +192,17 @@ def draw_batches(
     generator, a support pool of one sample or a half that numpy would
     reject makes the calls themselves (``_per_batch_draws``). A per-sample
     probability vector draws shard rows directly, with one ``rng.random``
-    call for the whole run. The plan is checked once, before any draw.
+    call for the whole run. The plan is checked once, before any draw
+    (``check_plan``).
     """
+    check_plan(shard, plan)
     if isinstance(plan, np.ndarray):
-        if plan.shape != (len(shard),):
-            raise ValueError("per-sample probabilities must match the shard size")
-        if not (np.all(plan >= 0.0) and abs(plan.sum() - 1.0) <= _SUM_TOL):
-            raise ValueError("per-sample probabilities must be non-negative and sum to 1")
         return shard.indices[_cdf(plan).searchsorted(rng.random(sum(sizes)), side="right")]
     q = plan.q.probs
-    if q.size != shard.dataset.n_classes:
-        raise ValueError("plan and shard category counts differ")
-    support = np.flatnonzero(q > 0.0)
-    if support.size == 0:
-        raise ValueError("sampling plan has empty support")
     pool_sizes = shard.counts
-    if np.any(pool_sizes[support] == 0):
-        lacking = support[pool_sizes[support] == 0][0]
-        raise ValueError(f"plan assigns mass to category {lacking} the shard lacks")
     cdf = _cdf(q)
     drawn = None
-    if type(rng.bit_generator) is np.random.PCG64 and pool_sizes[support].min() > 1:
+    if type(rng.bit_generator) is np.random.PCG64 and pool_sizes[q > 0.0].min() > 1:
         drawn = _raw_draws(cdf, pool_sizes, sizes, rng.bit_generator)
     if drawn is None:
         drawn = _per_batch_draws(cdf, pool_sizes, sizes, rng)
@@ -222,18 +235,21 @@ def local_train(
     cfg: TrainerConfig,
     seeds: list[int],
 ) -> np.ndarray:
-    """Run every client's local epochs of weighted minibatch SGD from ``params``.
+    """Run every client's local epochs of weighted minibatch SGD.
 
-    Client k trains on ``shards[k]`` under ``plans[k]`` (a category-level
-    SamplingPlan or a per-sample probability vector), drawing its batches from
-    a generator seeded with ``seeds[k]``; ``cfg`` is shared by every client
-    (see ``batch_sizes`` for the batches). Clients train in lockstep, one
-    stack per distinct batch schedule. Returns the (K, P) stack of the
-    clients' parameters, row k for client k.
+    Client k starts from ``params``, one (P,) vector for every client or a
+    (K, P) stack with row k for client k, and trains on ``shards[k]`` under
+    ``plans[k]`` (a category-level SamplingPlan or a per-sample probability
+    vector), drawing its batches from a generator seeded with ``seeds[k]``;
+    ``cfg`` is shared by every client (see ``batch_sizes`` for the batches).
+    A shard may appear more than once, under other plans. Clients train in
+    lockstep, one stack per distinct batch schedule. Returns the (K, P) stack
+    of the clients' parameters, row k for client k.
     Deterministic for given seeds.
     """
     if not len(shards) == len(plans) == len(seeds):
         raise ValueError("need one plan and one seed per shard")
+    starts = np.broadcast_to(params, (len(shards), params.shape[-1]))
     stacks: dict[tuple[int, ...], list[int]] = {}
     draws = []
     for k, (shard, plan, seed) in enumerate(zip(shards, plans, seeds)):
@@ -242,18 +258,17 @@ def local_train(
         draws.append(draw_batches(shard, plan, sizes, np.random.default_rng(seed)))
         stacks.setdefault(sizes, []).append(k)
 
-    trained = np.empty((len(shards), params.size))
+    trained = np.empty((len(shards), params.shape[-1]))
     for sizes, members in stacks.items():
-        stack = np.tile(params, (len(members), 1))
+        stack = starts[members]
         if cfg.eta > 0.0:
             features, labels, offsets = _joint_rows([shards[k].dataset for k in members])
             rows = np.stack([draws[k] for k in members]) + offsets[:, None]
+            step = sgd_stepper(spec, stack)
             start = 0
             for size in sizes:
                 batch = rows[:, start : start + size]
-                sgd_step_stack(
-                    spec, stack, features.take(batch, axis=0), labels.take(batch), cfg.eta
-                )
+                step(features.take(batch, axis=0), labels.take(batch), cfg.eta)
                 start += size
         trained[members] = stack
     return trained

@@ -356,10 +356,17 @@ class TestRunCommand:
         ("nr", "0.8", "nr must be a number (got '0.8')"),
         ("varpi", "0.05", "varpi must be a number (got '0.05')"),
         ("eta", None, "eta must be a number (got None)"),
+        ("strategies", "isfl", "strategies must be a list of strategy names (got 'isfl')"),
+        ("strategies", "fedavg", "strategies must be a list of strategy names (got 'fedavg')"),
+        ("strategies", ["fedavg", 1], "strategies must be a list of strategy names"),
+        ("dataset_path", 5, "dataset_path must be a string or null (got 5)"),
+        ("dataset_path", ["data.csv"], "dataset_path must be a string or null (got ['data.csv'])"),
     ], ids=["varpi-1.5", "varpi-neg", "probe-0", "separation-neg", "test-neg",
             "holdout-0", "rounds-0", "strategy", "seed-bool", "hidden-float", "batch-bool",
             "seed-negative", "rounds-float", "probe-float", "eta-bool", "ratio-bool",
-            "separation-bool", "nr-string", "varpi-string", "eta-null"])
+            "separation-bool", "nr-string", "varpi-string", "eta-null", "strategies-isfl",
+            "strategies-fedavg", "strategies-number", "dataset-path-number",
+            "dataset-path-list"])
     def test_bad_setting_exits_1_before_any_job(
         self, tmp_path, capsys, monkeypatch, key, value, message
     ):
@@ -452,10 +459,12 @@ class TestRunCommand:
         cfg_path = write_config(tmp_path, sampling_ratio=0.025, rounds=1)  # one sample
         assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
 
-    def test_timings_split_into_phases(self, tmp_path):
+    def test_timings_split_into_phases(self, tmp_path, monkeypatch):
+        force_workers(monkeypatch, 1)  # both strategies in one task
         cfg_path = write_config(tmp_path, strategies=["fedavg", "isfl"], rounds=3)
         out_dir = tmp_path / "runs"
         assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        train = {}
         for strategy in ("fedavg", "isfl"):
             rows = (out_dir / f"{strategy}_seed1" / "timings.csv").read_text().splitlines()
             assert rows[0] == "round,secs,train,aggregate,curvature,solve,stats,eval"
@@ -468,6 +477,9 @@ class TestRunCommand:
                 assert np.all(phases[:, [2, 4]] == 0.0)  # no curvature rows or stats
             else:
                 assert phases[0, 2] > 0.0 and phases[-1, 2] == 0.0  # no last-round refresh
+            train[strategy] = phases[:, 0]
+        # round 1's opening and every later round's one training call are shared
+        assert np.array_equal(train["fedavg"], train["isfl"])
 
 
 # sha256 of the deterministic artifacts of GOLDEN_CONFIG, under c10/ of
@@ -688,12 +700,11 @@ class TestSchedules:
         # first job comes before the first task's failing job in job order
         force_workers(monkeypatch, 1)
 
-        def fake(cfg, strategy, seed, out_dir, opened=None):
+        def fake(metrics, log, cfg, strategy, seed, out_dir):
             if (strategy, seed) in (("isfl", 4), ("fedavg", 1)):
                 raise RoundFailure(2, f"{strategy} on seed {seed}")
-            return []
 
-        monkeypatch.setattr(cli_mod, "execute_run", fake)  # forked workers inherit it
+        monkeypatch.setattr(cli_mod, "write_run", fake)  # forked workers inherit it
         cfg = ExperimentConfig(**BASE_CONFIG)
         jobs = [(cfg, s, d, tmp_path / f"{s}_{d}") for s in ("fedavg", "isfl") for d in (4, 1)]
         with pytest.raises(RoundFailure, match="round 2: fedavg on seed 1"):
@@ -712,10 +723,9 @@ class TestSchedules:
         cfg = ExperimentConfig(**dict(GOLDEN_CONFIG, rounds=4))
         done, failure = cli_mod.run_task([(cfg, s, 1, tmp_path / s, 0.5) for s in cfg.strategies])
         assert failure is None and len(done) == len(cfg.strategies)
-        assert calls == {
-            "build_experiment_data": 1,
-            "local_train": len(cfg.strategies) * (cfg.rounds - 1) + 1,
-        }
+        # round 1 is the opening's call, and each later round trains every
+        # strategy in one call
+        assert calls == {"build_experiment_data": 1, "local_train": cfg.rounds}
 
 
 class TestSweepCommand:

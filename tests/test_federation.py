@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import isfl.federation as federation_mod
+from isfl.cli import ExperimentConfig, build_experiment_data
 from isfl.data import (
     PartitionConfig,
     generate_synthetic,
@@ -22,12 +23,14 @@ from isfl.federation import (
     derive_seed,
     open_run,
     run,
+    run_lockstep,
     size_proportional_weights,
 )
 from isfl.isweights import uniform_plan
 from isfl.lipschitz import estimate_sgd_stats
 from isfl.model import ModelSpec, init_params
 from isfl.trainer import TrainerConfig, local_train
+from test_cli import GOLDEN_BITS_CONFIG
 
 
 def small_problem(n_clients=3, nr=0.8, seed=0):
@@ -347,6 +350,94 @@ class TestOpening:
             for phase in ("train", "aggregate", "eval"):
                 assert first.phases[phase] == opening.phases[phase] > 0.0
             assert first.seconds >= sum(first.phases.values())
+
+
+def saved(log, path):
+    """The bytes ``RunLog.save_jsonl`` writes for ``log``."""
+    log.save_jsonl(path)
+    return path.read_bytes()
+
+
+class TestLockstep:
+    """From round 2 on, one local_train call trains the clients of every
+    strategy of a seed as one stack; each strategy must still end where it
+    ends alone, bit for bit."""
+
+    @pytest.mark.parametrize("ratio", [None, 0.5], ids=["ratio-0.9", "ratio-0.5"])
+    def test_every_strategy_equals_its_solo_run(self, tmp_path, ratio):
+        cfg = ExperimentConfig(**GOLDEN_BITS_CONFIG)
+        shards, probe, test = build_experiment_data(cfg, 1)
+        cfgs = [cfg.federation_config(s, derive_seed(1, 20), ratio) for s in STRATEGIES]
+        together, failure = run_lockstep(shards, cfgs, test, probe)
+        assert failure is None and len(together) == len(STRATEGIES)
+        for fed_cfg, (metrics, log) in zip(cfgs, together):
+            alone, alone_log = run(shards, fed_cfg, test, probe=probe)
+            assert outcome(metrics) == outcome(alone)
+            assert saved(log, tmp_path / "lockstep.jsonl") == saved(
+                alone_log, tmp_path / "alone.jsonl"
+            )
+
+    @pytest.mark.parametrize("change", ["model", "trainer", "seed"])
+    def test_configs_must_share_model_trainer_and_seed(self, change):
+        shards, probe, test = small_problem()
+        cfg = fed_config("isfl")
+        other = {
+            "model": dataclasses.replace(cfg, model=ModelSpec(5, (6,), 3)),
+            "trainer": dataclasses.replace(cfg, trainer=TrainerConfig(batch_size=16)),
+            "seed": dataclasses.replace(cfg, seed=cfg.seed + 1),
+        }[change]
+        with pytest.raises(ValueError, match="must share model, trainer config and seed"):
+            run_lockstep(shards, [fed_config("fedavg"), other], test, probe)
+
+    @pytest.mark.parametrize("where, failed, rows, message", [
+        ("server", 2, [3, 12, 12, 6, 6], "synthetic failure"),
+        ("plan", 2, [3, 12, 6, 6, 6], "per-sample probabilities must be non-negative and sum to 1"),
+        ("train", 0, [3, 12, 12], "synthetic failure"),
+    ], ids=["server-phase", "next-plan", "training-call"])
+    def test_a_failed_strategy_drops_the_ones_after_it(
+        self, tmp_path, monkeypatch, where, failed, rows, message
+    ):
+        """Round 3 fails: gradnorm_is's server phase raises, or its round-2
+        plan is rejected before round 3 trains, or round 3's training call
+        raises, which fails the first strategy. The strategies before the
+        failed one finish as they would alone, it fails as it would alone,
+        and the strategies after it train no further."""
+        shards, probe, test = small_problem()
+        cfgs = [fed_config(s, n_rounds=5) for s in STRATEGIES]
+        solo = [run(shards, cfg, test, probe=probe) for cfg in cfgs[:failed]]
+        planned, trained = [], []
+        real_plan, real_train = federation_mod.gradnorm_plan, federation_mod.local_train
+
+        def planning(*args):
+            planned.append(None)
+            rnd = (len(planned) - 1) // len(shards) + 1  # one plan per client and round
+            if where == "server" and rnd == 3:
+                raise ValueError("synthetic failure")
+            probs = real_plan(*args)
+            return probs * np.nan if where == "plan" and rnd == 2 else probs
+
+        def training(spec, params, shards_, *args):
+            trained.append(len(shards_))  # round 1 is the opening's call
+            if where == "train" and len(trained) == 3:
+                raise ValueError("synthetic failure")
+            return real_train(spec, params, shards_, *args)
+
+        monkeypatch.setattr(federation_mod, "gradnorm_plan", planning)
+        monkeypatch.setattr(federation_mod, "local_train", training)
+        together, failure = run_lockstep(shards, cfgs, test, probe)
+        assert trained == rows
+        assert (failure.round_index, failure.message) == (3, message)
+        assert len(together) == failed
+        for (metrics, log), (alone, alone_log) in zip(together, solo, strict=True):
+            assert outcome(metrics) == outcome(alone)
+            assert saved(log, tmp_path / "lockstep.jsonl") == saved(
+                alone_log, tmp_path / "alone.jsonl"
+            )
+        planned.clear()
+        trained.clear()
+        with pytest.raises(RoundFailure) as alone_failure:
+            run(shards, cfgs[failed], test, probe=probe)
+        assert (alone_failure.value.round_index, alone_failure.value.message) == (3, message)
 
 
 class TestGlobalDistributionWiring:

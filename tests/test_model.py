@@ -16,7 +16,7 @@ from isfl.model import (
     layout_of,
     mean_grads,
     per_sample_grad_norms,
-    sgd_step_stack,
+    sgd_stepper,
 )
 import oracles
 
@@ -158,7 +158,7 @@ class TestBackwardGrad:
             batch = random_batch(spec, 32, rng)
             before = mean_loss(spec, params, batch)
             stack = params[None, :].copy()
-            sgd_step_stack(spec, stack, batch.features[None], batch.labels[None], 1e-3)
+            sgd_stepper(spec, stack)(batch.features[None], batch.labels[None], 1e-3)
             assert mean_loss(spec, stack[0], batch) < before
 
 
@@ -212,7 +212,7 @@ class TestStack:
         stack = np.stack(rows)
         x = np.stack([b.features for b in batches])
         labels = np.stack([b.labels for b in batches])
-        sgd_step_stack(spec, stack, x, labels, 0.3)
+        sgd_stepper(spec, stack)(x, labels, 0.3)
         for k, (params, batch) in enumerate(zip(rows, batches)):
             alone = params - grad(spec, params, batch) * 0.3
             assert np.array_equal(stack[k], alone)

@@ -140,13 +140,18 @@ class TestLocalTrain:
         spec = ModelSpec(3, (), 3)
         params = init_params(spec, seed=0)
         sizes = []
-        real = trainer_mod.sgd_step_stack
+        real = trainer_mod.sgd_stepper
 
-        def recording(spec_, stack_, x_, labels_, eta_):
-            sizes.append(x_.shape[1])
-            return real(spec_, stack_, x_, labels_, eta_)
+        def recording(spec_, stack_):
+            step = real(spec_, stack_)
 
-        monkeypatch.setattr(trainer_mod, "sgd_step_stack", recording)
+            def recorded(x_, labels_, eta_):
+                sizes.append(x_.shape[1])
+                return step(x_, labels_, eta_)
+
+            return recorded
+
+        monkeypatch.setattr(trainer_mod, "sgd_stepper", recording)
         cfg = TrainerConfig(batch_size=8, local_epochs=2, eta=0.01, sampling_ratio=0.5)
         train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
         budget = int(0.5 * 33)
