@@ -8,12 +8,12 @@ Subcommands:
   bounds      recompute bounds.csv from a run's diagnostics log
 
 run and sweep-sr run their jobs in parallel worker processes, one per CPU.
-Round 1 is the same FedAvg round for every strategy of one (seed, ratio)
-(federation's opening), so a worker task runs the strategies of one seed
-from one data build and one round 1 wherever that keeps every worker busy
-(``group_jobs``). The task's strategies train in lockstep, one stacked local
-run per round (``run_task``, ``federation.run_lockstep``). The artifacts do
-not depend on the CPU count.
+Round 1 is the same FedAvg round for every strategy of one (seed, ratio), so
+a worker task runs the strategies of one seed from one data build wherever
+that keeps every worker busy (``group_jobs``). The task's strategies train
+in lockstep (``run_task``, ``federation.run_lockstep``): round 1 once for
+all of them, then one stacked local run per round. The artifacts do not
+depend on the CPU count.
 
 Exit codes: 1 config, input or run-log validation, 2 I/O, 3 capacity, 4 a
 round failed (the run diverged or a module raised); the failing round index
@@ -72,6 +72,10 @@ _FLOAT_KEYS = ("separation", "nr", "eta", "sampling_ratio", "varpi")
 
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_integer(value) or isinstance(value, (float, np.floating))
 
 
 def _check_seeds(seeds) -> None:
@@ -134,9 +138,8 @@ class ExperimentConfig:
             if not _is_integer(getattr(self, key)):
                 raise ValueError(f"{key} must be an integer (got {getattr(self, key)!r})")
         for key in _FLOAT_KEYS:
-            value = getattr(self, key)
-            if not (_is_integer(value) or isinstance(value, (float, np.floating))):
-                raise ValueError(f"{key} must be a number (got {value!r})")
+            if not _is_number(getattr(self, key)):
+                raise ValueError(f"{key} must be a number (got {getattr(self, key)!r})")
         if not isinstance(self.hidden_dims, (list, tuple)) or not all(
             map(_is_integer, self.hidden_dims)
         ):
@@ -348,10 +351,11 @@ def group_jobs(keys: list, workers: int) -> list[list[int]]:
 def run_task(jobs: list[tuple]) -> tuple[list[list[RoundMetrics]], Exception | None]:
     """The jobs ``(cfg, strategy, seed, out_dir[, sampling_ratio])`` of one
     (seed, ratio) key from one data build, as one lockstep loop of their
-    strategies (``federation.run_lockstep``); then each finished job's
-    artifacts, in job order (``write_run``). Returns the finished jobs'
-    metrics with the exception of the first job that failed (or None); the
-    jobs after it write nothing."""
+    strategies that trains round 1 once for all of them
+    (``federation.run_lockstep``); then each finished job's artifacts, in job
+    order (``write_run``). Returns the finished jobs' metrics with the
+    exception of the first job that failed (or None); the jobs after it
+    write nothing."""
     done = []
     try:
         cfg, _, seed, _, *ratio = jobs[0]
@@ -452,13 +456,23 @@ def cmd_solve(args) -> int:
     else:
         with open(args.input, "r", encoding="utf-8") as f:
             raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ValueError(f"solve input must be a JSON object (got {type(raw).__name__})")
+    unknown = set(raw) - {"p", "p_k", "L", "varpi"}
+    if unknown:
+        raise ValueError(f"unknown solve input keys: {sorted(unknown)}")
     for key in ("p", "p_k", "L"):
         if key not in raw:
             raise ValueError(f"solve input is missing key {key!r}")
+        if not isinstance(raw[key], list) or not all(map(_is_number, raw[key])):
+            raise ValueError(f"{key} must be a list of numbers (got {raw[key]!r})")
+    varpi = raw.get("varpi", 0.05)
+    if not _is_number(varpi):
+        raise ValueError(f"varpi must be a number (got {varpi!r})")
+    varpi = float(varpi)
     p = CategoryDistribution(np.asarray(raw["p"], dtype=np.float64))
     p_k = CategoryDistribution(np.asarray(raw["p_k"], dtype=np.float64))
     l_row = np.asarray(raw["L"], dtype=np.float64)
-    varpi = float(raw.get("varpi", 0.05))
     plan = solve_is_weights(p, p_k, l_row, varpi)
     alpha = compute_alpha(l_row)
     # the plan does not depend on the row's scale, but rho takes it as given

@@ -11,18 +11,16 @@ Each round's wall time is split into the phases of PHASES.
 Round 1 is the same for every strategy: all start from unit-weight plans,
 ``init_params`` seeded by ``derive_seed(seed, 0)`` and the client seeds
 ``derive_seed(seed, 1, 1, k)`` under one model and trainer config, and the
-strategy and ``varpi`` first act in round 1's server phases. So an opening
-(``open_run``) trains, aggregates and evaluates round 1 once, and the
-strategies of one seed run from it with the same bytes.
-
-From round 2 on, the strategies of one seed also train together
-(``run_lockstep``): one ``local_train`` call per round trains the clients of
-every strategy as one (S K, P) stack, each strategy's rows from its own
-aggregate under its own plans, with the shared client seeds
-``derive_seed(seed, 1, round, k)``. Each strategy then aggregates its own K
-rows, evaluates and runs its server phases as it would alone. Stacked rows
-go through the same per-slice kernels, so every strategy's bytes equal its
-solo run's; ``run`` is the loop over one config.
+strategy and ``varpi`` first act in round 1's server phases. So the
+strategies of one seed train together (``run_lockstep``): round 1 trains,
+aggregates and evaluates once for all of them, and from round 2 on one
+``local_train`` call per round trains the clients of every strategy as one
+(S K, P) stack, each strategy's rows from its own aggregate under its own
+plans, with the shared client seeds ``derive_seed(seed, 1, round, k)``. Each
+strategy then aggregates its own K rows, evaluates and runs its server
+phases as it would alone. Stacked rows go through the same per-slice
+kernels, so every strategy's bytes equal its solo run's; ``run`` is the loop
+over one config.
 
 Strategies:
 
@@ -37,7 +35,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +116,9 @@ def aggregate(stack: np.ndarray, pi: np.ndarray) -> np.ndarray:
 class _Laps:
     """Wall seconds per phase; each lap runs from the previous one. A round's
     laps start from ``shared``, the seconds of its phases that ran outside
-    its own code: round 1's opening, or the training call a later round
-    shares with the other strategies of its lockstep loop."""
+    its own code: round 1's shared training, aggregation and evaluation, or
+    the training call a later round shares with the other strategies of its
+    lockstep loop."""
 
     def __init__(self, shared: dict[str, float] | None = None):
         shared = shared or {}
@@ -154,69 +152,14 @@ def _aggregate_round(spec, stack, pi, pool, test_set, laps):
     return stack, new, loss, acc_pool, acc_test
 
 
-class Opening(NamedTuple):
-    """What the strategies of one run share (module docstring): the pooled
-    data with each client's rows as a view, the pooled loss at the initial
-    parameters, and round 1 as ``_train_round`` returns it, with the seconds
-    of its train, aggregate and eval phases. Its arrays are read-only."""
-
-    shards: tuple[ClientShard, ...]
-    test_set: Dataset
-    model: ModelSpec
-    trainer: TrainerConfig
-    seed: int
-    pool: Dataset
-    own: tuple[Dataset, ...]
-    loss_start: float
-    round_one: tuple
-    phases: dict[str, float]
-
-
-def open_run(shards: list[ClientShard], cfg: FederationConfig, test_set: Dataset) -> Opening:
-    """Round 1 of ``run`` under ``cfg``, for any strategy. Raises ValueError
-    when the pooled loss at the initial parameters is not finite, and
-    RoundFailure for round 1 when a module raises."""
-    pool = Dataset(
-        np.vstack([s.dataset.features[s.indices] for s in shards]),
-        np.concatenate([s.dataset.labels[s.indices] for s in shards]),
-        shards[0].dataset.n_classes,
-    )
-    pool.features.flags.writeable = pool.labels.flags.writeable = False
-    # each client's samples as a dataset: a view of its rows of the pool
-    starts = np.cumsum([0, *map(len, shards)])
-    own = tuple(
-        Dataset(pool.features[a:b], pool.labels[a:b], pool.n_classes)
-        for a, b in zip(starts[:-1], starts[1:])
-    )
-    params = init_params(cfg.model, seed=derive_seed(cfg.seed, 0))
-    loss_start, _ = evaluate(cfg.model, params, pool)
-    if not np.isfinite(loss_start):
-        raise ValueError("the pooled loss at the initial parameters is not finite")
-    plans = [uniform_plan(s.local_distribution) for s in shards]
-    seeds = [derive_seed(cfg.seed, 1, 1, k) for k in range(len(shards))]
-    laps = _Laps()
-    try:
-        stack = local_train(cfg.model, params, shards, plans, cfg.trainer, seeds)
-        laps.lap("train")
-        round_one = _aggregate_round(
-            cfg.model, stack, size_proportional_weights(shards), pool, test_set, laps
-        )
-    except Exception as exc:
-        raise RoundFailure(1, str(exc)) from exc
-    for array in round_one[:2]:
-        array.flags.writeable = False
-    return Opening(
-        tuple(shards), test_set, cfg.model, cfg.trainer, cfg.seed, pool, own, loss_start,
-        round_one, laps.seconds,
-    )
-
-
-def _rounds(shards, cfg, test_set, probe, opening):
-    """The schedule of ``cfg`` from ``opening``, as a generator: before each
-    round after the first it checks its plans and yields the aggregate its
-    clients start from with those plans, and it is sent the round's (K, P)
-    local stack with the seconds of the training call. It returns the run's
-    metrics and log, and raises RoundFailure for a failed round (``run``)."""
+def _rounds(shards, cfg, test_set, probe, pool, loss_start, round_one, phases):
+    """The schedule of ``cfg`` over the pooled client data ``pool`` from the
+    initial pooled loss and round 1 (``_aggregate_round``'s outcome, with the
+    seconds of its phases), as a generator: before each later round it
+    checks its plans and yields the aggregate its clients start from with
+    those plans, and it is sent the round's (K, P) local stack with the
+    seconds of the training call. It returns the run's metrics and log, and
+    raises RoundFailure for a failed round (``run``)."""
     n_clients = len(shards)
     pi = size_proportional_weights(shards)
     p_global = global_distribution(shards)
@@ -230,29 +173,27 @@ def _rounds(shards, cfg, test_set, probe, opening):
         local_epochs=cfg.trainer.local_epochs,
     )
 
-    own = opening.own
-    bounds = np.cumsum([0, *map(len, own)])  # client k: pool rows bounds[k]:bounds[k + 1]
+    bounds = np.cumsum([0, *map(len, shards)])  # client k: pool rows bounds[k]:bounds[k + 1]
+    own = [  # each client's samples as a dataset: a view of its rows of the pool
+        Dataset(pool.features[a:b], pool.labels[a:b], pool.n_classes)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
     plans: list[SamplingPlan | np.ndarray] = [uniform_plan(pl) for pl in p_locals]
     # isfl: curvature rows the plans in effect were solved from. Round 1 trains
     # under unit weights before any estimate exists, so these all-ones rows
     # only stand in for a client whose round-1 deviation is zero
     lips = np.ones((n_clients, p_global.probs.size))
-    loss_start = opening.loss_start
 
     metrics: list[RoundMetrics] = []
+    laps, trained = _Laps(phases), round_one
     for rnd in range(1, cfg.n_rounds + 1):
         try:
-            if rnd == 1:
-                laps = _Laps(opening.phases)
-                trained = opening.round_one
-            else:
+            if rnd > 1:
                 for shard, plan in zip(shards, plans):
                     check_plan(shard, plan)
                 local_stack, train_s = yield global_params, plans
                 laps = _Laps({"train": train_s})
-                trained = _aggregate_round(
-                    cfg.model, local_stack, pi, opening.pool, test_set, laps
-                )
+                trained = _aggregate_round(cfg.model, local_stack, pi, pool, test_set, laps)
             local_stack, new_global, train_loss, acc_pool, acc_test = trained
 
             if cfg.strategy == "isfl":
@@ -279,7 +220,7 @@ def _rounds(shards, cfg, test_set, probe, opening):
                     q_star = q_used
                 laps.lap("solve")
                 stats = estimate_sgd_stats(
-                    cfg.model, new_global, opening.pool, bounds, cfg.trainer.batch_size
+                    cfg.model, new_global, pool, bounds, cfg.trainer.batch_size
                 )
                 dev2 = np.array(
                     [float(np.linalg.norm(row - new_global)) ** 2 for row in local_stack]
@@ -332,41 +273,74 @@ def run_lockstep(
     cfgs: list[FederationConfig],
     test_set: Dataset,
     probe: Dataset | None = None,
-    opening: Opening | None = None,
 ) -> tuple[list[tuple[list[RoundMetrics], RunLog]], RoundFailure | None]:
     """``run`` for every config of ``cfgs``, one per strategy, in lockstep.
 
     The configs must share model, trainer config and seed (else ValueError),
-    so they share round 1 (``opening``, or one built here) and the client
-    seeds. From round 2 on one ``local_train`` call trains every run's
-    clients as one stack, each run from its own aggregate under its own
+    so they share round 1 and the client seeds. Round 1 trains the clients
+    once, aggregates and evaluates once, and every run's server phases start
+    from that outcome. From round 2 on one ``local_train`` call trains every
+    run's clients as one stack, each run from its own aggregate under its own
     plans; then each run, in order, aggregates its own rows, evaluates and
     runs its server phases, as it would alone, bit for bit.
 
     Returns the (metrics, log) of every config before the first one that
     failed, in order, and that config's RoundFailure, or None. A failed run
     drops the runs after it, which train no further; the runs before it
-    finish. A training call that raises fails the first run in it.
+    finish. A training call that raises, round 1's included, fails the first
+    run in it. Raises ValueError before round 1 when the pooled loss at the
+    initial parameters is not finite.
     """
     first = cfgs[0]
     if any((c.model, c.trainer, c.seed) != (first.model, first.trainer, first.seed) for c in cfgs):
         raise ValueError("lockstep runs must share model, trainer config and seed")
     if probe is None and any(c.strategy == "isfl" for c in cfgs):
         raise ValueError("the isfl strategy needs a probe dataset")
-    if opening is None:
-        opening = open_run(shards, first, test_set)
-    data_ids = [*map(id, shards), id(test_set)]
-    if [*map(id, opening.shards), id(opening.test_set)] != data_ids or (
-        (opening.model, opening.trainer, opening.seed) != (first.model, first.trainer, first.seed)
-    ):
-        raise ValueError("the opening was built for another run's data, model, trainer or seed")
-
-    runs = [_rounds(shards, cfg, test_set, probe, opening) for cfg in cfgs]
-    outcomes: list = [None] * len(runs)
-    failure = None
-    sent = dict.fromkeys(range(len(runs)))  # what each run still training is sent next
+    pool = Dataset(
+        np.vstack([s.dataset.features[s.indices] for s in shards]),
+        np.concatenate([s.dataset.labels[s.indices] for s in shards]),
+        shards[0].dataset.n_classes,
+    )
+    params = init_params(first.model, seed=derive_seed(first.seed, 0))
+    loss_start, _ = evaluate(first.model, params, pool)
+    if not np.isfinite(loss_start):
+        raise ValueError("the pooled loss at the initial parameters is not finite")
     n_clients = len(shards)
-    for rnd in itertools.count(2):
+    outcomes: list = [None] * len(cfgs)
+    failure = None
+    # round 1 is every run's: one request stands for all, and the round
+    # trains, aggregates and evaluates once
+    requests = {0: (params, [uniform_plan(s.local_distribution) for s in shards])}
+    for rnd in itertools.count(1):
+        starts = np.repeat(np.stack([start for start, _ in requests.values()]), n_clients, axis=0)
+        laps = _Laps()
+        try:
+            stack = local_train(
+                first.model, starts, list(shards) * len(requests),
+                [plan for _, plans in requests.values() for plan in plans], first.trainer,
+                [derive_seed(first.seed, 1, rnd, k) for k in range(n_clients)] * len(requests),
+            )
+            laps.lap("train")
+            if rnd == 1:
+                round_one = _aggregate_round(
+                    first.model, stack, size_proportional_weights(shards), pool, test_set, laps
+                )
+        except Exception as exc:  # it fails every run in it; the first is reported
+            del outcomes[min(requests) :]
+            failure = RoundFailure(rnd, str(exc))
+            failure.__cause__ = exc
+            return outcomes, failure
+        if rnd == 1:
+            runs = [
+                _rounds(shards, cfg, test_set, probe, pool, loss_start, round_one, laps.seconds)
+                for cfg in cfgs
+            ]
+            sent = dict.fromkeys(range(len(runs)))  # what each run still training is sent next
+        else:
+            sent = {
+                i: (stack[n * n_clients : (n + 1) * n_clients], laps.seconds["train"])
+                for n, i in enumerate(requests)
+            }
         requests = {}
         for i, value in sent.items():
             try:
@@ -379,24 +353,6 @@ def run_lockstep(
                 break
         if not requests:
             return outcomes, failure
-        starts = np.repeat(np.stack([start for start, _ in requests.values()]), n_clients, axis=0)
-        began = time.perf_counter()
-        try:
-            stack = local_train(
-                first.model, starts, list(shards) * len(requests),
-                [plan for _, plans in requests.values() for plan in plans], first.trainer,
-                [derive_seed(first.seed, 1, rnd, k) for k in range(n_clients)] * len(requests),
-            )
-        except Exception as exc:  # it fails every run in it; the first is reported
-            del outcomes[min(requests) :]
-            failure = RoundFailure(rnd, str(exc))
-            failure.__cause__ = exc
-            return outcomes, failure
-        train_s = time.perf_counter() - began
-        sent = {
-            i: (stack[n * n_clients : (n + 1) * n_clients], train_s)
-            for n, i in enumerate(requests)
-        }
 
 
 def run(
@@ -404,7 +360,6 @@ def run(
     cfg: FederationConfig,
     test_set: Dataset,
     probe: Dataset | None = None,
-    opening: Opening | None = None,
 ) -> tuple[list[RoundMetrics], RunLog]:
     """Execute the full federated schedule; return per-round metrics and the
     run's log.
@@ -413,17 +368,14 @@ def run(
     re-estimates curvature rows on it and solves the next round's plans at
     every aggregation but the last of a multi-round run. The log holds the
     run-level constants for every strategy and, for isfl, one diagnostics
-    record per round. Round 1 comes from ``opening``, or from one
-    ``open_run`` builds here; an opening built for other shards, another
-    test set, model, trainer config or seed raises ValueError.
-    Clients are weighted by shard size. Raises ValueError before round 1 when
-    the pooled loss at the initial parameters is not finite. A round whose
-    aggregate parameters or pooled loss are not finite raises RoundFailure
-    after its server phases, as does any module error.
-    Fully deterministic for a given config and seed. This is
-    ``run_lockstep`` over the one config.
+    record per round. Clients are weighted by shard size. Raises ValueError
+    before round 1 when the pooled loss at the initial parameters is not
+    finite. A round whose aggregate parameters or pooled loss are not finite
+    raises RoundFailure after its server phases, as does any module error,
+    round 1's training included. Fully deterministic for a given config and
+    seed. This is ``run_lockstep`` over the one config.
     """
-    outcomes, failure = run_lockstep(shards, [cfg], test_set, probe, opening)
+    outcomes, failure = run_lockstep(shards, [cfg], test_set, probe)
     if failure is not None:
         raise failure
     return outcomes[0]

@@ -117,6 +117,25 @@ class TestSolveCommand:
         bad.write_text(json.dumps({"p": [1.0]}))
         assert main(["solve", "--input", str(bad)]) == 1
 
+    @pytest.mark.parametrize("change, message", [
+        ({"varpi": False}, "varpi must be a number (got False)"),
+        ({"varpi": "0.1"}, "varpi must be a number (got '0.1')"),
+        ({"L": [True, 2.0]}, "L must be a list of numbers (got [True, 2.0])"),
+        ({"p_k": [0.5, "0.5"]}, "p_k must be a list of numbers (got [0.5, '0.5'])"),
+        ({"p": 1.0}, "p must be a list of numbers (got 1.0)"),
+        ({"extra": 1}, "unknown solve input keys: ['extra']"),
+        ({"varpy": 0.1}, "unknown solve input keys: ['varpy']"),
+        ("pp_kL", "solve input must be a JSON object (got str)"),
+    ], ids=["bool-varpi", "string-varpi", "bool-L", "string-p_k", "number-p",
+            "unknown-key", "misspelt-key", "not-an-object"])
+    def test_malformed_input_exits_1_naming_the_key(self, tmp_path, capsys, change, message):
+        problem = {"p": [0.5, 0.5], "p_k": [0.5, 0.5], "L": [1.0, 2.0]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(problem | change if isinstance(change, dict) else change))
+        assert main(["solve", "--input", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"input error: {message}\n"
+
     def test_bad_input_labelled_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"p": [0.5, 0.6], "p_k": [0.5, 0.5], "L": [1.0, 2.0]}))
@@ -478,7 +497,7 @@ class TestRunCommand:
             else:
                 assert phases[0, 2] > 0.0 and phases[-1, 2] == 0.0  # no last-round refresh
             train[strategy] = phases[:, 0]
-        # round 1's opening and every later round's one training call are shared
+        # round 1's training and every later round's one training call are shared
         assert np.array_equal(train["fedavg"], train["isfl"])
 
 
@@ -646,8 +665,8 @@ class TestGoldenDigests:
 
 
 class TestSchedules:
-    """Whether the strategies of a seed share one worker and one opening
-    depends on the CPU count; the artifacts must not."""
+    """Whether the strategies of a seed share one worker, one data build and
+    one round 1 depends on the CPU count; the artifacts must not."""
 
     @staticmethod
     def artifacts(out_dir):
@@ -723,8 +742,8 @@ class TestSchedules:
         cfg = ExperimentConfig(**dict(GOLDEN_CONFIG, rounds=4))
         done, failure = cli_mod.run_task([(cfg, s, 1, tmp_path / s, 0.5) for s in cfg.strategies])
         assert failure is None and len(done) == len(cfg.strategies)
-        # round 1 is the opening's call, and each later round trains every
-        # strategy in one call
+        # round 1 trains the clients once for every strategy, and each later
+        # round trains every strategy in one call
         assert calls == {"build_experiment_data": 1, "local_train": cfg.rounds}
 
 

@@ -7,6 +7,7 @@ import pytest
 import isfl.federation as federation_mod
 from isfl.cli import ExperimentConfig, build_experiment_data
 from isfl.data import (
+    Dataset,
     PartitionConfig,
     generate_synthetic,
     global_distribution,
@@ -21,7 +22,6 @@ from isfl.federation import (
     RoundFailure,
     aggregate,
     derive_seed,
-    open_run,
     run,
     run_lockstep,
     size_proportional_weights,
@@ -168,11 +168,15 @@ class TestRun:
             return aggregates[-1]
 
         monkeypatch.setattr(federation_mod, "aggregate", keeping)
-        opening = open_run(shards, cfg, test)
-        _, log = run(shards, cfg, test, probe=probe, opening=opening)
+        _, log = run(shards, cfg, test, probe=probe)
+        pool = Dataset(
+            np.vstack([s.dataset.features[s.indices] for s in shards]),
+            np.concatenate([s.dataset.labels[s.indices] for s in shards]),
+            shards[0].dataset.n_classes,
+        )
         bounds = np.cumsum([0, *map(len, shards)])
         for rec, params in zip(log.records, aggregates, strict=True):
-            stats = estimate_sgd_stats(cfg.model, params, opening.pool, bounds, 16)
+            stats = estimate_sgd_stats(cfg.model, params, pool, bounds, 16)
             assert np.array_equal(rec.sigma2, stats.sigma2) and rec.g2 == stats.g2
             assert np.all(rec.sigma2 > 0.0)
 
@@ -278,78 +282,50 @@ def outcome(metrics):
     ]
 
 
-class TestOpening:
-    """Round 1 is the same for every strategy, so a run from an opening built
-    once must equal a run that builds its own, bit for bit."""
-
-    def test_shared_opening_matches_own_for_every_strategy(self, tmp_path):
-        shards, probe, test = small_problem()
-        opening = open_run(shards, fed_config("fedavg"), test)
-        for strategy in STRATEGIES:
-            cfg = fed_config(strategy)
-            logs = {}
-            outcomes = {}
-            for name, given in (("own", None), ("shared", opening)):
-                metrics, log = run(shards, cfg, test, probe=probe, opening=given)
-                outcomes[name] = outcome(metrics)
-                log.save_jsonl(tmp_path / f"{strategy}_{name}.jsonl")
-                logs[name] = (tmp_path / f"{strategy}_{name}.jsonl").read_bytes()
-            assert outcomes["shared"] == outcomes["own"]
-            assert logs["shared"] == logs["own"]
-            if strategy == "isfl":
-                assert len(logs["own"].splitlines()) == 1 + cfg.n_rounds
-
-    @pytest.mark.parametrize("change", ["seed", "trainer", "model", "shards", "test_set"])
-    def test_opening_of_another_run_raises(self, change):
-        shards, probe, test = small_problem()
-        cfg = fed_config("fedavg")
-        opening = open_run(shards, cfg, test)
-        if change == "seed":
-            cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
-        elif change == "trainer":
-            cfg = dataclasses.replace(cfg, trainer=TrainerConfig(batch_size=16, local_epochs=1))
-        elif change == "model":
-            cfg = dataclasses.replace(cfg, model=ModelSpec(5, (6,), 3))
-        elif change == "shards":
-            shards = small_problem()[0]  # equal content, other objects
-        else:
-            test = small_problem()[2]
-        with pytest.raises(ValueError, match="the opening was built for another run"):
-            run(shards, cfg, test, opening=opening)
-
-    def test_opening_arrays_are_read_only(self):
-        shards, _, test = small_problem()
-        opening = open_run(shards, fed_config("fedavg"), test)
-        stack, params = opening.round_one[:2]
-        arrays = [stack, params, opening.pool.features, opening.pool.labels]
-        arrays += [a for ds in opening.own for a in (ds.features, ds.labels)]
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] += 1
+class TestRoundOne:
+    """Round 1 is the same for every strategy, so ``run_lockstep`` trains,
+    aggregates and evaluates it once for all of them."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_round_one_divergence_fails_as_before(self):
         # isfl's curvature phase still runs before the finiteness check
         shards, probe, test = small_problem()
-        opening = open_run(shards, fed_config("fedavg", eta=1e30), test)
         for strategy in STRATEGIES:
-            for given in (None, opening):
-                with pytest.raises(RoundFailure) as exc_info:
-                    run(shards, fed_config(strategy, eta=1e30), test, probe=probe, opening=given)
-                assert exc_info.value.round_index == 1
-                assert exc_info.value.message == (
-                    "parameter deviation is not finite; the run diverged" if strategy == "isfl"
-                    else "aggregate or pooled loss is not finite; the run diverged"
-                )
+            with pytest.raises(RoundFailure) as exc_info:
+                run(shards, fed_config(strategy, eta=1e30), test, probe=probe)
+            assert exc_info.value.round_index == 1
+            assert exc_info.value.message == (
+                "parameter deviation is not finite; the run diverged" if strategy == "isfl"
+                else "aggregate or pooled loss is not finite; the run diverged"
+            )
 
-    def test_round_one_phases_are_the_openings(self):
+    def test_round_one_phases_are_shared(self):
         shards, probe, test = small_problem()
-        opening = open_run(shards, fed_config("fedavg"), test)
-        for strategy in ("fedavg", "isfl"):
-            first = run(shards, fed_config(strategy), test, probe=probe, opening=opening)[0][0]
-            for phase in ("train", "aggregate", "eval"):
-                assert first.phases[phase] == opening.phases[phase] > 0.0
+        cfgs = [fed_config(strategy) for strategy in ("fedavg", "isfl")]
+        together, failure = run_lockstep(shards, cfgs, test, probe)
+        assert failure is None
+        firsts = [metrics[0] for metrics, _ in together]
+        for phase in ("train", "aggregate", "eval"):
+            assert firsts[0].phases[phase] == firsts[1].phases[phase] > 0.0
+        for first in firsts:
             assert first.seconds >= sum(first.phases.values())
+
+    def test_a_failed_round_one_training_call_fails_the_first_strategy(self, monkeypatch):
+        """Round 1's training call fails as a later shared call does: it is
+        returned as the first strategy's failure, and ``run`` raises it."""
+        shards, probe, test = small_problem()
+
+        def failing(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(federation_mod, "local_train", failing)
+        cfgs = [fed_config(s) for s in STRATEGIES]
+        together, failure = run_lockstep(shards, cfgs, test, probe)
+        assert together == []
+        assert (failure.round_index, failure.message) == (1, "synthetic failure")
+        with pytest.raises(RoundFailure) as alone:
+            run(shards, cfgs[0], test, probe=probe)
+        assert (alone.value.round_index, alone.value.message) == (1, "synthetic failure")
 
 
 def saved(log, path):
@@ -417,7 +393,7 @@ class TestLockstep:
             return probs * np.nan if where == "plan" and rnd == 2 else probs
 
         def training(spec, params, shards_, *args):
-            trained.append(len(shards_))  # round 1 is the opening's call
+            trained.append(len(shards_))  # round 1 trains K rows once, for every strategy
             if where == "train" and len(trained) == 3:
                 raise ValueError("synthetic failure")
             return real_train(spec, params, shards_, *args)
