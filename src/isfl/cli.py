@@ -175,6 +175,11 @@ class ExperimentConfig:
         for key in ("test_size", "holdout_size", "probe_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1 (got {getattr(self, key)!r})")
+        if self.probe_size > self.holdout_size:  # the probe is drawn from the holdout
+            raise ValueError(
+                f"probe_size ({self.probe_size}) must not exceed holdout_size "
+                f"({self.holdout_size})"
+            )
         if self.dataset_path is None:
             check_synthetic(self.classes, self.per_class, self.dim, self.separation)
 
@@ -250,9 +255,7 @@ def build_experiment_data(cfg: ExperimentConfig, seed: int):
         seed=derive_seed(seed, 12),
     )
     shards = sort_and_partition(train, part_cfg)
-    probe = select_probe_set(
-        holdout, min(cfg.probe_size, len(holdout)), seed=derive_seed(seed, 13)
-    )
+    probe = select_probe_set(holdout, cfg.probe_size, seed=derive_seed(seed, 13))
     return shards, probe, test
 
 
@@ -314,21 +317,6 @@ def write_run(
         diagnostics.write_long_csv(rows, out_dir / "long.csv")
 
 
-def execute_run(
-    cfg: ExperimentConfig,
-    strategy: str,
-    seed: int,
-    out_dir: Path,
-    sampling_ratio: float | None = None,
-) -> list[RoundMetrics]:
-    """One federated run; writes metrics, manifest, and diagnostics artifacts.
-    This is ``run_task`` of the one job."""
-    done, failure = run_task([(cfg, strategy, seed, out_dir, sampling_ratio)])
-    if failure is not None:
-        raise failure
-    return done[0]
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on; all of them where the platform cannot say."""
     try:
@@ -386,6 +374,8 @@ def run_jobs(jobs: list[tuple]) -> list[list[RoundMetrics]]:
     # imported here: ``from isfl import cli`` stays as cheap as before
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+
+    import numpy.random  # noqa: F401  numpy loads it lazily: once here, not in every worker
 
     workers = min(len(jobs), usable_cpus())
     tasks = group_jobs([(job[2], *job[4:]) for job in jobs], workers)

@@ -179,16 +179,18 @@ def _shuffled_pools(ds: Dataset, rng: np.random.Generator) -> list[np.ndarray]:
 
 
 def _even_allocation(capacity: np.ndarray, total: int) -> np.ndarray:
-    """Spread ``total`` picks across categories as evenly as capacity allows."""
-    counts = np.zeros(capacity.size, dtype=np.int64)
-    remaining = total
-    while remaining > 0:
-        open_cats = np.flatnonzero(counts < capacity)
-        if open_cats.size == 0:
-            raise CapacityError("not enough samples to fill the request")
-        take = open_cats[:remaining]
-        counts[take] += 1
-        remaining -= take.size
+    """Spread ``total`` picks across categories as evenly as capacity allows:
+    each gets min(capacity, L) at the largest level L whose sum fits, and the
+    picks left over go one each, in index order, to the categories whose
+    capacity exceeds L."""
+    if total > capacity.sum():
+        raise CapacityError("not enough samples to fill the request")
+    # sum(min(capacity, L)) is the least over j of S_j + (n - j) L, S_j the sum
+    # of the j smallest capacities, so L is the largest (total - S_j) // (n - j)
+    sums = np.concatenate([[0], np.cumsum(np.sort(capacity))[:-1]])
+    level = ((total - sums) // np.arange(capacity.size, 0, -1)).max(initial=0)
+    counts = np.minimum(capacity, level).astype(np.int64)
+    counts[np.flatnonzero(capacity > level)[: total - counts.sum()]] += 1
     return counts
 
 

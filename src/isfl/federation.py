@@ -2,32 +2,30 @@
 
 Every round: all clients train locally under their current sampling plans, in
 one lockstep ``local_train`` call that returns their parameters as one (K, P)
-stack; the server takes the weighted average of its rows, plans are refreshed
-according to the strategy (isfl: from the curvature rows of the whole stack
-against the average), and the aggregate is broadcast back; no strategy
-refreshes plans after the last round. Parameters are plain arrays throughout.
-Each round's wall time is split into the phases of PHASES.
+stack; the server takes the weighted average of its rows, runs its
+strategy's server phase and broadcasts the aggregate back. Parameters are
+plain arrays throughout; a round's wall time is split into the PHASES.
 
 Round 1 is the same for every strategy: all start from unit-weight plans,
 ``init_params`` seeded by ``derive_seed(seed, 0)`` and the client seeds
 ``derive_seed(seed, 1, 1, k)`` under one model and trainer config, and the
-strategy and ``varpi`` first act in round 1's server phases. So the
-strategies of one seed train together (``run_lockstep``): round 1 trains,
-aggregates and evaluates once for all of them, and from round 2 on one
-``local_train`` call per round trains the clients of every strategy as one
+strategy and ``varpi`` first act in round 1's server phases. So the strategies
+of one seed train together (``run_lockstep``): round 1 once for all of them,
+then one ``local_train`` call per round for every strategy's clients as one
 (S K, P) stack, each strategy's rows from its own aggregate under its own
 plans, with the shared client seeds ``derive_seed(seed, 1, round, k)``. Each
-strategy then aggregates its own K rows, evaluates and runs its server
-phases as it would alone. Stacked rows go through the same per-slice
-kernels, so every strategy's bytes equal its solo run's; ``run`` is the loop
-over one config.
+strategy aggregates its own K rows and runs its server phases as it would
+alone: the stacked rows go through the same per-slice kernels, so its bytes
+equal its solo run's; ``run`` is the loop over one config.
 
-Strategies:
+Strategies, the keys of ``_STRATEGY_PHASES``, one server phase each, which
+refreshes the plans at every aggregation but the last:
 
   fedavg       unit weights throughout (plain federated averaging)
   rw_is        uniform over each client's present categories (from round 2)
   gradnorm_is  per-sample probabilities proportional to gradient norms
-  isfl         curvature-driven optimal category weights via the solver
+  isfl         the solver's category weights for the curvature rows of the
+               whole stack against the average; one diagnostics record a round
 """
 
 from __future__ import annotations
@@ -44,8 +42,6 @@ from .isweights import SamplingPlan, solve_is_weights, uniform_plan
 from .lipschitz import estimate_lipschitz, estimate_sgd_stats
 from .model import ModelSpec, evaluate, init_params
 from .trainer import TrainerConfig, check_plan, gradnorm_plan, local_train, rw_plan
-
-STRATEGIES = ("fedavg", "rw_is", "gradnorm_is", "isfl")
 
 # Wall-clock phases of a round, in order: local training, aggregation, the
 # curvature rows, next round's plans, the noise statistics of the diagnostics
@@ -152,6 +148,83 @@ def _aggregate_round(spec, stack, pi, pool, test_set, laps):
     return stack, new, loss, acc_pool, acc_test
 
 
+class _Server:
+    """A run's context for its strategy's server phase: config, shards, pooled
+    and local distributions, each client's view of the pool (``own``: pool rows
+    ``bounds[k]:bounds[k + 1]``), probe and log; and the state a round starts
+    from: the pooled loss and, for isfl, the rows the plans were solved from."""
+
+    def __init__(self, shards, cfg, probe, pool, loss_start):
+        self.cfg, self.shards, self.probe, self.pool = cfg, shards, probe, pool
+        self.p_global = global_distribution(shards)
+        self.p_locals = [s.local_distribution for s in shards]
+        self.log = RunLog(
+            p=self.p_global.probs, p_local=np.stack([pl.probs for pl in self.p_locals]),
+            pi=size_proportional_weights(shards), varpi=cfg.varpi, eta=cfg.trainer.eta,
+            local_epochs=cfg.trainer.local_epochs,
+        )
+        self.bounds = bounds = np.cumsum([0, *map(len, shards)])
+        self.own = [Dataset(pool.features[a:b], pool.labels[a:b], pool.n_classes)
+                    for a, b in zip(bounds[:-1], bounds[1:])]
+        self.loss_start = loss_start
+        # Round 1 trains under unit weights before any estimate exists, so these
+        # all-ones rows only stand in for a client whose round-1 deviation is zero
+        self.lips = np.ones((len(shards), self.p_global.probs.size))
+
+
+def _fedavg(srv, rnd, plans, stack, new_global, laps, refresh):
+    return plans
+
+
+def _rw_is(srv, rnd, plans, stack, new_global, laps, refresh):
+    return [rw_plan(shard) for shard in srv.shards] if refresh else plans
+
+
+def _gradnorm_is(srv, rnd, plans, stack, new_global, laps, refresh):
+    return [gradnorm_plan(srv.cfg.model, new_global, own) for own in srv.own] if refresh else plans
+
+
+def _isfl(srv, rnd, plans, stack, new_global, laps, refresh):
+    """Solve the next plans from fresh curvature rows; record the round."""
+    cfg = srv.cfg
+    q_used = np.stack([plan.q.probs for plan in plans])
+    fresh = srv.lips
+    if refresh:
+        fresh = estimate_lipschitz(cfg.model, stack, new_global, srv.probe, srv.lips)
+        laps.lap("curvature")
+        plans = [solve_is_weights(srv.p_global, p_local, row, cfg.varpi)
+                 for p_local, row in zip(srv.p_locals, fresh)]
+    # in-effect view of this round: the plans the clients trained under and the
+    # optimum for the rows those plans were solved from. No estimate was in
+    # effect during round 1, so it is scored on the first one, from which
+    # round 2's plans come; later, the plan in effect is itself the optimum
+    in_effect, q_star = srv.lips, q_used
+    if rnd == 1:
+        in_effect, q_star = fresh, np.stack([plan.q.probs for plan in plans])
+    laps.lap("solve")
+    stats = estimate_sgd_stats(cfg.model, new_global, srv.pool, srv.bounds, cfg.trainer.batch_size)
+    srv.log.records.append(RoundRecord(
+        round_index=rnd, lipschitz=in_effect, q_used=q_used, q_star=q_star,
+        sigma2=stats.sigma2, g2=stats.g2, loss_start=srv.loss_start,
+        dev2=np.array([float(np.linalg.norm(row - new_global)) ** 2 for row in stack]),
+    ))
+    laps.lap("stats")
+    srv.lips = fresh
+    return plans
+
+
+# Each strategy's server phase, ``phase(srv, rnd, plans, stack, new_global,
+# laps, refresh)``: the next round's plans, refreshed only when ``refresh``,
+# and its own records in the log; and whether round 1 is scored on a refresh
+_STRATEGY_PHASES = {
+    "fedavg": (_fedavg, False),
+    "rw_is": (_rw_is, False),
+    "gradnorm_is": (_gradnorm_is, False),
+    "isfl": (_isfl, True),
+}
+STRATEGIES = tuple(_STRATEGY_PHASES)
+
+
 def _rounds(shards, cfg, test_set, probe, pool, loss_start, round_one, phases):
     """The schedule of ``cfg`` over the pooled client data ``pool`` from the
     initial pooled loss and round 1 (``_aggregate_round``'s outcome, with the
@@ -160,30 +233,9 @@ def _rounds(shards, cfg, test_set, probe, pool, loss_start, round_one, phases):
     those plans, and it is sent the round's (K, P) local stack with the
     seconds of the training call. It returns the run's metrics and log, and
     raises RoundFailure for a failed round (``run``)."""
-    n_clients = len(shards)
-    pi = size_proportional_weights(shards)
-    p_global = global_distribution(shards)
-    p_locals = [s.local_distribution for s in shards]
-    log = RunLog(
-        p=p_global.probs,
-        p_local=np.stack([pl.probs for pl in p_locals]),
-        pi=pi,
-        varpi=cfg.varpi,
-        eta=cfg.trainer.eta,
-        local_epochs=cfg.trainer.local_epochs,
-    )
-
-    bounds = np.cumsum([0, *map(len, shards)])  # client k: pool rows bounds[k]:bounds[k + 1]
-    own = [  # each client's samples as a dataset: a view of its rows of the pool
-        Dataset(pool.features[a:b], pool.labels[a:b], pool.n_classes)
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-    plans: list[SamplingPlan | np.ndarray] = [uniform_plan(pl) for pl in p_locals]
-    # isfl: curvature rows the plans in effect were solved from. Round 1 trains
-    # under unit weights before any estimate exists, so these all-ones rows
-    # only stand in for a client whose round-1 deviation is zero
-    lips = np.ones((n_clients, p_global.probs.size))
-
+    srv = _Server(shards, cfg, probe, pool, loss_start)
+    server_phase, scores_round_one = _STRATEGY_PHASES[cfg.strategy]
+    plans: list[SamplingPlan | np.ndarray] = [uniform_plan(pl) for pl in srv.p_locals]
     metrics: list[RoundMetrics] = []
     laps, trained = _Laps(phases), round_one
     for rnd in range(1, cfg.n_rounds + 1):
@@ -191,81 +243,29 @@ def _rounds(shards, cfg, test_set, probe, pool, loss_start, round_one, phases):
             if rnd > 1:
                 for shard, plan in zip(shards, plans):
                     check_plan(shard, plan)
-                local_stack, train_s = yield global_params, plans
+                stack, train_s = yield new_global, plans
                 laps = _Laps({"train": train_s})
-                trained = _aggregate_round(cfg.model, local_stack, pi, pool, test_set, laps)
-            local_stack, new_global, train_loss, acc_pool, acc_test = trained
+                trained = _aggregate_round(cfg.model, stack, srv.log.pi, pool, test_set, laps)
+            stack, new_global, train_loss, acc_pool, acc_test = trained
 
-            if cfg.strategy == "isfl":
-                q_used = np.stack([plan.q.probs for plan in plans])
-                # refresh the curvature estimates and solve next round's plans
-                fresh = lips
-                if rnd == 1 or rnd < cfg.n_rounds:
-                    fresh = estimate_lipschitz(cfg.model, local_stack, new_global, probe, lips)
-                    laps.lap("curvature")
-                    plans = [
-                        solve_is_weights(p_global, p_locals[k], fresh[k], cfg.varpi)
-                        for k in range(n_clients)
-                    ]
-                # in-effect view of this round: the plans the clients trained
-                # under and the optimum for the curvature those plans were
-                # solved from. No estimate was in effect during round 1, so it
-                # is scored on the first one, from which round 2's plans come;
-                # from round 2 on the plan in effect is itself the optimum
-                if rnd == 1:
-                    in_effect = fresh
-                    q_star = np.stack([plan.q.probs for plan in plans])
-                else:
-                    in_effect = lips
-                    q_star = q_used
-                laps.lap("solve")
-                stats = estimate_sgd_stats(
-                    cfg.model, new_global, pool, bounds, cfg.trainer.batch_size
-                )
-                dev2 = np.array(
-                    [float(np.linalg.norm(row - new_global)) ** 2 for row in local_stack]
-                )
-                log.records.append(
-                    RoundRecord(
-                        round_index=rnd,
-                        lipschitz=in_effect,
-                        q_used=q_used,
-                        q_star=q_star,
-                        sigma2=stats.sigma2,
-                        g2=stats.g2,
-                        dev2=dev2,
-                        loss_start=loss_start,
-                    )
-                )
-                laps.lap("stats")
-                lips = fresh
-            elif cfg.strategy == "rw_is" and rnd < cfg.n_rounds:
-                plans = [rw_plan(shards[k]) for k in range(n_clients)]
-            elif cfg.strategy == "gradnorm_is" and rnd < cfg.n_rounds:
-                plans = [
-                    gradnorm_plan(cfg.model, new_global, own[k])
-                    for k in range(n_clients)
-                ]
+            # No plans are refreshed after the last round: no round trains
+            # under them. The exception: isfl scores round 1 on the first
+            # curvature estimate, so a one-round isfl run still solves once
+            refresh = rnd < cfg.n_rounds or rnd == 1 and scores_round_one
+            plans = server_phase(srv, rnd, plans, stack, new_global, laps, refresh)
             laps.lap("solve")
 
-            global_params = new_global
-            if not (np.isfinite(train_loss) and np.all(np.isfinite(global_params))):
+            if not (np.isfinite(train_loss) and np.all(np.isfinite(new_global))):
                 raise ValueError("aggregate or pooled loss is not finite; the run diverged")
         except Exception as exc:
             raise RoundFailure(rnd, str(exc)) from exc
 
-        metrics.append(
-            RoundMetrics(
-                round_index=rnd,
-                train_loss=train_loss,
-                acc_test=acc_test,
-                acc_pool=acc_pool,
-                seconds=laps.total(),
-                phases=laps.seconds,
-            )
-        )
-        loss_start = train_loss
-    return metrics, log
+        metrics.append(RoundMetrics(
+            round_index=rnd, train_loss=train_loss, acc_test=acc_test, acc_pool=acc_pool,
+            seconds=laps.total(), phases=laps.seconds,
+        ))
+        srv.loss_start = train_loss
+    return metrics, srv.log
 
 
 def run_lockstep(

@@ -23,7 +23,8 @@ must equal to rounding. ``kkt_partials`` is the gradient of rho that the
 solver's optimality tests check.
 
 ``save_dataset`` writes the binary container that ``isfl.data.load_dataset``
-reads.
+reads. ``even_allocation`` hands out picks one sweep over the open categories
+at a time; ``isfl.data._even_allocation``'s closed form must give its counts.
 
 ``_forward``, ``_softmax``, ``_cross_entropy``, ``_act_grad``,
 ``_backward_deltas``, ``_backprop``, ``mean_grads`` and ``evaluate`` are the
@@ -467,3 +468,18 @@ def save_dataset(ds: Dataset, path) -> None:
         f.write(struct.pack("<III", len(ds), ds.dim, ds.n_classes))
         f.write(ds.features.astype("<f4").tobytes())
         f.write(ds.labels.astype("<u2").tobytes())
+
+
+def even_allocation(capacity: np.ndarray, total: int) -> np.ndarray:
+    """One pick per open category and sweep, in index order, until ``total``
+    picks are made; CapacityError when every category fills first."""
+    counts = np.zeros(capacity.size, dtype=np.int64)
+    remaining = total
+    while remaining > 0:
+        open_cats = np.flatnonzero(counts < capacity)
+        if open_cats.size == 0:
+            raise CapacityError("not enough samples to fill the request")
+        take = open_cats[:remaining]
+        counts[take] += 1
+        remaining -= take.size
+    return counts

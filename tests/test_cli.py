@@ -1,6 +1,9 @@
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -380,12 +383,13 @@ class TestRunCommand:
         ("strategies", ["fedavg", 1], "strategies must be a list of strategy names"),
         ("dataset_path", 5, "dataset_path must be a string or null (got 5)"),
         ("dataset_path", ["data.csv"], "dataset_path must be a string or null (got ['data.csv'])"),
+        ("probe_size", 31, "config error: probe_size (31) must not exceed holdout_size (30)"),
     ], ids=["varpi-1.5", "varpi-neg", "probe-0", "separation-neg", "test-neg",
             "holdout-0", "rounds-0", "strategy", "seed-bool", "hidden-float", "batch-bool",
             "seed-negative", "rounds-float", "probe-float", "eta-bool", "ratio-bool",
             "separation-bool", "nr-string", "varpi-string", "eta-null", "strategies-isfl",
             "strategies-fedavg", "strategies-number", "dataset-path-number",
-            "dataset-path-list"])
+            "dataset-path-list", "probe-over-holdout"])
     def test_bad_setting_exits_1_before_any_job(
         self, tmp_path, capsys, monkeypatch, key, value, message
     ):
@@ -664,6 +668,21 @@ class TestGoldenDigests:
                 assert all(m[4:] == ["", ""] for m in metrics[1:])
 
 
+# Two jobs of different seeds, so two worker tasks, each of which reports
+# whether ``numpy.random`` was loaded when it started
+NUMPY_RANDOM_PROBE = """
+import sys
+import isfl.cli as cli
+
+def task(jobs):
+    return ["numpy.random" in sys.modules for _ in jobs], None
+
+cli.run_task = task
+print("numpy.random" in sys.modules)
+print(cli.run_jobs([(None, "fedavg", 1, None), (None, "fedavg", 2, None)]))
+"""
+
+
 class TestSchedules:
     """Whether the strategies of a seed share one worker, one data build and
     one round 1 depends on the CPU count; the artifacts must not."""
@@ -745,6 +764,18 @@ class TestSchedules:
         # round 1 trains the clients once for every strategy, and each later
         # round trains every strategy in one call
         assert calls == {"build_experiment_data": 1, "local_train": cfg.rounds}
+
+    def test_workers_start_with_numpy_random_loaded(self):
+        """numpy loads ``numpy.random`` lazily; ``run_jobs`` loads it before
+        it forks, so no worker imports it again. Run in a fresh interpreter,
+        where importing ``isfl.cli`` has not loaded it."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines() == ["False", "[True, True]"]
 
 
 class TestSweepCommand:

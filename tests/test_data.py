@@ -20,7 +20,8 @@ from isfl.data import (
     sort_and_partition,
     train_holdout_test_split,
 )
-from oracles import save_dataset
+from isfl.data import _even_allocation
+from oracles import even_allocation, save_dataset
 
 
 def balanced_source(n_classes=5, per_class=400, dim=8, seed=3):
@@ -225,6 +226,25 @@ class TestSelectProbeSet:
         holdout = balanced_source(n_classes=3, per_class=10)
         with pytest.raises(CapacityError):
             select_probe_set(holdout, 31)
+
+
+class TestEvenAllocation:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=12), st.data())
+    def test_matches_the_sweep_oracle(self, capacities, data):
+        """Random capacities, zeros included, and every total from 0 to two
+        past their sum: the same counts, or CapacityError from both."""
+        capacity = np.array(capacities, dtype=np.int64)
+        total = data.draw(st.integers(0, int(capacity.sum()) + 2))
+        if total > capacity.sum():
+            with pytest.raises(CapacityError):
+                _even_allocation(capacity, total)
+            with pytest.raises(CapacityError):
+                even_allocation(capacity, total)
+            return
+        counts = _even_allocation(capacity, total)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, even_allocation(capacity, total))
 
 
 class TestSplit:

@@ -18,7 +18,7 @@ from isfl.isweights import (
 )
 import isfl.isweights as isweights_mod
 import oracles
-from isfl.cli import ExperimentConfig, execute_run
+from isfl.cli import ExperimentConfig, run_task
 from oracles import brute_force_rho_min, enumerate_rho_min, kkt_partials
 
 # Worked three-category instance used throughout: pooled [0.5, 0.3, 0.2],
@@ -526,7 +526,9 @@ class TestScreenedSolver:
 
         monkeypatch.setattr(isweights_mod, "_minimize_rho", record)
         cfg = ExperimentConfig(per_class=2200, eta=0.05, rounds=3)
-        execute_run(cfg, "isfl", 0, tmp_path / "run")
+        _, failure = run_task([(cfg, "isfl", 0, tmp_path / "run")])
+        if failure is not None:
+            raise failure
         assert len(recorded) == 2 * cfg.clients
         for p, floors, sq in recorded:
             assert_matches_enumeration(p, floors, sq, multi_face=False)

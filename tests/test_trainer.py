@@ -615,7 +615,7 @@ class TestRoute:
     the per-batch loop: a later edit to the path condition would."""
 
     def test_local_train_reads_one_raw_block_per_client(self, monkeypatch, tmp_path):
-        from isfl.cli import ExperimentConfig, execute_run
+        from isfl.cli import ExperimentConfig, run_task
         from test_cli import GOLDEN_CONFIG
 
         def forbidden(*args):
@@ -626,7 +626,9 @@ class TestRoute:
         cfg = ExperimentConfig(**GOLDEN_CONFIG)
         for seed in cfg.seeds:
             for strategy in ("fedavg", "rw_is", "isfl"):
-                execute_run(cfg, strategy, seed, tmp_path / f"{strategy}_{seed}")
+                _, failure = run_task([(cfg, strategy, seed, tmp_path / f"{strategy}_{seed}")])
+                if failure is not None:
+                    raise failure
         assert len(blocks) == 2 * 3 * cfg.rounds * cfg.clients
 
         shards, plans, _ = bench_clients("paper-scale", 0)
