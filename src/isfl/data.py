@@ -110,35 +110,31 @@ class PartitionConfig:
 
 @dataclass(frozen=True)
 class ClientShard:
-    """One client's local data: indices into a parent dataset, its samples of
-    each category (``category_pools``), their sizes (``counts``) and its label
-    mix. ``category_rows`` is built on first use and then kept."""
+    """One client's local data: indices into a parent dataset, its sample
+    count per category (``counts``) and its label mix. ``category_rows``
+    (built on first use, then kept) is the indices grouped by category."""
 
     client_id: int
     indices: np.ndarray
     dataset: Dataset
     local_distribution: CategoryDistribution
-    category_pools: tuple = field(repr=False)
     counts: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, client_id: int, indices: np.ndarray, dataset: Dataset) -> "ClientShard":
         idx = np.asarray(indices, dtype=np.int64)
-        labels = dataset.labels[idx]
-        counts = np.bincount(labels, minlength=dataset.n_classes)
+        counts = np.bincount(dataset.labels[idx], minlength=dataset.n_classes)
         if counts.sum() == 0:
             raise ValueError("a client shard needs at least one sample")
-        dist = CategoryDistribution(counts / counts.sum())
-        pools = tuple(idx[labels == c] for c in range(dataset.n_classes))
-        return cls(client_id, idx, dataset, dist, pools, counts)
+        return cls(client_id, idx, dataset, CategoryDistribution(counts / counts.sum()), counts)
 
     def __len__(self) -> int:
         return self.indices.size
 
     @functools.cached_property
     def category_rows(self) -> np.ndarray:
-        """The category pools end to end, in category order."""
-        return np.concatenate(self.category_pools)
+        """The indices sorted by label, each category's in shard order."""
+        return self.indices[np.argsort(self.dataset.labels[self.indices], kind="stable")]
 
 
 def check_synthetic(n_classes: int, per_class: int, dim: int, separation: float) -> None:

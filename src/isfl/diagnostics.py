@@ -91,7 +91,9 @@ class RunLog:
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "RunLog":
         """Read a log written by save_jsonl. A line that is not a JSON object,
-        or a record that lacks a field, raises ValueError naming the line."""
+        lacks a field or holds a value save_jsonl cannot write raises
+        ValueError naming the line: every array and number must be finite and
+        of its K x C shape, eta > 0, varpi in [0, 1) and local_epochs >= 1."""
         log = None
         with open(path, "r", encoding="utf-8") as f:
             for number, line in enumerate(f, 1):
@@ -104,33 +106,51 @@ class RunLog:
                     if log is None:
                         if row.get("type") != "run":
                             raise ValueError("missing run header record")
+                        kc = (len(row["p_local"]), len(row["p"]))
+                        epochs = row["local_epochs"]
                         log = cls(
-                            p=np.asarray(row["p"], dtype=np.float64),
-                            p_local=np.asarray(row["p_local"], dtype=np.float64),
-                            pi=np.asarray(row["pi"], dtype=np.float64),
-                            varpi=float(row["varpi"]),
-                            eta=float(row["eta"]),
-                            local_epochs=int(row["local_epochs"]),
+                            p=_finite(row, "p", kc[1:]),
+                            p_local=_finite(row, "p_local", kc),
+                            pi=_finite(row, "pi", kc[:1]),
+                            varpi=float(_finite(row, "varpi", ())),
+                            eta=float(_finite(row, "eta", ())),
+                            local_epochs=epochs,
                         )
+                        if not log.eta > 0.0:
+                            raise ValueError(f"eta must be positive (got {log.eta!r})")
+                        if not 0.0 <= log.varpi < 1.0:
+                            raise ValueError(f"varpi must lie in [0, 1) (got {log.varpi!r})")
+                        if type(epochs) is not int or epochs < 1:
+                            raise ValueError(f"local_epochs must be an integer >= 1 (got {epochs})")
                     elif row.get("type") == "round":
                         log.records.append(
                             RoundRecord(
                                 round_index=int(row["round"]),
-                                lipschitz=np.asarray(row["lipschitz"], dtype=np.float64),
-                                q_used=np.asarray(row["q_used"], dtype=np.float64),
-                                q_star=np.asarray(row["q_star"], dtype=np.float64),
-                                sigma2=np.asarray(row["sigma2"], dtype=np.float64),
-                                g2=float(row["g2"]),
-                                dev2=np.asarray(row["dev2"], dtype=np.float64),
-                                loss_start=float(row["loss_start"]),
+                                lipschitz=_finite(row, "lipschitz", kc),
+                                q_used=_finite(row, "q_used", kc),
+                                q_star=_finite(row, "q_star", kc),
+                                sigma2=_finite(row, "sigma2", kc[:1]),
+                                g2=float(_finite(row, "g2", ())),
+                                dev2=_finite(row, "dev2", kc[:1]),
+                                loss_start=float(_finite(row, "loss_start", ())),
                             )
                         )
                 except (KeyError, TypeError, ValueError) as exc:
-                    where = f"{path}, line {number}"
-                    raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
+                    raise ValueError(f"{path}, line {number}: {type(exc).__name__}: {exc}") from exc
         if log is None:
             raise ValueError(f"{path}: missing run header record")
         return log
+
+
+def _finite(row: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``row[key]`` as a float64 array; ValueError unless it has ``shape`` and
+    only finite entries (Python's json reads NaN and Infinity)."""
+    value = np.asarray(row[key], dtype=np.float64)
+    if value.shape != shape:
+        raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{key} must be finite")
+    return value
 
 
 def psi(log: RunLog, rec: RoundRecord) -> float:

@@ -122,21 +122,16 @@ def _forward(spec: ModelSpec, views: list[np.ndarray], x: np.ndarray):
     raise AssertionError("unreachable")
 
 
-def _row_max(z: np.ndarray, first_index: np.ndarray | None = None) -> np.ndarray:
+def _row_max(z: np.ndarray) -> np.ndarray:
     """``z.max(axis=-1)``, taken one column at a time.
 
     ``np.maximum`` is exact, so the result is the same in any order, and
     over a short class axis the column pass is several times faster than the
-    reduction. If ``first_index`` is given, it receives the index of each
-    row's first maximal entry, as ``np.argmax`` breaks ties (a row holding a
-    NaN is left to the caller).
+    reduction.
     """
     top = z[..., 0].copy()
     for j in range(1, z.shape[-1]):
-        column = z[..., j]
-        if first_index is not None:
-            np.copyto(first_index, j, where=column > top)
-        np.maximum(top, column, out=top)
+        np.maximum(top, z[..., j], out=top)
     return top
 
 
@@ -288,13 +283,8 @@ def evaluate(spec: ModelSpec, params: np.ndarray, ds: Dataset) -> tuple[float, f
     """Mean loss and top-1 accuracy on ``ds``."""
     check_batch(spec, ds)
     logits, _ = _forward(spec, _views(spec, params), ds.features)
-    top = np.zeros(len(ds), dtype=np.intp)
-    row_max = _row_max(logits, first_index=top)
-    nan_rows = np.isnan(row_max)
-    if nan_rows.any():
-        # np.argmax takes a row's first NaN as its maximum
-        top[nan_rows] = np.isnan(logits[nan_rows]).argmax(axis=-1)
-    logits -= row_max[:, None]
+    top = logits.argmax(axis=-1)
+    logits -= _row_max(logits)[:, None]
     label_logit = logits[np.arange(len(ds)), ds.labels]
     np.exp(logits, out=logits)
     losses = -(label_logit - np.log(logits @ np.ones(spec.n_classes)))

@@ -6,15 +6,13 @@ weighted-gradient update by sampling rather than by loss re-weighting.
 GradNorm-style baselines instead pass per-sample probabilities directly.
 
 ``local_train`` trains all clients of a round in lockstep. Each client first
-draws the batch indices of its whole local run from its own generator
-(``draw_batches``). The generator contract: under a category plan, the draws
-and the generator's end state equal two calls per batch, ``rng.random(size)``
-for the categories and one array-bound ``rng.integers`` for the pool
-positions; on PCG64 they are read from one ``random_raw`` block per run. A
-per-sample plan makes one ``rng.random`` call per run. Every client of a run
-trains with the same TrainerConfig; its start, plan and generator seed are
-its own, so the clients of several federated runs (one per strategy) train
-in one call. Clients with the same batch schedule (equal-sized shards have
+draws the batch indices of its whole local run from a fresh stream of its own
+seed (``draw_batches``): under a category plan, the draws of two calls per
+batch on ``default_rng(seed)``, read from one ``random_raw`` block of PCG64
+words; under a per-sample plan, one ``rng.random`` call. Every client of a
+run trains with the same TrainerConfig; its start, plan and seed are its
+own, so the clients of several federated runs (one per strategy) train in
+one call. Clients with the same batch schedule (equal-sized shards have
 one) then share one (K, P) parameter stack, and each SGD step updates the
 whole stack at once (``model.sgd_stepper``). Every client ends bit for bit
 where it would end training alone; a lone client is a stack of one.
@@ -70,7 +68,7 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
 
 def _lemire(halves: np.ndarray, pools: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """numpy's bounded draw below 2**32 (Lemire, arXiv 1805.10941) on uint64
-    arrays of 32-bit ``halves`` and of pool sizes from 2 to 2**32: the
+    arrays of 32-bit ``halves`` and of pool sizes from 1 to 2**32: the
     positions ``(half * pool) >> 32``, and the indices of the halves numpy
     would reject and replace with the next one."""
     scaled = halves * pools
@@ -82,13 +80,13 @@ def _lemire(halves: np.ndarray, pools: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 @functools.lru_cache(maxsize=8)
-def _word_layout(sizes: tuple[int, ...], held: int) -> tuple[np.ndarray, ...]:
-    """Where a batch schedule's draws sit in its block of raw PCG64 words,
-    when ``held`` (0 or 1) halves are buffered at the start: the word of each
-    double, the word of each pair of position halves, and each draw's batch.
-    Every position reads one 32-bit half, the low half of a word first."""
+def _word_layout(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Where a batch schedule's draws sit in the raw PCG64 words of a fresh
+    stream: the word of each double, the word of each pair of position
+    halves, and each draw's batch. Every position reads one 32-bit half, the
+    low half of a word first."""
     bounds = np.cumsum((0, *sizes))
-    before = (bounds - held + 1) // 2  # position words fetched before each batch
+    before = (bounds + 1) // 2  # position words fetched before each batch
     # batch b reads its doubles, then fetches the position words first read in it
     doubles = np.arange(bounds[-1]) + np.repeat(before[:-1], sizes)
     pairs = np.repeat(bounds[1:], np.diff(before)) + np.arange(before[-1])
@@ -99,50 +97,40 @@ def _word_layout(sizes: tuple[int, ...], held: int) -> tuple[np.ndarray, ...]:
 
 
 def _raw_draws(
-    cdf: np.ndarray, pool_sizes: np.ndarray, sizes: tuple[int, ...], bit_gen: np.random.PCG64
+    cdf: np.ndarray, pool_sizes: np.ndarray, sizes: tuple[int, ...], seed: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The categories and pool positions of ``_per_batch_draws``, read from
-    one ``random_raw`` block of PCG64 words, with the generator left in the
-    same state. Every pool must hold at least 2 samples, so that each
-    position reads one 32-bit half. Returns None, with the generator as it
-    was, if numpy would reject a half. The README says why this is exact."""
-    start = bit_gen.state
-    held = start["has_uint32"]  # a half buffered by an earlier 32-bit draw
-    doubles, pairs, batch = _word_layout(sizes, held)
+    one ``random_raw`` block of ``PCG64(seed)``; None where the layout fails,
+    on a drawn one-sample pool (numpy reads no half for it) or a half that
+    numpy would reject. The README says why this is exact."""
+    doubles, pairs, batch = _word_layout(sizes)
     n = doubles.size
-    words = bit_gen.random_raw(n + pairs.size)
+    words = np.random.PCG64(seed).random_raw(n + pairs.size)
     cats = cdf.searchsorted((words[doubles] >> 11) * 2.0**-53, side="right")
     # the positions are drawn by category within each batch, batch after
     # batch; a stable sort gives that order on any integer type that holds the keys
     keys = (batch * cdf.size + cats).astype(np.min_scalar_type(len(sizes) * cdf.size))
     order = np.argsort(keys, kind="stable")
-    fetched = words[pairs]
-    halves = np.empty(held + 2 * fetched.size, dtype=np.uint64)
-    halves[:held] = start["uinteger"]
-    halves[held::2] = fetched & 0xFFFFFFFF
-    halves[held + 1 :: 2] = fetched >> 32
-    grouped, rejected = _lemire(halves[:n], pool_sizes.astype(np.uint64)[cats[order]])
-    if rejected.size:
-        bit_gen.state = start
+    pools = pool_sizes.astype(np.uint64)[cats[order]]
+    # each word's low half, then its high half
+    halves = words[pairs].astype("<u8").view("<u4")[:n].astype(np.uint64)
+    grouped, rejected = _lemire(halves, pools)
+    if rejected.size or np.any(pools < 2):
         return None
-    end = bit_gen.state
-    end["has_uint32"] = (n - held) % 2
-    if fetched.size:  # numpy keeps the high half even once it is read
-        end["uinteger"] = int(fetched[-1] >> 32)
-    bit_gen.state = end
     positions = np.empty(n, dtype=np.int64)
     positions[order] = grouped
     return cats, positions
 
 
 def _per_batch_draws(
-    cdf: np.ndarray, pool_sizes: np.ndarray, sizes: tuple[int, ...], rng: np.random.Generator
+    cdf: np.ndarray, pool_sizes: np.ndarray, sizes: tuple[int, ...], seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each draw's category and position in its category's pool, with two
-    generator calls per batch: ``rng.random`` for the categories and one
-    array-bound ``rng.integers`` for the positions, grouped by category."""
-    cats = np.empty(sum(sizes), dtype=np.int64)
-    positions = np.empty(sum(sizes), dtype=np.int64)
+    calls per batch on ``default_rng(seed)``: ``rng.random`` for the
+    categories and one array-bound ``rng.integers`` for the positions,
+    grouped by category."""
+    rng = np.random.default_rng(seed)
+    cats, positions = np.empty((2, sum(sizes)), dtype=np.int64)
     start = 0
     for size in sizes:
         drawn = cdf.searchsorted(rng.random(size), side="right")
@@ -179,34 +167,27 @@ def draw_batches(
     shard: ClientShard,
     plan: SamplingPlan | np.ndarray,
     sizes: tuple[int, ...],
-    rng: np.random.Generator,
+    seed: int,
 ) -> np.ndarray:
-    """Row indices into ``shard.dataset`` for consecutive batches of ``sizes``.
+    """Row indices into ``shard.dataset`` for consecutive batches of ``sizes``,
+    drawn from a fresh stream of ``seed`` after one ``check_plan``.
 
     A category plan draws, for each batch, the categories and then a position
-    (with replacement) in each drawn category's local pool. The draws, and
-    the state the generator ends in, equal two generator calls per batch: one
-    ``rng.random`` for the categories and one array-bound ``rng.integers``
-    for the positions, grouped by ascending category. On PCG64 they are read
-    from one raw block of the whole run (``_raw_draws``); another bit
-    generator, a support pool of one sample or a half that numpy would
-    reject makes the calls themselves (``_per_batch_draws``). A per-sample
-    probability vector draws shard rows directly, with one ``rng.random``
-    call for the whole run. The plan is checked once, before any draw
-    (``check_plan``).
+    (with replacement) in each drawn category's local pool: the draws of two
+    calls per batch on ``default_rng(seed)``, one ``rng.random`` for the
+    categories and one array-bound ``rng.integers`` for the positions,
+    grouped by ascending category. ``_raw_draws`` reads them from one block,
+    and ``_per_batch_draws`` makes the calls where that block does not hold.
+    A per-sample probability vector draws shard rows directly, with one
+    ``rng.random`` call for the whole run.
     """
     check_plan(shard, plan)
     if isinstance(plan, np.ndarray):
-        return shard.indices[_cdf(plan).searchsorted(rng.random(sum(sizes)), side="right")]
-    q = plan.q.probs
-    pool_sizes = shard.counts
-    cdf = _cdf(q)
-    drawn = None
-    if type(rng.bit_generator) is np.random.PCG64 and pool_sizes[q > 0.0].min() > 1:
-        drawn = _raw_draws(cdf, pool_sizes, sizes, rng.bit_generator)
-    if drawn is None:
-        drawn = _per_batch_draws(cdf, pool_sizes, sizes, rng)
-    cats, positions = drawn
+        u = np.random.default_rng(seed).random(sum(sizes))
+        return shard.indices[_cdf(plan).searchsorted(u, side="right")]
+    cdf, pool_sizes = _cdf(plan.q.probs), shard.counts
+    drawn = _raw_draws(cdf, pool_sizes, sizes, seed)
+    cats, positions = _per_batch_draws(cdf, pool_sizes, sizes, seed) if drawn is None else drawn
     first = np.cumsum(pool_sizes) - pool_sizes
     return shard.category_rows[first[cats] + positions]
 
@@ -255,7 +236,7 @@ def local_train(
     for k, (shard, plan, seed) in enumerate(zip(shards, plans, seeds)):
         check_batch(spec, shard.dataset)
         sizes = batch_sizes(len(shard), cfg)
-        draws.append(draw_batches(shard, plan, sizes, np.random.default_rng(seed)))
+        draws.append(draw_batches(shard, plan, sizes, seed))
         stacks.setdefault(sizes, []).append(k)
 
     trained = np.empty((len(shards), params.shape[-1]))

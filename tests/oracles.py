@@ -314,14 +314,15 @@ def weighted_sample_batch(
     support = np.flatnonzero(q > 0.0)
     if support.size == 0:
         raise ValueError("sampling plan has empty support")
+    labels = shard.dataset.labels[shard.indices]
     for c in support:
-        if shard.category_pools[c].size == 0:
+        if not np.any(labels == c):
             raise ValueError(f"plan assigns mass to category {c} the shard lacks")
     cats = rng.choice(q.size, size=batch_size, p=q)
     picks = np.empty(batch_size, dtype=np.int64)
     for c in np.unique(cats):
         mask = cats == c
-        pool = shard.category_pools[c]
+        pool = shard.indices[labels == c]
         picks[mask] = pool[rng.integers(0, pool.size, size=int(mask.sum()))]
     return shard.dataset.subset(picks)
 

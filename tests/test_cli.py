@@ -15,6 +15,7 @@ import isfl.federation as federation_mod
 from isfl.cli import ExperimentConfig, build_experiment_data, main
 from isfl.data import generate_synthetic
 from isfl.federation import RoundFailure
+from test_model import BLAS_THREADS
 
 BASE_CONFIG = {
     "classes": 3,
@@ -778,6 +779,76 @@ class TestSchedules:
         assert done.stdout.splitlines() == ["False", "[True, True]"]
 
 
+# The ``isfl`` console entry, run on the arguments after the script: prints
+# the OPENBLAS_NUM_THREADS variable and OpenBLAS's thread count of every
+# worker it forks, as it starts, and of its own process at the end
+ENTRY_PROBE = BLAS_THREADS + """
+import os, sys
+import isfl
+
+def report(who):
+    os.write(1, f"{who} {os.environ.get('OPENBLAS_NUM_THREADS')} {threads()}\\n".encode())
+
+os.register_at_fork(after_in_child=lambda: report("worker"))
+sys.argv[0] = "isfl"
+code = isfl.main()
+report("main")
+sys.exit(code)
+"""
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestConsoleEntry:
+    """``isfl.main``, the ``isfl`` command, runs every process with one BLAS
+    thread, whatever the caller's environment says."""
+
+    @staticmethod
+    def run_entry(args, **variables):
+        """ENTRY_PROBE in a fresh interpreter whose environment has none of
+        the BLAS variables but ``variables``; its reports, split by process."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+        env.update(variables, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run([sys.executable, "-c", ENTRY_PROBE, *map(str, args)], env=env,
+                              capture_output=True, text=True, check=True)
+        reports = [line.split() for line in done.stdout.splitlines()]
+        return [r[1:] for r in reports if r[0] == "main"], [r[1:] for r in reports if r[0] == "worker"]
+
+    def test_run_and_its_workers_use_one_blas_thread(self, tmp_path):
+        cfg_path = write_config(tmp_path, seeds=[1, 2])
+        main_reports, workers = self.run_entry(["run", "--config", cfg_path, "--out", tmp_path / "out"])
+        assert len(main_reports) == 1 and workers
+        for variable, threads in main_reports + workers:
+            assert variable == "1"
+            assert threads in ("None", "1")  # where OpenBLAS reports its count
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "fedavg_seed1", "fedavg_seed2"
+        ]
+
+    def test_artifacts_do_not_depend_on_the_callers_blas_threads(self, tmp_path):
+        """The noise statistics' (500 x 64)T @ (500 x 64) gemm rounds
+        differently under one and two OpenBLAS threads: with OpenBLAS 0.3.31
+        on 2 CPUs, ``python -m isfl.cli run`` on this config writes another
+        bounds.csv under OPENBLAS_NUM_THREADS=2 than under 1. The ``isfl``
+        command writes the same files with the variable unset, 1 or 2."""
+        cfg_path = write_config(
+            tmp_path, classes=5, per_class=300, dim=64, hidden_dims=[64], shard_size=250,
+            probe_size=100, holdout_size=100, test_size=100, batch_size=128,
+            sampling_ratio=0.5, rounds=1, strategies=["isfl"], seeds=[9, 10],
+        )
+        found = []
+        for setting in (None, "1", "2"):
+            out_dir = tmp_path / f"threads-{setting}"
+            variables = {} if setting is None else {"OPENBLAS_NUM_THREADS": setting}
+            _, workers = self.run_entry(["run", "--config", cfg_path, "--out", out_dir], **variables)
+            assert workers and all(variable == "1" for variable, _ in workers)
+            found.append(TestSchedules.artifacts(out_dir))
+        assert len(found[0]) == 2 * 5 and found[0] == found[1] == found[2]
+
+
 class TestSweepCommand:
     def test_sweep_rows(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, strategies=["fedavg", "isfl"], rounds=1)
@@ -841,6 +912,17 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "s")]) == 1
 
 
+NAN, INF = float("nan"), float("inf")
+# a round record that a one-client, two-category log accepts
+ROUND = {"type": "round", "round": 1, "lipschitz": [[1.0, 2.0]], "q_used": [[0.5, 0.5]],
+         "q_star": [[0.6, 0.4]], "sigma2": [0.3], "g2": 0.2, "dev2": [0.01],
+         "loss_start": 0.7}
+
+
+def round_line(**edits):
+    return json.dumps({**ROUND, **edits})
+
+
 class TestBoundsCommand:
     def test_recomputes_from_log(self, tmp_path):
         cfg_path = write_config(tmp_path, strategies=["isfl"])
@@ -856,19 +938,49 @@ class TestBoundsCommand:
         assert main(["bounds", "--run-dir", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("header, record, where, message", [
-        (True, '{"type": "round", "round": 1}', 2, "KeyError: 'lipschitz'"),
-        (True, "[1, 2]", 2, "TypeError: not a JSON object"),
-        (False, '{"type": "run", "p": [1.0]}', 1, "KeyError: 'p_local'"),
-    ], ids=["round-missing-key", "not-an-object", "header-missing-key"])
+        ({}, '{"type": "round", "round": 1}', 2, "KeyError: 'lipschitz'"),
+        ({}, "[1, 2]", 2, "TypeError: not a JSON object"),
+        (None, '{"type": "run", "p": [1.0]}', 1, "KeyError: 'p_local'"),
+        ({"eta": 0}, round_line(), 1, "ValueError: eta must be positive (got 0.0)"),
+        ({"eta": -0.1}, round_line(), 1, "ValueError: eta must be positive (got -0.1)"),
+        ({"eta": NAN}, round_line(), 1, "ValueError: eta must be finite"),
+        ({"local_epochs": 0}, round_line(), 1,
+         "ValueError: local_epochs must be an integer >= 1 (got 0)"),
+        ({"local_epochs": -2}, round_line(), 1,
+         "ValueError: local_epochs must be an integer >= 1 (got -2)"),
+        ({"local_epochs": 1.5}, round_line(), 1,
+         "ValueError: local_epochs must be an integer >= 1 (got 1.5)"),
+        ({"varpi": 1.0}, round_line(), 1, "ValueError: varpi must lie in [0, 1) (got 1.0)"),
+        ({"pi": [NAN]}, round_line(), 1, "ValueError: pi must be finite"),
+        ({"p": [0.5, INF]}, round_line(), 1, "ValueError: p must be finite"),
+        ({"p_local": [[0.5, 0.5]] * 2}, round_line(), 1,
+         "ValueError: pi has shape (1,), expected (2,)"),
+        ({}, round_line(lipschitz=[[1.0, NAN]]), 2, "ValueError: lipschitz must be finite"),
+        ({}, round_line(q_used=[0.5, 0.5]), 2,
+         "ValueError: q_used has shape (2,), expected (1, 2)"),
+        ({}, round_line(sigma2=[0.3, 0.3]), 2,
+         "ValueError: sigma2 has shape (2,), expected (1,)"),
+        ({}, round_line(g2=INF), 2, "ValueError: g2 must be finite"),
+        ({}, round_line(loss_start=NAN), 2, "ValueError: loss_start must be finite"),
+    ], ids=[
+        "round-missing-key", "not-an-object", "header-missing-key", "eta-zero",
+        "eta-negative", "eta-nan", "epochs-zero", "epochs-negative", "epochs-fraction",
+        "varpi-one", "pi-nan", "p-inf", "pi-shape", "lipschitz-nan", "q-used-shape",
+        "sigma2-shape", "g2-inf", "loss-start-nan",
+    ])
     def test_malformed_log_exits_1_naming_the_line(
         self, tmp_path, capsys, header, record, where, message
     ):
+        """``header`` edits a valid header (None: no header); ``record`` is
+        the next line. Python's json writes and reads NaN and Infinity."""
         head = {"type": "run", "p": [0.5, 0.5], "p_local": [[0.5, 0.5]], "pi": [1.0],
                 "varpi": 0.05, "eta": 0.1, "local_epochs": 1}
         log = tmp_path / "diagnostics.jsonl"
-        log.write_text((json.dumps(head) + "\n" if header else "") + record + "\n")
+        lines = [] if header is None else [json.dumps({**head, **header})]
+        log.write_text("\n".join([*lines, record]) + "\n")
         assert main(["bounds", "--run-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"run log error: {log}, line {where}: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [log]  # no bounds.csv or long.csv
 
 
 class TestExperimentConfig:

@@ -198,7 +198,11 @@ class TestGlobalDistribution:
             labels = ds.labels[shard.indices]
             assert np.array_equal(shard.counts, np.bincount(labels, minlength=ds.n_classes))
             assert shard.counts.sum() == len(shard)
-            assert [pool.size for pool in shard.category_pools] == shard.counts.tolist()
+            # each category's pool, in the shard's order, end to end
+            pools = np.split(shard.category_rows, np.cumsum(shard.counts)[:-1])
+            assert [pool.tolist() for pool in pools] == [
+                shard.indices[labels == c].tolist() for c in range(ds.n_classes)
+            ]
         pooled = np.bincount(
             ds.labels[np.concatenate([s.indices for s in shards])], minlength=ds.n_classes
         )

@@ -339,13 +339,10 @@ class TestFrozenReference:
         assert acc == ref_acc
 
 
-# Hashes the bytes of the kernels' results at paper-scale and wide-probe
-# sizes, and prints the BLAS thread count where the library reports it.
-THREAD_PROBE = """
-import ctypes, hashlib
-import numpy as np
-from isfl.data import Dataset
-from isfl.model import ModelSpec, evaluate, init_params, mean_grads, per_sample_pass
+# OpenBLAS's own thread count in a process that has loaded it, or None
+# where the library cannot be found or does not report it
+BLAS_THREADS = """
+import ctypes
 
 def threads():
     try:
@@ -358,6 +355,15 @@ def threads():
             if getter is not None:
                 return getter()
     return None
+"""
+
+# Hashes the bytes of the kernels' results at paper-scale and wide-probe
+# sizes, and prints the BLAS thread count where the library reports it.
+THREAD_PROBE = BLAS_THREADS + """
+import hashlib
+import numpy as np
+from isfl.data import Dataset
+from isfl.model import ModelSpec, evaluate, init_params, mean_grads, per_sample_pass
 
 rng = np.random.default_rng(0)
 paper, wide = ModelSpec(32, (16,), 10), ModelSpec(64, (64,), 5)
