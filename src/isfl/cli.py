@@ -12,8 +12,8 @@ Round 1 is the same FedAvg round for every strategy of one (seed, ratio), so
 a worker task runs the strategies of one seed from one data build wherever
 that keeps every worker busy (``group_jobs``). The task's strategies train
 in lockstep (``run_task``, ``federation.run_lockstep``): round 1 once for
-all of them, then one stacked local run per round. The artifacts do not
-depend on the CPU count.
+all of them, then one stacked local run per round. A failed strategy stops
+no other. The artifacts do not depend on the CPU count.
 
 Exit codes: 1 config, input or run-log validation, 2 I/O, 3 capacity, 4 a
 round failed (the run diverged or a module raised); the failing round index
@@ -336,26 +336,31 @@ def group_jobs(keys: list, workers: int) -> list[list[int]]:
     return tasks + [[j] for j, key in enumerate(keys) if key not in grouped]
 
 
-def run_task(jobs: list[tuple]) -> tuple[list[list[RoundMetrics]], Exception | None]:
+def run_task(jobs: list[tuple]) -> list[list[RoundMetrics] | Exception]:
     """The jobs ``(cfg, strategy, seed, out_dir[, sampling_ratio])`` of one
     (seed, ratio) key from one data build, as one lockstep loop of their
     strategies that trains round 1 once for all of them
     (``federation.run_lockstep``); then each finished job's artifacts, in job
-    order (``write_run``). Returns the finished jobs' metrics with the
-    exception of the first job that failed (or None); the jobs after it
-    write nothing."""
-    done = []
+    order (``write_run``). Returns each job's metrics, or the exception that
+    failed it: its own, or one that failed the whole task. A failed job
+    writes nothing."""
     try:
         cfg, _, seed, _, *ratio = jobs[0]
         shards, probe, test = build_experiment_data(cfg, seed)
         fed_cfgs = [c.federation_config(s, derive_seed(seed, 20), *ratio) for c, s, *_ in jobs]
-        outcomes, failure = run_lockstep(shards, fed_cfgs, test, probe)
-        for job, (metrics, log) in zip(jobs, outcomes):
-            write_run(metrics, log, *job)
-            done.append(metrics)
+        outcomes = run_lockstep(shards, fed_cfgs, test, probe)
     except Exception as exc:  # the worker's boundary: run_jobs raises it in job order
-        return done, exc
-    return done, failure
+        return [exc] * len(jobs)
+    done = []
+    for job, outcome in zip(jobs, outcomes):
+        if not isinstance(outcome, RoundFailure):
+            try:
+                write_run(*outcome, *job)
+                outcome = outcome[0]
+            except Exception as exc:
+                outcome = exc
+        done.append(outcome)
+    return done
 
 
 def run_jobs(jobs: list[tuple]) -> list[list[RoundMetrics]]:
@@ -367,9 +372,9 @@ def run_jobs(jobs: list[tuple]) -> list[list[RoundMetrics]]:
     spawned worker re-imports numpy, about 0.1-0.2 s, which a desk-scale job
     cannot repay. The executor forks every worker before it starts its
     management thread (Python 3.11), so no fork copies a thread of its own.
-    The first job to fail, in job order, raises its exception here; the
-    later jobs of its task stop training and write nothing, and tasks not
-    yet started do not run.
+    The first job to fail, in job order, raises its exception here, and
+    tasks not yet started do not run; a failed job stops no other job of its
+    task, and each finished job keeps its artifacts.
     """
     # imported here: ``from isfl import cli`` stays as cheap as before
     import multiprocessing
@@ -390,10 +395,10 @@ def run_jobs(jobs: list[tuple]) -> list[list[RoundMetrics]]:
         results = []
         for j in range(len(jobs)):
             future, i = place[j]
-            done, failure = future.result()
-            if i == len(done):
-                raise failure
-            results.append(done[i])
+            outcome = future.result()[i]
+            if isinstance(outcome, Exception):
+                raise outcome
+            results.append(outcome)
         return results
     finally:
         pool.shutdown(cancel_futures=True)

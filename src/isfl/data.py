@@ -318,14 +318,24 @@ def _check_finite(features: np.ndarray, path: str | Path) -> None:
         raise ValueError(f"{path}: row {bad[0]} has a non-finite feature")
 
 
+def _read_section(f, size: int, path: str | Path, section: str) -> bytes:
+    """The next ``size`` bytes of the container ``f``; ValueError naming the
+    file and the section if the file ends first."""
+    data = f.read(size)
+    if len(data) < size:
+        raise ValueError(f"{path}: truncated {section} ({len(data)} of {size} bytes)")
+    return data
+
+
 def load_dataset(path: str | Path) -> Dataset:
     with open(path, "rb") as f:
         magic = f.read(len(DATASET_MAGIC))
         if magic != DATASET_MAGIC:
             raise ValueError(f"{path}: not a dataset container (bad magic {magic!r})")
-        n, d, c = struct.unpack("<III", f.read(12))
-        features = np.frombuffer(f.read(n * d * 4), dtype="<f4").reshape(n, d)
-        labels = np.frombuffer(f.read(n * 2), dtype="<u2")
+        n, d, c = struct.unpack("<III", _read_section(f, 12, path, "header"))
+        features = np.frombuffer(_read_section(f, n * d * 4, path, "features"), dtype="<f4")
+        labels = np.frombuffer(_read_section(f, n * 2, path, "labels"), dtype="<u2")
+    features = features.reshape(n, d)
     _check_finite(features, path)
     return Dataset(features.astype(np.float64), labels.astype(np.int64), c)
 

@@ -16,7 +16,9 @@ then one ``local_train`` call per round for every strategy's clients as one
 plans, with the shared client seeds ``derive_seed(seed, 1, round, k)``. Each
 strategy aggregates its own K rows and runs its server phases as it would
 alone: the stacked rows go through the same per-slice kernels, so its bytes
-equal its solo run's; ``run`` is the loop over one config.
+equal its solo run's. The training call is all the runs share: a run that
+fails leaves the loop and the others train on. ``run`` is the loop over one
+config.
 
 Strategies, the keys of ``_STRATEGY_PHASES``, one server phase each, which
 refreshes the plans at every aggregation but the last:
@@ -273,7 +275,7 @@ def run_lockstep(
     cfgs: list[FederationConfig],
     test_set: Dataset,
     probe: Dataset | None = None,
-) -> tuple[list[tuple[list[RoundMetrics], RunLog]], RoundFailure | None]:
+) -> list[tuple[list[RoundMetrics], RunLog] | RoundFailure]:
     """``run`` for every config of ``cfgs``, one per strategy, in lockstep.
 
     The configs must share model, trainer config and seed (else ValueError),
@@ -284,10 +286,9 @@ def run_lockstep(
     plans; then each run, in order, aggregates its own rows, evaluates and
     runs its server phases, as it would alone, bit for bit.
 
-    Returns the (metrics, log) of every config before the first one that
-    failed, in order, and that config's RoundFailure, or None. A failed run
-    drops the runs after it, which train no further; the runs before it
-    finish. A training call that raises, round 1's included, fails the first
+    Returns one outcome per config, in order: its (metrics, log), or the
+    RoundFailure that ended it. A failed run leaves the loop and the others
+    train on; a training call that raises, round 1's included, fails every
     run in it. Raises ValueError before round 1 when the pooled loss at the
     initial parameters is not finite.
     """
@@ -306,8 +307,9 @@ def run_lockstep(
     if not np.isfinite(loss_start):
         raise ValueError("the pooled loss at the initial parameters is not finite")
     n_clients = len(shards)
+    # None until a run finishes or fails, so the runs still None are the
+    # runs of the training call
     outcomes: list = [None] * len(cfgs)
-    failure = None
     # round 1 is every run's: one request stands for all, and the round
     # trains, aggregates and evaluates once
     requests = {0: (params, [uniform_plan(s.local_distribution) for s in shards])}
@@ -325,11 +327,10 @@ def run_lockstep(
                 round_one = _aggregate_round(
                     first.model, stack, size_proportional_weights(shards), pool, test_set, laps
                 )
-        except Exception as exc:  # it fails every run in it; the first is reported
-            del outcomes[min(requests) :]
+        except Exception as exc:  # it fails every run in it
             failure = RoundFailure(rnd, str(exc))
             failure.__cause__ = exc
-            return outcomes, failure
+            return [failure if outcome is None else outcome for outcome in outcomes]
         if rnd == 1:
             runs = [
                 _rounds(shards, cfg, test_set, probe, pool, loss_start, round_one, laps.seconds)
@@ -347,12 +348,10 @@ def run_lockstep(
                 requests[i] = runs[i].send(value)
             except StopIteration as done:
                 outcomes[i] = done.value
-            except RoundFailure as exc:  # the runs after it are dropped
-                del outcomes[i:]
-                failure = exc
-                break
+            except RoundFailure as exc:  # it leaves the loop; the others train on
+                outcomes[i] = exc
         if not requests:
-            return outcomes, failure
+            return outcomes
 
 
 def run(
@@ -375,7 +374,7 @@ def run(
     round 1's training included. Fully deterministic for a given config and
     seed. This is ``run_lockstep`` over the one config.
     """
-    outcomes, failure = run_lockstep(shards, [cfg], test_set, probe)
-    if failure is not None:
-        raise failure
-    return outcomes[0]
+    (outcome,) = run_lockstep(shards, [cfg], test_set, probe)
+    if isinstance(outcome, RoundFailure):
+        raise outcome
+    return outcome

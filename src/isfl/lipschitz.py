@@ -133,7 +133,7 @@ def estimate_sgd_stats(
         raise ValueError("client bounds must split the pool into non-empty runs of rows")
     # a non-finite entry of the pass makes its client's sigma2 non-finite
     # (0 * inf is nan), which GradientStats rejects
-    acts, deltas = per_sample_pass(spec, params, pool, check=False)
+    acts, deltas = per_sample_pass(spec, params, pool)
     mean_sq = np.add.reduceat(per_sample_sq_norms(acts, deltas), bounds[:-1]) / sizes
     # |n_k gbar_k|^2 from each layer's weight and bias gradients summed over
     # the client's rows

@@ -239,18 +239,16 @@ def per_sample_sq_norms(acts, deltas) -> np.ndarray:
 
 def per_sample_grad_norms(spec: ModelSpec, params: np.ndarray, batch: Dataset) -> np.ndarray:
     """Euclidean norm of each sample's loss gradient (``per_sample_sq_norms``)."""
-    return np.sqrt(per_sample_sq_norms(*per_sample_pass(spec, params, batch, check=False)))
+    return np.sqrt(per_sample_sq_norms(*per_sample_pass(spec, params, batch)))
 
 
-def per_sample_pass(spec: ModelSpec, params: np.ndarray, batch: Dataset, check: bool = True):
+def per_sample_pass(spec: ModelSpec, params: np.ndarray, batch: Dataset):
     """Activations and per-sample deltas of one backward pass over ``batch``,
     the input of ``per_sample_grad_change_norms`` and ``per_sample_sq_norms``.
-    Unless ``check`` is false, raises ValueError if any of them is not finite."""
+    They are not checked here: a non-finite entry makes what is computed
+    from them non-finite, and each user checks that."""
     check_batch(spec, batch)
-    acts, deltas = _backprop(spec, _views(spec, params), batch.features, batch.labels, mean=False)
-    if check and not all(np.all(np.isfinite(arr)) for arr in (*acts, *deltas)):
-        raise ValueError("per-sample gradients are not finite; the run diverged")
-    return acts, deltas
+    return _backprop(spec, _views(spec, params), batch.features, batch.labels, mean=False)
 
 
 def per_sample_grad_change_norms(own, base) -> np.ndarray:

@@ -9,13 +9,14 @@ GradNorm-style baselines instead pass per-sample probabilities directly.
 draws the batch indices of its whole local run from a fresh stream of its own
 seed (``draw_batches``): under a category plan, the draws of two calls per
 batch on ``default_rng(seed)``, read from one ``random_raw`` block of PCG64
-words; under a per-sample plan, one ``rng.random`` call. Every client of a
-run trains with the same TrainerConfig; its start, plan and seed are its
-own, so the clients of several federated runs (one per strategy) train in
-one call. Clients with the same batch schedule (equal-sized shards have
-one) then share one (K, P) parameter stack, and each SGD step updates the
-whole stack at once (``model.sgd_stepper``). Every client ends bit for bit
-where it would end training alone; a lone client is a stack of one.
+words; under a per-sample plan, one ``rng.random`` call. Every client holds
+an equal shard of one dataset, the layout ``data.sort_and_partition`` makes,
+and trains with the same TrainerConfig, so all share one batch schedule; its
+start, plan and seed are its own, so the clients of several federated runs
+(one per strategy) train in one call. They share one (K, P) parameter stack,
+and each SGD step updates the whole stack at once (``model.sgd_stepper``).
+Every client ends bit for bit where it would end training alone; a lone
+client is a stack of one.
 """
 
 from __future__ import annotations
@@ -192,22 +193,6 @@ def draw_batches(
     return shard.category_rows[first[cats] + positions]
 
 
-def _joint_rows(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Features and labels of the distinct datasets end to end, and where each
-    given dataset starts there. Clients of one partition share one dataset,
-    which is then used as it is, without a copy."""
-    distinct = list({id(ds): ds for ds in datasets}.values())
-    first = dict(zip(map(id, distinct), np.cumsum([0, *map(len, distinct)])))
-    offsets = np.array([first[id(ds)] for ds in datasets])
-    if len(distinct) == 1:
-        return distinct[0].features, distinct[0].labels, offsets
-    return (
-        np.concatenate([ds.features for ds in distinct]),
-        np.concatenate([ds.labels for ds in distinct]),
-        offsets,
-    )
-
-
 def local_train(
     spec: ModelSpec,
     params: np.ndarray,
@@ -223,36 +208,32 @@ def local_train(
     ``plans[k]`` (a category-level SamplingPlan or a per-sample probability
     vector), drawing its batches from a generator seeded with ``seeds[k]``;
     ``cfg`` is shared by every client (see ``batch_sizes`` for the batches).
-    A shard may appear more than once, under other plans. Clients train in
-    lockstep, one stack per distinct batch schedule. Returns the (K, P) stack
-    of the clients' parameters, row k for client k.
-    Deterministic for given seeds.
+    The shards must be of one dataset and of one size (else ValueError); a
+    shard may appear more than once, under other plans. Clients train in
+    lockstep as one stack. Returns the (K, P) stack of the clients'
+    parameters, row k for client k. Deterministic for given seeds.
     """
     if not len(shards) == len(plans) == len(seeds):
         raise ValueError("need one plan and one seed per shard")
-    starts = np.broadcast_to(params, (len(shards), params.shape[-1]))
-    stacks: dict[tuple[int, ...], list[int]] = {}
-    draws = []
-    for k, (shard, plan, seed) in enumerate(zip(shards, plans, seeds)):
-        check_batch(spec, shard.dataset)
-        sizes = batch_sizes(len(shard), cfg)
-        draws.append(draw_batches(shard, plan, sizes, seed))
-        stacks.setdefault(sizes, []).append(k)
-
-    trained = np.empty((len(shards), params.shape[-1]))
-    for sizes, members in stacks.items():
-        stack = starts[members]
-        if cfg.eta > 0.0:
-            features, labels, offsets = _joint_rows([shards[k].dataset for k in members])
-            rows = np.stack([draws[k] for k in members]) + offsets[:, None]
-            step = sgd_stepper(spec, stack)
-            start = 0
-            for size in sizes:
-                batch = rows[:, start : start + size]
-                step(features.take(batch, axis=0), labels.take(batch), cfg.eta)
-                start += size
-        trained[members] = stack
-    return trained
+    data, n_samples = shards[0].dataset, len(shards[0])
+    if any(shard.dataset is not data or len(shard) != n_samples for shard in shards):
+        raise ValueError("every client must hold an equal shard of one dataset")
+    check_batch(spec, data)
+    sizes = batch_sizes(n_samples, cfg)
+    rows = np.stack(
+        [draw_batches(shard, plan, sizes, seed) for shard, plan, seed in zip(shards, plans, seeds)]
+    )
+    # copy() is C-ordered; np.array would keep the broadcast's stride order
+    # (column-major), and strided rows round differently from a lone vector
+    stack = np.broadcast_to(params, (len(shards), params.shape[-1])).copy()
+    if cfg.eta > 0.0:
+        step = sgd_stepper(spec, stack)
+        start = 0
+        for size in sizes:
+            batch = rows[:, start : start + size]
+            step(data.features.take(batch, axis=0), data.labels.take(batch), cfg.eta)
+            start += size
+    return stack
 
 
 def gradnorm_plan(spec: ModelSpec, params: np.ndarray, data: Dataset) -> np.ndarray:

@@ -15,6 +15,7 @@ import isfl.federation as federation_mod
 from isfl.cli import ExperimentConfig, build_experiment_data, main
 from isfl.data import generate_synthetic
 from isfl.federation import RoundFailure
+from oracles import save_dataset
 from test_model import BLAS_THREADS
 
 BASE_CONFIG = {
@@ -333,14 +334,25 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 4
         assert "run failed in round 6:" in capsys.readouterr().err
 
-    def test_failed_task_runs_none_of_its_later_strategies(self, tmp_path, monkeypatch):
+    def test_failed_strategy_leaves_the_others_of_its_task_to_finish(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # one task per seed: fedavg diverges on seed 4 in round 6 and on seed
+        # 1 in round 5, while isfl finishes on both as it does alone
         force_workers(monkeypatch, 1)
-        cfg_path = write_config(
-            tmp_path, eta=1e6, rounds=6, seeds=[4, 1], strategies=["fedavg", "isfl"]
-        )
+        settings = dict(eta=1e6, rounds=6, seeds=[4, 1])
+        cfg_path = write_config(tmp_path, strategies=["fedavg", "isfl"], **settings)
         out_dir = tmp_path / "runs"
         assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 4
-        assert not any(out_dir.glob("isfl_seed*"))
+        assert "run failed in round 6:" in capsys.readouterr().err
+        assert not any(out_dir.glob("fedavg_seed*"))
+        alone_dir = tmp_path / "alone"
+        alone_path = write_config(tmp_path, strategies=["isfl"], **settings)
+        assert main(["run", "--config", str(alone_path), "--out", str(alone_dir)]) == 0
+        for seed in settings["seeds"]:
+            for name in ("metrics.csv", "bounds.csv", "long.csv", "diagnostics.jsonl"):
+                written = (out_dir / f"isfl_seed{seed}" / name).read_bytes()
+                assert written == (alone_dir / f"isfl_seed{seed}" / name).read_bytes()
 
     def test_capacity_problem_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, clients=50)
@@ -472,6 +484,22 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(out_dir / "bad")]) == 1
         assert f"row {cell[0]} has a {message}" in capsys.readouterr().err
         assert not (out_dir / "bad").exists()
+
+    @pytest.mark.parametrize("section", ["header", "features", "labels"])
+    def test_truncated_container_exits_1_naming_the_file(self, tmp_path, capsys, section):
+        source = generate_synthetic(3, 80, 4, 2.0, seed=0)
+        path = tmp_path / "data.bin"
+        save_dataset(source, path)
+        # 7 magic bytes and a 12-byte header; 4 bytes a feature, 2 a label
+        features_end = 19 + 4 * source.features.size
+        keep = {"header": 9, "features": 19 + 20, "labels": features_end + 5}[section]
+        path.write_bytes(path.read_bytes()[:keep])
+        cfg_path = write_config(tmp_path, dataset_path=str(path))
+        out_dir = tmp_path / "runs"
+        for command in (["partition"], ["run", "--out", str(out_dir)]):
+            assert main([*command, "--config", str(cfg_path)]) == 1
+            assert f"config error: {path}: truncated {section}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_epochs_without_a_sample_exit_1_before_any_run(self, tmp_path, capsys):
         # 40-sample clients: floor(0.02 * 40) = 0 samples per epoch
@@ -676,7 +704,7 @@ import sys
 import isfl.cli as cli
 
 def task(jobs):
-    return ["numpy.random" in sys.modules for _ in jobs], None
+    return ["numpy.random" in sys.modules for _ in jobs]
 
 cli.run_task = task
 print("numpy.random" in sys.modules)
@@ -760,8 +788,9 @@ class TestSchedules:
 
             monkeypatch.setattr(module, name, counting)
         cfg = ExperimentConfig(**dict(GOLDEN_CONFIG, rounds=4))
-        done, failure = cli_mod.run_task([(cfg, s, 1, tmp_path / s, 0.5) for s in cfg.strategies])
-        assert failure is None and len(done) == len(cfg.strategies)
+        done = cli_mod.run_task([(cfg, s, 1, tmp_path / s, 0.5) for s in cfg.strategies])
+        assert len(done) == len(cfg.strategies)
+        assert not any(isinstance(metrics, Exception) for metrics in done)
         # round 1 trains the clients once for every strategy, and each later
         # round trains every strategy in one call
         assert calls == {"build_experiment_data": 1, "local_train": cfg.rounds}

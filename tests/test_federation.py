@@ -302,17 +302,16 @@ class TestRoundOne:
     def test_round_one_phases_are_shared(self):
         shards, probe, test = small_problem()
         cfgs = [fed_config(strategy) for strategy in ("fedavg", "isfl")]
-        together, failure = run_lockstep(shards, cfgs, test, probe)
-        assert failure is None
+        together = run_lockstep(shards, cfgs, test, probe)
         firsts = [metrics[0] for metrics, _ in together]
         for phase in ("train", "aggregate", "eval"):
             assert firsts[0].phases[phase] == firsts[1].phases[phase] > 0.0
         for first in firsts:
             assert first.seconds >= sum(first.phases.values())
 
-    def test_a_failed_round_one_training_call_fails_the_first_strategy(self, monkeypatch):
+    def test_a_failed_round_one_training_call_fails_every_strategy(self, monkeypatch):
         """Round 1's training call fails as a later shared call does: it is
-        returned as the first strategy's failure, and ``run`` raises it."""
+        returned as every strategy's failure, and ``run`` raises it."""
         shards, probe, test = small_problem()
 
         def failing(*args, **kwargs):
@@ -320,9 +319,11 @@ class TestRoundOne:
 
         monkeypatch.setattr(federation_mod, "local_train", failing)
         cfgs = [fed_config(s) for s in STRATEGIES]
-        together, failure = run_lockstep(shards, cfgs, test, probe)
-        assert together == []
-        assert (failure.round_index, failure.message) == (1, "synthetic failure")
+        together = run_lockstep(shards, cfgs, test, probe)
+        assert len(together) == len(cfgs)
+        for failure in together:
+            assert isinstance(failure, RoundFailure)
+            assert (failure.round_index, failure.message) == (1, "synthetic failure")
         with pytest.raises(RoundFailure) as alone:
             run(shards, cfgs[0], test, probe=probe)
         assert (alone.value.round_index, alone.value.message) == (1, "synthetic failure")
@@ -344,8 +345,8 @@ class TestLockstep:
         cfg = ExperimentConfig(**GOLDEN_BITS_CONFIG)
         shards, probe, test = build_experiment_data(cfg, 1)
         cfgs = [cfg.federation_config(s, derive_seed(1, 20), ratio) for s in STRATEGIES]
-        together, failure = run_lockstep(shards, cfgs, test, probe)
-        assert failure is None and len(together) == len(STRATEGIES)
+        together = run_lockstep(shards, cfgs, test, probe)
+        assert len(together) == len(STRATEGIES)
         for fed_cfg, (metrics, log) in zip(cfgs, together):
             alone, alone_log = run(shards, fed_cfg, test, probe=probe)
             assert outcome(metrics) == outcome(alone)
@@ -365,22 +366,22 @@ class TestLockstep:
         with pytest.raises(ValueError, match="must share model, trainer config and seed"):
             run_lockstep(shards, [fed_config("fedavg"), other], test, probe)
 
-    @pytest.mark.parametrize("where, failed, rows, message", [
-        ("server", 2, [3, 12, 12, 6, 6], "synthetic failure"),
-        ("plan", 2, [3, 12, 6, 6, 6], "per-sample probabilities must be non-negative and sum to 1"),
-        ("train", 0, [3, 12, 12], "synthetic failure"),
+    @pytest.mark.parametrize("where, rows, message", [
+        ("server", [3, 12, 12, 9, 9], "synthetic failure"),
+        ("plan", [3, 12, 9, 9, 9], "per-sample probabilities must be non-negative and sum to 1"),
+        ("train", [3, 12, 12], "synthetic failure"),
     ], ids=["server-phase", "next-plan", "training-call"])
-    def test_a_failed_strategy_drops_the_ones_after_it(
-        self, tmp_path, monkeypatch, where, failed, rows, message
+    def test_a_failed_strategy_leaves_the_others_to_finish(
+        self, tmp_path, monkeypatch, where, rows, message
     ):
         """Round 3 fails: gradnorm_is's server phase raises, or its round-2
-        plan is rejected before round 3 trains, or round 3's training call
-        raises, which fails the first strategy. The strategies before the
-        failed one finish as they would alone, it fails as it would alone,
-        and the strategies after it train no further."""
+        plan is rejected before round 3 trains, and the other strategies
+        train on and finish as they would alone; or round 3's training call
+        raises, which fails every strategy in it. Each failure is the one
+        the strategy meets alone."""
         shards, probe, test = small_problem()
         cfgs = [fed_config(s, n_rounds=5) for s in STRATEGIES]
-        solo = [run(shards, cfg, test, probe=probe) for cfg in cfgs[:failed]]
+        solo = [run(shards, cfg, test, probe=probe) for cfg in cfgs]
         planned, trained = [], []
         real_plan, real_train = federation_mod.gradnorm_plan, federation_mod.local_train
 
@@ -400,20 +401,25 @@ class TestLockstep:
 
         monkeypatch.setattr(federation_mod, "gradnorm_plan", planning)
         monkeypatch.setattr(federation_mod, "local_train", training)
-        together, failure = run_lockstep(shards, cfgs, test, probe)
+        together = run_lockstep(shards, cfgs, test, probe)
         assert trained == rows
-        assert (failure.round_index, failure.message) == (3, message)
-        assert len(together) == failed
-        for (metrics, log), (alone, alone_log) in zip(together, solo, strict=True):
-            assert outcome(metrics) == outcome(alone)
-            assert saved(log, tmp_path / "lockstep.jsonl") == saved(
-                alone_log, tmp_path / "alone.jsonl"
-            )
-        planned.clear()
-        trained.clear()
-        with pytest.raises(RoundFailure) as alone_failure:
-            run(shards, cfgs[failed], test, probe=probe)
-        assert (alone_failure.value.round_index, alone_failure.value.message) == (3, message)
+        for cfg, result, (alone, alone_log) in zip(cfgs, together, solo, strict=True):
+            if where == "train" or cfg.strategy == "gradnorm_is":
+                assert isinstance(result, RoundFailure)
+                assert (result.round_index, result.message) == (3, message)
+                planned.clear()
+                trained.clear()
+                with pytest.raises(RoundFailure) as alone_failure:
+                    run(shards, cfg, test, probe=probe)
+                assert (alone_failure.value.round_index, alone_failure.value.message) == (
+                    3, message
+                )
+            else:
+                metrics, log = result
+                assert outcome(metrics) == outcome(alone)
+                assert saved(log, tmp_path / "lockstep.jsonl") == saved(
+                    alone_log, tmp_path / "alone.jsonl"
+                )
 
 
 class TestGlobalDistributionWiring:

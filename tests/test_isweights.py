@@ -526,9 +526,9 @@ class TestScreenedSolver:
 
         monkeypatch.setattr(isweights_mod, "_minimize_rho", record)
         cfg = ExperimentConfig(per_class=2200, eta=0.05, rounds=3)
-        _, failure = run_task([(cfg, "isfl", 0, tmp_path / "run")])
-        if failure is not None:
-            raise failure
+        (result,) = run_task([(cfg, "isfl", 0, tmp_path / "run")])
+        if isinstance(result, Exception):
+            raise result
         assert len(recorded) == 2 * cfg.clients
         for p, floors, sq in recorded:
             assert_matches_enumeration(p, floors, sq, multi_face=False)

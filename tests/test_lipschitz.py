@@ -223,6 +223,16 @@ class TestDifferenceForm:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="deviation is not finite"):
             one_row(spec, broken, params, probe_dataset())
 
+    def test_overflowing_local_pass_raises(self):
+        # the deviation, 1e150 times the root of P, is finite (at 1e160 its
+        # square would overflow); the local pass overflows in its last layer
+        spec = ModelSpec(4, (5, 5), 3)
+        params = init_params(spec, 1)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"^per-sample gradients are not finite; the run diverged$"
+        ):
+            one_row(spec, params + 1e150, params, probe_dataset())
+
 
 def pooled(*datasets):
     """One dataset of the given clients' rows in order, and their bounds."""

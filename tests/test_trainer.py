@@ -179,6 +179,18 @@ class TestLocalTrain:
         with pytest.raises(ValueError):
             local_train(spec, init_params(spec, 0), [shard, shard], [plan, plan], TrainerConfig(), [0])
 
+    @pytest.mark.parametrize("layout", ["unequal-shards", "two-datasets"])
+    def test_clients_must_hold_equal_shards_of_one_dataset(self, layout):
+        shard = make_shard(np.tile([0, 1], 4))
+        other = {
+            "unequal-shards": ClientShard.build(1, np.arange(6), shard.dataset),
+            "two-datasets": make_shard(np.tile([0, 1], 4), seed=1),
+        }[layout]
+        spec = ModelSpec(3, (), 2)
+        plans = [uniform_plan(s.local_distribution) for s in (shard, other)]
+        with pytest.raises(ValueError, match="equal shard of one dataset"):
+            local_train(spec, init_params(spec, 0), [shard, other], plans, TrainerConfig(), [0, 1])
+
     def test_minibatch_gradient_unbiased(self):
         # Expected minibatch gradient should equal the q-weighted mixture of
         # per-category mean gradients.
@@ -328,16 +340,20 @@ def random_plan(shard, per_sample, rng):
 
 
 @st.composite
-def lockstep_problems(draw):
-    """Clients of unequal size, on one shared dataset or on their own ones,
-    with category or per-sample plans, one shared trainer config and a seed
-    each. Unequal sizes give the clients different batch schedules."""
+def lockstep_problems(draw, equal=False):
+    """Clients with category or per-sample plans, one shared trainer config
+    and a seed each: of unequal size, on one shared dataset or on their own
+    ones, which gives them different batch schedules; or with ``equal``,
+    equal shards of one dataset, the layout ``local_train`` takes."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n_classes = draw(st.integers(2, 4))
     dim = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(1, 24), min_size=1, max_size=4))
-    shared = draw(st.booleans())
+    if equal:
+        sizes = [draw(st.integers(1, 24))] * draw(st.integers(1, 4))
+    else:
+        sizes = draw(st.lists(st.integers(1, 24), min_size=1, max_size=4))
+    shared = equal or draw(st.booleans())
 
     def dataset(n):
         return Dataset(rng.standard_normal((n, dim)), rng.integers(0, n_classes, n), n_classes)
@@ -395,7 +411,7 @@ class TestLockstepMatchesOracle:
                 assert np.array_equal(drawn.labels, np.concatenate([b.labels for b in batches]))
 
     @ORACLE_SETTINGS
-    @given(lockstep_problems())
+    @given(lockstep_problems(equal=True))
     def test_local_train_matches_training_alone_bitwise(self, problem):
         spec, params, shards, plans, cfg, seeds = problem
         start = params.copy()
@@ -595,9 +611,9 @@ class TestRoute:
         cfg = ExperimentConfig(**GOLDEN_CONFIG)
         for seed in cfg.seeds:
             for strategy in ("fedavg", "rw_is", "isfl"):
-                _, failure = run_task([(cfg, strategy, seed, tmp_path / f"{strategy}_{seed}")])
-                if failure is not None:
-                    raise failure
+                (result,) = run_task([(cfg, strategy, seed, tmp_path / f"{strategy}_{seed}")])
+                if isinstance(result, Exception):
+                    raise result
         assert len(blocks) == 2 * 3 * cfg.rounds * cfg.clients
 
         shards, plans, _ = bench_clients("paper-scale", 0)
