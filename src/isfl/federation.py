@@ -10,15 +10,16 @@ Round 1 is the same for every strategy: all start from unit-weight plans,
 ``init_params`` seeded by ``derive_seed(seed, 0)`` and the client seeds
 ``derive_seed(seed, 1, 1, k)`` under one model and trainer config, and the
 strategy and ``varpi`` first act in round 1's server phases. So the strategies
-of one seed train together (``run_lockstep``): round 1 once for all of them,
-then one ``local_train`` call per round for every strategy's clients as one
-(S K, P) stack, each strategy's rows from its own aggregate under its own
-plans, with the shared client seeds ``derive_seed(seed, 1, round, k)``. Each
-strategy aggregates its own K rows and runs its server phases as it would
-alone: the stacked rows go through the same per-slice kernels, so its bytes
-equal its solo run's. The training call is all the runs share: a run that
-fails leaves the loop and the others train on. ``run`` is the loop over one
-config.
+of one seed train together (``run_lockstep``), each as a ``_Run`` object that
+holds its plans, its aggregate, its metrics and its outcome. Round 1 trains
+once for all of them. From round 2 on, one ``local_train`` call per round
+trains every live run's clients as one (S K, P) stack, each run's rows from
+its own aggregate under its own plans, with the shared client seeds
+``derive_seed(seed, 1, round, k)``. Each run then ends its round
+(``_Run.end_round``) on its own K rows, as it would alone: the stacked rows
+go through the same per-slice kernels, so its bytes equal its solo run's.
+The training call is all the runs share: a run that fails leaves the loop
+and the others train on. ``run`` is the loop over one config.
 
 Strategies, the keys of ``_STRATEGY_PHASES``, one server phase each, which
 refreshes the plans at every aggregation but the last:
@@ -150,14 +151,18 @@ def _aggregate_round(spec, stack, pi, pool, test_set, laps):
     return stack, new, loss, acc_pool, acc_test
 
 
-class _Server:
-    """A run's context for its strategy's server phase: config, shards, pooled
-    and local distributions, each client's view of the pool (``own``: pool rows
-    ``bounds[k]:bounds[k + 1]``), probe and log; and the state a round starts
-    from: the pooled loss and, for isfl, the rows the plans were solved from."""
+class _Run:
+    """One strategy's run over the pooled client data ``pool``: its config,
+    shards, pooled and local distributions, each client's view of the pool
+    (``own``: pool rows ``bounds[k]:bounds[k + 1]``), test set, probe and log;
+    and the state a round starts from: the aggregate ``params`` and the
+    ``plans`` its clients train from and under, the pooled loss and, for
+    isfl, the rows the plans were solved from. ``outcome`` is None while the
+    run trains, then its (metrics, log) or the RoundFailure that ended it."""
 
-    def __init__(self, shards, cfg, probe, pool, loss_start):
-        self.cfg, self.shards, self.probe, self.pool = cfg, shards, probe, pool
+    def __init__(self, shards, cfg, test_set, probe, pool, params, loss_start):
+        self.cfg, self.shards, self.test_set = cfg, shards, test_set
+        self.probe, self.pool = probe, pool
         self.p_global = global_distribution(shards)
         self.p_locals = [s.local_distribution for s in shards]
         self.log = RunLog(
@@ -168,10 +173,54 @@ class _Server:
         self.bounds = bounds = np.cumsum([0, *map(len, shards)])
         self.own = [Dataset(pool.features[a:b], pool.labels[a:b], pool.n_classes)
                     for a, b in zip(bounds[:-1], bounds[1:])]
-        self.loss_start = loss_start
+        self.params, self.loss_start = params, loss_start
+        self.plans: list[SamplingPlan | np.ndarray] = [uniform_plan(pl) for pl in self.p_locals]
         # Round 1 trains under unit weights before any estimate exists, so these
         # all-ones rows only stand in for a client whose round-1 deviation is zero
         self.lips = np.ones((len(shards), self.p_global.probs.size))
+        self.metrics: list[RoundMetrics] = []
+        self.outcome: tuple[list[RoundMetrics], RunLog] | RoundFailure | None = None
+
+    def end_round(self, rnd, laps, stack=None, shared=None):
+        """Round ``rnd`` from the clients' (K, P) local ``stack``, or from
+        round 1's ``_aggregate_round`` outcome ``shared``, with ``laps`` for
+        its phases: aggregate and evaluate, run the strategy's server phase,
+        record the round's metrics, then check the plans of round rnd + 1.
+        Sets ``outcome`` when the run ends: a module error or a non-finite
+        aggregate or pooled loss fails round rnd, a rejected plan round
+        rnd + 1."""
+        cfg, failing = self.cfg, rnd
+        server_phase, scores_round_one = _STRATEGY_PHASES[cfg.strategy]
+        try:
+            if shared is None:
+                shared = _aggregate_round(
+                    cfg.model, stack, self.log.pi, self.pool, self.test_set, laps
+                )
+            stack, new_global, train_loss, acc_pool, acc_test = shared
+
+            # No plans are refreshed after the last round: no round trains
+            # under them. The exception: isfl scores round 1 on the first
+            # curvature estimate, so a one-round isfl run still solves once
+            refresh = rnd < cfg.n_rounds or rnd == 1 and scores_round_one
+            self.plans = server_phase(self, rnd, self.plans, stack, new_global, laps, refresh)
+            laps.lap("solve")
+
+            if not (np.isfinite(train_loss) and np.all(np.isfinite(new_global))):
+                raise ValueError("aggregate or pooled loss is not finite; the run diverged")
+            self.metrics.append(RoundMetrics(
+                round_index=rnd, train_loss=train_loss, acc_test=acc_test, acc_pool=acc_pool,
+                seconds=laps.total(), phases=laps.seconds,
+            ))
+            self.params, self.loss_start = new_global, train_loss
+            if rnd == cfg.n_rounds:
+                self.outcome = self.metrics, self.log
+                return
+            failing = rnd + 1  # a rejected plan fails the round that would train under it
+            for shard, plan in zip(self.shards, self.plans):
+                check_plan(shard, plan)
+        except Exception as exc:
+            self.outcome = RoundFailure(failing, str(exc))
+            self.outcome.__cause__ = exc
 
 
 def _fedavg(srv, rnd, plans, stack, new_global, laps, refresh):
@@ -227,49 +276,6 @@ _STRATEGY_PHASES = {
 STRATEGIES = tuple(_STRATEGY_PHASES)
 
 
-def _rounds(shards, cfg, test_set, probe, pool, loss_start, round_one, phases):
-    """The schedule of ``cfg`` over the pooled client data ``pool`` from the
-    initial pooled loss and round 1 (``_aggregate_round``'s outcome, with the
-    seconds of its phases), as a generator: before each later round it
-    checks its plans and yields the aggregate its clients start from with
-    those plans, and it is sent the round's (K, P) local stack with the
-    seconds of the training call. It returns the run's metrics and log, and
-    raises RoundFailure for a failed round (``run``)."""
-    srv = _Server(shards, cfg, probe, pool, loss_start)
-    server_phase, scores_round_one = _STRATEGY_PHASES[cfg.strategy]
-    plans: list[SamplingPlan | np.ndarray] = [uniform_plan(pl) for pl in srv.p_locals]
-    metrics: list[RoundMetrics] = []
-    laps, trained = _Laps(phases), round_one
-    for rnd in range(1, cfg.n_rounds + 1):
-        try:
-            if rnd > 1:
-                for shard, plan in zip(shards, plans):
-                    check_plan(shard, plan)
-                stack, train_s = yield new_global, plans
-                laps = _Laps({"train": train_s})
-                trained = _aggregate_round(cfg.model, stack, srv.log.pi, pool, test_set, laps)
-            stack, new_global, train_loss, acc_pool, acc_test = trained
-
-            # No plans are refreshed after the last round: no round trains
-            # under them. The exception: isfl scores round 1 on the first
-            # curvature estimate, so a one-round isfl run still solves once
-            refresh = rnd < cfg.n_rounds or rnd == 1 and scores_round_one
-            plans = server_phase(srv, rnd, plans, stack, new_global, laps, refresh)
-            laps.lap("solve")
-
-            if not (np.isfinite(train_loss) and np.all(np.isfinite(new_global))):
-                raise ValueError("aggregate or pooled loss is not finite; the run diverged")
-        except Exception as exc:
-            raise RoundFailure(rnd, str(exc)) from exc
-
-        metrics.append(RoundMetrics(
-            round_index=rnd, train_loss=train_loss, acc_test=acc_test, acc_pool=acc_pool,
-            seconds=laps.total(), phases=laps.seconds,
-        ))
-        srv.loss_start = train_loss
-    return metrics, srv.log
-
-
 def run_lockstep(
     shards: list[ClientShard],
     cfgs: list[FederationConfig],
@@ -280,11 +286,11 @@ def run_lockstep(
 
     The configs must share model, trainer config and seed (else ValueError),
     so they share round 1 and the client seeds. Round 1 trains the clients
-    once, aggregates and evaluates once, and every run's server phases start
-    from that outcome. From round 2 on one ``local_train`` call trains every
-    run's clients as one stack, each run from its own aggregate under its own
-    plans; then each run, in order, aggregates its own rows, evaluates and
-    runs its server phases, as it would alone, bit for bit.
+    once, aggregates and evaluates once, and every run ends the round from
+    that outcome. From round 2 on one ``local_train`` call trains the clients
+    of every run still training as one stack, each run from its own aggregate
+    under its own plans; then each run, in order, ends the round on its slice
+    of the stack (``_Run.end_round``), as it would alone, bit for bit.
 
     Returns one outcome per config, in order: its (metrics, log), or the
     RoundFailure that ended it. A failed run leaves the loop and the others
@@ -307,51 +313,40 @@ def run_lockstep(
     if not np.isfinite(loss_start):
         raise ValueError("the pooled loss at the initial parameters is not finite")
     n_clients = len(shards)
-    # None until a run finishes or fails, so the runs still None are the
-    # runs of the training call
-    outcomes: list = [None] * len(cfgs)
-    # round 1 is every run's: one request stands for all, and the round
-    # trains, aggregates and evaluates once
-    requests = {0: (params, [uniform_plan(s.local_distribution) for s in shards])}
+    runs = [_Run(shards, cfg, test_set, probe, pool, params, loss_start) for cfg in cfgs]
+    # round 1 is every run's: the first run's start and plans stand for all,
+    # and the round trains, aggregates and evaluates once
+    live = runs[:1]
     for rnd in itertools.count(1):
-        starts = np.repeat(np.stack([start for start, _ in requests.values()]), n_clients, axis=0)
         laps = _Laps()
         try:
             stack = local_train(
-                first.model, starts, list(shards) * len(requests),
-                [plan for _, plans in requests.values() for plan in plans], first.trainer,
-                [derive_seed(first.seed, 1, rnd, k) for k in range(n_clients)] * len(requests),
+                first.model, np.repeat(np.stack([r.params for r in live]), n_clients, axis=0),
+                list(shards) * len(live), [plan for r in live for plan in r.plans], first.trainer,
+                [derive_seed(first.seed, 1, rnd, k) for k in range(n_clients)] * len(live),
             )
             laps.lap("train")
             if rnd == 1:
                 round_one = _aggregate_round(
                     first.model, stack, size_proportional_weights(shards), pool, test_set, laps
                 )
-        except Exception as exc:  # it fails every run in it
+        except Exception as exc:  # it fails every run still training
             failure = RoundFailure(rnd, str(exc))
             failure.__cause__ = exc
-            return [failure if outcome is None else outcome for outcome in outcomes]
+            return [failure if r.outcome is None else r.outcome for r in runs]
         if rnd == 1:
-            runs = [
-                _rounds(shards, cfg, test_set, probe, pool, loss_start, round_one, laps.seconds)
-                for cfg in cfgs
-            ]
-            sent = dict.fromkeys(range(len(runs)))  # what each run still training is sent next
+            for r in runs:
+                r.end_round(1, _Laps(laps.seconds), shared=round_one)
         else:
-            sent = {
-                i: (stack[n * n_clients : (n + 1) * n_clients], laps.seconds["train"])
-                for n, i in enumerate(requests)
-            }
-        requests = {}
-        for i, value in sent.items():
-            try:
-                requests[i] = runs[i].send(value)
-            except StopIteration as done:
-                outcomes[i] = done.value
-            except RoundFailure as exc:  # it leaves the loop; the others train on
-                outcomes[i] = exc
-        if not requests:
-            return outcomes
+            for n, r in enumerate(live):
+                r.end_round(
+                    rnd, _Laps({"train": laps.seconds["train"]}),
+                    stack=stack[n * n_clients : (n + 1) * n_clients],
+                )
+        # a run that finished or failed leaves the loop; the others train on
+        live = [r for r in runs if r.outcome is None]
+        if not live:
+            return [r.outcome for r in runs]
 
 
 def run(

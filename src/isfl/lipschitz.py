@@ -93,7 +93,9 @@ def estimate_lipschitz(
     per-sample gradient is ever formed. A client whose parameters equal the
     aggregate has no curvature ratio (0/0): it keeps its row of ``previous``,
     with a warning, and costs no pass. Raises ValueError when a deviation or
-    a pass is not finite.
+    a pass is not finite, or when a client that moved gets an all-zero row:
+    no per-sample gradient changed on the probe, as when the aggregate has
+    saturated every unit the probe reaches.
     """
     rows = previous.copy()
     base = None
@@ -108,6 +110,12 @@ def estimate_lipschitz(
             base = per_sample_pass(spec, global_params, probe)
         diff_norms = per_sample_grad_change_norms(per_sample_pass(spec, local, probe), base)
         rows[k] = lipschitz_row(diff_norms, probe.labels, probe.n_classes, deviation)
+        if not np.any(rows[k] > 0.0):
+            raise ValueError(
+                f"client {k}: its per-sample gradients did not change on the probe although"
+                f" its parameters moved by {deviation:.3g}; the aggregate's largest |parameter|"
+                f" is {np.max(np.abs(global_params)):.3g}"
+            )
     return rows
 
 

@@ -205,7 +205,10 @@ def sgd_stepper(spec: ModelSpec, stack: np.ndarray):
     the (K, P) ``stack``, in place, row k on features ``x[k]`` and labels
     ``labels[k]``. The stack's layer views and one gradient buffer are built
     here, once, and every step writes into them through the kernel of
-    ``mean_grads``."""
+    ``mean_grads``. Raises ValueError on a stack that is not C-contiguous:
+    strided row views round differently from lone vectors."""
+    if not stack.flags.c_contiguous:
+        raise ValueError("the stack must be C-contiguous to step each row as a lone vector")
     views = _views(spec, stack)
     grads = np.empty_like(stack)
     grad_views = _views(spec, grads)

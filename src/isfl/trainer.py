@@ -223,8 +223,8 @@ def local_train(
     rows = np.stack(
         [draw_batches(shard, plan, sizes, seed) for shard, plan, seed in zip(shards, plans, seeds)]
     )
-    # copy() is C-ordered; np.array would keep the broadcast's stride order
-    # (column-major), and strided rows round differently from a lone vector
+    # copy() is C-ordered, as sgd_stepper requires; np.array would keep the
+    # broadcast's stride order (column-major), which sgd_stepper rejects
     stack = np.broadcast_to(params, (len(shards), params.shape[-1])).copy()
     if cfg.eta > 0.0:
         step = sgd_stepper(spec, stack)

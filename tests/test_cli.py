@@ -313,6 +313,23 @@ class TestRunCommand:
         for path in tmp_path.rglob("*.csv"):
             assert "nan" not in path.read_text().lower()
 
+    def test_saturated_isfl_run_exits_4_naming_the_client(self, tmp_path, capsys):
+        # at eta 1e4 the aggregate saturates: in round 4 no per-sample
+        # gradient on the probe changes for the client that moved; fedavg,
+        # which estimates no curvature, finishes
+        cfg_path = write_config(
+            tmp_path, eta=1e4, rounds=6, strategies=["fedavg", "isfl"], seeds=[2]
+        )
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 4
+        assert (
+            "run failed in round 4: client 0: its per-sample gradients did not change on the"
+            " probe although its parameters moved by 5.75e+03; the aggregate's largest"
+            " |parameter| is 4.18e+49"
+        ) in capsys.readouterr().err
+        assert (out_dir / "fedavg_seed2" / "metrics.csv").exists()
+        assert not (out_dir / "isfl_seed2").exists()
+
     def test_first_failing_job_in_job_order_is_reported(self, tmp_path, capsys):
         # seed 4 diverges in round 6 and seed 1 in round 5, so the second job
         # fails first when both run at once; the first job's failure is reported

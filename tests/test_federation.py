@@ -366,19 +366,20 @@ class TestLockstep:
         with pytest.raises(ValueError, match="must share model, trainer config and seed"):
             run_lockstep(shards, [fed_config("fedavg"), other], test, probe)
 
-    @pytest.mark.parametrize("where, rows, message", [
-        ("server", [3, 12, 12, 9, 9], "synthetic failure"),
-        ("plan", [3, 12, 9, 9, 9], "per-sample probabilities must be non-negative and sum to 1"),
-        ("train", [3, 12, 12], "synthetic failure"),
-    ], ids=["server-phase", "next-plan", "training-call"])
+    @pytest.mark.parametrize("where, fails, rows, message", [
+        ("server", 3, [3, 12, 12, 9, 9], "synthetic failure"),
+        ("plan", 3, [3, 12, 9, 9, 9], "per-sample probabilities must be non-negative and sum to 1"),
+        ("train", 3, [3, 12, 12], "synthetic failure"),
+        ("server", 1, [3, 9, 9, 9, 9], "synthetic failure"),
+    ], ids=["server-phase", "next-plan", "training-call", "round-one-server-phase"])
     def test_a_failed_strategy_leaves_the_others_to_finish(
-        self, tmp_path, monkeypatch, where, rows, message
+        self, tmp_path, monkeypatch, where, fails, rows, message
     ):
-        """Round 3 fails: gradnorm_is's server phase raises, or its round-2
-        plan is rejected before round 3 trains, and the other strategies
-        train on and finish as they would alone; or round 3's training call
-        raises, which fails every strategy in it. Each failure is the one
-        the strategy meets alone."""
+        """Round ``fails`` fails: gradnorm_is's server phase raises, in round
+        3 or in the shared round 1, or its round-2 plan is rejected before
+        round 3 trains, and the other strategies train on and finish as they
+        would alone; or round 3's training call raises, which fails every
+        strategy in it. Each failure is the one the strategy meets alone."""
         shards, probe, test = small_problem()
         cfgs = [fed_config(s, n_rounds=5) for s in STRATEGIES]
         solo = [run(shards, cfg, test, probe=probe) for cfg in cfgs]
@@ -388,14 +389,14 @@ class TestLockstep:
         def planning(*args):
             planned.append(None)
             rnd = (len(planned) - 1) // len(shards) + 1  # one plan per client and round
-            if where == "server" and rnd == 3:
+            if where == "server" and rnd == fails:
                 raise ValueError("synthetic failure")
             probs = real_plan(*args)
-            return probs * np.nan if where == "plan" and rnd == 2 else probs
+            return probs * np.nan if where == "plan" and rnd == fails - 1 else probs
 
         def training(spec, params, shards_, *args):
             trained.append(len(shards_))  # round 1 trains K rows once, for every strategy
-            if where == "train" and len(trained) == 3:
+            if where == "train" and len(trained) == fails:
                 raise ValueError("synthetic failure")
             return real_train(spec, params, shards_, *args)
 
@@ -406,13 +407,13 @@ class TestLockstep:
         for cfg, result, (alone, alone_log) in zip(cfgs, together, solo, strict=True):
             if where == "train" or cfg.strategy == "gradnorm_is":
                 assert isinstance(result, RoundFailure)
-                assert (result.round_index, result.message) == (3, message)
+                assert (result.round_index, result.message) == (fails, message)
                 planned.clear()
                 trained.clear()
                 with pytest.raises(RoundFailure) as alone_failure:
                     run(shards, cfg, test, probe=probe)
                 assert (alone_failure.value.round_index, alone_failure.value.message) == (
-                    3, message
+                    fails, message
                 )
             else:
                 metrics, log = result

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,25 @@ class TestEstimateLipschitz:
         for k in (0, 2):
             assert np.array_equal(rows[k], one_row(spec, local[k], global_params, probe))
         assert np.array_equal(previous, np.arange(9.0).reshape(3, 3))  # not written
+
+    def test_a_moved_client_whose_gradients_did_not_change_raises(self):
+        # client 1 moves only the first-layer weights of feature 0, which is
+        # zero on every probe sample, so none of its per-sample gradients
+        # changes and its row would be all zero
+        spec = ModelSpec(4, (5,), 3)
+        probe = probe_dataset()
+        probe.features[:, 0] = 0.0
+        global_params = init_params(spec, seed=9)
+        dead = global_params.copy()
+        dead[:5] += 1.0  # row 0 of the (4, 5) first-layer weights
+        local = np.stack([init_params(spec, 1), dead])
+        message = (
+            "client 1: its per-sample gradients did not change on the probe although its"
+            " parameters moved by 2.24; the aggregate's largest |parameter| is"
+            f" {np.max(np.abs(global_params)):.3g}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_lipschitz(spec, local, global_params, probe, np.ones((2, 3)))
 
 
 class TestDifferenceForm:

@@ -217,6 +217,16 @@ class TestStack:
             alone = params - grad(spec, params, batch) * 0.3
             assert np.array_equal(stack[k], alone)
 
+    def test_a_stack_that_is_not_c_ordered_is_rejected(self):
+        """A copy of a broadcast keeps its column-major stride order, whose
+        strided rows round one ulp off a lone vector."""
+        spec = ModelSpec(4, (5,), 3)
+        params = init_params(spec, seed=0)
+        stack = np.array(np.broadcast_to(params, (3, params.size)))
+        assert stack.flags.f_contiguous and not stack.flags.c_contiguous
+        with pytest.raises(ValueError, match="must be C-contiguous"):
+            sgd_stepper(spec, stack)
+
     @pytest.mark.parametrize("rows", [1, 3, 128, 500])
     def test_blocks_equal_whole_matrix_bitwise(self, rows):
         spec = ModelSpec(5, (6,), 3, activation="tanh")
