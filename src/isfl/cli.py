@@ -264,28 +264,6 @@ def run_id_of(payload: dict) -> str:
     return hashlib.sha256(canonical).hexdigest()[:12]
 
 
-def write_metrics_csv(metrics: list[RoundMetrics], rows: list[dict], path: Path) -> None:
-    """The rho columns are those of ``rows`` (``diagnostics.bounds_rows``) for
-    the same round, and blank for a round without one."""
-    scores = {r["round"]: f"{r['rho_realized']!r},{r['rho_theory']!r}" for r in rows}
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(METRICS_HEADER + "\n")
-        for m in metrics:
-            f.write(
-                f"{m.round_index},{m.train_loss!r},{m.acc_test!r},"
-                f"{m.acc_pool!r},{scores.get(m.round_index, ',')}\n"
-            )
-
-
-def write_timings_csv(metrics: list[RoundMetrics], path: Path) -> None:
-    """Wall seconds per round, in total and per phase (federation.PHASES)."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(("round", "secs", *PHASES)) + "\n")
-        for m in metrics:
-            cells = (m.seconds, *(m.phases[phase] for phase in PHASES))
-            f.write(f"{m.round_index}," + ",".join(f"{c:.6f}" for c in cells) + "\n")
-
-
 def write_run(
     metrics: list[RoundMetrics],
     log: diagnostics.RunLog,
@@ -296,7 +274,10 @@ def write_run(
     sampling_ratio: float | None = None,
 ) -> None:
     """Write one job's manifest, metrics and timings, and the diagnostics
-    artifacts when its log has round records."""
+    artifacts when its log has round records. The rho columns of metrics.csv
+    are those of the bounds rows for the same round, and blank for a round
+    without one; timings.csv holds wall seconds per round, in total and per
+    phase (federation.PHASES)."""
     rows = diagnostics.bounds_rows(log) if log.records else []
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -309,8 +290,16 @@ def write_run(
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    write_metrics_csv(metrics, rows, out_dir / "metrics.csv")
-    write_timings_csv(metrics, out_dir / "timings.csv")
+    scores = {r["round"]: (r["rho_realized"], r["rho_theory"]) for r in rows}
+    diagnostics.write_csv(out_dir / "metrics.csv", METRICS_HEADER, (
+        (m.round_index, m.train_loss, m.acc_test, m.acc_pool,
+         *scores.get(m.round_index, (None, None)))
+        for m in metrics
+    ))
+    diagnostics.write_csv(out_dir / "timings.csv", ",".join(("round", "secs", *PHASES)), (
+        (m.round_index, *(f"{c:.6f}" for c in (m.seconds, *(m.phases[p] for p in PHASES))))
+        for m in metrics
+    ))
     if rows:
         log.save_jsonl(out_dir / "diagnostics.jsonl")
         diagnostics.write_bounds_csv(rows, out_dir / "bounds.csv")
@@ -508,10 +497,7 @@ def cmd_sweep_sr(args) -> int:
         (*key, metrics[-1].acc_test, metrics[-1].acc_pool)
         for key, metrics in zip(keys, finished)
     ]
-    with open(out_dir / "sweep_sr.csv", "w", encoding="utf-8") as f:
-        f.write("strategy,sr,seed,acc_S,acc_G\n")
-        for strategy, ratio, seed, acc_s, acc_g in rows:
-            f.write(f"{strategy},{ratio!r},{seed},{acc_s!r},{acc_g!r}\n")
+    diagnostics.write_csv(out_dir / "sweep_sr.csv", "strategy,sr,seed,acc_S,acc_G", rows)
     print(f"wrote {out_dir / 'sweep_sr.csv'}")
     for strategy in cfg.strategies:
         for ratio in ratios:

@@ -40,7 +40,7 @@ class CategoryDistribution:
         if np.any(probs < 0.0):
             raise ValueError("probs must be non-negative")
         if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probs must sum to 1 (got {probs.sum()!r})")
+            raise ValueError(f"probs must sum to 1 (got {float(probs.sum())!r})")
 
     def __len__(self) -> int:
         return self.probs.size
@@ -346,7 +346,7 @@ def load_csv_dataset(path: str | Path, n_classes: int | None = None) -> Dataset:
     labels = raw[:, 0]
     bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.round(labels))))
     if bad.size:
-        raise ValueError(f"{path}: row {bad[0]} has a non-integer label {labels[bad[0]]!r}")
+        raise ValueError(f"{path}: row {bad[0]} has a non-integer label {float(labels[bad[0]])!r}")
     labels = labels.astype(np.int64)
     features = raw[:, 1:]
     _check_finite(features, path)

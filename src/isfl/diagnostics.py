@@ -41,6 +41,13 @@ class RoundRecord:
     loss_start: float              # pooled train loss at round start
 
 
+# A round record's fields after its index, as save_jsonl writes and load_jsonl
+# checks them, each with its leading dimensions of K x C: 2, 1 (K) or 0 (one number).
+ROUND_FIELDS = {
+    "lipschitz": 2, "q_used": 2, "q_star": 2, "sigma2": 1, "g2": 0, "dev2": 1, "loss_start": 0,
+}
+
+
 @dataclass
 class RunLog:
     """Run-level constants plus one record per aggregation round."""
@@ -74,18 +81,9 @@ class RunLog:
             }
             f.write(json.dumps(header, sort_keys=True) + "\n")
             for rec in self.records:
-                row = {
-                    "type": "round",
-                    "epoch_tag": rec.round_index * self.local_epochs,
-                    "round": rec.round_index,
-                    "lipschitz": rec.lipschitz.tolist(),
-                    "q_used": rec.q_used.tolist(),
-                    "q_star": rec.q_star.tolist(),
-                    "sigma2": rec.sigma2.tolist(),
-                    "g2": rec.g2,
-                    "dev2": rec.dev2.tolist(),
-                    "loss_start": rec.loss_start,
-                }
+                row = {"type": "round", "round": rec.round_index,
+                       "epoch_tag": rec.round_index * self.local_epochs}
+                row.update((name, np.asarray(getattr(rec, name)).tolist()) for name in ROUND_FIELDS)
                 f.write(json.dumps(row, sort_keys=True) + "\n")
 
     @classmethod
@@ -93,7 +91,8 @@ class RunLog:
         """Read a log written by save_jsonl. A line that is not a JSON object,
         lacks a field or holds a value save_jsonl cannot write raises
         ValueError naming the line: every array and number must be finite and
-        of its K x C shape, eta > 0, varpi in [0, 1) and local_epochs >= 1."""
+        of its K x C shape, eta > 0, varpi in [0, 1), local_epochs >= 1, and
+        the rounds must be the JSON integers 1, 2, ... in order."""
         log = None
         with open(path, "r", encoding="utf-8") as f:
             for number, line in enumerate(f, 1):
@@ -112,8 +111,8 @@ class RunLog:
                             p=_finite(row, "p", kc[1:]),
                             p_local=_finite(row, "p_local", kc),
                             pi=_finite(row, "pi", kc[:1]),
-                            varpi=float(_finite(row, "varpi", ())),
-                            eta=float(_finite(row, "eta", ())),
+                            varpi=_finite(row, "varpi", ()),
+                            eta=_finite(row, "eta", ()),
                             local_epochs=epochs,
                         )
                         if not log.eta > 0.0:
@@ -123,18 +122,11 @@ class RunLog:
                         if type(epochs) is not int or epochs < 1:
                             raise ValueError(f"local_epochs must be an integer >= 1 (got {epochs})")
                     elif row.get("type") == "round":
-                        log.records.append(
-                            RoundRecord(
-                                round_index=int(row["round"]),
-                                lipschitz=_finite(row, "lipschitz", kc),
-                                q_used=_finite(row, "q_used", kc),
-                                q_star=_finite(row, "q_star", kc),
-                                sigma2=_finite(row, "sigma2", kc[:1]),
-                                g2=float(_finite(row, "g2", ())),
-                                dev2=_finite(row, "dev2", kc[:1]),
-                                loss_start=float(_finite(row, "loss_start", ())),
-                            )
-                        )
+                        index, expected = row["round"], len(log.records) + 1
+                        if type(index) is not int or index != expected:
+                            raise ValueError(f"round must be {expected} (got {index!r})")
+                        fields = {n: _finite(row, n, kc[:dims]) for n, dims in ROUND_FIELDS.items()}
+                        log.records.append(RoundRecord(round_index=index, **fields))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"{path}, line {number}: {type(exc).__name__}: {exc}") from exc
         if log is None:
@@ -142,15 +134,15 @@ class RunLog:
         return log
 
 
-def _finite(row: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``row[key]`` as a float64 array; ValueError unless it has ``shape`` and
-    only finite entries (Python's json reads NaN and Infinity)."""
+def _finite(row: dict, key: str, shape: tuple[int, ...]) -> np.ndarray | float:
+    """``row[key]`` as a float64 array (a float for shape ()); ValueError unless
+    it has ``shape`` and only finite entries (Python's json reads NaN and Infinity)."""
     value = np.asarray(row[key], dtype=np.float64)
     if value.shape != shape:
         raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{key} must be finite")
-    return value
+    return value if shape else float(value)
 
 
 def psi(log: RunLog, rec: RoundRecord) -> float:
@@ -189,7 +181,12 @@ def bound_rhs(
     return head + psi_val + (2.0 * log.eta**2 * log.local_epochs / t) * drift
 
 
-BOUNDS_HEADER = "round,rho_realized,rho_theory,psi,phi_mean,dev_mean,lemma1_pass_rate"
+# The per-round series of bounds_rows: bounds.csv has a column for every
+# one but the last, bound_rhs; long.csv has rows for all of them.
+BOUND_SERIES = (
+    "rho_realized", "rho_theory", "psi", "phi_mean", "dev_mean", "lemma1_pass_rate", "bound_rhs",
+)
+BOUNDS_HEADER = ",".join(("round", *BOUND_SERIES[:-1]))
 
 
 def bounds_rows(log: RunLog) -> list[dict]:
@@ -230,32 +227,31 @@ def bounds_rows(log: RunLog) -> list[dict]:
     return rows
 
 
-def write_bounds_csv(rows: list[dict], path: str | Path) -> None:
+def write_csv(path: str | Path, header: str, rows) -> None:
+    """``header`` and then one line per row of ``rows``. A string or an
+    integer cell is written as it is, None as a blank, and any other number
+    as ``repr(float(x))``, a plain decimal that reads back as the same float."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(BOUNDS_HEADER + "\n")
-        for r in rows:
-            f.write(
-                f"{r['round']},{r['rho_realized']!r},{r['rho_theory']!r},"
-                f"{r['psi']!r},{r['phi_mean']!r},{r['dev_mean']!r},"
-                f"{r['lemma1_pass_rate']!r}\n"
-            )
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(map(_cell, row)) + "\n")
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (str, int, np.integer)):
+        return str(value)
+    return repr(float(value))
+
+
+def write_bounds_csv(rows: list[dict], path: str | Path) -> None:
+    write_csv(path, BOUNDS_HEADER, ([r[c] for c in BOUNDS_HEADER.split(",")] for r in rows))
 
 
 def write_long_csv(rows: list[dict], path: str | Path) -> None:
-    """Plot-ready long format: round,series,client,value."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("round,series,client,value\n")
-        for r in rows:
-            for series in (
-                "rho_realized",
-                "rho_theory",
-                "psi",
-                "phi_mean",
-                "dev_mean",
-                "lemma1_pass_rate",
-                "bound_rhs",
-            ):
-                f.write(f"{r['round']},{series},,{r[series]!r}\n")
-        for r in rows:
-            for k, dev2 in enumerate(r["dev2"]):
-                f.write(f"{r['round']},dev2,{k},{dev2!r}\n")
+    """Plot-ready long format: each of BOUND_SERIES per round, then dev2 per client."""
+    write_csv(path, "round,series,client,value", [
+        *((r["round"], s, None, r[s]) for r in rows for s in BOUND_SERIES),
+        *((r["round"], "dev2", k, dev2) for r in rows for k, dev2 in enumerate(r["dev2"])),
+    ])

@@ -145,7 +145,7 @@ class TestSolveCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"p": [0.5, 0.6], "p_k": [0.5, 0.5], "L": [1.0, 2.0]}))
         assert main(["solve", "--input", str(bad)]) == 1
-        assert capsys.readouterr().err.startswith("input error: probs must sum to 1")
+        assert capsys.readouterr().err == "input error: probs must sum to 1 (got 1.1)\n"
 
     def test_overflowing_penalty_exits_1(self, tmp_path, capsys):
         # the plan does not depend on the row's scale, but rho of this row is inf
@@ -571,7 +571,10 @@ class TestRunCommand:
 # curvature row by its largest entry before squaring it, which again moves q
 # in the last bits: the isfl diagnostics.jsonl digests and every c10/ and
 # bits/ isfl digest were re-recorded, and again only the rho columns of those
-# metrics.csv changed.
+# metrics.csv changed. Every isfl long.csv digest was then re-recorded when
+# one CSV writer came to write every table: long.csv's dev2 cells had held a
+# numpy scalar's repr, such as np.float64(0.75), and now hold the plain
+# number; no other cell of any artifact changed.
 GOLDEN_CONFIG = dict(
     BASE_CONFIG,
     clients=3,
@@ -618,7 +621,7 @@ GOLDEN_DIGESTS = {
     "bits/isfl_seed1/diagnostics.jsonl":
         "3c835437c285303fbf926516c8e343c9ffb7640d8e7e699658be2e5aeb7ae70e",
     "bits/isfl_seed1/long.csv":
-        "4669e772160bb8d3f9674c1377b15e0c70a964151ae96856f9be46ba43aea280",
+        "bb376d570effa2875ef3ccd754033bb756cd753aae41c6438727f69606d99845",
     "bits/isfl_seed1/metrics.csv":
         "fb5b556297406aa5ce524df307dda4e54a69f047c786fb7cc0f0c4f42e365569",
     "bits/isfl_seed2/bounds.csv":
@@ -626,7 +629,7 @@ GOLDEN_DIGESTS = {
     "bits/isfl_seed2/diagnostics.jsonl":
         "6fbf273ff5d1ccd2d1f8e443d7c66224d1575da0d06d35e89996a615e7308b45",
     "bits/isfl_seed2/long.csv":
-        "c596a1c9e811e5aed9b0564db1c69dc702f797313c139ebbbd8d83eccd707345",
+        "5a090810dd0bbda8dcfbce09a02dc6636bba700f40f2fe21d9fdf733df1cbd26",
     "bits/isfl_seed2/metrics.csv":
         "0f913526ca96eecb5d5a0dccb19b3ac630a34b2dcca37101f1263250dfd16911",
     "bits/rw_is_seed1/metrics.csv":
@@ -638,7 +641,7 @@ GOLDEN_DIGESTS = {
     "c10/isfl_seed1/diagnostics.jsonl":
         "1616f6134c164e7cb59582aecfc1c93ba5ad1841203c7ad41691999f4627739e",
     "c10/isfl_seed1/long.csv":
-        "8e27cd47b1c19cf5c88bb0f945de7d51c030dd5dd135512a077c9edf821e6645",
+        "90105b48812261d676a3d5d94a581bcd6e77f87838f5573e625103cdb2462f9f",
     "c10/isfl_seed1/metrics.csv":
         "ac0e1d07fc6ced71a15c0ef8ac25acaa65f36bec823cc8d5b748189429585089",
     "fedavg_seed1/metrics.csv":
@@ -654,7 +657,7 @@ GOLDEN_DIGESTS = {
     "isfl_seed1/diagnostics.jsonl":
         "b0b0c185bb8beb9711febe260771706f5084c6bcbebec21706d0e4778a653d9d",
     "isfl_seed1/long.csv":
-        "640075cca5a4cd2725386517ac61d43c2c0fb38a62842532788d1739903aba24",
+        "80fde0efa256cc4f3a3e960abb8f5b8afc9336b8e18932b24095ece04a0e5627",
     "isfl_seed1/metrics.csv":
         "f784f6259d2efc1f1cfe56d7b4aa6e68dc3efa01af7db48e5f5491708ced352c",
     "isfl_seed2/bounds.csv":
@@ -662,7 +665,7 @@ GOLDEN_DIGESTS = {
     "isfl_seed2/diagnostics.jsonl":
         "dfaebed89401c15d9b5e89fb1ccb721322965f290332eb208094caacc0e2cf72",
     "isfl_seed2/long.csv":
-        "434b9e8da18164a55e915c5b1be97a55c7d4575767ade4e83b13972ead1c706f",
+        "f67ef0689b7ed1b404585036e13fb64112ad7f400ff131d282d97d521b2b3827",
     "isfl_seed2/metrics.csv":
         "014298b7823fc75fc5a69b01540e92ea1af87dbf8349acbdb8eb61f991d53fa0",
     "rw_is_seed1/metrics.csv":
@@ -712,6 +715,22 @@ class TestGoldenDigests:
                 assert [m[:1] + m[4:] for m in metrics[1:]] == [b[:3] for b in bounds[1:]]
             else:
                 assert all(m[4:] == ["", ""] for m in metrics[1:])
+
+    def test_every_csv_cell_reads_as_a_number(self, golden_runs):
+        # every cell but a blank or a series name reads back with float(),
+        # and no artifact holds a numpy scalar's repr such as np.float64(0.75)
+        artifacts = sorted(path for path in golden_runs.rglob("*") if path.is_file())
+        tables = [path for path in artifacts if path.suffix == ".csv"]
+        assert len(tables) == 2 * (8 + 1 + 8) + 2 * 5  # metrics and timings; bounds and long
+        for path in artifacts:
+            assert "np." not in path.read_text(), path
+        for path in tables:
+            header, *lines = [line.split(",") for line in path.read_text().splitlines()]
+            assert lines, path
+            for cells in lines:
+                for name, cell in zip(header, cells, strict=True):
+                    if cell and name != "series":
+                        float(cell)
 
 
 # Two jobs of different seeds, so two worker tasks, each of which reports
@@ -975,10 +994,12 @@ class TestBoundsCommand:
         out_dir = tmp_path / "runs"
         main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
         run_dir = out_dir / "isfl_seed1"
-        original = (run_dir / "bounds.csv").read_bytes()
-        (run_dir / "bounds.csv").unlink()
+        names = ("bounds.csv", "long.csv")
+        original = {name: (run_dir / name).read_bytes() for name in names}
+        for name in names:
+            (run_dir / name).unlink()
         assert main(["bounds", "--run-dir", str(run_dir)]) == 0
-        assert (run_dir / "bounds.csv").read_bytes() == original
+        assert {name: (run_dir / name).read_bytes() for name in names} == original
 
     def test_missing_log_exits_2(self, tmp_path):
         assert main(["bounds", "--run-dir", str(tmp_path)]) == 2
@@ -1008,11 +1029,17 @@ class TestBoundsCommand:
          "ValueError: sigma2 has shape (2,), expected (1,)"),
         ({}, round_line(g2=INF), 2, "ValueError: g2 must be finite"),
         ({}, round_line(loss_start=NAN), 2, "ValueError: loss_start must be finite"),
+        ({}, round_line(round=1.5), 2, "ValueError: round must be 1 (got 1.5)"),
+        ({}, round_line(round=True), 2, "ValueError: round must be 1 (got True)"),
+        ({}, round_line(round="1"), 2, "ValueError: round must be 1 (got '1')"),
+        ({}, round_line(round=0), 2, "ValueError: round must be 1 (got 0)"),
+        ({}, round_line() + "\n" + round_line(), 3, "ValueError: round must be 2 (got 1)"),
     ], ids=[
         "round-missing-key", "not-an-object", "header-missing-key", "eta-zero",
         "eta-negative", "eta-nan", "epochs-zero", "epochs-negative", "epochs-fraction",
         "varpi-one", "pi-nan", "p-inf", "pi-shape", "lipschitz-nan", "q-used-shape",
-        "sigma2-shape", "g2-inf", "loss-start-nan",
+        "sigma2-shape", "g2-inf", "loss-start-nan", "round-fraction", "round-bool",
+        "round-string", "round-zero", "round-repeated",
     ])
     def test_malformed_log_exits_1_naming_the_line(
         self, tmp_path, capsys, header, record, where, message

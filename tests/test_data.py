@@ -298,8 +298,9 @@ class TestFileFormats:
     def test_csv_non_integer_label_rejected(self, tmp_path, label):
         path = tmp_path / "ds.csv"
         path.write_text(f"0,1.5,2.5\n1,-1.0,0.25\n{label},0.0,3.0\n")
-        with pytest.raises(ValueError, match="row 2 has a non-integer label"):
+        with pytest.raises(ValueError) as info:
             load_csv_dataset(path)
+        assert str(info.value) == f"{path}: row 2 has a non-integer label {label}"
 
     def test_container_non_finite_feature_rejected(self, tmp_path):
         ds = balanced_source(n_classes=3, per_class=4, dim=2)
