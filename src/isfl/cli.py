@@ -7,13 +7,15 @@ Subcommands:
   sweep-sr    final accuracy across sampling ratios
   bounds      recompute bounds.csv from a run's diagnostics log
 
-run and sweep-sr run their jobs in parallel worker processes, one per CPU.
-Round 1 is the same FedAvg round for every strategy of one (seed, ratio), so
-a worker task runs the strategies of one seed from one data build wherever
-that keeps every worker busy (``group_jobs``). The task's strategies train
-in lockstep (``run_task``, ``federation.run_lockstep``): round 1 once for
-all of them, then one stacked local run per round. A failed strategy stops
-no other. The artifacts do not depend on the CPU count.
+``ExperimentConfig`` maps its keys to each module config in one method.
+run and sweep-sr run their jobs ``(cfg, strategy, seed, sampling_ratio,
+out_dir)`` in parallel worker processes, one per CPU; run's ratio is the
+config's. Round 1 is the same FedAvg round for every strategy of one (seed,
+ratio), so a worker task runs the strategies of one seed from one data build
+wherever that keeps every worker busy (``group_jobs``). The task's
+strategies train in lockstep (``run_task``, ``federation.run_lockstep``):
+round 1 once for all of them, then one stacked local run per round. A failed
+strategy stops no other. The artifacts do not depend on the CPU count.
 
 Exit codes: 1 config, input or run-log validation, 2 I/O, 3 capacity, 4 a
 round failed (the run diverged or a module raised); the failing round index
@@ -155,23 +157,15 @@ class ExperimentConfig:
         _check_seeds(self.seeds)
         # Constructor-level checks run in the module dataclasses; this catches
         # cross-field problems before any heavy work.
-        PartitionConfig(
-            n_clients=self.clients,
-            shard_size=self.shard_size,
-            shards_per_client=self.shards_per_client,
-            nr=self.nr,
-        )
+        self.partition_config(seed=0)
         self.check_sampling_ratio(self.sampling_ratio)
         if not self.strategies or not self.seeds:
             raise ValueError("need at least one strategy and one seed")
         for strategy in self.strategies:
-            self.federation_config(strategy, seed=0)
+            self.federation_config(strategy, 0, self.sampling_ratio)
         # a repeated job would write one run directory twice
         for key in ("strategies", "seeds"):
             _reject_repeats(key, getattr(self, key))
-        if self.eta == 0.0 and "isfl" in self.strategies:
-            # the isfl bound diagnostics divide by eta
-            raise ValueError("eta must be positive for the isfl strategy")
         for key in ("test_size", "holdout_size", "probe_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1 (got {getattr(self, key)!r})")
@@ -201,16 +195,22 @@ class ExperimentConfig:
             activation=self.activation,
         )
 
-    def trainer_config(self, sampling_ratio: float | None = None) -> TrainerConfig:
+    def partition_config(self, seed: int) -> PartitionConfig:
+        return PartitionConfig(
+            n_clients=self.clients, shard_size=self.shard_size,
+            shards_per_client=self.shards_per_client, nr=self.nr, seed=seed,
+        )
+
+    def trainer_config(self, sampling_ratio: float) -> TrainerConfig:
         return TrainerConfig(
             batch_size=self.batch_size,
             local_epochs=self.local_epochs,
             eta=self.eta,
-            sampling_ratio=self.sampling_ratio if sampling_ratio is None else sampling_ratio,
+            sampling_ratio=sampling_ratio,
         )
 
     def federation_config(
-        self, strategy: str, seed: int, sampling_ratio: float | None = None
+        self, strategy: str, seed: int, sampling_ratio: float
     ) -> FederationConfig:
         return FederationConfig(
             model=self.model_spec(),
@@ -247,14 +247,7 @@ def build_experiment_data(cfg: ExperimentConfig, seed: int):
     train, holdout, test = train_holdout_test_split(
         source, cfg.holdout_size, cfg.test_size, seed=derive_seed(seed, 11)
     )
-    part_cfg = PartitionConfig(
-        n_clients=cfg.clients,
-        shard_size=cfg.shard_size,
-        shards_per_client=cfg.shards_per_client,
-        nr=cfg.nr,
-        seed=derive_seed(seed, 12),
-    )
-    shards = sort_and_partition(train, part_cfg)
+    shards = sort_and_partition(train, cfg.partition_config(derive_seed(seed, 12)))
     probe = select_probe_set(holdout, cfg.probe_size, seed=derive_seed(seed, 13))
     return shards, probe, test
 
@@ -265,13 +258,8 @@ def run_id_of(payload: dict) -> str:
 
 
 def write_run(
-    metrics: list[RoundMetrics],
-    log: diagnostics.RunLog,
-    cfg: ExperimentConfig,
-    strategy: str,
-    seed: int,
-    out_dir: Path,
-    sampling_ratio: float | None = None,
+    metrics: list[RoundMetrics], log: diagnostics.RunLog, cfg: ExperimentConfig,
+    strategy: str, seed: int, sampling_ratio: float, out_dir: Path,
 ) -> None:
     """Write one job's manifest, metrics and timings, and the diagnostics
     artifacts when its log has round records. The rho columns of metrics.csv
@@ -284,7 +272,7 @@ def write_run(
         "config": cfg.to_dict(),
         "strategy": strategy,
         "seed": seed,
-        "sampling_ratio": sampling_ratio if sampling_ratio is not None else cfg.sampling_ratio,
+        "sampling_ratio": sampling_ratio,
     }
     manifest["run_id"] = run_id_of(manifest)
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
@@ -326,7 +314,7 @@ def group_jobs(keys: list, workers: int) -> list[list[int]]:
 
 
 def run_task(jobs: list[tuple]) -> list[list[RoundMetrics] | Exception]:
-    """The jobs ``(cfg, strategy, seed, out_dir[, sampling_ratio])`` of one
+    """The jobs ``(cfg, strategy, seed, sampling_ratio, out_dir)`` of one
     (seed, ratio) key from one data build, as one lockstep loop of their
     strategies that trains round 1 once for all of them
     (``federation.run_lockstep``); then each finished job's artifacts, in job
@@ -334,9 +322,9 @@ def run_task(jobs: list[tuple]) -> list[list[RoundMetrics] | Exception]:
     failed it: its own, or one that failed the whole task. A failed job
     writes nothing."""
     try:
-        cfg, _, seed, _, *ratio = jobs[0]
+        cfg, _, seed, ratio, _ = jobs[0]
         shards, probe, test = build_experiment_data(cfg, seed)
-        fed_cfgs = [c.federation_config(s, derive_seed(seed, 20), *ratio) for c, s, *_ in jobs]
+        fed_cfgs = [c.federation_config(s, derive_seed(seed, 20), ratio) for c, s, *_ in jobs]
         outcomes = run_lockstep(shards, fed_cfgs, test, probe)
     except Exception as exc:  # the worker's boundary: run_jobs raises it in job order
         return [exc] * len(jobs)
@@ -372,7 +360,7 @@ def run_jobs(jobs: list[tuple]) -> list[list[RoundMetrics]]:
     import numpy.random  # noqa: F401  numpy loads it lazily: once here, not in every worker
 
     workers = min(len(jobs), usable_cpus())
-    tasks = group_jobs([(job[2], *job[4:]) for job in jobs], workers)
+    tasks = group_jobs([job[2:4] for job in jobs], workers)
     fork = "fork" in multiprocessing.get_all_start_methods()
     pool = ProcessPoolExecutor(
         max_workers=workers,
@@ -424,7 +412,7 @@ def cmd_run(args) -> int:
     seeds = [args.seed] if args.seed is not None else cfg.seeds
     _check_seeds(seeds)
     jobs = [
-        (cfg, strategy, seed, out_dir / f"{strategy}_seed{seed}")
+        (cfg, strategy, seed, cfg.sampling_ratio, out_dir / f"{strategy}_seed{seed}")
         for strategy in cfg.strategies
         for seed in seeds
     ]
@@ -491,7 +479,7 @@ def cmd_sweep_sr(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     keys = [(s, r, d) for s in cfg.strategies for r in ratios for d in cfg.seeds]
     finished = run_jobs(
-        [(cfg, s, d, out_dir / f"{s}_sr{r}_seed{d}", r) for s, r, d in keys]
+        [(cfg, s, d, r, out_dir / f"{s}_sr{r}_seed{d}") for s, r, d in keys]
     )
     rows = [
         (*key, metrics[-1].acc_test, metrics[-1].acc_pool)

@@ -4,7 +4,8 @@ Clients receive disjoint slices of a source dataset via a sort-and-partition
 split: samples are sorted by label and cut into shards, each shard mixing a
 skewed block of (mostly) one label with a small uniformly spread remainder.
 The non-i.i.d. ratio ``nr`` controls how much of each shard comes from the
-skewed block.
+skewed block. The remainders are the rows of one (shards, categories) count
+table, cut from each category's shuffled pool by slicing.
 """
 
 from __future__ import annotations
@@ -201,55 +202,42 @@ def sort_and_partition(ds: Dataset, cfg: PartitionConfig) -> list[ClientShard]:
     cfg.validate_for(ds)
     n_shards = cfg.n_shards
     skew = math.ceil(cfg.nr * cfg.shard_size)
-    uni = cfg.shard_size - skew
     rng = np.random.default_rng(cfg.seed)
-
     pools = _shuffled_pools(ds, rng)
-    cursors = [0] * ds.n_classes
 
-    # Uniform portion: per shard, spread `uni` picks over all categories
-    # (base count per class, leftover classes chosen at random).
-    uniform_parts: list[list[np.ndarray]] = []
-    base, extra = divmod(uni, ds.n_classes)
-    for _ in range(n_shards):
-        want = np.full(ds.n_classes, base, dtype=np.int64)
-        if extra:
+    # Uniform portion: per shard (a row of `wants`), spread the other picks
+    # over all categories (base count per class, leftover classes chosen at
+    # random), cut from each category's pool in shard order. A column's ends
+    # only grow, so the first row-major overrun is the first cut to fail.
+    base, extra = divmod(cfg.shard_size - skew, ds.n_classes)
+    wants = np.full((n_shards, ds.n_classes), base, dtype=np.int64)
+    if extra:
+        for want in wants:
             want[rng.choice(ds.n_classes, size=extra, replace=False)] += 1
-        part = []
-        for c in range(ds.n_classes):
-            take = int(want[c])
-            if cursors[c] + take > pools[c].size:
-                raise CapacityError(
-                    f"category {c} exhausted while drawing uniform shard portions"
-                )
-            part.append(pools[c][cursors[c] : cursors[c] + take])
-            cursors[c] += take
-        uniform_parts.append(part)
+    ends = wants.cumsum(axis=0)
+    over = ends > [pool.size for pool in pools]
+    if over.any():
+        c = int(over.argmax()) % ds.n_classes
+        raise CapacityError(f"category {c} exhausted while drawing uniform shard portions")
 
-    # Skewed portion: leftovers, grouped by label, cut into contiguous blocks.
-    # Blocks start at evenly spaced offsets so a balanced source stays balanced
-    # even when the partition does not consume every sample.
-    remaining = np.concatenate(
-        [pools[c][cursors[c] :] for c in range(ds.n_classes)]
-    )
-    if skew > 0:
-        if remaining.size < n_shards * skew:
-            raise CapacityError("not enough samples left for the skewed shard blocks")
-        seg = remaining.size // n_shards
-        blocks = [remaining[b * seg : b * seg + skew] for b in range(n_shards)]
-    else:
-        blocks = [np.empty(0, dtype=np.int64) for _ in range(n_shards)]
-
+    # Skewed portion: leftovers, grouped by label, cut into contiguous blocks
+    # at evenly spaced offsets, so a balanced source stays balanced even when
+    # the partition does not use every sample; validate_for leaves at least
+    # n_shards * skew of them. Bounds are Python ints (numpy scalars slice slower).
+    starts, ends = (ends - wants).tolist(), ends.tolist()
+    remaining = np.concatenate([pool[end:] for pool, end in zip(pools, ends[-1])])
+    seg = remaining.size // n_shards
+    blocks = [remaining[s * seg : s * seg + skew] for s in range(n_shards)]
     shard_indices = [
-        np.concatenate(uniform_parts[s] + [blocks[s]]) for s in range(n_shards)
+        np.concatenate([pool[a:b] for pool, a, b in zip(pools, lo, hi)] + [block])
+        for lo, hi, block in zip(starts, ends, blocks)
     ]
 
-    order = rng.permutation(n_shards)
-    shards = []
-    for k in range(cfg.n_clients):
-        mine = order[k * cfg.shards_per_client : (k + 1) * cfg.shards_per_client]
-        idx = np.concatenate([shard_indices[s] for s in mine])
-        shards.append(ClientShard.build(k, idx, ds))
+    order = rng.permutation(n_shards).reshape(cfg.n_clients, cfg.shards_per_client)
+    shards = [
+        ClientShard.build(k, np.concatenate([shard_indices[s] for s in mine]), ds)
+        for k, mine in enumerate(order)
+    ]
 
     pooled = sum(shard.counts for shard in shards)
     if np.any(pooled == 0):
@@ -340,8 +328,8 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(features.astype(np.float64), labels.astype(np.int64), c)
 
 
-def load_csv_dataset(path: str | Path, n_classes: int | None = None) -> Dataset:
-    """Read ``label,f0,f1,...`` rows; infers the class count unless given."""
+def load_csv_dataset(path: str | Path, n_classes: int) -> Dataset:
+    """Read ``label,f0,f1,...`` rows with labels in ``[0, n_classes)``."""
     raw = np.loadtxt(path, delimiter=",", ndmin=2)
     labels = raw[:, 0]
     bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.round(labels))))
@@ -350,6 +338,4 @@ def load_csv_dataset(path: str | Path, n_classes: int | None = None) -> Dataset:
     labels = labels.astype(np.int64)
     features = raw[:, 1:]
     _check_finite(features, path)
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1
     return Dataset(features, labels, n_classes)

@@ -91,8 +91,9 @@ class RunLog:
         """Read a log written by save_jsonl. A line that is not a JSON object,
         lacks a field or holds a value save_jsonl cannot write raises
         ValueError naming the line: every array and number must be finite and
-        of its K x C shape, eta > 0, varpi in [0, 1), local_epochs >= 1, and
-        the rounds must be the JSON integers 1, 2, ... in order."""
+        of its K x C shape, eta > 0, varpi in [0, 1), local_epochs >= 1,
+        every record after the header must be of type "round", and the
+        rounds must be the JSON integers 1, 2, ... in order."""
         log = None
         with open(path, "r", encoding="utf-8") as f:
             for number, line in enumerate(f, 1):
@@ -121,7 +122,10 @@ class RunLog:
                             raise ValueError(f"varpi must lie in [0, 1) (got {log.varpi!r})")
                         if type(epochs) is not int or epochs < 1:
                             raise ValueError(f"local_epochs must be an integer >= 1 (got {epochs})")
-                    elif row.get("type") == "round":
+                    elif row.get("type") != "round":
+                        kind = row.get("type")
+                        raise ValueError(f"type must be 'round' after the header (got {kind!r})")
+                    else:
                         index, expected = row["round"], len(log.records) + 1
                         if type(index) is not int or index != expected:
                             raise ValueError(f"round must be {expected} (got {index!r})")

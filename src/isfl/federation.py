@@ -81,6 +81,8 @@ class FederationConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES} (got {self.strategy!r})")
         if not 0.0 <= self.varpi < 1.0:
             raise ValueError("varpi must lie in [0, 1)")
+        if self.strategy == "isfl" and self.trainer.eta <= 0.0:  # its bounds divide by eta
+            raise ValueError("eta must be positive for the isfl strategy")
 
 
 @dataclass

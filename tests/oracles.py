@@ -22,6 +22,11 @@ are what the exact noise statistics of ``isfl.lipschitz.estimate_sgd_stats``
 must equal to rounding. ``kkt_partials`` is the gradient of rho that the
 solver's optimality tests check.
 
+``sort_and_partition`` is the label-skew split in its loop form: one
+cursor per category, moved one shard and one category at a time. The array
+form in ``isfl.data`` must give the same shard indices, and raise the same
+error, from the same RNG calls.
+
 ``save_dataset`` writes the binary container that ``isfl.data.load_dataset``
 reads. ``even_allocation`` hands out picks one sweep over the open categories
 at a time; ``isfl.data._even_allocation``'s closed form must give its counts.
@@ -53,6 +58,8 @@ from isfl.data import (
     CategoryDistribution,
     ClientShard,
     Dataset,
+    PartitionConfig,
+    _shuffled_pools,
 )
 from isfl.isweights import SamplingPlan, _effective_floors
 from isfl.lipschitz import ZeroDeviationError, lipschitz_row
@@ -484,3 +491,74 @@ def even_allocation(capacity: np.ndarray, total: int) -> np.ndarray:
         counts[take] += 1
         remaining -= take.size
     return counts
+
+
+def sort_and_partition(ds: Dataset, cfg: PartitionConfig) -> list[ClientShard]:
+    """Split ``ds`` into label-skewed client shards.
+
+    Each shard holds ``ceil(nr * shard_size)`` samples from one contiguous
+    label-sorted block and the remaining ``shard_size - ceil(nr * shard_size)``
+    samples spread evenly over all categories. Shards are dealt to clients at
+    random without replacement, so client data is disjoint.
+    """
+    cfg.validate_for(ds)
+    n_shards = cfg.n_shards
+    skew = math.ceil(cfg.nr * cfg.shard_size)
+    uni = cfg.shard_size - skew
+    rng = np.random.default_rng(cfg.seed)
+
+    pools = _shuffled_pools(ds, rng)
+    cursors = [0] * ds.n_classes
+
+    # Uniform portion: per shard, spread `uni` picks over all categories
+    # (base count per class, leftover classes chosen at random).
+    uniform_parts: list[list[np.ndarray]] = []
+    base, extra = divmod(uni, ds.n_classes)
+    for _ in range(n_shards):
+        want = np.full(ds.n_classes, base, dtype=np.int64)
+        if extra:
+            want[rng.choice(ds.n_classes, size=extra, replace=False)] += 1
+        part = []
+        for c in range(ds.n_classes):
+            take = int(want[c])
+            if cursors[c] + take > pools[c].size:
+                raise CapacityError(
+                    f"category {c} exhausted while drawing uniform shard portions"
+                )
+            part.append(pools[c][cursors[c] : cursors[c] + take])
+            cursors[c] += take
+        uniform_parts.append(part)
+
+    # Skewed portion: leftovers, grouped by label, cut into contiguous blocks.
+    # Blocks start at evenly spaced offsets so a balanced source stays balanced
+    # even when the partition does not consume every sample.
+    remaining = np.concatenate(
+        [pools[c][cursors[c] :] for c in range(ds.n_classes)]
+    )
+    if skew > 0:
+        if remaining.size < n_shards * skew:
+            raise CapacityError("not enough samples left for the skewed shard blocks")
+        seg = remaining.size // n_shards
+        blocks = [remaining[b * seg : b * seg + skew] for b in range(n_shards)]
+    else:
+        blocks = [np.empty(0, dtype=np.int64) for _ in range(n_shards)]
+
+    shard_indices = [
+        np.concatenate(uniform_parts[s] + [blocks[s]]) for s in range(n_shards)
+    ]
+
+    order = rng.permutation(n_shards)
+    shards = []
+    for k in range(cfg.n_clients):
+        mine = order[k * cfg.shards_per_client : (k + 1) * cfg.shards_per_client]
+        idx = np.concatenate([shard_indices[s] for s in mine])
+        shards.append(ClientShard.build(k, idx, ds))
+
+    pooled = sum(shard.counts for shard in shards)
+    if np.any(pooled == 0):
+        missing = np.flatnonzero(pooled == 0).tolist()
+        raise ValueError(
+            f"categories {missing} are absent from every client; the pooled "
+            "distribution must be strictly positive"
+        )
+    return shards

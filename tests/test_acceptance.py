@@ -128,7 +128,7 @@ def test_criterion_3_feasibility_and_worked_instance():
     assert report(
         3, ok,
         f"200 random plans feasible; worked instance gamma*={gamma:.4f} "
-        f"(~0.2572), q3={plan.q.probs[2]!r} exactly at its floor",
+        f"(~0.2572), q3={float(plan.q.probs[2])!r} exactly at its floor",
     )
 
 

@@ -744,7 +744,7 @@ def task(jobs):
 
 cli.run_task = task
 print("numpy.random" in sys.modules)
-print(cli.run_jobs([(None, "fedavg", 1, None), (None, "fedavg", 2, None)]))
+print(cli.run_jobs([(None, "fedavg", 1, 1.0, None), (None, "fedavg", 2, 1.0, None)]))
 """
 
 
@@ -803,13 +803,16 @@ class TestSchedules:
         # first job comes before the first task's failing job in job order
         force_workers(monkeypatch, 1)
 
-        def fake(metrics, log, cfg, strategy, seed, out_dir):
+        def fake(metrics, log, cfg, strategy, seed, sampling_ratio, out_dir):
             if (strategy, seed) in (("isfl", 4), ("fedavg", 1)):
                 raise RoundFailure(2, f"{strategy} on seed {seed}")
 
         monkeypatch.setattr(cli_mod, "write_run", fake)  # forked workers inherit it
         cfg = ExperimentConfig(**BASE_CONFIG)
-        jobs = [(cfg, s, d, tmp_path / f"{s}_{d}") for s in ("fedavg", "isfl") for d in (4, 1)]
+        jobs = [
+            (cfg, s, d, cfg.sampling_ratio, tmp_path / f"{s}_{d}")
+            for s in ("fedavg", "isfl") for d in (4, 1)
+        ]
         with pytest.raises(RoundFailure, match="round 2: fedavg on seed 1"):
             cli_mod.run_jobs(jobs)
 
@@ -824,7 +827,7 @@ class TestSchedules:
 
             monkeypatch.setattr(module, name, counting)
         cfg = ExperimentConfig(**dict(GOLDEN_CONFIG, rounds=4))
-        done = cli_mod.run_task([(cfg, s, 1, tmp_path / s, 0.5) for s in cfg.strategies])
+        done = cli_mod.run_task([(cfg, s, 1, 0.5, tmp_path / s) for s in cfg.strategies])
         assert len(done) == len(cfg.strategies)
         assert not any(isinstance(metrics, Exception) for metrics in done)
         # round 1 trains the clients once for every strategy, and each later
@@ -1034,12 +1037,16 @@ class TestBoundsCommand:
         ({}, round_line(round="1"), 2, "ValueError: round must be 1 (got '1')"),
         ({}, round_line(round=0), 2, "ValueError: round must be 1 (got 0)"),
         ({}, round_line() + "\n" + round_line(), 3, "ValueError: round must be 2 (got 1)"),
+        ({}, round_line() + "\n" + round_line(round=2, type="rnd"), 3,
+         "ValueError: type must be 'round' after the header (got 'rnd')"),
+        ({}, round_line() + '\n{"type": "run"}', 3,
+         "ValueError: type must be 'round' after the header (got 'run')"),
     ], ids=[
         "round-missing-key", "not-an-object", "header-missing-key", "eta-zero",
         "eta-negative", "eta-nan", "epochs-zero", "epochs-negative", "epochs-fraction",
         "varpi-one", "pi-nan", "p-inf", "pi-shape", "lipschitz-nan", "q-used-shape",
         "sigma2-shape", "g2-inf", "loss-start-nan", "round-fraction", "round-bool",
-        "round-string", "round-zero", "round-repeated",
+        "round-string", "round-zero", "round-repeated", "type-unknown", "header-repeated",
     ])
     def test_malformed_log_exits_1_naming_the_line(
         self, tmp_path, capsys, header, record, where, message

@@ -21,6 +21,7 @@ from isfl.data import (
     train_holdout_test_split,
 )
 from isfl.data import _even_allocation
+import oracles
 from oracles import even_allocation, save_dataset
 
 
@@ -121,6 +122,15 @@ class TestSortAndPartition:
         with pytest.raises(CapacityError):
             sort_and_partition(ds, cfg)
 
+    def test_exhausted_category_named(self):
+        # category 1 has 7 rows: shard 0 takes 5 of them, shard 1 needs 5 more
+        labels = np.concatenate([np.zeros(100), np.ones(7)]).astype(int)
+        ds = Dataset(np.zeros((107, 2)), labels, 2)
+        cfg = PartitionConfig(n_clients=2, shard_size=10, shards_per_client=1, nr=0.0)
+        with pytest.raises(CapacityError) as info:
+            sort_and_partition(ds, cfg)
+        assert str(info.value) == "category 1 exhausted while drawing uniform shard portions"
+
     def test_globally_absent_category_rejected(self):
         # class 2 has so few samples they all land in unused segment tails,
         # leaving it out of every client; the solver needs it present
@@ -167,6 +177,52 @@ class TestPartitionProperties:
             assert len(shard) == cfg.shards_per_client * cfg.shard_size
             expected = np.bincount(ds.labels[shard.indices], minlength=ds.n_classes) / len(shard)
             assert np.array_equal(shard.local_distribution.probs, expected)
+
+
+@st.composite
+def skewed_partition_problems(draw):
+    """A PartitionConfig and a source with room for it whose label counts
+    may run from none to twice an even share, so that the split can run out
+    of a category."""
+    cfg = PartitionConfig(
+        n_clients=draw(st.integers(1, 6)),
+        shard_size=draw(st.integers(1, 30)),
+        shards_per_client=draw(st.integers(1, 3)),
+        nr=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    n_classes = draw(st.integers(2, 6))
+    share = math.ceil(cfg.n_shards * cfg.shard_size / n_classes)
+    counts = [draw(st.integers(0, 2 * share + 2)) for _ in range(n_classes)]
+    counts[draw(st.integers(0, n_classes - 1))] += max(0, share * n_classes - sum(counts))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat(np.arange(n_classes), counts))
+    return cfg, Dataset(rng.standard_normal((labels.size, 2)), labels, n_classes)
+
+
+def _partition_or_error(partition, ds, cfg):
+    try:
+        return partition(ds, cfg)
+    except ValueError as exc:  # CapacityError, or a category no client holds
+        return type(exc), str(exc)
+
+
+class TestPartitionMatchesLoopOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(partition_problems(), skewed_partition_problems()))
+    def test_same_shards_or_same_error(self, problem):
+        cfg, ds = problem
+        got = _partition_or_error(sort_and_partition, ds, cfg)
+        want = _partition_or_error(oracles.sort_and_partition, ds, cfg)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.client_id == b.client_id
+            assert a.indices.dtype == b.indices.dtype
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.counts, b.counts)
 
 
 class TestGlobalDistribution:
@@ -282,7 +338,7 @@ class TestFileFormats:
     def test_csv_import(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("0,1.5,2.5\n1,-1.0,0.25\n1,0.0,3.0\n")
-        ds = load_csv_dataset(path)
+        ds = load_csv_dataset(path, 2)
         assert ds.n_classes == 2 and ds.dim == 2 and len(ds) == 3
         assert ds.labels.tolist() == [0, 1, 1]
         assert ds.features[0, 1] == 2.5
@@ -292,14 +348,14 @@ class TestFileFormats:
         path = tmp_path / "ds.csv"
         path.write_text(f"0,1.5,2.5\n1,-1.0,{cell}\n1,0.0,3.0\n")
         with pytest.raises(ValueError, match="row 1 has a non-finite feature"):
-            load_csv_dataset(path)
+            load_csv_dataset(path, 2)
 
     @pytest.mark.parametrize("label", ["1.7", "0.5", "nan", "inf"])
     def test_csv_non_integer_label_rejected(self, tmp_path, label):
         path = tmp_path / "ds.csv"
         path.write_text(f"0,1.5,2.5\n1,-1.0,0.25\n{label},0.0,3.0\n")
         with pytest.raises(ValueError) as info:
-            load_csv_dataset(path)
+            load_csv_dataset(path, 2)
         assert str(info.value) == f"{path}: row 2 has a non-integer label {label}"
 
     def test_container_non_finite_feature_rejected(self, tmp_path):

@@ -55,6 +55,16 @@ def fed_config(strategy, n_rounds=3, seed=7, eta=0.05):
     )
 
 
+class TestFederationConfig:
+    def test_isfl_needs_a_positive_eta(self):
+        # the isfl bound diagnostics divide by eta
+        with pytest.raises(ValueError, match="eta must be positive for the isfl strategy"):
+            fed_config("isfl", eta=0.0)
+        for strategy in STRATEGIES:
+            if strategy != "isfl":
+                assert fed_config(strategy, eta=0.0).trainer.eta == 0.0
+
+
 class TestAggregate:
     def test_idempotent_on_identical_params(self):
         spec = ModelSpec(4, (), 3)
@@ -340,7 +350,7 @@ class TestLockstep:
     strategy of a seed as one stack; each strategy must still end where it
     ends alone, bit for bit."""
 
-    @pytest.mark.parametrize("ratio", [None, 0.5], ids=["ratio-0.9", "ratio-0.5"])
+    @pytest.mark.parametrize("ratio", [0.9, 0.5], ids=["ratio-0.9", "ratio-0.5"])
     def test_every_strategy_equals_its_solo_run(self, tmp_path, ratio):
         cfg = ExperimentConfig(**GOLDEN_BITS_CONFIG)
         shards, probe, test = build_experiment_data(cfg, 1)

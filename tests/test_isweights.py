@@ -526,7 +526,7 @@ class TestScreenedSolver:
 
         monkeypatch.setattr(isweights_mod, "_minimize_rho", record)
         cfg = ExperimentConfig(per_class=2200, eta=0.05, rounds=3)
-        (result,) = run_task([(cfg, "isfl", 0, tmp_path / "run")])
+        (result,) = run_task([(cfg, "isfl", 0, cfg.sampling_ratio, tmp_path / "run")])
         if isinstance(result, Exception):
             raise result
         assert len(recorded) == 2 * cfg.clients

@@ -611,7 +611,8 @@ class TestRoute:
         cfg = ExperimentConfig(**GOLDEN_CONFIG)
         for seed in cfg.seeds:
             for strategy in ("fedavg", "rw_is", "isfl"):
-                (result,) = run_task([(cfg, strategy, seed, tmp_path / f"{strategy}_{seed}")])
+                job = (cfg, strategy, seed, cfg.sampling_ratio, tmp_path / f"{strategy}_{seed}")
+                (result,) = run_task([job])
                 if isinstance(result, Exception):
                     raise result
         assert len(blocks) == 2 * 3 * cfg.rounds * cfg.clients
