@@ -15,11 +15,11 @@ holds its plans, its aggregate, its metrics and its outcome. Round 1 trains
 once for all of them. From round 2 on, one ``local_train`` call per round
 trains every live run's clients as one (S K, P) stack, each run's rows from
 its own aggregate under its own plans, with the shared client seeds
-``derive_seed(seed, 1, round, k)``. Each run then ends its round
-(``_Run.end_round``) on its own K rows, as it would alone: the stacked rows
-go through the same per-slice kernels, so its bytes equal its solo run's.
-The training call is all the runs share: a run that fails leaves the loop
-and the others train on. ``run`` is the loop over one config.
+``derive_seed(seed, 1, round, k)``. Each run then ends every round, round 1
+included, on its own K rows (``_Run.end_round``), as it would alone: the
+stacked rows go through the same per-slice kernels, so its bytes equal its
+solo run's. The training call is all the runs share: a run that fails leaves
+the loop and the others train on. ``run`` is the loop over one config.
 
 Strategies, the keys of ``_STRATEGY_PHASES``, one server phase each, which
 refreshes the plans at every aggregation but the last:
@@ -116,15 +116,11 @@ def aggregate(stack: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 class _Laps:
     """Wall seconds per phase; each lap runs from the previous one. A round's
-    laps start from ``shared``, the seconds of its phases that ran outside
-    its own code: round 1's shared training, aggregation and evaluation, or
-    the training call a later round shares with the other strategies of its
-    lockstep loop."""
+    laps start from ``train``, the seconds of the training call the run
+    shares with the other strategies of its lockstep loop."""
 
-    def __init__(self, shared: dict[str, float] | None = None):
-        shared = shared or {}
-        self.seconds = dict.fromkeys(PHASES, 0.0) | shared
-        self._shared = sum(shared.values())
+    def __init__(self, train: float):
+        self.seconds = dict.fromkeys(PHASES, 0.0) | {"train": train}
         self._start = self._mark = time.perf_counter()
 
     def lap(self, phase: str) -> None:
@@ -133,24 +129,13 @@ class _Laps:
         self._mark = now
 
     def total(self) -> float:
-        """The shared seconds and the wall seconds since the laps began."""
-        return self._shared + time.perf_counter() - self._start
+        """The training seconds and the wall seconds since the laps began."""
+        return self.seconds["train"] + time.perf_counter() - self._start
 
 
 def derive_seed(master: int, *tags: int) -> int:
     """Stable per-(stage, round, client) child seed."""
     return int(np.random.SeedSequence([master, *tags]).generate_state(1)[0])
-
-
-def _aggregate_round(spec, stack, pi, pool, test_set, laps):
-    """A round's local ``stack``, its aggregate, and the aggregate's pooled
-    loss, pooled accuracy and test accuracy."""
-    new = aggregate(stack, pi)
-    laps.lap("aggregate")
-    loss, acc_pool = evaluate(spec, new, pool)
-    _, acc_test = evaluate(spec, new, test_set)
-    laps.lap("eval")
-    return stack, new, loss, acc_pool, acc_test
 
 
 class _Run:
@@ -183,22 +168,22 @@ class _Run:
         self.metrics: list[RoundMetrics] = []
         self.outcome: tuple[list[RoundMetrics], RunLog] | RoundFailure | None = None
 
-    def end_round(self, rnd, laps, stack=None, shared=None):
-        """Round ``rnd`` from the clients' (K, P) local ``stack``, or from
-        round 1's ``_aggregate_round`` outcome ``shared``, with ``laps`` for
-        its phases: aggregate and evaluate, run the strategy's server phase,
-        record the round's metrics, then check the plans of round rnd + 1.
-        Sets ``outcome`` when the run ends: a module error or a non-finite
-        aggregate or pooled loss fails round rnd, a rejected plan round
-        rnd + 1."""
+    def end_round(self, rnd, laps, stack):
+        """Round ``rnd`` from the clients' (K, P) local ``stack``, with ``laps``
+        for its phases: aggregate with the run's client weights ``pi`` and
+        evaluate on the pool and the test set, run the strategy's server
+        phase, record the round's metrics, then check the plans of round
+        rnd + 1. Sets ``outcome`` when the run ends: a module error or a
+        non-finite aggregate or pooled loss fails round rnd, a rejected plan
+        round rnd + 1."""
         cfg, failing = self.cfg, rnd
         server_phase, scores_round_one = _STRATEGY_PHASES[cfg.strategy]
         try:
-            if shared is None:
-                shared = _aggregate_round(
-                    cfg.model, stack, self.log.pi, self.pool, self.test_set, laps
-                )
-            stack, new_global, train_loss, acc_pool, acc_test = shared
+            new_global = aggregate(stack, self.log.pi)
+            laps.lap("aggregate")
+            train_loss, acc_pool = evaluate(cfg.model, new_global, self.pool)
+            _, acc_test = evaluate(cfg.model, new_global, self.test_set)
+            laps.lap("eval")
 
             # No plans are refreshed after the last round: no round trains
             # under them. The exception: isfl scores round 1 on the first
@@ -288,11 +273,11 @@ def run_lockstep(
 
     The configs must share model, trainer config and seed (else ValueError),
     so they share round 1 and the client seeds. Round 1 trains the clients
-    once, aggregates and evaluates once, and every run ends the round from
-    that outcome. From round 2 on one ``local_train`` call trains the clients
-    of every run still training as one stack, each run from its own aggregate
-    under its own plans; then each run, in order, ends the round on its slice
-    of the stack (``_Run.end_round``), as it would alone, bit for bit.
+    once, and every run ends the round on those K rows. From round 2 on one
+    ``local_train`` call trains the clients of every run still training as
+    one stack, each run from its own aggregate under its own plans. Each
+    run, in order, ends every round on its K rows of the stack
+    (``_Run.end_round``), as it would alone, bit for bit.
 
     Returns one outcome per config, in order: its (metrics, log), or the
     RoundFailure that ended it. A failed run leaves the loop and the others
@@ -317,34 +302,26 @@ def run_lockstep(
     n_clients = len(shards)
     runs = [_Run(shards, cfg, test_set, probe, pool, params, loss_start) for cfg in cfgs]
     # round 1 is every run's: the first run's start and plans stand for all,
-    # and the round trains, aggregates and evaluates once
+    # so the round trains once
     live = runs[:1]
     for rnd in itertools.count(1):
-        laps = _Laps()
+        start = time.perf_counter()
         try:
             stack = local_train(
                 first.model, np.repeat(np.stack([r.params for r in live]), n_clients, axis=0),
                 list(shards) * len(live), [plan for r in live for plan in r.plans], first.trainer,
                 [derive_seed(first.seed, 1, rnd, k) for k in range(n_clients)] * len(live),
             )
-            laps.lap("train")
-            if rnd == 1:
-                round_one = _aggregate_round(
-                    first.model, stack, size_proportional_weights(shards), pool, test_set, laps
-                )
         except Exception as exc:  # it fails every run still training
             failure = RoundFailure(rnd, str(exc))
             failure.__cause__ = exc
             return [failure if r.outcome is None else r.outcome for r in runs]
-        if rnd == 1:
-            for r in runs:
-                r.end_round(1, _Laps(laps.seconds), shared=round_one)
-        else:
-            for n, r in enumerate(live):
-                r.end_round(
-                    rnd, _Laps({"train": laps.seconds["train"]}),
-                    stack=stack[n * n_clients : (n + 1) * n_clients],
-                )
+        train_s = time.perf_counter() - start
+        # each run still training ends the round on the K rows trained from
+        # its own start; round 1's one block of K rows is every run's
+        blocks = np.split(stack, len(live))
+        for n, r in enumerate([r for r in runs if r.outcome is None]):
+            r.end_round(rnd, _Laps(train_s), blocks[n % len(blocks)])
         # a run that finished or failed leaves the loop; the others train on
         live = [r for r in runs if r.outcome is None]
         if not live:

@@ -28,10 +28,6 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 
-class ZeroDeviationError(ValueError):
-    """Local and aggregated parameters coincide; the curvature ratio is 0/0."""
-
-
 @dataclass(frozen=True)
 class GradientStats:
     """Minibatch-gradient variance per client and the squared norm bound."""
@@ -54,11 +50,11 @@ def lipschitz_row(
 ) -> np.ndarray:
     """Per-category max of gradient-difference norms over the deviation norm.
 
-    ``diff_norms[n]`` is the norm of sample n's gradient change; categories
-    with no samples are filled with the mean of the present entries.
+    ``diff_norms[n]`` is the norm of sample n's gradient change, and
+    ``deviation_norm`` the positive, finite norm of the parameter change;
+    categories with no samples are filled with the mean of the present
+    entries.
     """
-    if deviation_norm <= 0.0:
-        raise ZeroDeviationError("parameter deviation norm must be positive")
     row = np.full(n_classes, np.nan)
     for c in range(n_classes):
         mask = labels == c

@@ -21,8 +21,9 @@ a ones vector: the softmax denominator is ``logits @ ones(C)`` and the bias
 gradient ``ones(N) @ delta``. The softmax scales its row once, by
 ``1 / (N * denominator)`` for the mean loss, and the one-hot then subtracts
 ``1 / N``. Each slice of a stack goes through the same product shapes as a
-lone call, so ``mean_grads``, ``evaluate`` and the per-sample passes equal
-the plain kernels frozen in ``tests/oracles.py`` bit for bit.
+lone call, so the mean gradients of ``_grads_into``, ``evaluate`` and the
+per-sample passes equal the plain kernels frozen in ``tests/oracles.py`` bit
+for bit.
 """
 
 from __future__ import annotations
@@ -110,16 +111,15 @@ def _forward(spec: ModelSpec, views: list[np.ndarray], x: np.ndarray):
     a (K, P) stack with x of shape (K, N, d).
     """
     acts = [x]
-    n_layers = len(spec.layer_dims) - 1
     h = x
-    for i in range(n_layers):
+    for i in range(len(spec.hidden_dims)):
         z = h @ views[2 * i]
         z += views[2 * i + 1][..., None, :]
-        if i == n_layers - 1:
-            return z, acts
         h = np.maximum(z, 0.0, out=z) if spec.activation == "relu" else np.tanh(z, out=z)
         acts.append(h)
-    raise AssertionError("unreachable")
+    logits = h @ views[-2]
+    logits += views[-1][..., None, :]
+    return logits, acts
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
@@ -186,27 +186,13 @@ def _grads_into(spec: ModelSpec, views, x: np.ndarray, labels: np.ndarray, out) 
         np.matmul(ones, delta, out=out[2 * i + 1])
 
 
-def mean_grads(
-    spec: ModelSpec, values: np.ndarray, x: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Flat gradients of the mean loss over each batch's sample axis.
-
-    ``values`` is one (P,) vector or a (K, P) stack whose row k sees batch
-    ``x[k]``. A (P,) vector also takes a (D, N, d) stack of D batches and
-    returns a (D, P) array, one gradient per batch.
-    """
-    grads = np.empty(x.shape[:-2] + values.shape[-1:])
-    _grads_into(spec, _views(spec, values), x, labels, _views(spec, grads))
-    return grads
-
-
 def sgd_stepper(spec: ModelSpec, stack: np.ndarray):
     """``step(x, labels, eta)``: one SGD step on the mean loss for every row of
     the (K, P) ``stack``, in place, row k on features ``x[k]`` and labels
     ``labels[k]``. The stack's layer views and one gradient buffer are built
-    here, once, and every step writes into them through the kernel of
-    ``mean_grads``. Raises ValueError on a stack that is not C-contiguous:
-    strided row views round differently from lone vectors."""
+    here, once, and every step writes into them through ``_grads_into``.
+    Raises ValueError on a stack that is not C-contiguous: strided row views
+    round differently from lone vectors."""
     if not stack.flags.c_contiguous:
         raise ValueError("the stack must be C-contiguous to step each row as a lone vector")
     views = _views(spec, stack)

@@ -40,7 +40,8 @@ and the log-sum-exp are ``@ ones(C)``, the bias gradient ``ones(N) @``, and
 the mean gradient's 1/N rides on the softmax's one scaling, a multiply by
 1 / (N * denominator), with 1/N subtracted at the label. The in-place
 kernels of ``isfl.model`` must equal them bit for bit. The oracles above
-that take gradients run on them.
+that take gradients run on them. ``kernel_mean_grads`` is no oracle: it is
+``mean_grads``'s signature over the in-place kernel, for the tests.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ from isfl.data import (
     _shuffled_pools,
 )
 from isfl.isweights import SamplingPlan, _effective_floors
-from isfl.lipschitz import ZeroDeviationError, lipschitz_row
-from isfl.model import ModelSpec, _views, check_batch
+from isfl.lipschitz import lipschitz_row
+from isfl.model import ModelSpec, _grads_into, _views, check_batch
 from isfl.trainer import TrainerConfig
 
 # probe rows per per-sample gradient block in estimate_lipschitz
@@ -151,6 +152,18 @@ def mean_grads(
         # weight and bias gradients, summed over the sample axis
         views[2 * i][...] = np.swapaxes(a, -1, -2) @ delta
         views[2 * i + 1][...] = np.ones(delta.shape[-2]) @ delta
+    return grads
+
+
+def kernel_mean_grads(
+    spec: ModelSpec, values: np.ndarray, x: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """``mean_grads`` through ``isfl.model._grads_into``, the in-place kernel
+    that every ``sgd_stepper`` step runs: not an oracle, but the fast path
+    with the same arguments, for the tests that take mean gradients and for
+    the check of that kernel against ``mean_grads``."""
+    grads = np.empty(x.shape[:-2] + values.shape[-1:])
+    _grads_into(spec, _views(spec, values), x, labels, _views(spec, grads))
     return grads
 
 
@@ -417,13 +430,12 @@ def estimate_lipschitz(
 
     Costs exactly one backward pass over the probe per parameter vector. The
     per-sample gradients are then formed BLOCK_ROWS rows at a time, so memory
-    stays at two blocks instead of two N x P matrices. Raises
-    ZeroDeviationError when the two parameter vectors coincide; the caller
-    should keep its previous row in that case.
+    stays at two blocks instead of two N x P matrices. Raises ValueError
+    when the two parameter vectors coincide: the ratio is 0/0.
     """
     deviation = float(np.linalg.norm(local_params - global_params))
     if deviation == 0.0:
-        raise ZeroDeviationError("local and global parameters coincide")
+        raise ValueError("local and global parameters coincide")
     if not np.isfinite(deviation):
         raise ValueError("parameter deviation is not finite; the run diverged")
     diff_norms = np.empty(len(probe))

