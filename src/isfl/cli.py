@@ -42,6 +42,8 @@ from .data import (
     PartitionConfig,
     check_synthetic,
     generate_synthetic,
+    is_integer,
+    is_number,
     load_csv_dataset,
     load_dataset,
     select_probe_set,
@@ -72,17 +74,9 @@ _INTEGER_KEYS = (
 _FLOAT_KEYS = ("separation", "nr", "eta", "sampling_ratio", "varpi")
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_integer(value) or isinstance(value, (float, np.floating))
-
-
 def _check_seeds(seeds) -> None:
     """Raise unless ``seeds`` is a list of non-negative integers."""
-    if not isinstance(seeds, (list, tuple)) or not all(_is_integer(s) and s >= 0 for s in seeds):
+    if not isinstance(seeds, (list, tuple)) or not all(is_integer(s) and s >= 0 for s in seeds):
         raise ValueError(f"seeds must be a list of non-negative integers (got {seeds!r})")
 
 
@@ -137,13 +131,13 @@ class ExperimentConfig:
         # Types first, so that no later check or job meets a bool or a string
         # where a number belongs, or a float where an integer does
         for key in _INTEGER_KEYS:
-            if not _is_integer(getattr(self, key)):
+            if not is_integer(getattr(self, key)):
                 raise ValueError(f"{key} must be an integer (got {getattr(self, key)!r})")
         for key in _FLOAT_KEYS:
-            if not _is_number(getattr(self, key)):
+            if not is_number(getattr(self, key)):
                 raise ValueError(f"{key} must be a number (got {getattr(self, key)!r})")
         if not isinstance(self.hidden_dims, (list, tuple)) or not all(
-            map(_is_integer, self.hidden_dims)
+            map(is_integer, self.hidden_dims)
         ):
             raise ValueError(f"hidden_dims must be a list of integers (got {self.hidden_dims!r})")
         if not isinstance(self.strategies, (list, tuple)) or not all(
@@ -353,7 +347,7 @@ def run_jobs(jobs: list[tuple]) -> list[list[RoundMetrics]]:
     tasks not yet started do not run; a failed job stops no other job of its
     task, and each finished job keeps its artifacts.
     """
-    # imported here: ``from isfl import cli`` stays as cheap as before
+    # imported here, as only run and sweep-sr use them: ``import isfl.cli`` skips them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -436,10 +430,10 @@ def cmd_solve(args) -> int:
     for key in ("p", "p_k", "L"):
         if key not in raw:
             raise ValueError(f"solve input is missing key {key!r}")
-        if not isinstance(raw[key], list) or not all(map(_is_number, raw[key])):
+        if not isinstance(raw[key], list) or not all(map(is_number, raw[key])):
             raise ValueError(f"{key} must be a list of numbers (got {raw[key]!r})")
     varpi = raw.get("varpi", 0.05)
-    if not _is_number(varpi):
+    if not is_number(varpi):
         raise ValueError(f"varpi must be a number (got {varpi!r})")
     varpi = float(varpi)
     p = CategoryDistribution(np.asarray(raw["p"], dtype=np.float64))
@@ -546,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, json.JSONDecodeError, TypeError, OverflowError) as exc:
         source = {"bounds": "run log", "solve": "input"}.get(args.command, "config")
         print(f"{source} error: {exc}", file=sys.stderr)
         return 1

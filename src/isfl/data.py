@@ -5,7 +5,8 @@ split: samples are sorted by label and cut into shards, each shard mixing a
 skewed block of (mostly) one label with a small uniformly spread remainder.
 The non-i.i.d. ratio ``nr`` controls how much of each shard comes from the
 skewed block. The remainders are the rows of one (shards, categories) count
-table, cut from each category's shuffled pool by slicing.
+table, cut from each category's shuffled pool by slicing, as are the probe
+and the three-way split (``_cut_pools``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ DATASET_MAGIC = b"ISFLDS1"
 
 class CapacityError(ValueError):
     """Raised when an operation asks for more samples than are available."""
+
+
+# The number rule of every JSON reader: a bool, a string or null is no number.
+def is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return is_integer(value) or isinstance(value, (float, np.floating))
 
 
 @dataclass(frozen=True)
@@ -191,6 +201,17 @@ def _even_allocation(capacity: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+def _cut_pools(pools: list[np.ndarray], counts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Consecutive slices of every category's pool, one row of the (rows,
+    categories) table ``counts`` after another: each row's indices in category
+    order, and the indices left after the last row. Slice bounds are Python
+    ints (numpy scalars slice slower)."""
+    ends = np.cumsum(counts, axis=0)
+    bounds = zip((ends - counts).tolist(), ends.tolist())
+    rows = [np.concatenate([p[a:b] for p, a, b in zip(pools, lo, hi)]) for lo, hi in bounds]
+    return rows, np.concatenate([p[end:] for p, end in zip(pools, ends[-1].tolist())])
+
+
 def sort_and_partition(ds: Dataset, cfg: PartitionConfig) -> list[ClientShard]:
     """Split ``ds`` into label-skewed client shards.
 
@@ -214,8 +235,7 @@ def sort_and_partition(ds: Dataset, cfg: PartitionConfig) -> list[ClientShard]:
     if extra:
         for want in wants:
             want[rng.choice(ds.n_classes, size=extra, replace=False)] += 1
-    ends = wants.cumsum(axis=0)
-    over = ends > [pool.size for pool in pools]
+    over = wants.cumsum(axis=0) > [pool.size for pool in pools]
     if over.any():
         c = int(over.argmax()) % ds.n_classes
         raise CapacityError(f"category {c} exhausted while drawing uniform shard portions")
@@ -223,14 +243,12 @@ def sort_and_partition(ds: Dataset, cfg: PartitionConfig) -> list[ClientShard]:
     # Skewed portion: leftovers, grouped by label, cut into contiguous blocks
     # at evenly spaced offsets, so a balanced source stays balanced even when
     # the partition does not use every sample; validate_for leaves at least
-    # n_shards * skew of them. Bounds are Python ints (numpy scalars slice slower).
-    starts, ends = (ends - wants).tolist(), ends.tolist()
-    remaining = np.concatenate([pool[end:] for pool, end in zip(pools, ends[-1])])
+    # n_shards * skew of them.
+    uniform, remaining = _cut_pools(pools, wants)
     seg = remaining.size // n_shards
-    blocks = [remaining[s * seg : s * seg + skew] for s in range(n_shards)]
     shard_indices = [
-        np.concatenate([pool[a:b] for pool, a, b in zip(pools, lo, hi)] + [block])
-        for lo, hi, block in zip(starts, ends, blocks)
+        np.concatenate([portion, remaining[s * seg : s * seg + skew]])
+        for s, portion in enumerate(uniform)
     ]
 
     order = rng.permutation(n_shards).reshape(cfg.n_clients, cfg.shards_per_client)
@@ -270,8 +288,7 @@ def select_probe_set(ds: Dataset, size: int, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     pools = _shuffled_pools(ds, rng)
     capacity = np.array([p.size for p in pools])
-    counts = _even_allocation(capacity, size)
-    chosen = np.concatenate([pools[c][: counts[c]] for c in range(ds.n_classes)])
+    (chosen,), _ = _cut_pools(pools, _even_allocation(capacity, size)[None])
     return ds.subset(chosen)
 
 
@@ -286,17 +303,8 @@ def train_holdout_test_split(
     capacity = np.array([p.size for p in pools])
     test_counts = _even_allocation(capacity, test_size)
     hold_counts = _even_allocation(capacity - test_counts, holdout_size)
-    test_idx, hold_idx, train_idx = [], [], []
-    for c in range(ds.n_classes):
-        t, h = int(test_counts[c]), int(hold_counts[c])
-        test_idx.append(pools[c][:t])
-        hold_idx.append(pools[c][t : t + h])
-        train_idx.append(pools[c][t + h :])
-    return (
-        ds.subset(np.concatenate(train_idx)),
-        ds.subset(np.concatenate(hold_idx)),
-        ds.subset(np.concatenate(test_idx)),
-    )
+    (test, hold), train = _cut_pools(pools, np.stack([test_counts, hold_counts]))
+    return ds.subset(train), ds.subset(hold), ds.subset(test)
 
 
 def _check_finite(features: np.ndarray, path: str | Path) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CategoryDistribution
+from .data import CategoryDistribution, is_integer, is_number
 from .isweights import rho
 
 
@@ -41,10 +41,13 @@ class RoundRecord:
     loss_start: float              # pooled train loss at round start
 
 
-# A round record's fields after its index, as save_jsonl writes and load_jsonl
-# checks them, each with its leading dimensions of K x C: 2, 1 (K) or 0 (one number).
+# The fields of the run header and of a round record after its index, as
+# save_jsonl writes and load_jsonl reads them, each with its shape in clients K
+# and categories C: "KC" a K x C matrix, "K" or "C" a vector, "" one number.
+HEADER_FIELDS = {"p": "C", "p_local": "KC", "pi": "K", "varpi": "", "eta": ""}
 ROUND_FIELDS = {
-    "lipschitz": 2, "q_used": 2, "q_star": 2, "sigma2": 1, "g2": 0, "dev2": 1, "loss_start": 0,
+    "lipschitz": "KC", "q_used": "KC", "q_star": "KC", "sigma2": "K", "g2": "", "dev2": "K",
+    "loss_start": "",
 }
 
 
@@ -60,40 +63,24 @@ class RunLog:
     local_epochs: int
     records: list[RoundRecord] = field(default_factory=list)
 
-    @property
-    def n_clients(self) -> int:
-        return self.pi.size
-
-    @property
-    def n_categories(self) -> int:
-        return self.p.size
-
     def save_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            header = {
-                "type": "run",
-                "p": self.p.tolist(),
-                "p_local": self.p_local.tolist(),
-                "pi": self.pi.tolist(),
-                "varpi": self.varpi,
-                "eta": self.eta,
-                "local_epochs": self.local_epochs,
-            }
-            f.write(json.dumps(header, sort_keys=True) + "\n")
+            header = {"type": "run", "local_epochs": self.local_epochs}
+            f.write(_json_line(header, self, HEADER_FIELDS))
             for rec in self.records:
                 row = {"type": "round", "round": rec.round_index,
                        "epoch_tag": rec.round_index * self.local_epochs}
-                row.update((name, np.asarray(getattr(rec, name)).tolist()) for name in ROUND_FIELDS)
-                f.write(json.dumps(row, sort_keys=True) + "\n")
+                f.write(_json_line(row, rec, ROUND_FIELDS))
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "RunLog":
         """Read a log written by save_jsonl. A line that is not a JSON object,
         lacks a field or holds a value save_jsonl cannot write raises
-        ValueError naming the line: every array and number must be finite and
-        of its K x C shape, eta > 0, varpi in [0, 1), local_epochs >= 1,
-        every record after the header must be of type "round", and the
-        rounds must be the JSON integers 1, 2, ... in order."""
+        ValueError naming the line: every field of HEADER_FIELDS and
+        ROUND_FIELDS must hold finite JSON numbers in its shape, eta > 0,
+        varpi in [0, 1), local_epochs >= 1, every record after the header
+        must be of type "round", and the rounds must be the JSON integers
+        1, 2, ... in order."""
         log = None
         with open(path, "r", encoding="utf-8") as f:
             for number, line in enumerate(f, 1):
@@ -106,44 +93,54 @@ class RunLog:
                     if log is None:
                         if row.get("type") != "run":
                             raise ValueError("missing run header record")
-                        kc = (len(row["p_local"]), len(row["p"]))
+                        sizes = {"K": len(row["p_local"]), "C": len(row["p"])}
                         epochs = row["local_epochs"]
-                        log = cls(
-                            p=_finite(row, "p", kc[1:]),
-                            p_local=_finite(row, "p_local", kc),
-                            pi=_finite(row, "pi", kc[:1]),
-                            varpi=_finite(row, "varpi", ()),
-                            eta=_finite(row, "eta", ()),
-                            local_epochs=epochs,
-                        )
+                        log = cls(**_read_fields(row, HEADER_FIELDS, sizes), local_epochs=epochs)
                         if not log.eta > 0.0:
                             raise ValueError(f"eta must be positive (got {log.eta!r})")
                         if not 0.0 <= log.varpi < 1.0:
                             raise ValueError(f"varpi must lie in [0, 1) (got {log.varpi!r})")
-                        if type(epochs) is not int or epochs < 1:
+                        if not is_integer(epochs) or epochs < 1:
                             raise ValueError(f"local_epochs must be an integer >= 1 (got {epochs})")
                     elif row.get("type") != "round":
                         kind = row.get("type")
                         raise ValueError(f"type must be 'round' after the header (got {kind!r})")
                     else:
                         index, expected = row["round"], len(log.records) + 1
-                        if type(index) is not int or index != expected:
+                        if not is_integer(index) or index != expected:
                             raise ValueError(f"round must be {expected} (got {index!r})")
-                        fields = {n: _finite(row, n, kc[:dims]) for n, dims in ROUND_FIELDS.items()}
+                        fields = _read_fields(row, ROUND_FIELDS, sizes)
                         log.records.append(RoundRecord(round_index=index, **fields))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}, line {number}: {type(exc).__name__}: {exc}") from exc
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    name = exc.__class__.__name__
+                    raise ValueError(f"{path}, line {number}: {name}: {exc}") from exc
         if log is None:
             raise ValueError(f"{path}: missing run header record")
         return log
 
 
+def _json_line(row: dict, source, fields: dict) -> str:
+    """``row`` and the ``fields`` of ``source`` as one line of JSON."""
+    row.update((name, np.asarray(getattr(source, name)).tolist()) for name in fields)
+    return json.dumps(row, sort_keys=True) + "\n"
+
+
+def _read_fields(row: dict, fields: dict, sizes: dict) -> dict:
+    """Each of ``fields`` read from ``row`` by _finite, at its shape in ``sizes``."""
+    return {name: _finite(row, name, tuple(map(sizes.get, dims))) for name, dims in fields.items()}
+
+
 def _finite(row: dict, key: str, shape: tuple[int, ...]) -> np.ndarray | float:
     """``row[key]`` as a float64 array (a float for shape ()); ValueError unless
-    it has ``shape`` and only finite entries (Python's json reads NaN and Infinity)."""
-    value = np.asarray(row[key], dtype=np.float64)
+    it has ``shape`` and only JSON numbers as entries, all finite (Python's
+    json reads NaN and Infinity)."""
+    value = np.asarray(row[key], dtype=object)
     if value.shape != shape:
         raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
+    for entry in value.flat:
+        if not is_number(entry):
+            raise ValueError(f"{key} holds {entry!r}, which is not a number")
+    value = value.astype(np.float64)
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{key} must be finite")
     return value if shape else float(value)
@@ -153,14 +150,14 @@ def psi(log: RunLog, rec: RoundRecord) -> float:
     """Aggregation-noise term of one round, eta * lbar * sum_k pi_k sigma2_k
     + 2 * C * g2, with lbar the p-weighted mean of the pi-weighted curvature."""
     lbar = float(log.p @ (log.pi @ rec.lipschitz))
-    return float(log.eta * lbar * (rec.sigma2 @ log.pi) + 2.0 * log.n_categories * rec.g2)
+    return float(log.eta * lbar * (rec.sigma2 @ log.pi) + 2.0 * log.p.size * rec.g2)
 
 
 def _phi_per_epoch(log: RunLog, rec: RoundRecord) -> np.ndarray:
     """Per-client drift term of one epoch, (K+1) * g2 + sigma2_k + sum_l pi_l
     sigma2_l. The round's constants make it the same for every epoch, so phi
     at the round's end is local_epochs times this."""
-    return (log.n_clients + 1) * rec.g2 + rec.sigma2 + float(rec.sigma2 @ log.pi)
+    return (log.pi.size + 1) * rec.g2 + rec.sigma2 + float(rec.sigma2 @ log.pi)
 
 
 def bound_rhs(

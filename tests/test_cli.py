@@ -414,12 +414,14 @@ class TestRunCommand:
         ("dataset_path", 5, "dataset_path must be a string or null (got 5)"),
         ("dataset_path", ["data.csv"], "dataset_path must be a string or null (got ['data.csv'])"),
         ("probe_size", 31, "config error: probe_size (31) must not exceed holdout_size (30)"),
+        # the epoch schedule's length does not fit an index-sized integer
+        ("local_epochs", 10**20, "config error: "),
     ], ids=["varpi-1.5", "varpi-neg", "probe-0", "separation-neg", "test-neg",
             "holdout-0", "rounds-0", "strategy", "seed-bool", "hidden-float", "batch-bool",
             "seed-negative", "rounds-float", "probe-float", "eta-bool", "ratio-bool",
             "separation-bool", "nr-string", "varpi-string", "eta-null", "strategies-isfl",
             "strategies-fedavg", "strategies-number", "dataset-path-number",
-            "dataset-path-list", "probe-over-holdout"])
+            "dataset-path-list", "probe-over-holdout", "epochs-overflow"])
     def test_bad_setting_exits_1_before_any_job(
         self, tmp_path, capsys, monkeypatch, key, value, message
     ):
@@ -1041,12 +1043,22 @@ class TestBoundsCommand:
          "ValueError: type must be 'round' after the header (got 'rnd')"),
         ({}, round_line() + '\n{"type": "run"}', 3,
          "ValueError: type must be 'round' after the header (got 'run')"),
+        ({"eta": "0.1"}, round_line(), 1, "ValueError: eta holds '0.1', which is not a number"),
+        ({"eta": True}, round_line(), 1, "ValueError: eta holds True, which is not a number"),
+        ({"pi": [True]}, round_line(), 1, "ValueError: pi holds True, which is not a number"),
+        ({}, round_line(g2="0.2"), 2, "ValueError: g2 holds '0.2', which is not a number"),
+        ({}, round_line(lipschitz=[["1", "2"]]), 2,
+         "ValueError: lipschitz holds '1', which is not a number"),
+        ({"p": [0.5, None]}, round_line(), 1, "ValueError: p holds None, which is not a number"),
+        ({"eta": 10**400}, round_line(), 1, "OverflowError: int too large to convert to float"),
     ], ids=[
         "round-missing-key", "not-an-object", "header-missing-key", "eta-zero",
         "eta-negative", "eta-nan", "epochs-zero", "epochs-negative", "epochs-fraction",
         "varpi-one", "pi-nan", "p-inf", "pi-shape", "lipschitz-nan", "q-used-shape",
         "sigma2-shape", "g2-inf", "loss-start-nan", "round-fraction", "round-bool",
         "round-string", "round-zero", "round-repeated", "type-unknown", "header-repeated",
+        "eta-string", "eta-bool", "pi-bool", "g2-string", "lipschitz-strings", "p-null",
+        "eta-int-overflow",
     ])
     def test_malformed_log_exits_1_naming_the_line(
         self, tmp_path, capsys, header, record, where, message
@@ -1060,6 +1072,17 @@ class TestBoundsCommand:
         log.write_text("\n".join([*lines, record]) + "\n")
         assert main(["bounds", "--run-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"run log error: {log}, line {where}: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [log]  # no bounds.csv or long.csv
+
+    def test_a_bound_too_large_for_a_float_exits_1(self, tmp_path, capsys):
+        # eta**2 of the drift bound overflows a Python float
+        head = {"type": "run", "p": [0.5, 0.5], "p_local": [[0.5, 0.5]], "pi": [1.0],
+                "varpi": 0.05, "eta": 1e200, "local_epochs": 1}
+        log = tmp_path / "diagnostics.jsonl"
+        log.write_text(json.dumps(head) + "\n" + round_line() + "\n")
+        assert main(["bounds", "--run-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run log error: ") and err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == [log]  # no bounds.csv or long.csv
 
 

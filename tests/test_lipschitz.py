@@ -194,6 +194,39 @@ class TestEstimateLipschitz:
             estimate_lipschitz(spec, local, global_params, probe, np.ones((2, 3)))
 
 
+class TestAnalyticCeiling:
+    """On softmax regression each row entry is at most 1/2 max(|x|^2 + 1)
+    over the category's probe samples x: a sample's gradient is
+    (softmax(z) - y) [x; 1]^T, the softmax Jacobian has norm at most 1/2
+    (Gershgorin), and the logits z move by at most |[x; 1]| times the
+    parameter change. An oracle independent of the brute-force loop."""
+
+    # Largest ratio of a row entry to its ceiling over these instances: 0.991;
+    # 1e-9 of the ceiling is left for rounding
+    def test_rows_stay_under_the_ceiling(self):
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            n_classes, dim, k = (int(n) for n in rng.integers([2, 1, 1], [8, 9, 5]))
+            # every category is present: a missing one gets the row mean,
+            # which the ceiling does not bound
+            labels = np.repeat(np.arange(n_classes), rng.integers(1, 6, size=n_classes))
+            features = rng.standard_normal((labels.size, dim)) * 10 ** rng.uniform(-1, 1)
+            probe = Dataset(features, labels, n_classes)
+            spec = ModelSpec(dim, (), n_classes)
+            global_params = init_params(spec, seed=int(rng.integers(1000)))
+            global_params *= 10 ** rng.uniform(-1, 1)
+            # deviations from 1e-6 to 10
+            steps = rng.standard_normal((k, global_params.size))
+            steps *= 10 ** rng.uniform(-6, 1, size=(k, 1)) / np.linalg.norm(steps, axis=1)[:, None]
+            rows = estimate_lipschitz(
+                spec, global_params + steps, global_params, probe, np.zeros((k, n_classes))
+            )
+            reach = (features**2).sum(axis=1) + 1.0
+            ceiling = 0.5 * np.array([reach[labels == c].max() for c in range(n_classes)])
+            # a category whose every softmax saturated may read exactly 0
+            assert np.all(rows >= 0.0) and np.all(rows <= ceiling * (1.0 + 1e-9))
+
+
 class TestDifferenceForm:
     """The difference-form rows against the blocked per-sample gradient
     matrices of ``oracles.estimate_lipschitz``."""
