@@ -4,10 +4,8 @@ Per aggregation round the orchestrator records the curvature matrix in effect
 (round 1, which has none, gets the first estimate; see RoundRecord), the plan
 in effect, the optimum for that curvature, noise statistics, and parameter
 deviations. Everything here is read-only post-processing over those records:
-the noise/aggregation terms (psi, phi), the deviation bound check, and the
-penalty trajectories (realized versus theoretical minimum). ``bounds_rows``
-scores a log once, for bounds.csv, long.csv and the rho columns of
-metrics.csv.
+``bounds_rows`` scores a log once, each term of the bound once per round, for
+bounds.csv, long.csv and the rho columns of metrics.csv.
 """
 
 from __future__ import annotations
@@ -146,42 +144,6 @@ def _finite(row: dict, key: str, shape: tuple[int, ...]) -> np.ndarray | float:
     return value if shape else float(value)
 
 
-def psi(log: RunLog, rec: RoundRecord) -> float:
-    """Aggregation-noise term of one round, eta * lbar * sum_k pi_k sigma2_k
-    + 2 * C * g2, with lbar the p-weighted mean of the pi-weighted curvature."""
-    lbar = float(log.p @ (log.pi @ rec.lipschitz))
-    return float(log.eta * lbar * (rec.sigma2 @ log.pi) + 2.0 * log.p.size * rec.g2)
-
-
-def _phi_per_epoch(log: RunLog, rec: RoundRecord) -> np.ndarray:
-    """Per-client drift term of one epoch, (K+1) * g2 + sigma2_k + sum_l pi_l
-    sigma2_l. The round's constants make it the same for every epoch, so phi
-    at the round's end is local_epochs times this."""
-    return (log.pi.size + 1) * rec.g2 + rec.sigma2 + float(rec.sigma2 @ log.pi)
-
-
-def bound_rhs(
-    log: RunLog,
-    rec: RoundRecord,
-    best_loss: float,
-    rho_realized: np.ndarray,
-    psi_val: float,
-    per_tau: np.ndarray,
-) -> float:
-    """Full bound value for one round window, using the best loss seen in the
-    run in place of the unknowable optimum. Reported, never asserted.
-
-    ``rho_realized`` holds the per-client penalties of the plans in effect,
-    ``psi_val`` the round's noise term and ``per_tau`` the per-client
-    per-epoch drift term, as bounds_rows computes them.
-    """
-    t = log.local_epochs
-    phi_sums = per_tau * (t * (t - 1) / 2.0)     # sum of phi over the window
-    drift = float(np.sum(log.pi * rho_realized * phi_sums))
-    head = 2.0 * max(rec.loss_start - best_loss, 0.0) / (log.eta * t)
-    return head + psi_val + (2.0 * log.eta**2 * log.local_epochs / t) * drift
-
-
 # The per-round series of bounds_rows: bounds.csv has a column for every
 # one but the last, bound_rhs; long.csv has rows for all of them.
 BOUND_SERIES = (
@@ -194,37 +156,68 @@ def bounds_rows(log: RunLog) -> list[dict]:
     """One summary row per round for bounds.csv, long.csv and the rho columns
     of metrics.csv, with the per-client deviations under ``dev2``.
 
-    The penalties are rho of the plan in effect and of the optimum, against
-    the round's in-effect curvature, pi-weighted over clients. The Lemma-1
-    pass rate is the share of clients whose deviation is within the drift
-    bound 2 eta^2 T phi_k; violations are expected occasionally, because the
-    noise constants are plug-in estimates, so they are reported, never raised.
+    Each term of the bound over a round's T = local_epochs epochs is computed
+    once, from the round's in-effect curvature L:
+    - rho_realized, rho_theory: rho of the plan in effect and of the optimum,
+      pi-weighted over clients;
+    - psi, the aggregation noise: eta * lbar * sum_k pi_k sigma2_k + 2 C g2,
+      with lbar the p-weighted mean of the pi-weighted L;
+    - phi_mean: the client mean of the drift phi_k at the window's end, T
+      times the per-epoch term (K+1) g2 + sigma2_k + sum_l pi_l sigma2_l,
+      which the round's constants hold fixed;
+    - drift: sum_k pi_k rho_k times phi_k summed over the epochs 0 .. T-1;
+    - head, the optimisation term: 2 (F(w_start) - F*) / (eta T), the run's
+      best loss standing in for the unknowable F*;
+    - bound_rhs = head + psi + (2 eta^2 T / T) drift, reported, never asserted.
+
+    The Lemma-1 pass rate is the share of clients whose deviation is within
+    the drift bound 2 eta^2 T phi_k. Violations are expected occasionally,
+    because the noise constants are plug-in estimates, so they are reported,
+    never raised. ValueError names the round and the first series of a row
+    that is not finite, or the key of a p that is not a distribution or of
+    an eta and local_epochs whose drift terms overflow a float.
     """
     if not log.records:
         raise ValueError("run log has no round records")
+    try:
+        p = CategoryDistribution(log.p)
+    except ValueError as exc:
+        raise ValueError(f"p: {exc}") from exc
+    t = log.local_epochs
+    try:
+        lemma1_scale = 2.0 * log.eta**2 * t     # 2 eta^2 T
+        window = t * (t - 1) / 2.0              # sum of the epochs 0 .. T-1
+    except OverflowError as exc:
+        raise ValueError(
+            f"eta {log.eta!r} and local_epochs {t} put the drift terms beyond a float: {exc}"
+        ) from exc
     best_loss = min(rec.loss_start for rec in log.records)
-    p = CategoryDistribution(log.p)
     rows = []
     for rec in log.records:
         realized = rho(rec.q_used, p, rec.lipschitz)
-        theory = rho(rec.q_star, p, rec.lipschitz)
-        psi_val = psi(log, rec)
-        per_tau = _phi_per_epoch(log, rec)
-        phis = log.local_epochs * per_tau
-        holds = rec.dev2 <= 2.0 * log.eta**2 * log.local_epochs * phis
-        rows.append(
-            {
-                "round": rec.round_index,
-                "rho_realized": float(realized @ log.pi),
-                "rho_theory": float(theory @ log.pi),
-                "psi": psi_val,
-                "phi_mean": float(phis.mean()),
-                "dev_mean": float(rec.dev2.mean()),
-                "lemma1_pass_rate": float(np.mean(holds)),
-                "bound_rhs": bound_rhs(log, rec, best_loss, realized, psi_val, per_tau),
-                "dev2": rec.dev2,
-            }
-        )
+        lbar = float(log.p @ (log.pi @ rec.lipschitz))
+        psi = float(log.eta * lbar * (rec.sigma2 @ log.pi) + 2.0 * log.p.size * rec.g2)
+        per_epoch = (log.pi.size + 1) * rec.g2 + rec.sigma2 + float(rec.sigma2 @ log.pi)
+        phis = t * per_epoch
+        drift = float(np.sum(log.pi * realized * (per_epoch * window)))
+        head = 2.0 * max(rec.loss_start - best_loss, 0.0) / (log.eta * t)
+        row = {
+            "round": rec.round_index,
+            "rho_realized": float(realized @ log.pi),
+            "rho_theory": float(rho(rec.q_star, p, rec.lipschitz) @ log.pi),
+            "psi": psi,
+            "phi_mean": float(phis.mean()),
+            "dev_mean": float(rec.dev2.mean()),
+            "lemma1_pass_rate": float(np.mean(rec.dev2 <= lemma1_scale * phis)),
+            # (2 eta^2 T) / T rather than 2 eta^2 keeps the recorded bytes
+            "bound_rhs": head + psi + (lemma1_scale / t) * drift,
+            "dev2": rec.dev2,
+        }
+        for series in BOUND_SERIES:
+            if not np.isfinite(row[series]):
+                value = row[series]
+                raise ValueError(f"round {rec.round_index}: {series} is {value!r}, not finite")
+        rows.append(row)
     return rows
 
 

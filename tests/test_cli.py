@@ -1084,6 +1084,31 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err.startswith("run log error: ") and err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == [log]  # no bounds.csv or long.csv
+        assert err.startswith("run log error: eta 1e+200 and local_epochs 1 ")
+
+    @pytest.mark.parametrize("header, rounds, message", [
+        ({}, [{"lipschitz": [[1e160, 2.0]]}], "round 1: rho_realized is inf, not finite"),
+        ({}, [{"loss_start": 1e307}, {"round": 2, "loss_start": -1e307}],
+         "round 1: bound_rhs is inf, not finite"),
+        ({"p": [0.7, 0.7]}, [{}], "p: probs must sum to 1 (got 1.4)"),
+        ({"local_epochs": 10**200}, [{}],
+         f"eta 0.1 and local_epochs {10**200} put the drift terms beyond a float: "
+         "int too large to convert to float"),
+    ], ids=["lipschitz-1e160", "loss-start-1e307", "p-sum", "epochs-overflow"])
+    def test_a_log_that_cannot_be_scored_exits_1_naming_the_round_or_key(
+        self, tmp_path, capsys, header, rounds, message
+    ):
+        """``header`` edits a valid header and each of ``rounds`` edits ROUND;
+        the log reads, but a row of its bound is not finite or a header value
+        does not fit the bound's arithmetic."""
+        head = {"type": "run", "p": [0.5, 0.5], "p_local": [[0.5, 0.5]], "pi": [1.0],
+                "varpi": 0.05, "eta": 0.1, "local_epochs": 1}
+        log = tmp_path / "diagnostics.jsonl"
+        lines = [json.dumps({**head, **header}), *(round_line(**edits) for edits in rounds)]
+        log.write_text("\n".join(lines) + "\n")
+        assert main(["bounds", "--run-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"run log error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [log]  # no bounds.csv or long.csv
 
 
 class TestExperimentConfig:

@@ -7,7 +7,6 @@ from isfl.diagnostics import (
     BOUNDS_HEADER,
     RoundRecord,
     RunLog,
-    bound_rhs,
     bounds_rows,
     write_bounds_csv,
     write_long_csv,
@@ -127,11 +126,21 @@ class TestRhoTrajectory:
 
 
 class TestBoundsArtifacts:
-    def test_bound_rhs_finite_positive(self):
-        log = stub_log(n_rounds=3)
-        for rec in log.records:
-            value = bound_rhs(log, rec, 0.9, np.ones(2), 1.0, np.full(2, 5.0))
-            assert np.isfinite(value) and value > 0.0
+    def test_bound_terms_hand_evaluation(self):
+        """eta 1e-3, T 5, unit curvature, sigma2 0.5 and g2 1 on two clients:
+        psi = 1e-3 * 1 * 0.5 + 2 * 3 * 1, phi_k = 5 * (3 * 1 + 0.5 + 0.5), and
+        bound_rhs = head + psi + 2e-6 * sum_k pi_k rho_k * 10 * 4, where
+        rho_realized is 1.14 and the head 2 * (1.2 - 1.0) / (1e-3 * 5) is 80
+        in round 1 and 0 in round 2, whose loss is the best."""
+        log = stub_log(n_rounds=2)
+        log.records[1].loss_start = 1.0
+        rows = bounds_rows(log)
+        assert [row["psi"] for row in rows] == pytest.approx([6.0005] * 2, rel=1e-12)
+        assert [row["phi_mean"] for row in rows] == pytest.approx([20.0] * 2, rel=1e-12)
+        assert [row["rho_realized"] for row in rows] == pytest.approx([1.14] * 2, rel=1e-12)
+        assert [row["bound_rhs"] for row in rows] == pytest.approx(
+            [86.0005912, 6.0005912], rel=1e-12
+        )
 
     def test_phi_mean_hand_evaluation(self):
         # per-epoch term (K+1) * 1 + 1 + 1 = 5 over two epochs
