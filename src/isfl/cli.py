@@ -22,7 +22,7 @@ round failed (the run diverged or a module raised); the failing round index
 goes to stderr.
 """
 
-from __future__ import annotations
+from __future__ import annotations  # field types stay the strings that key _KINDS
 
 import argparse
 import dataclasses
@@ -65,13 +65,27 @@ from .trainer import TrainerConfig, batch_sizes
 METRICS_HEADER = "round,loss,acc_S,acc_G,rho_mean,rho_theory"
 
 
-# keys that hold one integer; hidden_dims and seeds hold lists of integers
-_INTEGER_KEYS = (
-    "classes", "per_class", "dim", "test_size", "holdout_size", "clients", "shard_size",
-    "shards_per_client", "batch_size", "local_epochs", "rounds", "probe_size",
-)
-# keys that hold one number, integral or not
-_FLOAT_KEYS = ("separation", "nr", "eta", "sampling_ratio", "varpi")
+def _list_of(test):
+    return lambda value: isinstance(value, (list, tuple)) and all(map(test, value))
+
+
+# Each JSON kind a reader takes, by the annotation string that names it: the
+# kind's test and the noun of its error
+_KINDS = {
+    "int": (is_integer, "an integer"),
+    "float": (is_number, "a number"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "str | None": (lambda value: value is None or isinstance(value, str), "a string or null"),
+    "list[int]": (_list_of(is_integer), "a list of integers"),
+    "list[float]": (_list_of(is_number), "a list of numbers"),
+    "list[str]": (_list_of(lambda value: isinstance(value, str)), "a list of strategy names"),
+}
+
+
+def _check_kind(key: str, value, kind: str) -> None:
+    test, noun = _KINDS[kind]
+    if not test(value):
+        raise ValueError(f"{key} must be {noun} (got {value!r})")
 
 
 def _check_seeds(seeds) -> None:
@@ -128,27 +142,12 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        # Types first, so that no later check or job meets a bool or a string
-        # where a number belongs, or a float where an integer does
-        for key in _INTEGER_KEYS:
-            if not is_integer(getattr(self, key)):
-                raise ValueError(f"{key} must be an integer (got {getattr(self, key)!r})")
-        for key in _FLOAT_KEYS:
-            if not is_number(getattr(self, key)):
-                raise ValueError(f"{key} must be a number (got {getattr(self, key)!r})")
-        if not isinstance(self.hidden_dims, (list, tuple)) or not all(
-            map(is_integer, self.hidden_dims)
-        ):
-            raise ValueError(f"hidden_dims must be a list of integers (got {self.hidden_dims!r})")
-        if not isinstance(self.strategies, (list, tuple)) or not all(
-            isinstance(s, str) for s in self.strategies
-        ):
-            raise ValueError(
-                f"strategies must be a list of strategy names (got {self.strategies!r})"
-            )
-        if not (self.dataset_path is None or isinstance(self.dataset_path, str)):
-            raise ValueError(f"dataset_path must be a string or null (got {self.dataset_path!r})")
+        # Types first, each field by its annotation's JSON kind, so that no later
+        # check or job meets a bool or a string where a number belongs, or a
+        # float where an integer does; seeds in the message --seed shares
         _check_seeds(self.seeds)
+        for f in dataclasses.fields(self):
+            _check_kind(f.name, getattr(self, f.name), f.type)
         # Constructor-level checks run in the module dataclasses; this catches
         # cross-field problems before any heavy work.
         self.partition_config(seed=0)
@@ -215,9 +214,6 @@ class ExperimentConfig:
             seed=seed,
         )
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def build_experiment_data(cfg: ExperimentConfig, seed: int):
     """Deterministic dataset, split, partition, and probe for one run seed."""
@@ -263,7 +259,7 @@ def write_run(
     rows = diagnostics.bounds_rows(log) if log.records else []
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "strategy": strategy,
         "seed": seed,
         "sampling_ratio": sampling_ratio,
@@ -424,21 +420,17 @@ def cmd_solve(args) -> int:
             raw = json.load(f)
     if not isinstance(raw, dict):
         raise ValueError(f"solve input must be a JSON object (got {type(raw).__name__})")
-    unknown = set(raw) - {"p", "p_k", "L", "varpi"}
+    kinds = {"p": "list[float]", "p_k": "list[float]", "L": "list[float]", "varpi": "float"}
+    unknown = set(raw) - set(kinds)
     if unknown:
         raise ValueError(f"unknown solve input keys: {sorted(unknown)}")
-    for key in ("p", "p_k", "L"):
+    raw = {"varpi": 0.05} | raw
+    for key, kind in kinds.items():
         if key not in raw:
             raise ValueError(f"solve input is missing key {key!r}")
-        if not isinstance(raw[key], list) or not all(map(is_number, raw[key])):
-            raise ValueError(f"{key} must be a list of numbers (got {raw[key]!r})")
-    varpi = raw.get("varpi", 0.05)
-    if not is_number(varpi):
-        raise ValueError(f"varpi must be a number (got {varpi!r})")
-    varpi = float(varpi)
-    p = CategoryDistribution(np.asarray(raw["p"], dtype=np.float64))
-    p_k = CategoryDistribution(np.asarray(raw["p_k"], dtype=np.float64))
-    l_row = np.asarray(raw["L"], dtype=np.float64)
+        _check_kind(key, raw[key], kind)
+    p, p_k, l_row, varpi = (np.asarray(raw[key], dtype=np.float64) for key in kinds)
+    p, p_k, varpi = CategoryDistribution(p), CategoryDistribution(p_k), float(varpi)
     plan = solve_is_weights(p, p_k, l_row, varpi)
     alpha = compute_alpha(l_row)
     # the plan does not depend on the row's scale, but rho takes it as given

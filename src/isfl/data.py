@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -307,11 +308,16 @@ def train_holdout_test_split(
     return ds.subset(train), ds.subset(hold), ds.subset(test)
 
 
-def _check_finite(features: np.ndarray, path: str | Path) -> None:
-    """Reject a file whose features hold a NaN or an infinity."""
+def _file_dataset(path: str | Path, features, labels, n_classes: int) -> Dataset:
+    """The dataset of the file ``path``; ValueError naming the file if a
+    feature is a NaN or an infinity, or if ``Dataset`` rejects the file."""
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: row {bad[0]} has a non-finite feature")
+    try:
+        return Dataset(features, labels, n_classes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _read_section(f, size: int, path: str | Path, section: str) -> bytes:
@@ -332,18 +338,16 @@ def load_dataset(path: str | Path) -> Dataset:
         features = np.frombuffer(_read_section(f, n * d * 4, path, "features"), dtype="<f4")
         labels = np.frombuffer(_read_section(f, n * 2, path, "labels"), dtype="<u2")
     features = features.reshape(n, d)
-    _check_finite(features, path)
-    return Dataset(features.astype(np.float64), labels.astype(np.int64), c)
+    return _file_dataset(path, features.astype(np.float64), labels.astype(np.int64), c)
 
 
 def load_csv_dataset(path: str | Path, n_classes: int) -> Dataset:
     """Read ``label,f0,f1,...`` rows with labels in ``[0, n_classes)``."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():  # a file without rows fails in Dataset, naming the file
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
     labels = raw[:, 0]
     bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.round(labels))))
     if bad.size:
         raise ValueError(f"{path}: row {bad[0]} has a non-integer label {float(labels[bad[0]])!r}")
-    labels = labels.astype(np.int64)
-    features = raw[:, 1:]
-    _check_finite(features, path)
-    return Dataset(features, labels, n_classes)
+    return _file_dataset(path, raw[:, 1:], labels.astype(np.int64), n_classes)

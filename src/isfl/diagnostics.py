@@ -193,31 +193,33 @@ def bounds_rows(log: RunLog) -> list[dict]:
         ) from exc
     best_loss = min(rec.loss_start for rec in log.records)
     rows = []
-    for rec in log.records:
-        realized = rho(rec.q_used, p, rec.lipschitz)
-        lbar = float(log.p @ (log.pi @ rec.lipschitz))
-        psi = float(log.eta * lbar * (rec.sigma2 @ log.pi) + 2.0 * log.p.size * rec.g2)
-        per_epoch = (log.pi.size + 1) * rec.g2 + rec.sigma2 + float(rec.sigma2 @ log.pi)
-        phis = t * per_epoch
-        drift = float(np.sum(log.pi * realized * (per_epoch * window)))
-        head = 2.0 * max(rec.loss_start - best_loss, 0.0) / (log.eta * t)
-        row = {
-            "round": rec.round_index,
-            "rho_realized": float(realized @ log.pi),
-            "rho_theory": float(rho(rec.q_star, p, rec.lipschitz) @ log.pi),
-            "psi": psi,
-            "phi_mean": float(phis.mean()),
-            "dev_mean": float(rec.dev2.mean()),
-            "lemma1_pass_rate": float(np.mean(rec.dev2 <= lemma1_scale * phis)),
-            # (2 eta^2 T) / T rather than 2 eta^2 keeps the recorded bytes
-            "bound_rhs": head + psi + (lemma1_scale / t) * drift,
-            "dev2": rec.dev2,
-        }
-        for series in BOUND_SERIES:
-            if not np.isfinite(row[series]):
-                value = row[series]
-                raise ValueError(f"round {rec.round_index}: {series} is {value!r}, not finite")
-        rows.append(row)
+    # a term that overflows is named by the finiteness check below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rec in log.records:
+            realized = rho(rec.q_used, p, rec.lipschitz)
+            lbar = float(log.p @ (log.pi @ rec.lipschitz))
+            psi = float(log.eta * lbar * (rec.sigma2 @ log.pi) + 2.0 * log.p.size * rec.g2)
+            per_epoch = (log.pi.size + 1) * rec.g2 + rec.sigma2 + float(rec.sigma2 @ log.pi)
+            phis = t * per_epoch
+            drift = float(np.sum(log.pi * realized * (per_epoch * window)))
+            head = 2.0 * max(rec.loss_start - best_loss, 0.0) / (log.eta * t)
+            row = {
+                "round": rec.round_index,
+                "rho_realized": float(realized @ log.pi),
+                "rho_theory": float(rho(rec.q_star, p, rec.lipschitz) @ log.pi),
+                "psi": psi,
+                "phi_mean": float(phis.mean()),
+                "dev_mean": float(rec.dev2.mean()),
+                "lemma1_pass_rate": float(np.mean(rec.dev2 <= lemma1_scale * phis)),
+                # (2 eta^2 T) / T rather than 2 eta^2 keeps the recorded bytes
+                "bound_rhs": head + psi + (lemma1_scale / t) * drift,
+                "dev2": rec.dev2,
+            }
+            for series in BOUND_SERIES:
+                if not np.isfinite(row[series]):
+                    value = row[series]
+                    raise ValueError(f"round {rec.round_index}: {series} is {value!r}, not finite")
+            rows.append(row)
     return rows
 
 

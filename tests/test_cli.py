@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 import isfl.cli as cli_mod
 import isfl.federation as federation_mod
 from isfl.cli import ExperimentConfig, build_experiment_data, main
-from isfl.data import generate_synthetic
+from isfl.data import DATASET_MAGIC, generate_synthetic
 from isfl.federation import RoundFailure
 from oracles import save_dataset
 from test_model import BLAS_THREADS
@@ -247,6 +248,22 @@ class TestPartitionCommand:
             f"config error: a config must be a JSON object (got {kind})\n"
         )
 
+    @pytest.mark.parametrize("name, content, message", [
+        ("data.csv", b"5,1.0,2.0\n", "labels must lie in [0, n_classes)"),
+        ("data.bin", DATASET_MAGIC + struct.pack("<III2fH", 1, 2, 2, 1.0, 2.0, 7),
+         "labels must lie in [0, n_classes)"),
+        ("data.csv", b"", "features must be a non-empty N x d matrix"),
+    ], ids=["csv-label", "container-label", "empty-csv"])
+    def test_a_dataset_file_that_is_rejected_exits_1_naming_the_file(
+        self, tmp_path, capsys, name, content, message
+    ):
+        path = tmp_path / name
+        path.write_bytes(content)
+        cfg_path = write_config(tmp_path, classes=2, dim=2, dataset_path=str(path))
+        assert main(["partition", "--config", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: {path}: {message}\n"
+
 
 class TestRunCommand:
     def test_single_strategy_smoke(self, tmp_path, capsys):
@@ -413,6 +430,7 @@ class TestRunCommand:
         ("strategies", ["fedavg", 1], "strategies must be a list of strategy names"),
         ("dataset_path", 5, "dataset_path must be a string or null (got 5)"),
         ("dataset_path", ["data.csv"], "dataset_path must be a string or null (got ['data.csv'])"),
+        ("activation", 5, "activation must be a string (got 5)"),
         ("probe_size", 31, "config error: probe_size (31) must not exceed holdout_size (30)"),
         # the epoch schedule's length does not fit an index-sized integer
         ("local_epochs", 10**20, "config error: "),
@@ -421,7 +439,7 @@ class TestRunCommand:
             "seed-negative", "rounds-float", "probe-float", "eta-bool", "ratio-bool",
             "separation-bool", "nr-string", "varpi-string", "eta-null", "strategies-isfl",
             "strategies-fedavg", "strategies-number", "dataset-path-number",
-            "dataset-path-list", "probe-over-holdout", "epochs-overflow"])
+            "dataset-path-list", "activation-number", "probe-over-holdout", "epochs-overflow"])
     def test_bad_setting_exits_1_before_any_job(
         self, tmp_path, capsys, monkeypatch, key, value, message
     ):

@@ -297,7 +297,6 @@ class TestRoundOne:
     once for all of them, and every run ends it on those rows as it ends a
     later round."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_round_one_divergence_fails_as_before(self):
         # isfl's curvature phase still runs before the finiteness check
         shards, probe, test = small_problem()

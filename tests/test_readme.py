@@ -1,6 +1,8 @@
 import argparse
 import contextlib
+import dataclasses
 import io
+import json
 import math
 import re
 import shlex
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from isfl.cli import build_parser
+from isfl.cli import ExperimentConfig, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,6 +27,21 @@ def cli_block() -> list[str]:
     section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
     block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
     return [line.split("#", 1)[0].strip() for line in block.splitlines() if line.strip()]
+
+
+def config_block() -> dict:
+    """The JSON block under the README's "defaults shown" sentence."""
+    section = README.read_text(encoding="utf-8").split(
+        "A config is one flat JSON object; defaults shown:", 1
+    )[1]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1))
+
+
+def test_config_block_is_the_config_defaults_key_for_key():
+    def typed(config: dict) -> list:
+        return [(key, type(value), value) for key, value in config.items()]
+
+    assert typed(config_block()) == typed(dataclasses.asdict(ExperimentConfig()))
 
 
 def test_cli_block_parses_and_names_every_subcommand():
