@@ -425,11 +425,16 @@ def cmd_solve(args) -> int:
     if unknown:
         raise ValueError(f"unknown solve input keys: {sorted(unknown)}")
     raw = {"varpi": 0.05} | raw
+    values = []
     for key, kind in kinds.items():
         if key not in raw:
             raise ValueError(f"solve input is missing key {key!r}")
         _check_kind(key, raw[key], kind)
-    p, p_k, l_row, varpi = (np.asarray(raw[key], dtype=np.float64) for key in kinds)
+        try:
+            values.append(np.asarray(raw[key], dtype=np.float64))
+        except OverflowError as exc:  # a JSON integer beyond a float
+            raise ValueError(f"{key}: {exc}") from exc
+    p, p_k, l_row, varpi = values
     p, p_k, varpi = CategoryDistribution(p), CategoryDistribution(p_k), float(varpi)
     plan = solve_is_weights(p, p_k, l_row, varpi)
     alpha = compute_alpha(l_row)

@@ -189,7 +189,9 @@ def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarr
     the row, so its candidates round as they would among all 2^C - 1 faces.
     The candidates are scored face by face, lower level first, then the
     vertices; invalid and infeasible ones score inf, and the first smallest
-    wins, as it does in the full enumeration.
+    wins, as it does in the full enumeration. A vertex always scores finite:
+    its slack 1 - sum(floors) is at least 1 - varpi > 0, and every entry of
+    q, p and sq lies in [0, 1].
     """
     c = p.size
     pinned = _pinned_sets(p, floors, sq)
@@ -220,8 +222,7 @@ def _minimize_rho(p: np.ndarray, floors: np.ndarray, sq: np.ndarray) -> np.ndarr
     with np.errstate(invalid="ignore", over="ignore"):
         value = _penalty(q, p, sq)
     value[np.isnan(value) | (q < floors - 1e-12).any(axis=1)] = np.inf
-    best = np.argmin(value)
-    return (q[best] if value[best] < np.inf else floors).copy()
+    return q[np.argmin(value)].copy()
 
 
 def solve_is_weights(

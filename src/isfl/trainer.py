@@ -7,13 +7,13 @@ GradNorm-style baselines instead pass per-sample probabilities directly.
 
 ``local_train`` trains all clients of a round in lockstep. Each client first
 draws the batch indices of its whole local run from a fresh stream of its own
-seed (``draw_batches``): under a category plan, the draws of two calls per
-batch on ``default_rng(seed)``, read from one ``random_raw`` block of PCG64
-words; under a per-sample plan, one ``rng.random`` call. Every client holds
-an equal shard of one dataset, the layout ``data.sort_and_partition`` makes,
-and trains with the same TrainerConfig, so all share one batch schedule; its
-start, plan and seed are its own, so the clients of several federated runs
-(one per strategy) train in one call. They share one (K, P) parameter stack,
+seed (``draw_batches``): under a category plan, one ``random_raw`` block of
+PCG64 words, a double per category and a 32-bit half per position; under a
+per-sample plan, one ``rng.random`` call. Every client holds an equal shard
+of one dataset, the layout ``data.sort_and_partition`` makes, and trains
+with the same TrainerConfig, so all share one batch schedule; its start,
+plan and seed are its own, so the clients of several federated runs (one per
+strategy) train in one call. They share one (K, P) parameter stack,
 and each SGD step updates the whole stack at once (``model.sgd_stepper``).
 Every client ends bit for bit where it would end training alone; a lone
 client is a stack of one.
@@ -67,19 +67,6 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _lemire(halves: np.ndarray, pools: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's bounded draw below 2**32 (Lemire, arXiv 1805.10941) on uint64
-    arrays of 32-bit ``halves`` and of pool sizes from 1 to 2**32: the
-    positions ``(half * pool) >> 32``, and the indices of the halves numpy
-    would reject and replace with the next one."""
-    scaled = halves * pools
-    low = scaled & 0xFFFFFFFF
-    # numpy's own shortcut: its threshold (2**32 - pool) % pool is below pool
-    near = np.flatnonzero(low < pools)
-    rejected = near[low[near] < (2**32 - pools[near]) % pools[near]]
-    return (scaled >> 32).view(np.int64), rejected
-
-
 @functools.lru_cache(maxsize=8)
 def _word_layout(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Where a batch schedule's draws sit in the raw PCG64 words of a fresh
@@ -95,51 +82,6 @@ def _word_layout(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     for layout in (doubles, pairs, batch):
         layout.flags.writeable = False
     return doubles, pairs, batch
-
-
-def _raw_draws(
-    cdf: np.ndarray, pool_sizes: np.ndarray, sizes: tuple[int, ...], seed: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The categories and pool positions of ``_per_batch_draws``, read from
-    one ``random_raw`` block of ``PCG64(seed)``; None where the layout fails,
-    on a drawn one-sample pool (numpy reads no half for it) or a half that
-    numpy would reject. The README says why this is exact."""
-    doubles, pairs, batch = _word_layout(sizes)
-    n = doubles.size
-    words = np.random.PCG64(seed).random_raw(n + pairs.size)
-    cats = cdf.searchsorted((words[doubles] >> 11) * 2.0**-53, side="right")
-    # the positions are drawn by category within each batch, batch after
-    # batch; a stable sort gives that order on any integer type that holds the keys
-    keys = (batch * cdf.size + cats).astype(np.min_scalar_type(len(sizes) * cdf.size))
-    order = np.argsort(keys, kind="stable")
-    pools = pool_sizes.astype(np.uint64)[cats[order]]
-    # each word's low half, then its high half
-    halves = words[pairs].astype("<u8").view("<u4")[:n].astype(np.uint64)
-    grouped, rejected = _lemire(halves, pools)
-    if rejected.size or np.any(pools < 2):
-        return None
-    positions = np.empty(n, dtype=np.int64)
-    positions[order] = grouped
-    return cats, positions
-
-
-def _per_batch_draws(
-    cdf: np.ndarray, pool_sizes: np.ndarray, sizes: tuple[int, ...], seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each draw's category and position in its category's pool, with two
-    calls per batch on ``default_rng(seed)``: ``rng.random`` for the
-    categories and one array-bound ``rng.integers`` for the positions,
-    grouped by category."""
-    rng = np.random.default_rng(seed)
-    cats, positions = np.empty((2, sum(sizes)), dtype=np.int64)
-    start = 0
-    for size in sizes:
-        drawn = cdf.searchsorted(rng.random(size), side="right")
-        by_cat = start + np.argsort(drawn, kind="stable")
-        cats[start : start + size] = drawn
-        positions[by_cat] = rng.integers(0, pool_sizes[cats[by_cat]])
-        start += size
-    return cats, positions
 
 
 def check_plan(shard: ClientShard, plan: SamplingPlan | np.ndarray) -> None:
@@ -172,21 +114,31 @@ def draw_batches(
     drawn from a fresh stream of ``seed`` after one ``check_plan``.
 
     A category plan draws, for each batch, the categories and then a position
-    (with replacement) in each drawn category's local pool: the draws of two
-    calls per batch on ``default_rng(seed)``, one ``rng.random`` for the
-    categories and one array-bound ``rng.integers`` for the positions,
-    grouped by ascending category. ``_raw_draws`` reads them from one block,
-    and ``_per_batch_draws`` makes the calls where that block does not hold.
-    A per-sample probability vector draws shard rows directly, with one
-    ``rng.random`` call for the whole run.
+    (with replacement) in each drawn category's local pool, grouped by
+    ascending category, all read from one ``random_raw`` block of
+    ``PCG64(seed)`` in the layout of ``_word_layout``: a category is the
+    double of its word, and a position is ``(half * pool) >> 32`` of its
+    32-bit half. The README says how this stream relates to numpy's
+    per-batch calls. A per-sample probability vector draws shard rows
+    directly, with one ``rng.random`` call for the whole run.
     """
     check_plan(shard, plan)
     if isinstance(plan, np.ndarray):
         u = np.random.default_rng(seed).random(sum(sizes))
         return shard.indices[_cdf(plan).searchsorted(u, side="right")]
     cdf, pool_sizes = _cdf(plan.q.probs), shard.counts
-    drawn = _raw_draws(cdf, pool_sizes, sizes, seed)
-    cats, positions = _per_batch_draws(cdf, pool_sizes, sizes, seed) if drawn is None else drawn
+    doubles, pairs, batch = _word_layout(sizes)
+    n = doubles.size
+    words = np.random.PCG64(seed).random_raw(n + pairs.size)
+    cats = cdf.searchsorted((words[doubles] >> 11) * 2.0**-53, side="right")
+    # the positions are drawn by category within each batch, batch after
+    # batch; a stable sort gives that order on any integer type that holds the keys
+    keys = (batch * cdf.size + cats).astype(np.min_scalar_type(len(sizes) * cdf.size))
+    order = np.argsort(keys, kind="stable")
+    # each word's low half, then its high half
+    halves = words[pairs].astype("<u8").view("<u4")[:n].astype(np.uint64)
+    positions = np.empty(n, dtype=np.int64)
+    positions[order] = (halves * pool_sizes.astype(np.uint64)[cats[order]]) >> 32
     first = np.cumsum(pool_sizes) - pool_sizes
     return shard.category_rows[first[cats] + positions]
 

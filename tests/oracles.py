@@ -10,7 +10,13 @@ the reference list of the patterns a KKT point can have, built with
 
 ``weighted_sample_batch`` and ``local_train`` train one client alone, one
 validated batch and one gradient at a time; ``isfl.trainer.local_train``
-must leave every client exactly where they do.
+must leave every client exactly where they do. A batch is one
+``rng.choice`` of its categories and, per drawn category in ascending order,
+one ``rng.integers(0, 2**32, dtype=np.uint64)`` of 32-bit halves, which PCG64
+hands out low half first; each half picks ``(half * pool) >> 32`` of its
+pool. On a pool of two or more samples that is numpy's own
+``rng.integers(0, pool)``, unless numpy would reject the half (Lemire,
+arXiv 1805.10941); a one-sample pool reads a half where numpy reads none.
 
 ``estimate_lipschitz`` forms one client's and the aggregate's per-sample
 gradient matrices in ``BLOCK_ROWS``-row blocks and takes the norms of their
@@ -327,7 +333,8 @@ def weighted_sample_batch(
     shard: ClientShard, plan: SamplingPlan, batch_size: int, rng: np.random.Generator
 ) -> Dataset:
     """Draw batch_size samples: category by plan probability, then uniform
-    within that category's local pool (with replacement)."""
+    within that category's local pool (with replacement), each position
+    ``(half * pool) >> 32`` of one 32-bit half of the generator's stream."""
     q = plan.q.probs
     if q.size != shard.dataset.n_classes:
         raise ValueError("plan and shard category counts differ")
@@ -343,7 +350,8 @@ def weighted_sample_batch(
     for c in np.unique(cats):
         mask = cats == c
         pool = shard.indices[labels == c]
-        picks[mask] = pool[rng.integers(0, pool.size, size=int(mask.sum()))]
+        halves = rng.integers(0, 2**32, size=int(mask.sum()), dtype=np.uint64)
+        picks[mask] = pool[(halves * pool.size) >> 32]
     return shard.dataset.subset(picks)
 
 

@@ -272,58 +272,6 @@ class TestRwPlan:
             assert abs((shard.local_distribution.probs * plan.w).sum() - 1.0) <= 1e-12
 
 
-class TestArrayBoundIntegers:
-    """The numpy behaviour the batch sampler's byte identity rests on:
-    ``rng.integers(0, highs)`` with an int64 array of bounds consumes the
-    stream exactly as one scalar-bound call per run of equal bounds does.
-    Checked on numpy 2.4.6 with PCG64, where both paths run Lemire's method
-    on ``next_uint32`` below 2^32 and on ``next_uint64`` above, and a bound
-    of 1 draws nothing. Another numpy may break it; the sampler's oracle
-    test then fails too."""
-
-    @staticmethod
-    def per_run(highs, rng):
-        runs = np.split(highs, np.flatnonzero(np.diff(highs)) + 1)
-        return np.concatenate([rng.integers(0, run[0], size=run.size) for run in runs])
-
-    @pytest.mark.parametrize(
-        "highs",
-        [
-            [1, 1, 1],
-            [1, 3, 3, 5, 5, 5, 1, 7],
-            [2, 2, 2, 2**31 + 1, 2**31 + 1, 2**31 + 1, 2**31 + 1, 3],
-            [2**32 + 5, 2**32 + 5, 2**32 + 5, 4, 1, 2**32 + 5],
-            [5, 2**31 + 1, 1, 2**32 + 5, 9, 9],
-        ],
-        ids=["ones", "small-pools", "2^31+1", "2^32+5", "mixed"],
-    )
-    def test_array_bound_equals_one_scalar_call_per_run(self, highs):
-        highs = np.array(highs, dtype=np.int64)
-        for seed in range(20):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            rng.random(seed % 3)  # start some draws mid-way through a 64-bit word
-            ref.random(seed % 3)
-            rng.integers(0, 7, size=seed % 2)
-            ref.integers(0, 7, size=seed % 2)
-            assert np.array_equal(rng.integers(0, highs), self.per_run(highs, ref))
-            assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_a_bound_of_one_draws_nothing(self):
-        rng = np.random.default_rng(3)
-        start = rng.bit_generator.state
-        assert np.array_equal(rng.integers(0, np.ones(6, dtype=np.int64)), np.zeros(6))
-        assert rng.bit_generator.state == start
-
-    def test_random_grouped_bounds(self):
-        gen = np.random.default_rng(11)
-        for seed in range(300):
-            pools = gen.choice([1, 2, 3, 7, 50, 1000, 2**31 + 1, 2**32 + 5], size=4)
-            highs = np.sort(pools[gen.integers(0, 4, size=gen.integers(1, 40))])
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(rng.integers(0, highs), self.per_run(highs, ref))
-            assert rng.bit_generator.state == ref.bit_generator.state
-
-
 ORACLE_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
@@ -424,17 +372,6 @@ class TestLockstepMatchesOracle:
             assert out.tobytes() == alone.tobytes()
 
 
-def halves_read(seed, state):
-    """32-bit halves a fresh PCG64(seed) has handed out to reach ``state``,
-    when only 32-bit draws were made: two per word fetched, less a buffered one."""
-    ref = np.random.PCG64(seed)
-    words = 0
-    while ref.state["state"] != state["state"]:
-        ref.random_raw()
-        words += 1
-    return 2 * words - state["has_uint32"]
-
-
 def assert_matches_oracle(shard, plan, sizes, seed):
     """draw_batches against the oracle's per-batch sampler on
     ``default_rng(seed)``: the same rows."""
@@ -448,19 +385,31 @@ def assert_matches_oracle(shard, plan, sizes, seed):
         assert np.array_equal(drawn.labels, np.concatenate([b.labels for b in batches]))
 
 
-def spy(monkeypatch, name):
-    """Count the calls of trainer_mod.<name>, which still runs."""
-    calls = []
-    real = getattr(trainer_mod, name)
-    monkeypatch.setattr(trainer_mod, name, lambda *a: calls.append(a) or real(*a))
-    return calls
+def numpy_per_batch(shard, plan, sizes, seed):
+    """The rows of numpy's own per-batch calls on ``default_rng(seed)``: one
+    ``rng.choice`` of each batch's categories, then one array-bound
+    ``rng.integers`` of their positions, grouped by ascending category."""
+    rng = np.random.default_rng(seed)
+    q, counts = plan.q.probs, shard.counts
+    labels = shard.dataset.labels[shard.indices]
+    pooled = np.concatenate([shard.indices[labels == c] for c in range(q.size)])
+    first = np.cumsum(counts) - counts
+    rows = []
+    for size in sizes:
+        cats = rng.choice(q.size, size=size, p=q)
+        by_cat = np.argsort(cats, kind="stable")
+        positions = np.empty(size, dtype=np.int64)
+        positions[by_cat] = rng.integers(0, counts[cats[by_cat]])
+        rows.append(pooled[first[cats] + positions])
+    return np.concatenate(rows)
 
 
 class TestRawStreamSampler:
-    """The edges of the one-block PCG64 path (``_raw_draws``) and of the
-    fallbacks to the per-batch generator calls (``_per_batch_draws``)."""
+    """The edges of the one-block PCG64 stream: an empty schedule, a half
+    that numpy's bounded draw would reject, a one-sample pool, and the numpy
+    behaviour the oracle's positions rest on."""
 
-    SHARD_LABELS = np.repeat([0, 1, 2], [7, 2, 12])  # every pool holds >= 2 samples
+    SHARD_LABELS = np.repeat([0, 1, 2], [7, 2, 12])
 
     def plan(self, shard):
         return plan_from_q([0.5, 0.2, 0.3], shard.local_distribution)
@@ -471,74 +420,48 @@ class TestRawStreamSampler:
         for plan in (self.plan(shard), np.full(len(shard), 1.0 / len(shard))):
             assert draw_batches(shard, plan, (), seed).shape == (0,)
 
-    def test_lemire_flags_numpys_first_rejection(self):
-        """Bounds above 2**31 reject about a third of their halves."""
-        gen = np.random.default_rng(8)
-        seen = set()
-        for seed in range(150):
-            bounds = gen.integers(2**31 + 1, 2**31 + 2**30, size=12)
-            words = np.random.PCG64(seed).random_raw(6)
-            halves = np.empty(12, dtype=np.uint64)
-            halves[0::2] = words & 0xFFFFFFFF
-            halves[1::2] = words >> 32
-            positions, rejected = trainer_mod._lemire(halves, bounds.astype(np.uint64))
-            rng = np.random.Generator(np.random.PCG64(seed))
-            values = rng.integers(0, bounds)
-            stepper = np.random.Generator(np.random.PCG64(seed))
-            first = bounds.size
-            for i, bound in enumerate(bounds):
-                stepper.integers(0, int(bound))
-                if halves_read(seed, stepper.bit_generator.state) > i + 1:
-                    first = i
-                    break
-            assert (rejected[0] if rejected.size else bounds.size) == first
-            assert np.array_equal(positions[:first], values[:first])
-            seen.add(min(first, 3))
-        assert seen == {0, 1, 2, 3}  # rejections at the start, later and none in the first three
+    def test_numpy_hands_out_each_words_low_half_then_its_high_half(self):
+        """``integers(0, 2**32, dtype=np.uint64)`` on PCG64 reads one 32-bit
+        half per value, the low half of a fresh word first, and the buffered
+        high half survives a ``random`` call between the draws."""
+        for seed in range(20):
+            words = np.random.PCG64(seed).random_raw(4)
+            low, high = words & 0xFFFFFFFF, words >> 32
+            rng = np.random.default_rng(seed)
+            first = rng.integers(0, 2**32, size=3, dtype=np.uint64)
+            double = rng.random()
+            rest = rng.integers(0, 2**32, size=3, dtype=np.uint64)
+            assert np.array_equal(first, [low[0], high[0], low[1]])
+            assert double == (words[2] >> 11) * 2.0**-53
+            assert np.array_equal(rest, [high[1], low[3], high[3]])
 
-    def test_injected_rejection_falls_back_to_the_loop(self, monkeypatch):
-        shard = make_shard(self.SHARD_LABELS)
-        real = trainer_mod._lemire
-
-        def rejecting(halves, pools):
-            positions, _ = real(halves, pools)
-            return positions, np.array([halves.size // 2])
-
-        monkeypatch.setattr(trainer_mod, "_lemire", rejecting)
-        loops = spy(monkeypatch, "_per_batch_draws")
-        for seed in range(5):
-            assert_matches_oracle(shard, self.plan(shard), (16, 16, 9), seed)
-        assert len(loops) == 5
-
-    def test_real_rejection_falls_back_to_the_loop(self, monkeypatch):
+    def test_a_half_numpy_would_reject_is_kept(self):
         """A pool of 199,831 samples: numpy rejects about 1 half in 21,500
         (2**32 % 199831 of 2**32), and with seed 46 one of the first 512
-        positions in it is rejected."""
+        positions in it is rejected. The sampler keeps that half, as the
+        oracle does, where numpy's own calls read the next one."""
         labels = np.repeat([0, 1], [199_831, 2])
         ds = Dataset(np.arange(labels.size, dtype=np.float64)[:, None], labels, 2)
         shard = ClientShard.build(0, np.arange(labels.size), ds)
         plan = plan_from_q([0.5, 0.5], shard.local_distribution)
-        loops = spy(monkeypatch, "_per_batch_draws")
-        assert_matches_oracle(shard, plan, (128,) * 8, 46)
-        assert len(loops) == 1
+        sizes = (128,) * 8
+        assert_matches_oracle(shard, plan, sizes, 46)
+        assert not np.array_equal(
+            draw_batches(shard, plan, sizes, 46), numpy_per_batch(shard, plan, sizes, 46)
+        )
 
-    def test_one_sample_support_pool_uses_the_loop(self, monkeypatch):
+    def test_one_sample_pool_reads_a_half(self):
         shard = make_shard(np.repeat([0, 1, 2], [9, 1, 6]))
         plan = plan_from_q([0.4, 0.3, 0.3], shard.local_distribution)
-        loops = spy(monkeypatch, "_per_batch_draws")
         for seed in range(5):
             assert_matches_oracle(shard, plan, (8, 8, 3), seed)
-        assert len(loops) == 5
-        # a one-sample pool outside the support does not force the loop
+        # a one-sample pool outside the support
         plan = plan_from_q([0.5, 0.0, 0.5], shard.local_distribution)
         assert_matches_oracle(shard, plan, (8, 8, 3), 0)
-        assert len(loops) == 5
-        # nor does one in the support that the run never draws, as with
-        # seeds 8 and 9 here
+        # one in the support that the run never draws, as with seeds 8 and 9 here
         plan = plan_from_q([0.45, 0.1, 0.45], shard.local_distribution)
         for seed in (8, 9):
             assert_matches_oracle(shard, plan, (8, 8, 3), seed)
-        assert len(loops) == 5
 
 
 # The client shards of the three benchmark workloads (bench/harness.py):
@@ -576,52 +499,19 @@ def bench_clients(shape, data_seed):
 
 
 class TestBenchShapedSampler:
+    """Every bench artifact comes from this stream: on the bench shards, the
+    draws are numpy's own per-batch calls, so an edit that moves them fails
+    here."""
+
     @pytest.mark.parametrize("data_seed", [0, 1])
     @pytest.mark.parametrize("shape", sorted(BENCH_SHAPES))
-    def test_raw_block_draws_what_the_loop_draws(self, monkeypatch, shape, data_seed):
+    def test_raw_block_draws_what_the_loop_draws(self, shape, data_seed):
         shards, plans, ratio = bench_clients(shape, data_seed)
         seeds = np.random.default_rng(data_seed).integers(2**32, size=len(shards))
-        routes = spy(monkeypatch, "_raw_draws")
         for batch_size in (128, 13, 7):
             cfg = TrainerConfig(batch_size=batch_size, sampling_ratio=ratio)
             for shard, pair, seed in zip(shards, plans, seeds):
                 sizes = batch_sizes(len(shard), cfg)
                 for plan in pair:
                     picks = draw_batches(shard, plan, sizes, seed)
-                    with monkeypatch.context() as m:
-                        m.setattr(trainer_mod, "_raw_draws", lambda *a: None)
-                        loop_picks = draw_batches(shard, plan, sizes, seed)
-                    assert np.array_equal(picks, loop_picks)
-        assert len(routes) == 3 * 2 * len(shards)
-
-
-class TestRoute:
-    """local_train on the golden config and on bench shapes never reaches
-    the per-batch loop: a later edit to the path condition would."""
-
-    def test_local_train_reads_one_raw_block_per_client(self, monkeypatch, tmp_path):
-        from isfl.cli import ExperimentConfig, run_task
-        from test_cli import GOLDEN_CONFIG
-
-        def forbidden(*args):
-            raise AssertionError("the per-batch loop ran")
-
-        monkeypatch.setattr(trainer_mod, "_per_batch_draws", forbidden)
-        blocks = spy(monkeypatch, "_raw_draws")
-        cfg = ExperimentConfig(**GOLDEN_CONFIG)
-        for seed in cfg.seeds:
-            for strategy in ("fedavg", "rw_is", "isfl"):
-                job = (cfg, strategy, seed, cfg.sampling_ratio, tmp_path / f"{strategy}_{seed}")
-                (result,) = run_task([job])
-                if isinstance(result, Exception):
-                    raise result
-        assert len(blocks) == 2 * 3 * cfg.rounds * cfg.clients
-
-        shards, plans, _ = bench_clients("paper-scale", 0)
-        spec = ModelSpec(32, (16,), 10)
-        for pick in (0, 1):
-            local_train(
-                spec, init_params(spec, 0), shards, [pair[pick] for pair in plans],
-                TrainerConfig(eta=0.0), list(range(len(shards))),
-            )
-        assert len(blocks) == 2 * 3 * cfg.rounds * cfg.clients + 2 * len(shards)
+                    assert np.array_equal(picks, numpy_per_batch(shard, plan, sizes, seed))
