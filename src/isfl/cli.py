@@ -17,9 +17,9 @@ strategies train in lockstep (``run_task``, ``federation.run_lockstep``):
 round 1 once for all of them, then one stacked local run per round. A failed
 strategy stops no other. The artifacts do not depend on the CPU count.
 
-Exit codes: 1 config, input or run-log validation, 2 I/O, 3 capacity, 4 a
-round failed (the run diverged or a module raised); the failing round index
-goes to stderr.
+Exit codes: 1 config, input or run-log validation, 2 I/O, 3 capacity (too
+few samples, or a run too large for memory), 4 a round failed (the run
+diverged or a module raised); the failing round index goes to stderr.
 """
 
 from __future__ import annotations  # field types stay the strings that key _KINDS
@@ -172,12 +172,22 @@ class ExperimentConfig:
 
     def check_sampling_ratio(self, ratio: float) -> None:
         """Raise unless ``ratio`` makes a valid trainer config whose epochs
-        take at least one sample of a client."""
+        take at least one sample of a client, and whose local run has no more
+        batches than an index can count. Builds one epoch's schedule, not the
+        run's."""
         samples = self.shard_size * self.shards_per_client
-        if not batch_sizes(samples, self.trainer_config(ratio)):
+        one_epoch = dataclasses.replace(self.trainer_config(ratio), local_epochs=1)
+        epoch = batch_sizes(samples, one_epoch)
+        if not epoch:
             raise ValueError(
                 f"sampling_ratio {ratio!r} takes no sample per epoch of a "
                 f"{samples}-sample client"
+            )
+        batches = len(epoch) * self.local_epochs
+        if batches > sys.maxsize:
+            raise ValueError(
+                f"local_epochs {self.local_epochs} makes a local run of {batches} "
+                "batches, more than an index can count"
             )
 
     def model_spec(self) -> ModelSpec:
@@ -430,12 +440,15 @@ def cmd_solve(args) -> int:
         if key not in raw:
             raise ValueError(f"solve input is missing key {key!r}")
         _check_kind(key, raw[key], kind)
-        try:
-            values.append(np.asarray(raw[key], dtype=np.float64))
-        except OverflowError as exc:  # a JSON integer beyond a float
+        try:  # a JSON integer beyond a float, or a p or p_k that is no distribution
+            value = np.asarray(raw[key], dtype=np.float64)
+            values.append(CategoryDistribution(value) if key in ("p", "p_k") else value)
+        except (OverflowError, ValueError) as exc:
             raise ValueError(f"{key}: {exc}") from exc
     p, p_k, l_row, varpi = values
-    p, p_k, varpi = CategoryDistribution(p), CategoryDistribution(p_k), float(varpi)
+    if len(p_k) != len(p):
+        raise ValueError(f"p_k has {len(p_k)} categories but p has {len(p)}")
+    varpi = float(varpi)
     plan = solve_is_weights(p, p_k, l_row, varpi)
     alpha = compute_alpha(l_row)
     # the plan does not depend on the row's scale, but rho takes it as given
@@ -534,8 +547,8 @@ def main(argv: list[str] | None = None) -> int:
     except RoundFailure as exc:
         print(f"run failed in {exc}", file=sys.stderr)
         return 4
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:  # MemoryError: a run too large for memory
+        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, json.JSONDecodeError, TypeError, OverflowError) as exc:
         source = {"bounds": "run log", "solve": "input"}.get(args.command, "config")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -322,11 +323,13 @@ def _file_dataset(path: str | Path, features, labels, n_classes: int) -> Dataset
 
 def _read_section(f, size: int, path: str | Path, section: str) -> bytes:
     """The next ``size`` bytes of the container ``f``; ValueError naming the
-    file and the section if the file ends first."""
-    data = f.read(size)
-    if len(data) < size:
-        raise ValueError(f"{path}: truncated {section} ({len(data)} of {size} bytes)")
-    return data
+    file and the section if the file ends first. The size is checked against
+    the bytes left in the file before any read, so a header that claims more
+    than the file holds allocates nothing."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise ValueError(f"{path}: truncated {section} ({left} of {size} bytes)")
+    return f.read(size)
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -350,4 +353,10 @@ def load_csv_dataset(path: str | Path, n_classes: int) -> Dataset:
     bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.round(labels))))
     if bad.size:
         raise ValueError(f"{path}: row {bad[0]} has a non-integer label {float(labels[bad[0]])!r}")
+    # checked as floats: a label beyond int64 would not survive the cast
+    bad = np.flatnonzero((labels < 0) | (labels >= n_classes))
+    if bad.size:
+        raise ValueError(
+            f"{path}: row {bad[0]} has a label {float(labels[bad[0]])!r} outside [0, {n_classes})"
+        )
     return _file_dataset(path, raw[:, 1:], labels.astype(np.int64), n_classes)

@@ -240,10 +240,11 @@ def _isfl(srv, rnd, plans, stack, new_global, laps, refresh):
     if rnd == 1:
         in_effect, q_star = fresh, np.stack([plan.q.probs for plan in plans])
     laps.lap("solve")
-    stats = estimate_sgd_stats(cfg.model, new_global, srv.pool, srv.bounds, cfg.trainer.batch_size)
+    sigma2, g2 = estimate_sgd_stats(cfg.model, new_global, srv.pool, srv.bounds,
+                                    cfg.trainer.batch_size)
     srv.log.records.append(RoundRecord(
         round_index=rnd, lipschitz=in_effect, q_used=q_used, q_star=q_star,
-        sigma2=stats.sigma2, g2=stats.g2, loss_start=srv.loss_start,
+        sigma2=sigma2, g2=g2, loss_start=srv.loss_start,
         dev2=np.array([float(np.linalg.norm(row - new_global)) ** 2 for row in stack]),
     ))
     laps.lap("stats")

@@ -13,7 +13,6 @@ solver consumes these rows; the exact noise statistics feed diagnostics only.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,20 +27,6 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class GradientStats:
-    """Minibatch-gradient variance per client and the squared norm bound."""
-
-    sigma2: np.ndarray
-    g2: float
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.sigma2)) and np.isfinite(self.g2)):
-            raise ValueError("estimates must be finite")
-        if np.any(self.sigma2 < 0.0) or self.g2 < 0.0:
-            raise ValueError("estimates must be non-negative")
-
-
 def lipschitz_row(
     diff_norms: np.ndarray,
     labels: np.ndarray,
@@ -52,15 +37,14 @@ def lipschitz_row(
 
     ``diff_norms[n]`` is the norm of sample n's gradient change, and
     ``deviation_norm`` the positive, finite norm of the parameter change;
-    ``labels`` holds at least one sample, as a probe's labels do. Categories
-    with no samples are filled with the mean of the present entries.
+    ``labels`` holds at least one sample, as a probe's labels do. One
+    scatter-max from -inf takes every category's maximum; a category with no
+    samples stays at -inf and is filled with the mean of the present entries.
     """
-    row = np.full(n_classes, np.nan)
-    for c in range(n_classes):
-        mask = labels == c
-        if mask.any():
-            row[c] = diff_norms[mask].max() / deviation_norm
-    missing = np.isnan(row)
+    row = np.full(n_classes, -np.inf)
+    np.maximum.at(row, labels, diff_norms)
+    row /= deviation_norm
+    missing = row == -np.inf
     if missing.any():
         logger.warning(
             "categories %s absent from probe; filling with the row mean",
@@ -115,9 +99,10 @@ def estimate_lipschitz(
 
 def estimate_sgd_stats(
     spec: ModelSpec, params: np.ndarray, pool: Dataset, bounds, batch_size: int
-) -> GradientStats:
+) -> tuple[np.ndarray, float]:
     """Exact minibatch-gradient noise of every client at ``params``, from one
-    backward pass over ``pool``; client k holds its rows bounds[k]:bounds[k+1].
+    backward pass over ``pool``, as ``(sigma2, g2)``; client k holds its rows
+    bounds[k]:bounds[k+1].
 
     A batch of B of client k's n_k samples, drawn uniformly without
     replacement, has mean gradient g_B with E g_B = gbar_k and
@@ -134,7 +119,7 @@ def estimate_sgd_stats(
     if bounds[0] != 0 or bounds[-1] != len(pool) or np.any(sizes < 1):
         raise ValueError("client bounds must split the pool into non-empty runs of rows")
     # a non-finite entry of the pass makes its client's sigma2 non-finite
-    # (0 * inf is nan), which GradientStats rejects
+    # (0 * inf is nan), which the check at the return rejects
     acts, deltas = per_sample_pass(spec, params, pool)
     mean_sq = np.add.reduceat(per_sample_sq_norms(acts, deltas), bounds[:-1]) / sizes
     # |n_k gbar_k|^2 from each layer's weight and bias gradients summed over
@@ -149,4 +134,7 @@ def estimate_sgd_stats(
     gbar_sq = sum_sq / sizes**2
     scale = np.maximum(sizes - batch_size, 0) / (batch_size * np.maximum(sizes - 1, 1))
     sigma2 = scale * np.maximum(mean_sq - gbar_sq, 0.0)
-    return GradientStats(sigma2=sigma2, g2=float(np.max(gbar_sq + sigma2)))
+    g2 = float(np.max(gbar_sq + sigma2))
+    if not (np.all(np.isfinite(sigma2)) and np.isfinite(g2)):
+        raise ValueError("estimates must be finite")
+    return sigma2, g2

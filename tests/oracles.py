@@ -21,7 +21,9 @@ arXiv 1805.10941); a one-sample pool reads a half where numpy reads none.
 ``estimate_lipschitz`` forms one client's and the aggregate's per-sample
 gradient matrices in ``BLOCK_ROWS``-row blocks and takes the norms of their
 differences; the difference form in ``isfl.lipschitz`` must match its rows to
-rounding.
+rounding. ``lipschitz_row`` takes each category's maximum in a loop over the
+categories, one mask each; the scatter-max in ``isfl.lipschitz`` must give
+its row bit for bit.
 ``every_batch_mean_grads`` enumerates every B-subset of a small client and
 takes each one's mean gradient; the moments over these equally likely draws
 are what the exact noise statistics of ``isfl.lipschitz.estimate_sgd_stats``
@@ -69,7 +71,6 @@ from isfl.data import (
     _shuffled_pools,
 )
 from isfl.isweights import SamplingPlan, _effective_floors
-from isfl.lipschitz import lipschitz_row
 from isfl.model import ModelSpec, _grads_into, _views, check_batch
 from isfl.trainer import TrainerConfig
 
@@ -426,6 +427,26 @@ def per_sample_grad_blocks(spec: ModelSpec, params: np.ndarray, batch: Dataset, 
             )
             views[2 * i + 1][: stop - start] = delta[start:stop]
         yield buffer[: stop - start]
+
+
+def lipschitz_row(
+    diff_norms: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    deviation_norm: float,
+) -> np.ndarray:
+    """Per-category max of gradient-difference norms over the deviation norm,
+    one category at a time; categories with no samples get the mean of the
+    present entries."""
+    row = np.full(n_classes, np.nan)
+    for c in range(n_classes):
+        mask = labels == c
+        if mask.any():
+            row[c] = diff_norms[mask].max() / deviation_norm
+    missing = np.isnan(row)
+    if missing.any():
+        row[missing] = row[~missing].mean()
+    return row
 
 
 def estimate_lipschitz(

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -143,8 +144,15 @@ class TestSolveCommand:
         ({"varpy": 0.1}, "unknown solve input keys: ['varpy']"),
         ("pp_kL", "solve input must be a JSON object (got str)"),
         ({"L": [10**400, 2.0]}, "L: int too large to convert to float"),
+        ({"p": [0.5, 0.6]}, "p: probs must sum to 1 (got 1.1)"),
+        ({"p_k": [0.5, 0.6]}, "p_k: probs must sum to 1 (got 1.1)"),
+        ({"p": []}, "p: probs must be a non-empty 1-D vector"),
+        ({"p_k": [1.5, -0.5]}, "p_k: probs must be non-negative"),
+        ({"p_k": [0.5, 0.25, 0.25]}, "p_k has 3 categories but p has 2"),
+        ({"varpi": 1.5}, "varpi must lie in [0, 1)"),
     ], ids=["bool-varpi", "string-varpi", "bool-L", "string-p_k", "number-p",
-            "unknown-key", "misspelt-key", "not-an-object", "int-overflow-L"])
+            "unknown-key", "misspelt-key", "not-an-object", "int-overflow-L", "sum-p",
+            "sum-p_k", "empty-p", "negative-p_k", "length-p_k", "varpi-1.5"])
     def test_malformed_input_exits_1_naming_the_key(self, tmp_path, capsys, change, message):
         problem = {"p": [0.5, 0.5], "p_k": [0.5, 0.5], "L": [1.0, 2.0]}
         bad = tmp_path / "bad.json"
@@ -157,7 +165,7 @@ class TestSolveCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"p": [0.5, 0.6], "p_k": [0.5, 0.5], "L": [1.0, 2.0]}))
         assert main(["solve", "--input", str(bad)]) == 1
-        assert capsys.readouterr().err == "input error: probs must sum to 1 (got 1.1)\n"
+        assert capsys.readouterr().err == "input error: p: probs must sum to 1 (got 1.1)\n"
 
     def test_overflowing_penalty_exits_1(self, tmp_path, capsys):
         # the plan does not depend on the row's scale, but rho of this row is inf
@@ -244,6 +252,17 @@ class TestPartitionCommand:
         cfg_path = write_config(tmp_path, clients=50)
         assert main(["partition", "--config", str(cfg_path)]) == 3
 
+    def test_no_training_sample_left_exits_3(self, tmp_path, capsys):
+        # 10 classes of 160 samples: the test set and the holdout take all 1600
+        cfg_path = write_config(
+            tmp_path, classes=10, per_class=160, test_size=1000, holdout_size=600
+        )
+        assert main(["partition", "--config", str(cfg_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "capacity error: holdout + test must leave at least one training sample\n"
+        )
+
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, bogus_key=1)
         assert main(["partition", "--config", str(cfg_path)]) == 1
@@ -260,11 +279,13 @@ class TestPartitionCommand:
         )
 
     @pytest.mark.parametrize("name, content, message", [
-        ("data.csv", b"5,1.0,2.0\n", "labels must lie in [0, n_classes)"),
+        ("data.csv", b"5,1.0,2.0\n", "row 0 has a label 5.0 outside [0, 2)"),
         ("data.bin", DATASET_MAGIC + struct.pack("<III2fH", 1, 2, 2, 1.0, 2.0, 7),
          "labels must lie in [0, n_classes)"),
         ("data.csv", b"", "features must be a non-empty N x d matrix"),
-    ], ids=["csv-label", "container-label", "empty-csv"])
+        ("data.bin", DATASET_MAGIC + struct.pack("<III2fH", 1, 2, 0, 1.0, 2.0, 0),
+         "n_classes must be positive"),
+    ], ids=["csv-label", "container-label", "empty-csv", "container-no-classes"])
     def test_a_dataset_file_that_is_rejected_exits_1_naming_the_file(
         self, tmp_path, capsys, name, content, message
     ):
@@ -459,13 +480,20 @@ class TestRunCommand:
         ("probe_size", 31, "config error: probe_size (31) must not exceed holdout_size (30)"),
         # the epoch schedule's length does not fit an index-sized integer
         ("local_epochs", 10**20, "config error: "),
+        # 40-sample clients in batches of 16: 3 batches an epoch
+        ("local_epochs", sys.maxsize // 3 + 1,
+         f"config error: local_epochs {sys.maxsize // 3 + 1} makes a local run of"),
+        ("clients", 0, "must be >= 1"),
+        ("batch_size", 0, "must be >= 1"),
+        ("classes", 1, "n_classes >= 2"),
     ], ids=["varpi-1.5", "varpi-neg", "probe-0", "separation-neg", "test-neg",
             "holdout-0", "rounds-0", "strategy", "seed-bool", "hidden-float", "batch-bool",
             "seed-negative", "rounds-float", "probe-float", "eta-bool", "ratio-bool",
             "separation-bool", "nr-string", "varpi-string", "eta-null", "strategies-isfl",
             "strategies-fedavg", "strategies-number", "dataset-path-number",
             "dataset-path-list", "activation-number", "activation-unknown", "hidden-zero",
-            "probe-over-holdout", "epochs-overflow"])
+            "probe-over-holdout", "epochs-overflow", "epochs-beyond-index", "clients-0",
+            "batch-0", "classes-1"])
     def test_bad_setting_exits_1_before_any_job(
         self, tmp_path, capsys, monkeypatch, key, value, message
     ):
@@ -475,6 +503,16 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1
         assert message in capsys.readouterr().err
         assert started == []
+
+    def test_a_run_too_large_for_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(jobs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli_mod, "run_jobs", out_of_memory)
+        cfg_path = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "capacity error: out of memory\n"
 
     def test_negative_seed_option_exits_1_before_any_job(self, tmp_path, capsys, monkeypatch):
         started = []
@@ -531,8 +569,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "cell, value, message",
-        [((5, 2), np.nan, "non-finite feature"), ((7, 0), 1.7, "non-integer label")],
-        ids=["nan-feature", "fractional-label"],
+        [((5, 2), np.nan, "non-finite feature"), ((7, 0), 1.7, "non-integer label"),
+         ((7, 0), 1e300, "label 1e+300 outside [0, 3)"),
+         ((7, 0), 9.3e18, "label 9.3e+18 outside [0, 3)")],
+        ids=["nan-feature", "fractional-label", "label-1e300", "label-beyond-int64"],
     )
     def test_bad_csv_cell_exits_1(self, tmp_path, capsys, cell, value, message):
         source = generate_synthetic(3, 80, 4, 2.0, seed=0)
@@ -562,6 +602,23 @@ class TestRunCommand:
         for command in (["partition"], ["run", "--out", str(out_dir)]):
             assert main([*command, "--config", str(cfg_path)]) == 1
             assert f"config error: {path}: truncated {section}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("rows, dims", [(2**31, 2**10), (2**32 - 1, 2**32 - 1)],
+                             ids=["2^31x2^10", "2^32-1-squared"])
+    def test_a_header_claiming_more_than_the_file_exits_1_naming_the_file(
+        self, tmp_path, capsys, rows, dims
+    ):
+        # the magic, a header of rows x dims x 3 classes, and 64 bytes of data
+        path = tmp_path / "data.bin"
+        path.write_bytes(DATASET_MAGIC + struct.pack("<III", rows, dims, 3) + bytes(64))
+        cfg_path = write_config(tmp_path, dataset_path=str(path))
+        out_dir = tmp_path / "runs"
+        for command in (["partition"], ["run", "--out", str(out_dir)]):
+            assert main([*command, "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err == (
+                f"config error: {path}: truncated features (64 of {rows * dims * 4} bytes)\n"
+            )
         assert not out_dir.exists()
 
     def test_epochs_without_a_sample_exit_1_before_any_run(self, tmp_path, capsys):
@@ -1186,6 +1243,18 @@ class TestExperimentConfig:
         assert len(shards) == 20
         assert all(len(s) == 1000 for s in shards)
         assert len(probe) == 500 and len(test) == 1000
+
+    def test_validation_builds_no_run_schedule(self):
+        # eight 128-sample batches an epoch: the run of 10**6 epochs would be
+        # a tuple of 8 * 10**6 entries, and one of 10**12 epochs no memory holds
+        tracemalloc.start()
+        try:
+            ExperimentConfig(local_epochs=10**6).validate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        ExperimentConfig(local_epochs=10**12).validate()
 
     def test_validation_catches_bad_strategy(self, tmp_path):
         path = write_config(tmp_path, strategies=["bogus"])
