@@ -49,6 +49,7 @@ from .data import (
     select_probe_set,
     sort_and_partition,
     train_holdout_test_split,
+    training_size,
 )
 from .federation import (
     PHASES,
@@ -60,7 +61,7 @@ from .federation import (
 )
 from .isweights import compute_alpha, compute_gamma_star, rho, solve_is_weights
 from .model import ModelSpec
-from .trainer import TrainerConfig, batch_sizes
+from .trainer import TrainerConfig, epoch_batches
 
 METRICS_HEADER = "round,loss,acc_S,acc_G,rho_mean,rho_theory"
 
@@ -167,23 +168,23 @@ class ExperimentConfig:
                 f"probe_size ({self.probe_size}) must not exceed holdout_size "
                 f"({self.holdout_size})"
             )
-        if self.dataset_path is None:
+        if self.dataset_path is None:  # a file's size is known once a worker reads it
             check_synthetic(self.classes, self.per_class, self.dim, self.separation)
+            left = training_size(self.classes * self.per_class, self.holdout_size, self.test_size)
+            self.partition_config(seed=0).validate_for(left)
 
     def check_sampling_ratio(self, ratio: float) -> None:
         """Raise unless ``ratio`` makes a valid trainer config whose epochs
         take at least one sample of a client, and whose local run has no more
-        batches than an index can count. Builds one epoch's schedule, not the
-        run's."""
+        batches than an index can count. Counts the batches, builds none."""
         samples = self.shard_size * self.shards_per_client
-        one_epoch = dataclasses.replace(self.trainer_config(ratio), local_epochs=1)
-        epoch = batch_sizes(samples, one_epoch)
-        if not epoch:
+        per_epoch = epoch_batches(samples, self.trainer_config(ratio))
+        if not per_epoch:
             raise ValueError(
                 f"sampling_ratio {ratio!r} takes no sample per epoch of a "
                 f"{samples}-sample client"
             )
-        batches = len(epoch) * self.local_epochs
+        batches = per_epoch * self.local_epochs
         if batches > sys.maxsize:
             raise ValueError(
                 f"local_epochs {self.local_epochs} makes a local run of {batches} "
@@ -290,8 +291,7 @@ def write_run(
     ))
     if rows:
         log.save_jsonl(out_dir / "diagnostics.jsonl")
-        diagnostics.write_bounds_csv(rows, out_dir / "bounds.csv")
-        diagnostics.write_long_csv(rows, out_dir / "long.csv")
+        diagnostics.write_bound_tables(rows, out_dir)
 
 
 def usable_cpus() -> int:
@@ -501,9 +501,7 @@ def cmd_sweep_sr(args) -> int:
 def cmd_bounds(args) -> int:
     run_dir = Path(args.run_dir)
     rows = diagnostics.bounds_rows(diagnostics.RunLog.load_jsonl(run_dir / "diagnostics.jsonl"))
-    diagnostics.write_bounds_csv(rows, run_dir / "bounds.csv")
-    diagnostics.write_long_csv(rows, run_dir / "long.csv")
-    print(f"wrote {run_dir / 'bounds.csv'} and {run_dir / 'long.csv'}")
+    print("wrote {} and {}".format(*diagnostics.write_bound_tables(rows, run_dir)))
     return 0
 
 

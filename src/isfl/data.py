@@ -113,12 +113,11 @@ class PartitionConfig:
     def n_shards(self) -> int:
         return self.n_clients * self.shards_per_client
 
-    def validate_for(self, ds: Dataset) -> None:
+    def validate_for(self, n_samples: int) -> None:
+        """Raise CapacityError unless ``n_samples`` samples fill every shard."""
         needed = self.n_shards * self.shard_size
-        if needed > len(ds):
-            raise CapacityError(
-                f"partition needs {needed} samples but the dataset has {len(ds)}"
-            )
+        if needed > n_samples:
+            raise CapacityError(f"partition needs {needed} samples but the dataset has {n_samples}")
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ def sort_and_partition(ds: Dataset, cfg: PartitionConfig) -> list[ClientShard]:
     samples spread evenly over all categories. Shards are dealt to clients at
     random without replacement, so client data is disjoint.
     """
-    cfg.validate_for(ds)
+    cfg.validate_for(len(ds))
     n_shards = cfg.n_shards
     skew = math.ceil(cfg.nr * cfg.shard_size)
     rng = np.random.default_rng(cfg.seed)
@@ -294,12 +293,19 @@ def select_probe_set(ds: Dataset, size: int, seed: int = 0) -> Dataset:
     return ds.subset(chosen)
 
 
+def training_size(n_samples: int, holdout_size: int, test_size: int) -> int:
+    """The samples a three-way split of ``n_samples`` leaves for training;
+    CapacityError unless there is at least one."""
+    if holdout_size + test_size >= n_samples:
+        raise CapacityError("holdout + test must leave at least one training sample")
+    return n_samples - holdout_size - test_size
+
+
 def train_holdout_test_split(
     ds: Dataset, holdout_size: int, test_size: int, seed: int = 0
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Stratified three-way split; holdout/test sizes are exact."""
-    if holdout_size + test_size >= len(ds):
-        raise CapacityError("holdout + test must leave at least one training sample")
+    training_size(len(ds), holdout_size, test_size)
     rng = np.random.default_rng(seed)
     pools = _shuffled_pools(ds, rng)
     capacity = np.array([p.size for p in pools])
@@ -348,7 +354,10 @@ def load_csv_dataset(path: str | Path, n_classes: int) -> Dataset:
     """Read ``label,f0,f1,...`` rows with labels in ``[0, n_classes)``."""
     with warnings.catch_warnings():  # a file without rows fails in Dataset, naming the file
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a cell or a row numpy cannot parse
+            raise ValueError(f"{path}: {exc}") from exc
     labels = raw[:, 0]
     bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.round(labels))))
     if bad.size:

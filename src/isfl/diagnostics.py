@@ -149,7 +149,6 @@ def _finite(row: dict, key: str, shape: tuple[int, ...]) -> np.ndarray | float:
 BOUND_SERIES = (
     "rho_realized", "rho_theory", "psi", "phi_mean", "dev_mean", "lemma1_pass_rate", "bound_rhs",
 )
-BOUNDS_HEADER = ",".join(("round", *BOUND_SERIES[:-1]))
 
 
 def bounds_rows(log: RunLog) -> list[dict]:
@@ -241,13 +240,14 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def write_bounds_csv(rows: list[dict], path: str | Path) -> None:
-    write_csv(path, BOUNDS_HEADER, ([r[c] for c in BOUNDS_HEADER.split(",")] for r in rows))
-
-
-def write_long_csv(rows: list[dict], path: str | Path) -> None:
-    """Plot-ready long format: each of BOUND_SERIES per round, then dev2 per client."""
-    write_csv(path, "round,series,client,value", [
+def write_bound_tables(rows: list[dict], run_dir: str | Path) -> tuple[Path, Path]:
+    """bounds.csv and the plot-ready long.csv (BOUND_SERIES per round, then dev2
+    per client) of the bounds ``rows``, in ``run_dir``; returns their paths."""
+    bounds, long = Path(run_dir, "bounds.csv"), Path(run_dir, "long.csv")
+    columns = ("round", *BOUND_SERIES[:-1])
+    write_csv(bounds, ",".join(columns), ([r[c] for c in columns] for r in rows))
+    write_csv(long, "round,series,client,value", [
         *((r["round"], s, None, r[s]) for r in rows for s in BOUND_SERIES),
         *((r["round"], "dev2", k, dev2) for r in rows for k, dev2 in enumerate(r["dev2"])),
     ])
+    return bounds, long

@@ -177,7 +177,6 @@ class _Run:
         non-finite aggregate or pooled loss fails round rnd, a rejected plan
         round rnd + 1."""
         cfg, failing = self.cfg, rnd
-        server_phase, scores_round_one = _STRATEGY_PHASES[cfg.strategy]
         try:
             new_global = aggregate(stack, self.log.pi)
             laps.lap("aggregate")
@@ -185,11 +184,10 @@ class _Run:
             _, acc_test = evaluate(cfg.model, new_global, self.test_set)
             laps.lap("eval")
 
-            # No plans are refreshed after the last round: no round trains
-            # under them. The exception: isfl scores round 1 on the first
-            # curvature estimate, so a one-round isfl run still solves once
-            refresh = rnd < cfg.n_rounds or rnd == 1 and scores_round_one
-            self.plans = server_phase(self, rnd, self.plans, stack, new_global, laps, refresh)
+            # no plans are refreshed after the last round: no round trains under them
+            self.plans = _STRATEGY_PHASES[cfg.strategy](
+                self, rnd, self.plans, stack, new_global, laps, rnd < cfg.n_rounds
+            )
             laps.lap("solve")
 
             if not (np.isfinite(train_loss) and np.all(np.isfinite(new_global))):
@@ -223,11 +221,12 @@ def _gradnorm_is(srv, rnd, plans, stack, new_global, laps, refresh):
 
 
 def _isfl(srv, rnd, plans, stack, new_global, laps, refresh):
-    """Solve the next plans from fresh curvature rows; record the round."""
+    """Solve the next plans from fresh curvature rows; record the round. Round 1
+    always solves, as it is scored on the first estimate: a one-round run too."""
     cfg = srv.cfg
     q_used = np.stack([plan.q.probs for plan in plans])
     fresh = srv.lips
-    if refresh:
+    if refresh or rnd == 1:
         fresh = estimate_lipschitz(cfg.model, stack, new_global, srv.probe, srv.lips)
         laps.lap("curvature")
         plans = [solve_is_weights(srv.p_global, p_local, row, cfg.varpi)
@@ -254,13 +253,8 @@ def _isfl(srv, rnd, plans, stack, new_global, laps, refresh):
 
 # Each strategy's server phase, ``phase(srv, rnd, plans, stack, new_global,
 # laps, refresh)``: the next round's plans, refreshed only when ``refresh``,
-# and its own records in the log; and whether round 1 is scored on a refresh
-_STRATEGY_PHASES = {
-    "fedavg": (_fedavg, False),
-    "rw_is": (_rw_is, False),
-    "gradnorm_is": (_gradnorm_is, False),
-    "isfl": (_isfl, True),
-}
+# and its own records in the log
+_STRATEGY_PHASES = {"fedavg": _fedavg, "rw_is": _rw_is, "gradnorm_is": _gradnorm_is, "isfl": _isfl}
 STRATEGIES = tuple(_STRATEGY_PHASES)
 
 

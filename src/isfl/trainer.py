@@ -31,9 +31,6 @@ from .data import CategoryDistribution, ClientShard, Dataset
 from .isweights import SamplingPlan
 from .model import ModelSpec, check_batch, per_sample_grad_norms, sgd_stepper
 
-# Generator.choice's tolerance on the sum of a probability vector
-_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
-
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -51,11 +48,22 @@ class TrainerConfig:
             raise ValueError("sampling_ratio must lie in (0, 1]")
 
 
+def _epoch(n_samples: int, cfg: TrainerConfig) -> tuple[int, int]:
+    """One epoch's full batches and the size of its last, smaller batch (0 for
+    none): each epoch touches exactly floor(sampling_ratio * n_samples)
+    samples in batches of cfg.batch_size."""
+    return divmod(math.floor(cfg.sampling_ratio * n_samples), cfg.batch_size)
+
+
+def epoch_batches(n_samples: int, cfg: TrainerConfig) -> int:
+    """How many batches one epoch has, counted without building them."""
+    full, tail = _epoch(n_samples, cfg)
+    return full + (tail > 0)
+
+
 def batch_sizes(n_samples: int, cfg: TrainerConfig) -> tuple[int, ...]:
-    """Batch sizes of a whole local run: each epoch touches exactly
-    floor(sampling_ratio * n_samples) samples in batches of cfg.batch_size,
-    the last batch possibly smaller."""
-    full, tail = divmod(math.floor(cfg.sampling_ratio * n_samples), cfg.batch_size)
+    """Batch sizes of a whole local run: cfg.local_epochs epochs (``_epoch``)."""
+    full, tail = _epoch(n_samples, cfg)
     return ((cfg.batch_size,) * full + ((tail,) if tail else ())) * cfg.local_epochs
 
 
@@ -86,14 +94,13 @@ def _word_layout(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 def check_plan(shard: ClientShard, plan: SamplingPlan | np.ndarray) -> None:
     """Raise ValueError unless ``plan`` can draw from ``shard``: per-sample
-    probabilities, one per shard row, non-negative and summing to 1, or a
+    probabilities, one per shard row, that CategoryDistribution accepts, or a
     category plan over the shard's categories with mass only on categories
     the shard holds."""
     if isinstance(plan, np.ndarray):
         if plan.shape != (len(shard),):
             raise ValueError("per-sample probabilities must match the shard size")
-        if not (np.all(plan >= 0.0) and abs(plan.sum() - 1.0) <= _SUM_TOL):
-            raise ValueError("per-sample probabilities must be non-negative and sum to 1")
+        CategoryDistribution(plan)
         return
     q = plan.q.probs
     if q.size != shard.dataset.n_classes:

@@ -542,7 +542,7 @@ def sort_and_partition(ds: Dataset, cfg: PartitionConfig) -> list[ClientShard]:
     samples spread evenly over all categories. Shards are dealt to clients at
     random without replacement, so client data is disjoint.
     """
-    cfg.validate_for(ds)
+    cfg.validate_for(len(ds))
     n_shards = cfg.n_shards
     skew = math.ceil(cfg.nr * cfg.shard_size)
     uni = cfg.shard_size - skew

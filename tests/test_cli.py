@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import statistics
 import struct
 import subprocess
 import sys
@@ -285,7 +286,15 @@ class TestPartitionCommand:
         ("data.csv", b"", "features must be a non-empty N x d matrix"),
         ("data.bin", DATASET_MAGIC + struct.pack("<III2fH", 1, 2, 0, 1.0, 2.0, 0),
          "n_classes must be positive"),
-    ], ids=["csv-label", "container-label", "empty-csv", "container-no-classes"])
+        ("data.csv", b"label,f0,f1\n0,1.0,2.0\n",
+         "could not convert string 'label' to float64 at row 0, column 1."),
+        ("data.csv", b"0,1.0,2.0\n1,1.0\n",
+         "the number of columns changed from 3 to 2 at row 2; "
+         "use `usecols` to select a subset and avoid this error"),
+        ("data.csv", b"0,1.0,2.0\n1,abc,2.0\n",
+         "could not convert string 'abc' to float64 at row 1, column 2."),
+    ], ids=["csv-label", "container-label", "empty-csv", "container-no-classes",
+            "csv-header-row", "csv-short-row", "csv-text-cell"])
     def test_a_dataset_file_that_is_rejected_exits_1_naming_the_file(
         self, tmp_path, capsys, name, content, message
     ):
@@ -336,6 +345,33 @@ class TestRunCommand:
         assert (isfl_dir / "bounds.csv").exists()
         table = capsys.readouterr().out
         assert all(s in table for s in ("fedavg", "rw_is", "gradnorm_is", "isfl"))
+
+    def test_summary_table_reads_the_final_rounds(self, tmp_path, capsys):
+        """Each strategy's acc_S and acc_G are the mean and the ddof=1 spread
+        of its runs' final metrics.csv rows, to 4 decimals; one seed has no
+        spread."""
+        strategies = ["fedavg", "rw_is"]
+        cfg_path = write_config(tmp_path, strategies=strategies, seeds=[1, 2], rounds=1)
+        for seeds, option in (([1, 2], []), ([1], ["--seed", "1"])):
+            out_dir = tmp_path / f"runs{len(seeds)}"
+            assert main(["run", "--config", str(cfg_path), "--out", str(out_dir), *option]) == 0
+            header, *lines = capsys.readouterr().out.splitlines()
+            assert header.split() == ["strategy", "acc_S", "acc_G"]
+            assert [line.split()[0] for line in lines] == strategies
+            for line in lines:
+                strategy, *cells = line.split()
+                finals = [
+                    (out_dir / f"{strategy}_seed{seed}" / "metrics.csv")
+                    .read_text().splitlines()[-1].split(",") for seed in seeds
+                ]
+                expected = []
+                for column in (2, 3):  # acc_S, acc_G
+                    accs = [float(final[column]) for final in finals]
+                    spread = statistics.stdev(accs) if len(accs) > 1 else 0.0
+                    expected += [f"{statistics.fmean(accs):.4f}", "+/-", f"{spread:.4f}"]
+                assert cells == expected
+                if len(seeds) == 1:
+                    assert cells[2] == cells[5] == "0.0000"
 
     def test_rerun_reproduces_metrics_bytes(self, tmp_path):
         cfg_path = write_config(tmp_path, strategies=["isfl"])
@@ -513,6 +549,27 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == "capacity error: out of memory\n"
+
+    @pytest.mark.parametrize("config, message", [
+        ({"rounds": 1, "clients": 100000, "shard_size": 100},
+         "partition needs 20000000 samples but the dataset has 20400"),
+        ({"rounds": 1, "test_size": 30000},
+         "holdout + test must leave at least one training sample"),
+    ], ids=["partition-over-source", "split-over-source"])
+    def test_a_synthetic_config_that_cannot_fit_exits_3_before_any_job(
+        self, tmp_path, capsys, monkeypatch, config, message
+    ):
+        """The README defaults, 10 classes of 2,200 samples, with the test set
+        and the holdout taking 1,600: validation counts what each job's data
+        build would find short."""
+        started = []
+        monkeypatch.setattr(cli_mod, "run_jobs", started.append)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"capacity error: {message}\n"
+        assert started == []
 
     def test_negative_seed_option_exits_1_before_any_job(self, tmp_path, capsys, monkeypatch):
         started = []
@@ -952,6 +1009,19 @@ class TestSchedules:
                               capture_output=True, text=True, check=True)
         assert done.stdout.splitlines() == ["False", "[True, True]"]
 
+    def test_import_loads_no_worker_module(self):
+        """``import isfl.cli`` leaves the modules only ``run_jobs`` needs
+        unloaded, so a command that starts no job does not pay for them."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        probe = "import sys, isfl.cli; print(*(name in sys.modules for name in sys.argv[1:]))"
+        names = ["multiprocessing", "concurrent.futures", "numpy.random"]
+        done = subprocess.run([sys.executable, "-c", probe, *names], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["False"] * len(names)
+
 
 # The ``isfl`` console entry, run on the arguments after the script: prints
 # the OPENBLAS_NUM_THREADS variable and OpenBLAS's thread count of every
@@ -1045,6 +1115,20 @@ class TestSweepCommand:
         for strategy, ratio, seed, acc_s, acc_g in rows:
             final = (out_dir / f"{strategy}_sr{ratio}_seed{seed}" / "metrics.csv").read_text()
             assert final.splitlines()[-1].split(",")[2:4] == [acc_s, acc_g]
+
+    def test_printed_means_read_the_sweep_rows(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, strategies=["fedavg", "rw_is"], seeds=[1, 2], rounds=1)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep-sr", "--config", str(cfg_path), "--sr", "0.5,1.0",
+                     "--out", str(out_dir)]) == 0
+        printed = [line.split() for line in capsys.readouterr().out.splitlines() if "SR=" in line]
+        rows = [r.split(",") for r in (out_dir / "sweep_sr.csv").read_text().splitlines()[1:]]
+        assert [line[:2] for line in printed] == [
+            [s, f"SR={r}"] for s in ("fedavg", "rw_is") for r in ("0.5", "1.0")
+        ]
+        for strategy, ratio, *_, mean in printed:
+            accs = [float(r[4]) for r in rows if r[0] == strategy and f"SR={r[1]}" == ratio]
+            assert len(accs) == 2 and mean == f"{statistics.fmean(accs):.4f}"
 
     def test_full_ratio_matches_plain_run(self, tmp_path):
         cfg_path = write_config(tmp_path, rounds=1)
@@ -1255,6 +1339,17 @@ class TestExperimentConfig:
             tracemalloc.stop()
         assert peak < 2**20
         ExperimentConfig(local_epochs=10**12).validate()
+
+    def test_validation_builds_no_epoch(self):
+        # 2 * 10**7-sample clients: one epoch is 156,250 batches of 128, which
+        # validation counts; a dataset file's size is not checked before a job
+        tracemalloc.start()
+        try:
+            ExperimentConfig(dataset_path="d.csv", shard_size=10**7).validate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
     def test_validation_catches_bad_strategy(self, tmp_path):
         path = write_config(tmp_path, strategies=["bogus"])

@@ -3,14 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from isfl.diagnostics import (
-    BOUNDS_HEADER,
-    RoundRecord,
-    RunLog,
-    bounds_rows,
-    write_bounds_csv,
-    write_long_csv,
-)
+from isfl.diagnostics import RoundRecord, RunLog, bounds_rows, write_bound_tables
 from isfl.federation import run
 
 from test_federation import fed_config, small_problem
@@ -159,15 +152,15 @@ class TestBoundsArtifacts:
             assert np.isfinite(row["bound_rhs"]) and row["bound_rhs"] > 0.0
             assert row["rho_theory"] <= row["rho_realized"] + 1e-12
 
-        bounds_path = tmp_path / "bounds.csv"
-        write_bounds_csv(rows, bounds_path)
+        bounds_path, long_path = write_bound_tables(rows, tmp_path)
+        assert (bounds_path, long_path) == (tmp_path / "bounds.csv", tmp_path / "long.csv")
         lines = bounds_path.read_text().splitlines()
-        assert lines[0] == BOUNDS_HEADER
+        assert lines[0] == (
+            "round,rho_realized,rho_theory,psi,phi_mean,dev_mean,lemma1_pass_rate"
+        )
         assert len(lines) == 4
         assert "nan" not in bounds_path.read_text().lower()
 
-        long_path = tmp_path / "long.csv"
-        write_long_csv(rows, long_path)
         header = long_path.read_text().splitlines()[0]
         assert header == "round,series,client,value"
 

@@ -403,7 +403,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("where, fails, rows, message", [
         ("server", 3, [3, 12, 12, 9, 9], "synthetic failure"),
-        ("plan", 3, [3, 12, 9, 9, 9], "per-sample probabilities must be non-negative and sum to 1"),
+        ("plan", 3, [3, 12, 9, 9, 9], "probs must be finite"),
         ("train", 3, [3, 12, 12], "synthetic failure"),
         ("server", 1, [3, 9, 9, 9, 9], "synthetic failure"),
     ], ids=["server-phase", "next-plan", "training-call", "round-one-server-phase"])

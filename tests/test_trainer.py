@@ -13,7 +13,9 @@ from isfl.model import ModelSpec, init_params
 from isfl.trainer import (
     TrainerConfig,
     batch_sizes,
+    check_plan,
     draw_batches,
+    epoch_batches,
     gradnorm_plan,
     local_train,
     rw_plan,
@@ -159,6 +161,13 @@ class TestLocalTrain:
         assert batch_sizes(33, cfg) == (8, 8) * 2
         assert batch_sizes(35, cfg) == (8, 8, 1) * 2
 
+    @given(n_samples=st.integers(0, 300), batch_size=st.integers(1, 40),
+           epochs=st.integers(1, 3), ratio=st.floats(0.01, 1.0))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_epoch_batches_counts_the_schedule(self, n_samples, batch_size, epochs, ratio):
+        cfg = TrainerConfig(batch_size=batch_size, local_epochs=epochs, sampling_ratio=ratio)
+        assert epoch_batches(n_samples, cfg) * epochs == len(batch_sizes(n_samples, cfg))
+
     def test_per_sample_plan_path(self):
         shard = make_shard(np.tile([0, 1], 10))
         spec = ModelSpec(3, (), 2)
@@ -171,6 +180,20 @@ class TestLocalTrain:
             train_alone(spec, params, shard, probs[:-1], cfg, seed=2)
         with pytest.raises(ValueError):
             train_alone(spec, params, shard, np.full(len(shard), np.nan), cfg, seed=2)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p * np.nan, "probs must be finite"),
+        (lambda p: p - np.eye(p.size)[0] / 2 + np.eye(p.size)[1] / 2, "probs must be non-negative"),
+        (lambda p: p * (1.0 + 1e-8), "probs must sum to 1"),
+    ], ids=["nan", "negative", "sum-off-by-1e-8"])
+    def test_per_sample_plan_meets_the_distribution_rule(self, edit, message):
+        """A per-sample vector passes CategoryDistribution, whose sum bound
+        (1e-9) is tighter than Generator.choice's (about 1.5e-8)."""
+        shard = make_shard(np.tile([0, 1], 10))
+        probs = np.full(len(shard), 1.0 / len(shard))
+        check_plan(shard, probs)
+        with pytest.raises(ValueError, match=message):
+            check_plan(shard, edit(probs))
 
     def test_one_seed_per_client_required(self):
         shard = make_shard(np.tile([0, 1], 4))
