@@ -7,26 +7,29 @@ Subcommands:
   sweep-sr    final accuracy across sampling ratios
   bounds      recompute bounds.csv from a run's diagnostics log
 
-``ExperimentConfig`` maps its keys to each module config in one method.
-run and sweep-sr run their jobs ``(cfg, strategy, seed, sampling_ratio,
-out_dir)`` in parallel worker processes, one per CPU; run's ratio is the
-config's. Round 1 is the same FedAvg round for every strategy of one (seed,
-ratio), so a worker task runs the strategies of one seed from one data build
-wherever that keeps every worker busy (``group_jobs``). The task's
-strategies train in lockstep (``run_task``, ``federation.run_lockstep``):
-round 1 once for all of them, then one stacked local run per round. A failed
-strategy stops no other. The artifacts do not depend on the CPU count.
+``ExperimentConfig`` maps its keys to each module config, one method per
+config (``model_spec``, ``partition_config``, ``trainer_config``,
+``federation_config``). run and sweep-sr run their jobs ``(cfg, strategy,
+seed, sampling_ratio, out_dir)`` in parallel worker processes, one per CPU;
+run's ratio is the config's. Round 1 is the same FedAvg round for every
+strategy of one (seed, ratio), so a worker task runs the strategies of one
+seed from one data build wherever that keeps every worker busy
+(``group_jobs``). The task's strategies train in lockstep (``run_task``,
+``federation.run_lockstep``): round 1 once for all of them, then one stacked
+local run per round. A failed strategy stops no other. Each finished job's
+run directory is written by ``diagnostics.write_run``. The artifacts do not
+depend on the CPU count.
 
 Exit codes: 1 config, input or run-log validation, 2 I/O, 3 capacity (too
-few samples, or a run too large for memory), 4 a round failed (the run
-diverged or a module raised); the failing round index goes to stderr.
+few samples, a run too large for memory, or a worker process that died), 4 a
+round failed (the run diverged or a module raised); the failing round index
+goes to stderr.
 """
 
 from __future__ import annotations  # field types stay the strings that key _KINDS
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -51,19 +54,10 @@ from .data import (
     train_holdout_test_split,
     training_size,
 )
-from .federation import (
-    PHASES,
-    FederationConfig,
-    RoundFailure,
-    RoundMetrics,
-    derive_seed,
-    run_lockstep,
-)
+from .federation import FederationConfig, RoundFailure, RoundMetrics, derive_seed, run_lockstep
 from .isweights import compute_alpha, compute_gamma_star, rho, solve_is_weights
 from .model import ModelSpec
 from .trainer import TrainerConfig, epoch_batches
-
-METRICS_HEADER = "round,loss,acc_S,acc_G,rho_mean,rho_theory"
 
 
 def _list_of(test):
@@ -253,47 +247,6 @@ def build_experiment_data(cfg: ExperimentConfig, seed: int):
     return shards, probe, test
 
 
-def run_id_of(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(canonical).hexdigest()[:12]
-
-
-def write_run(
-    metrics: list[RoundMetrics], log: diagnostics.RunLog, cfg: ExperimentConfig,
-    strategy: str, seed: int, sampling_ratio: float, out_dir: Path,
-) -> None:
-    """Write one job's manifest, metrics and timings, and the diagnostics
-    artifacts when its log has round records. The rho columns of metrics.csv
-    are those of the bounds rows for the same round, and blank for a round
-    without one; timings.csv holds wall seconds per round, in total and per
-    phase (federation.PHASES)."""
-    rows = diagnostics.bounds_rows(log) if log.records else []
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "config": dataclasses.asdict(cfg),
-        "strategy": strategy,
-        "seed": seed,
-        "sampling_ratio": sampling_ratio,
-    }
-    manifest["run_id"] = run_id_of(manifest)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    scores = {r["round"]: (r["rho_realized"], r["rho_theory"]) for r in rows}
-    diagnostics.write_csv(out_dir / "metrics.csv", METRICS_HEADER, (
-        (m.round_index, m.train_loss, m.acc_test, m.acc_pool,
-         *scores.get(m.round_index, (None, None)))
-        for m in metrics
-    ))
-    diagnostics.write_csv(out_dir / "timings.csv", ",".join(("round", "secs", *PHASES)), (
-        (m.round_index, *(f"{c:.6f}" for c in (m.seconds, *(m.phases[p] for p in PHASES))))
-        for m in metrics
-    ))
-    if rows:
-        log.save_jsonl(out_dir / "diagnostics.jsonl")
-        diagnostics.write_bound_tables(rows, out_dir)
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on; all of them where the platform cannot say."""
     try:
@@ -317,9 +270,10 @@ def run_task(jobs: list[tuple]) -> list[list[RoundMetrics] | Exception]:
     """The jobs ``(cfg, strategy, seed, sampling_ratio, out_dir)`` of one
     (seed, ratio) key from one data build, as one lockstep loop of their
     strategies that trains round 1 once for all of them
-    (``federation.run_lockstep``); then each finished job's artifacts, in job
-    order (``write_run``). Returns each job's metrics, or the exception that
-    failed it: its own, or one that failed the whole task. A failed job
+    (``federation.run_lockstep``); then each finished job's manifest (its
+    config, strategy, seed and ratio) and artifacts, in job order
+    (``diagnostics.write_run``). Returns each job's metrics, or the exception
+    that failed it: its own, or one that failed the whole task. A failed job
     writes nothing."""
     try:
         cfg, _, seed, ratio, _ = jobs[0]
@@ -329,10 +283,12 @@ def run_task(jobs: list[tuple]) -> list[list[RoundMetrics] | Exception]:
     except Exception as exc:  # the worker's boundary: run_jobs raises it in job order
         return [exc] * len(jobs)
     done = []
-    for job, outcome in zip(jobs, outcomes):
+    for (cfg, strategy, seed, ratio, out_dir), outcome in zip(jobs, outcomes):
         if not isinstance(outcome, RoundFailure):
             try:
-                write_run(*outcome, *job)
+                manifest = {"config": dataclasses.asdict(cfg), "strategy": strategy,
+                            "seed": seed, "sampling_ratio": ratio}
+                diagnostics.write_run(out_dir, manifest, *outcome)
                 outcome = outcome[0]
             except Exception as exc:
                 outcome = exc
@@ -351,11 +307,13 @@ def run_jobs(jobs: list[tuple]) -> list[list[RoundMetrics]]:
     management thread (Python 3.11), so no fork copies a thread of its own.
     The first job to fail, in job order, raises its exception here, and
     tasks not yet started do not run; a failed job stops no other job of its
-    task, and each finished job keeps its artifacts.
+    task, and each finished job keeps its artifacts. A worker process that
+    dies, as the kernel's out-of-memory kill ends one, raises CapacityError.
     """
     # imported here, as only run and sweep-sr use them: ``import isfl.cli`` skips them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     import numpy.random  # noqa: F401  numpy loads it lazily: once here, not in every worker
 
@@ -372,7 +330,10 @@ def run_jobs(jobs: list[tuple]) -> list[list[RoundMetrics]]:
         results = []
         for j in range(len(jobs)):
             future, i = place[j]
-            outcome = future.result()[i]
+            try:
+                outcome = future.result()[i]
+            except BrokenProcessPool as exc:
+                raise CapacityError("a worker process died before it returned its jobs") from exc
             if isinstance(outcome, Exception):
                 raise outcome
             results.append(outcome)
@@ -499,9 +460,7 @@ def cmd_sweep_sr(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    run_dir = Path(args.run_dir)
-    rows = diagnostics.bounds_rows(diagnostics.RunLog.load_jsonl(run_dir / "diagnostics.jsonl"))
-    print("wrote {} and {}".format(*diagnostics.write_bound_tables(rows, run_dir)))
+    print("wrote {} and {}".format(*diagnostics.rescore(args.run_dir)))
     return 0
 
 

@@ -3,13 +3,16 @@
 Per aggregation round the orchestrator records the curvature matrix in effect
 (round 1, which has none, gets the first estimate; see RoundRecord), the plan
 in effect, the optimum for that curvature, noise statistics, and parameter
-deviations. Everything here is read-only post-processing over those records:
-``bounds_rows`` scores a log once, each term of the bound once per round, for
-bounds.csv, long.csv and the rho columns of metrics.csv.
+deviations. ``bounds_rows`` scores a log once, each term of the bound once per
+round, for bounds.csv, long.csv and the rho columns of metrics.csv. This
+module also writes a run directory's files: ``write_run`` every artifact of a
+finished job, and ``rescore`` the bound tables again from the job's log.
 """
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +41,8 @@ class RoundRecord:
     dev2: np.ndarray               # per-client ||local - aggregated||^2
     loss_start: float              # pooled train loss at round start
 
+
+_LOG = "diagnostics.jsonl"  # the run log's file name in a run directory
 
 # The fields of the run header and of a round record after its index, as
 # save_jsonl writes and load_jsonl reads them, each with its shape in clients K
@@ -223,21 +228,13 @@ def bounds_rows(log: RunLog) -> list[dict]:
 
 
 def write_csv(path: str | Path, header: str, rows) -> None:
-    """``header`` and then one line per row of ``rows``. A string or an
-    integer cell is written as it is, None as a blank, and any other number
-    as ``repr(float(x))``, a plain decimal that reads back as the same float."""
-    with open(path, "w", encoding="utf-8") as f:
+    """``header`` and then one line per row of ``rows``, by the csv module:
+    None is a blank and any other cell its ``str``, which for a float or an
+    ``np.float64`` is the shortest decimal that reads back as the same float.
+    No cell the program writes holds a comma, a quote or a newline."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(map(_cell, row)) + "\n")
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (str, int, np.integer)):
-        return str(value)
-    return repr(float(value))
+        csv.writer(f, lineterminator="\n").writerows(rows)
 
 
 def write_bound_tables(rows: list[dict], run_dir: str | Path) -> tuple[Path, Path]:
@@ -251,3 +248,37 @@ def write_bound_tables(rows: list[dict], run_dir: str | Path) -> tuple[Path, Pat
         *((r["round"], "dev2", k, dev2) for r in rows for k, dev2 in enumerate(r["dev2"])),
     ])
     return bounds, long
+
+
+def write_run(out_dir: Path, manifest: dict, metrics: list, log: RunLog) -> None:
+    """One finished job's artifacts: ``manifest`` and its run id (12 hex digits
+    of the sha256 of its sorted-key JSON), its ``federation.RoundMetrics`` rows
+    in metrics.csv (the rho columns are the bounds rows' for the same round,
+    blank without one) and timings.csv (wall seconds per round, in total and
+    per phase), and, when ``log`` has round records, the log and its bound tables."""
+    rows = bounds_rows(log) if log.records else []
+    out_dir.mkdir(parents=True, exist_ok=True)
+    canonical = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    manifest = manifest | {"run_id": hashlib.sha256(canonical).hexdigest()[:12]}
+    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
+        f.write("\n")
+    scores = {r["round"]: (r["rho_realized"], r["rho_theory"]) for r in rows}
+    write_csv(out_dir / "metrics.csv", "round,loss,acc_S,acc_G,rho_mean,rho_theory", (
+        (m.round_index, m.train_loss, m.acc_test, m.acc_pool,
+         *scores.get(m.round_index, (None, None)))
+        for m in metrics
+    ))
+    phases = tuple(metrics[0].phases)  # federation.PHASES, which the rounds' laps fill
+    write_csv(out_dir / "timings.csv", ",".join(("round", "secs", *phases)), (
+        (m.round_index, *(f"{c:.6f}" for c in (m.seconds, *(m.phases[p] for p in phases))))
+        for m in metrics
+    ))
+    if rows:
+        log.save_jsonl(out_dir / _LOG)
+        write_bound_tables(rows, out_dir)
+
+
+def rescore(run_dir: str | Path) -> tuple[Path, Path]:
+    """``write_bound_tables`` again from the run log in ``run_dir``."""
+    return write_bound_tables(bounds_rows(RunLog.load_jsonl(Path(run_dir, _LOG))), run_dir)

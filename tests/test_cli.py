@@ -54,6 +54,12 @@ def force_workers(monkeypatch, workers):
     )
 
 
+def end_the_worker(jobs):
+    """A worker task that ends its process, as the kernel's out-of-memory kill
+    does; module-level, so that a worker can unpickle it."""
+    os._exit(9)
+
+
 def write_config(tmp_path, **overrides):
     cfg = dict(BASE_CONFIG)
     cfg.update(overrides)
@@ -330,6 +336,28 @@ class TestRunCommand:
         assert manifest["strategy"] == "fedavg" and manifest["seed"] == 1
         assert "run_id" in manifest
         assert "fedavg" in capsys.readouterr().out
+
+    def test_each_run_directory_holds_its_artifacts_and_no_other_file(self, tmp_path):
+        strategies = ["fedavg", "rw_is", "gradnorm_is", "isfl"]
+        cfg_path = write_config(tmp_path, strategies=strategies)
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        every = {"manifest.json", "metrics.csv", "timings.csv"}
+        bound = {"diagnostics.jsonl", "bounds.csv", "long.csv"}
+        found = {d.name: {f.name for f in d.iterdir()} for d in out_dir.iterdir()}
+        assert found == {
+            f"{s}_seed1": every | (bound if s == "isfl" else set()) for s in strategies
+        }
+
+    def test_run_id_is_the_digest_of_the_other_manifest_keys(self, tmp_path):
+        cfg_path = write_config(tmp_path, rounds=1)
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "fedavg_seed1" / "manifest.json").read_text())
+        run_id = manifest.pop("run_id")
+        assert set(manifest) == {"config", "strategy", "seed", "sampling_ratio"}
+        canonical = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        assert run_id == hashlib.sha256(canonical).hexdigest()[:12]
 
     def test_all_strategies_fan_out(self, tmp_path, capsys):
         cfg_path = write_config(
@@ -966,11 +994,13 @@ class TestSchedules:
         # first job comes before the first task's failing job in job order
         force_workers(monkeypatch, 1)
 
-        def fake(metrics, log, cfg, strategy, seed, sampling_ratio, out_dir):
+        def fake(out_dir, manifest, metrics, log):
+            strategy, seed = manifest["strategy"], manifest["seed"]
             if (strategy, seed) in (("isfl", 4), ("fedavg", 1)):
                 raise RoundFailure(2, f"{strategy} on seed {seed}")
 
-        monkeypatch.setattr(cli_mod, "write_run", fake)  # forked workers inherit it
+        # forked workers inherit it
+        monkeypatch.setattr(cli_mod.diagnostics, "write_run", fake)
         cfg = ExperimentConfig(**BASE_CONFIG)
         jobs = [
             (cfg, s, d, cfg.sampling_ratio, tmp_path / f"{s}_{d}")
@@ -978,6 +1008,16 @@ class TestSchedules:
         ]
         with pytest.raises(RoundFailure, match="round 2: fedavg on seed 1"):
             cli_mod.run_jobs(jobs)
+
+    def test_a_worker_that_dies_exits_3_with_one_line(self, tmp_path, monkeypatch, capfd):
+        monkeypatch.setattr(cli_mod, "run_task", end_the_worker)  # forked workers inherit it
+        cfg_path = write_config(tmp_path, seeds=[1, 2])
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 3
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "capacity error: a worker process died before it returned its jobs"
+        ]
 
     def test_task_builds_data_once_and_trains_round_one_once(self, tmp_path, monkeypatch):
         calls = {"build_experiment_data": 0, "local_train": 0}

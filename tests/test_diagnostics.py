@@ -1,9 +1,10 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 
-from isfl.diagnostics import RoundRecord, RunLog, bounds_rows, write_bound_tables
+from isfl.diagnostics import RoundRecord, RunLog, bounds_rows, write_bound_tables, write_csv
 from isfl.federation import run
 
 from test_federation import fed_config, small_problem
@@ -163,6 +164,23 @@ class TestBoundsArtifacts:
 
         header = long_path.read_text().splitlines()[0]
         assert header == "round,series,client,value"
+
+    def test_csv_cells_of_every_kind_the_program_writes(self, tmp_path):
+        """None is a blank, an integer its digits, a float the shortest decimal
+        that reads back bit-equal, and a string as it is, unquoted."""
+        floats = [0.1 + 0.2, np.float64(0.1 + 0.2), -0.0, 1e16, 5e-324]
+        path = tmp_path / "cells.csv"
+        write_csv(path, "a,b", [
+            [None, 3, np.int64(3)], floats, ["0.000123", "rho_realized"],
+        ])
+        text = path.read_text(encoding="utf-8")
+        assert text == (
+            "a,b\n,3,3\n0.30000000000000004,0.30000000000000004,-0.0,1e+16,5e-324\n"
+            "0.000123,rho_realized\n"
+        )
+        cells = text.splitlines()[2].split(",")
+        for cell, value in zip(cells, floats, strict=True):
+            assert struct.pack("<d", float(cell)) == struct.pack("<d", value), cell
 
     def test_jsonl_round_trip(self, tmp_path):
         """Every field of the header and of every record, each dataclass field

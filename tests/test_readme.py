@@ -1,15 +1,18 @@
 import argparse
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import isfl
 from isfl.cli import ExperimentConfig, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -67,3 +70,27 @@ def test_library_example_prints_a_final_accuracy():
         exec(compile(library_example(), str(README), "exec"), {"__name__": "readme"})
     acc = float(out.getvalue().strip())
     assert math.isfinite(acc) and 0.0 <= acc <= 1.0
+
+
+def test_every_private_or_qualified_name_resolves():
+    """Each backticked README name that starts with ``_`` or ``isfl.`` is an
+    attribute of an isfl module (``_Run.end_round``) or a path from the
+    package (``isfl.cli``), so the README names no deleted code."""
+    modules = [
+        importlib.import_module(f"isfl.{m.name}") for m in pkgutil.iter_modules(isfl.__path__)
+    ]
+
+    def found(owner, path: list[str]) -> bool:
+        for part in path:
+            if not hasattr(owner, part):
+                return False
+            owner = getattr(owner, part)
+        return True
+
+    names = set(re.findall(r"`((?:_|isfl\.)[\w.]+)`", README.read_text(encoding="utf-8")))
+    unresolved = sorted(
+        name for name in names
+        if not any(found(owner, name.removeprefix("isfl.").split("."))
+                   for owner in ([isfl] if name.startswith("isfl.") else modules))
+    )
+    assert names and not unresolved
