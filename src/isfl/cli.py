@@ -410,18 +410,19 @@ def cmd_solve(args) -> int:
     if len(p_k) != len(p):
         raise ValueError(f"p_k has {len(p_k)} categories but p has {len(p)}")
     varpi = float(varpi)
-    plan = solve_is_weights(p, p_k, l_row, varpi)
+    q = solve_is_weights(p, p_k, l_row, varpi).q.probs
     alpha = compute_alpha(l_row)
     # the plan does not depend on the row's scale, but rho takes it as given
     with np.errstate(over="ignore"):
-        penalty = rho(plan.q, p, l_row)
+        penalty = rho(q, p, l_row)
     if not np.isfinite(penalty):
         raise ValueError("the penalty rho of the plan overflows at these curvatures")
     out = {
         "alpha": alpha.tolist(),
         "gamma_star": compute_gamma_star(p, p_k, alpha, varpi),
-        "q": plan.q.probs.tolist(),
-        "w": plan.w.tolist(),
+        "q": q.tolist(),
+        # the IS weights q_i / p_k_i the plan applies by sampling, 0 off the client's data
+        "w": np.divide(q, p_k.probs, out=np.zeros_like(q), where=p_k.probs > 0.0).tolist(),
         "rho": penalty,
     }
     text = json.dumps(out, indent=2, sort_keys=True)
@@ -434,12 +435,18 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep_sr(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
-    ratios = [float(s) for s in args.sr.split(",") if s.strip()]
+    try:
+        ratios = [float(s) for s in args.sr.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--sr: {exc}") from exc
     if not ratios:
         raise ValueError("need at least one sampling ratio")
     _reject_repeats("sampling ratios", ratios)
     for ratio in ratios:
-        cfg.check_sampling_ratio(ratio)
+        try:
+            cfg.check_sampling_ratio(ratio)
+        except ValueError as exc:
+            raise ValueError(f"--sr {ratio}: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     keys = [(s, r, d) for s in cfg.strategies for r in ratios for d in cfg.seeds]

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClientShard, Dataset, global_distribution
+from .data import CategoryDistribution, ClientShard, Dataset, global_distribution
 from .diagnostics import RoundRecord, RunLog
-from .isweights import SamplingPlan, solve_is_weights, uniform_plan
+from .isweights import solve_is_weights
 from .lipschitz import estimate_lipschitz, estimate_sgd_stats
 from .model import ModelSpec, evaluate, init_params
 from .trainer import TrainerConfig, check_plan, gradnorm_plan, local_train, rw_plan
@@ -142,8 +142,9 @@ class _Run:
     """One strategy's run over the pooled client data ``pool``: its config,
     shards, pooled and local distributions, each client's view of the pool
     (``own``: pool rows ``bounds[k]:bounds[k + 1]``), test set, probe and log;
-    and the state a round starts from: the aggregate ``params`` and the
-    ``plans`` its clients train from and under, the pooled loss and, for
+    and the state a round starts from: the aggregate ``params`` its clients
+    train from, the ``plans`` they draw their batches from (each client's
+    local mix at first, fedavg's plan throughout), the pooled loss and, for
     isfl, the rows the plans were solved from. ``outcome`` is None while the
     run trains, then its (metrics, log) or the RoundFailure that ended it."""
 
@@ -161,7 +162,7 @@ class _Run:
         self.own = [Dataset(pool.features[a:b], pool.labels[a:b], pool.n_classes)
                     for a, b in zip(bounds[:-1], bounds[1:])]
         self.params, self.loss_start = params, loss_start
-        self.plans: list[SamplingPlan | np.ndarray] = [uniform_plan(pl) for pl in self.p_locals]
+        self.plans: list[CategoryDistribution | np.ndarray] = list(self.p_locals)
         # Round 1 trains under unit weights before any estimate exists, so these
         # all-ones rows only stand in for a client whose round-1 deviation is zero
         self.lips = np.ones((len(shards), self.p_global.probs.size))
@@ -224,12 +225,12 @@ def _isfl(srv, rnd, plans, stack, new_global, laps, refresh):
     """Solve the next plans from fresh curvature rows; record the round. Round 1
     always solves, as it is scored on the first estimate: a one-round run too."""
     cfg = srv.cfg
-    q_used = np.stack([plan.q.probs for plan in plans])
+    q_used = np.stack([plan.probs for plan in plans])
     fresh = srv.lips
     if refresh or rnd == 1:
         fresh = estimate_lipschitz(cfg.model, stack, new_global, srv.probe, srv.lips)
         laps.lap("curvature")
-        plans = [solve_is_weights(srv.p_global, p_local, row, cfg.varpi)
+        plans = [solve_is_weights(srv.p_global, p_local, row, cfg.varpi).q
                  for p_local, row in zip(srv.p_locals, fresh)]
     # in-effect view of this round: the plans the clients trained under and the
     # optimum for the rows those plans were solved from. No estimate was in
@@ -237,7 +238,7 @@ def _isfl(srv, rnd, plans, stack, new_global, laps, refresh):
     # round 2's plans come; later, the plan in effect is itself the optimum
     in_effect, q_star = srv.lips, q_used
     if rnd == 1:
-        in_effect, q_star = fresh, np.stack([plan.q.probs for plan in plans])
+        in_effect, q_star = fresh, np.stack([plan.probs for plan in plans])
     laps.lap("solve")
     sigma2, g2 = estimate_sgd_stats(cfg.model, new_global, srv.pool, srv.bounds,
                                     cfg.trainer.batch_size)

@@ -37,29 +37,12 @@ _DEGENERATE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Resampling probabilities q over a client whose local mix is p_local.
-
-    ``clamped`` flags instances whose floors had to be cut down to the pooled
-    proportion to stay solvable.
-    """
+    """The solver's report for one client: the resampling probabilities ``q``
+    the client draws its categories from, and ``clamped``, set when the floors
+    had to be cut down to the pooled proportion to stay solvable."""
 
     q: CategoryDistribution
-    p_local: CategoryDistribution
     clamped: bool = False
-
-    def __post_init__(self):
-        if len(self.q) != len(self.p_local):
-            raise ValueError("q and p_local must have equal length")
-
-    @property
-    def w(self) -> np.ndarray:
-        """Per-category weights q_i / p_local_i, and 0 where the client owns no
-        samples."""
-        pk = self.p_local.probs
-        support = pk > 0.0
-        w = np.zeros(pk.size)
-        w[support] = self.q.probs[support] / pk[support]
-        return w
 
 
 def _curvature_squares(l_row: np.ndarray) -> np.ndarray:
@@ -261,12 +244,7 @@ def solve_is_weights(
             logger.warning("optimum leaves the client's categories empty; keeping its local mix")
             q = pk_arr
         q = q / q.sum()
-    return SamplingPlan(CategoryDistribution(q), p_local, clamped)
-
-
-def uniform_plan(p_local: CategoryDistribution) -> SamplingPlan:
-    """The no-resampling plan: unit weights, q equal to the local mix."""
-    return SamplingPlan(p_local, p_local)
+    return SamplingPlan(CategoryDistribution(q), clamped)
 
 
 def rho(

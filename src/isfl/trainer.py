@@ -1,8 +1,9 @@
 """Client-side local training with category-weighted minibatch sampling.
 
-A sampling plan picks the category first (with its resampling probability) and
-then a sample uniformly from that category's local pool, realizing the
-weighted-gradient update by sampling rather than by loss re-weighting.
+A sampling plan is the distribution a client draws from. A category plan, a
+CategoryDistribution q, picks the category first and then a sample uniformly
+from that category's local pool, realizing the weighted-gradient update
+(weights q_i / p_local_i) by sampling rather than by loss re-weighting.
 GradNorm-style baselines instead pass per-sample probabilities directly.
 
 ``local_train`` trains all clients of a round in lockstep. Each client first
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CategoryDistribution, ClientShard, Dataset
-from .isweights import SamplingPlan
 from .model import ModelSpec, check_batch, per_sample_grad_norms, sgd_stepper
 
 
@@ -92,28 +92,31 @@ def _word_layout(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return doubles, pairs, batch
 
 
-def check_plan(shard: ClientShard, plan: SamplingPlan | np.ndarray) -> None:
-    """Raise ValueError unless ``plan`` can draw from ``shard``: per-sample
-    probabilities, one per shard row, that CategoryDistribution accepts, or a
-    category plan over the shard's categories with mass only on categories
-    the shard holds."""
-    if isinstance(plan, np.ndarray):
-        if plan.shape != (len(shard),):
-            raise ValueError("per-sample probabilities must match the shard size")
-        CategoryDistribution(plan)
-        return
-    q = plan.q.probs
-    if q.size != shard.dataset.n_classes:
-        raise ValueError("plan and shard category counts differ")
-    support = np.flatnonzero(q > 0.0)
-    if np.any(shard.counts[support] == 0):
-        lacking = support[shard.counts[support] == 0][0]
-        raise ValueError(f"plan assigns mass to category {lacking} the shard lacks")
+def check_plan(shard: ClientShard, plan: CategoryDistribution | np.ndarray) -> None:
+    """Raise ValueError, its message prefixed ``client {id}: ``, unless
+    ``plan`` can draw from ``shard``: per-sample probabilities, one per shard
+    row, that CategoryDistribution accepts, or a CategoryDistribution over the
+    shard's categories with mass only on categories the shard holds."""
+    try:
+        if isinstance(plan, np.ndarray):
+            if plan.shape != (len(shard),):
+                raise ValueError("per-sample probabilities must match the shard size")
+            CategoryDistribution(plan)
+            return
+        q = plan.probs
+        if q.size != shard.dataset.n_classes:
+            raise ValueError("plan and shard category counts differ")
+        support = np.flatnonzero(q > 0.0)
+        if np.any(shard.counts[support] == 0):
+            lacking = support[shard.counts[support] == 0][0]
+            raise ValueError(f"plan assigns mass to category {lacking} the shard lacks")
+    except ValueError as exc:
+        raise ValueError(f"client {shard.client_id}: {exc}") from exc
 
 
 def draw_batches(
     shard: ClientShard,
-    plan: SamplingPlan | np.ndarray,
+    plan: CategoryDistribution | np.ndarray,
     sizes: tuple[int, ...],
     seed: int,
 ) -> np.ndarray:
@@ -133,7 +136,7 @@ def draw_batches(
     if isinstance(plan, np.ndarray):
         u = np.random.default_rng(seed).random(sum(sizes))
         return shard.indices[_cdf(plan).searchsorted(u, side="right")]
-    cdf, pool_sizes = _cdf(plan.q.probs), shard.counts
+    cdf, pool_sizes = _cdf(plan.probs), shard.counts
     doubles, pairs, batch = _word_layout(sizes)
     n = doubles.size
     words = np.random.PCG64(seed).random_raw(n + pairs.size)
@@ -154,17 +157,18 @@ def local_train(
     spec: ModelSpec,
     params: np.ndarray,
     shards: list[ClientShard],
-    plans: list[SamplingPlan | np.ndarray],
+    plans: list[CategoryDistribution | np.ndarray],
     cfg: TrainerConfig,
     seeds: list[int],
 ) -> np.ndarray:
     """Run every client's local epochs of weighted minibatch SGD.
 
     Client k starts from ``params``, one (P,) vector for every client or a
-    (K, P) stack with row k for client k, and trains on ``shards[k]`` under
-    ``plans[k]`` (a category-level SamplingPlan or a per-sample probability
-    vector), drawing its batches from a generator seeded with ``seeds[k]``;
-    ``cfg`` is shared by every client (see ``batch_sizes`` for the batches).
+    (K, P) stack with row k for client k, and trains on ``shards[k]``,
+    drawing its batches from ``plans[k]`` (a CategoryDistribution over
+    categories or a per-sample probability vector) with a generator seeded
+    with ``seeds[k]``; ``cfg`` is shared by every client (see
+    ``batch_sizes`` for the batches).
     The shards must be of one dataset and of one size (else ValueError); a
     shard may appear more than once, under other plans. Clients train in
     lockstep as one stack. Returns the (K, P) stack of the clients'
@@ -208,9 +212,7 @@ def gradnorm_plan(spec: ModelSpec, params: np.ndarray, data: Dataset) -> np.ndar
     return norms / total
 
 
-def rw_plan(shard: ClientShard) -> SamplingPlan:
+def rw_plan(shard: ClientShard) -> CategoryDistribution:
     """Re-weighting baseline: sample the present categories uniformly."""
-    pk = shard.local_distribution.probs
-    support = pk > 0.0
-    q = np.where(support, 1.0 / support.sum(), 0.0)
-    return SamplingPlan(CategoryDistribution(q), shard.local_distribution)
+    support = shard.counts > 0
+    return CategoryDistribution(np.where(support, 1.0 / support.sum(), 0.0))

@@ -70,7 +70,7 @@ from isfl.data import (
     PartitionConfig,
     _shuffled_pools,
 )
-from isfl.isweights import SamplingPlan, _effective_floors
+from isfl.isweights import _effective_floors
 from isfl.model import ModelSpec, _grads_into, _views, check_batch
 from isfl.trainer import TrainerConfig
 
@@ -331,12 +331,12 @@ def brute_force_rho_min(
 
 
 def weighted_sample_batch(
-    shard: ClientShard, plan: SamplingPlan, batch_size: int, rng: np.random.Generator
+    shard: ClientShard, plan: CategoryDistribution, batch_size: int, rng: np.random.Generator
 ) -> Dataset:
     """Draw batch_size samples: category by plan probability, then uniform
     within that category's local pool (with replacement), each position
     ``(half * pool) >> 32`` of one 32-bit half of the generator's stream."""
-    q = plan.q.probs
+    q = plan.probs
     if q.size != shard.dataset.n_classes:
         raise ValueError("plan and shard category counts differ")
     support = np.flatnonzero(q > 0.0)
@@ -367,7 +367,7 @@ def local_train(
     spec: ModelSpec,
     params: np.ndarray,
     shard: ClientShard,
-    plan: SamplingPlan | np.ndarray,
+    plan: CategoryDistribution | np.ndarray,
     cfg: TrainerConfig,
     seed: int,
 ) -> np.ndarray:
@@ -375,7 +375,7 @@ def local_train(
 
     Each epoch touches exactly floor(sampling_ratio * len(shard)) samples, in
     batches of cfg.batch_size (last batch possibly smaller). ``plan`` is either
-    a category-level SamplingPlan or a per-sample probability vector.
+    a CategoryDistribution over categories or a per-sample probability vector.
     Deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)

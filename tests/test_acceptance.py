@@ -36,7 +36,6 @@ from isfl.isweights import (
     compute_gamma_star,
     rho,
     solve_is_weights,
-    uniform_plan,
 )
 from isfl.model import ModelSpec, evaluate, init_params
 from isfl.trainer import TrainerConfig, local_train
@@ -424,7 +423,7 @@ def test_criterion_11_single_client_reduction():
 
     # centralized replay: identical seeds, trivial aggregation
     params = init_params(cfg.model, seed=derive_seed(cfg.seed, 0))
-    plan = uniform_plan(shards[0].local_distribution)
+    plan = shards[0].local_distribution
     ok = True
     for rnd in range(1, 5):
         seed = derive_seed(cfg.seed, 1, rnd, 0)

@@ -131,6 +131,18 @@ class TestSolveCommand:
         assert np.allclose(out["q"], [0.5, 0.3, 0.2], atol=1e-12)
         assert np.allclose(out["w"], [0.625, 3.0, 2.0], atol=1e-12)
 
+    def test_weights_are_q_over_p_k_and_zero_off_the_clients_data(self, tmp_path, capsys):
+        problem = tmp_path / "problem.json"
+        problem.write_text(
+            json.dumps({"p": [0.5, 0.3, 0.2], "p_k": [0.7, 0.3, 0.0],
+                        "L": [1, 2, 3], "varpi": 0.1})
+        )
+        assert main(["solve", "--input", str(problem)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        q, w = out["q"], out["w"]
+        assert w[2] == 0.0
+        assert w[:2] == [q[0] / 0.7, q[1] / 0.3]
+
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -1049,18 +1061,30 @@ class TestSchedules:
                               capture_output=True, text=True, check=True)
         assert done.stdout.splitlines() == ["False", "[True, True]"]
 
-    def test_import_loads_no_worker_module(self):
-        """``import isfl.cli`` leaves the modules only ``run_jobs`` needs
-        unloaded, so a command that starts no job does not pay for them."""
+    @staticmethod
+    def loaded_after_import(module, names):
+        """Which of ``names`` are in ``sys.modules`` after ``import module``
+        in a fresh interpreter."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])
         ))
-        probe = "import sys, isfl.cli; print(*(name in sys.modules for name in sys.argv[1:]))"
-        names = ["multiprocessing", "concurrent.futures", "numpy.random"]
+        probe = f"import sys, {module}; print(*(name in sys.modules for name in sys.argv[1:]))"
         done = subprocess.run([sys.executable, "-c", probe, *names], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.split() == ["False"] * len(names)
+        flags = done.stdout.split()
+        return [name for name, loaded in zip(names, flags, strict=True) if loaded == "True"]
+
+    def test_import_loads_no_worker_module(self):
+        """``import isfl.cli`` leaves the modules only ``run_jobs`` needs
+        unloaded, so a command that starts no job does not pay for them."""
+        names = ["multiprocessing", "concurrent.futures", "numpy.random"]
+        assert self.loaded_after_import("isfl.cli", names) == []
+
+    def test_trainer_loads_no_solver(self):
+        """A plan is the distribution the trainer draws from, so ``import
+        isfl.trainer`` leaves the weight solver unloaded."""
+        assert self.loaded_after_import("isfl.trainer", ["isfl.isweights"]) == []
 
 
 # The ``isfl`` console entry, run on the arguments after the script: prints
@@ -1203,6 +1227,22 @@ class TestSweepCommand:
                      "--out", str(out_dir)]) == 1
         assert "sampling ratios must not repeat; repeated: [0.5]" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("sr, message", [
+        ("0.5,abc", "--sr: could not convert string to float: 'abc'"),
+        ("2", "--sr 2.0: sampling_ratio must lie in (0, 1]"),
+        ("nan", "--sr nan: sampling_ratio must lie in (0, 1]"),
+    ], ids=["abc", "2", "nan"])
+    def test_bad_ratio_names_the_flag_and_the_value(
+        self, tmp_path, capsys, monkeypatch, sr, message
+    ):
+        started = []
+        monkeypatch.setattr(cli_mod, "run_jobs", lambda jobs: started.append(jobs) or [])
+        cfg_path = write_config(tmp_path)
+        assert main(["sweep-sr", "--config", str(cfg_path), "--sr", sr,
+                     "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert started == []
 
     def test_no_ratio_exits_1(self, tmp_path):
         cfg_path = write_config(tmp_path)

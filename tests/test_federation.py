@@ -26,7 +26,7 @@ from isfl.federation import (
     run_lockstep,
     size_proportional_weights,
 )
-from isfl.isweights import uniform_plan
+from isfl.isweights import SamplingPlan
 from isfl.lipschitz import estimate_sgd_stats
 from isfl.model import ModelSpec, init_params
 from isfl.trainer import TrainerConfig, local_train
@@ -93,7 +93,7 @@ class TestRun:
         for rnd in range(1, 5):
             stack = local_train(
                 cfg.model, params, shards,
-                [uniform_plan(shards[0].local_distribution)],
+                [shards[0].local_distribution],
                 cfg.trainer, [derive_seed(cfg.seed, 1, rnd, 0)],
             )
             params = aggregate(stack, np.array([1.0]))
@@ -112,7 +112,7 @@ class TestRun:
         monkeypatch.setattr(
             federation_mod,
             "solve_is_weights",
-            lambda p, pk, row, varpi: uniform_plan(pk),
+            lambda p, pk, row, varpi: SamplingPlan(pk),
         )
         stub, _ = run(shards, fed_config("isfl"), test, probe=probe)
         for a, b in zip(fed, stub):
@@ -403,7 +403,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("where, fails, rows, message", [
         ("server", 3, [3, 12, 12, 9, 9], "synthetic failure"),
-        ("plan", 3, [3, 12, 9, 9, 9], "probs must be finite"),
+        ("plan", 3, [3, 12, 9, 9, 9], "client 0: probs must be finite"),
         ("train", 3, [3, 12, 12], "synthetic failure"),
         ("server", 1, [3, 9, 9, 9, 9], "synthetic failure"),
     ], ids=["server-phase", "next-plan", "training-call", "round-one-server-phase"])

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from isfl.data import CapacityError, CategoryDistribution
 from isfl.isweights import (
-    SamplingPlan,
     compute_alpha,
     compute_gamma_star,
     rho,
     solve_is_weights,
-    uniform_plan,
     _effective_floors,
     _minimize_rho,
 )
@@ -126,7 +124,6 @@ class TestSolveIsWeights:
     def test_identity_when_no_gaps(self):
         plan = solve_is_weights(P3, P3, np.array([2.0, 2.0, 2.0]), 0.05)
         assert np.allclose(plan.q.probs, P3.probs, atol=1e-12)
-        assert np.allclose(plan.w, 1.0, atol=1e-12)
 
     def test_worked_instance_against_oracle(self):
         # The penalty is a product, so for this curvature spread the true
@@ -145,10 +142,7 @@ class TestSolveIsWeights:
         pk = CategoryDistribution(np.array([0.7, 0.3, 0.0]))
         plan = solve_is_weights(P3, pk, np.array([1.0, 1.1, 1.2]), 0.05)
         assert plan.q.probs[2] == 0.0
-        assert plan.w[2] == 0.0
         assert abs(plan.q.probs.sum() - 1.0) <= 1e-9
-        support = pk.probs > 0
-        assert abs((pk.probs[support] * plan.w[support]).sum() - 1.0) <= 1e-9
 
     def test_optimum_off_the_support_keeps_local_mix(self, caplog):
         # with no floors all mass goes to the cheaper category the client lacks
@@ -158,7 +152,6 @@ class TestSolveIsWeights:
                 CategoryDistribution(np.array([0.5, 0.5])), pk, np.array([1.0, 0.5]), 0.0
             )
         assert np.array_equal(plan.q.probs, [1.0, 0.0])
-        assert np.array_equal(plan.w, [1.0, 0.0])
         assert "local mix" in caplog.text
 
     def test_clamping_logged_once(self, caplog):
@@ -222,11 +215,7 @@ class TestSolveIsWeights:
             plan = solve_is_weights(p, pk, l_row, varpi)
             assert abs(plan.q.probs.sum() - 1.0) <= 1e-9
             assert np.all(plan.q.probs >= varpi * pk.probs - 1e-12)
-            support = pk.probs > 0
-            assert abs((pk.probs * plan.w).sum() - 1.0) <= 1e-9
-            assert np.allclose(
-                plan.w[support], plan.q.probs[support] / pk.probs[support]
-            )
+            assert not plan.q.probs[pk.probs == 0.0].any()
 
     def test_never_worse_than_local_mix(self):
         rng = np.random.default_rng(9)
@@ -251,21 +240,6 @@ class TestSolveIsWeights:
             spread = (parts.max() - parts.min()) / np.abs(parts).max()
             assert spread <= 1e-6
             checked += 1
-
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            SamplingPlan(q=P3, p_local=CategoryDistribution(np.array([0.5, 0.5])))
-
-    def test_weights_derive_from_q_and_p_local(self):
-        pk = CategoryDistribution(np.array([0.7, 0.3, 0.0]))
-        plan = SamplingPlan(q=CategoryDistribution(np.array([0.4, 0.6, 0.0])), p_local=pk)
-        assert np.array_equal(plan.w, [0.4 / 0.7, 0.6 / 0.3, 0.0])
-        assert not plan.clamped
-
-    def test_uniform_plan(self):
-        plan = uniform_plan(PK3)
-        assert np.allclose(plan.w, 1.0)
-        assert np.array_equal(plan.q.probs, PK3.probs)
 
 
 class TestRho:
@@ -560,7 +534,7 @@ class TestSolverProperties:
         floors, _ = _effective_floors(p.probs, pk.probs, varpi)
         assert abs(plan.q.probs.sum() - 1.0) <= 1e-9
         assert np.all(plan.q.probs >= floors - 1e-12)
-        assert abs((pk.probs * plan.w).sum() - 1.0) <= 1e-9
+        assert not plan.q.probs[pk.probs == 0.0].any()
 
     @PROPERTY_SETTINGS
     @given(solver_problems())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import isfl.trainer as trainer_mod
 import oracles
 from isfl.data import CategoryDistribution, ClientShard, Dataset
-from isfl.isweights import SamplingPlan, solve_is_weights, uniform_plan
+from isfl.isweights import solve_is_weights
 from isfl.model import ModelSpec, init_params
 from isfl.trainer import (
     TrainerConfig,
@@ -46,15 +46,15 @@ def mean_grad(spec, params, ds):
     return oracles.kernel_mean_grads(spec, params, ds.features, ds.labels)
 
 
-def plan_from_q(q, p_local):
-    return SamplingPlan(CategoryDistribution(np.asarray(q, dtype=np.float64)), p_local)
+def plan_from_q(q):
+    return CategoryDistribution(np.asarray(q, dtype=np.float64))
 
 
 class TestWeightedSampleBatch:
     def test_unit_weights_recover_local_distribution(self):
         labels = np.concatenate([np.zeros(40), np.ones(30), np.full(20, 2), np.full(10, 3)])
         shard = make_shard(labels.astype(int))
-        plan = uniform_plan(shard.local_distribution)
+        plan = shard.local_distribution
         batch = weighted_sample_batch(shard, plan, 10_000, 0)
         observed = np.bincount(batch.labels, minlength=4)
         expected = 10_000 * shard.local_distribution.probs
@@ -63,37 +63,41 @@ class TestWeightedSampleBatch:
 
     def test_one_hot_plan(self):
         shard = make_shard([0, 0, 1, 1, 2, 2])
-        plan = plan_from_q([0.0, 1.0, 0.0], shard.local_distribution)
+        plan = plan_from_q([0.0, 1.0, 0.0])
         batch = weighted_sample_batch(shard, plan, 64, 1)
         assert np.all(batch.labels == 1)
 
     def test_solved_plan_frequencies(self):
         labels = np.concatenate([np.zeros(80), np.ones(10), np.full(10, 2)]).astype(int)
         shard = make_shard(labels)
-        plan = plan_from_q([0.665, 0.330, 0.005], shard.local_distribution)
+        plan = plan_from_q([0.665, 0.330, 0.005])
         batch = weighted_sample_batch(shard, plan, 100_000, 2)
         freq = np.bincount(batch.labels, minlength=3) / 100_000
-        assert np.abs(freq - plan.q.probs).max() <= 0.02
+        assert np.abs(freq - plan.probs).max() <= 0.02
 
     def test_support_missing_from_shard_rejected(self):
         rng = np.random.default_rng(0)
         ds = Dataset(rng.standard_normal((3, 3)), np.array([0, 0, 1]), 3)
         shard = ClientShard.build(0, np.arange(3), ds)  # no category-2 samples
-        plan = SamplingPlan(
-            q=CategoryDistribution(np.array([0.0, 0.0, 1.0])),
-            p_local=CategoryDistribution(np.array([0.0, 0.0, 1.0])),
-        )
+        plan = plan_from_q([0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             weighted_sample_batch(shard, plan, 8, 0)
+
+    def test_a_plan_off_the_shard_names_its_client(self):
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.standard_normal((3, 3)), np.array([0, 0, 1]), 3)
+        shard = ClientShard.build(7, np.arange(3), ds)  # no category-2 samples
+        message = "^client 7: plan assigns mass to category 2 the shard lacks$"
+        with pytest.raises(ValueError, match=message):
+            check_plan(shard, plan_from_q([0.5, 0.0, 0.5]))
+        with pytest.raises(ValueError, match=message):
+            draw_batches(shard, plan_from_q([0.5, 0.0, 0.5]), (8,), 0)
 
     def test_plan_outside_shard_categories_rejected(self):
         shard = make_shard([0, 0, 1, 1, 2])  # categories 0..2 present
         ds = Dataset(shard.dataset.features, shard.dataset.labels, 4)
         shard4 = ClientShard.build(0, np.arange(5), ds)
-        plan = plan_from_q(
-            [0.25, 0.25, 0.25, 0.25],
-            CategoryDistribution(np.array([0.25, 0.25, 0.25, 0.25])),
-        )
+        plan = plan_from_q([0.25, 0.25, 0.25, 0.25])
         with pytest.raises(ValueError):
             weighted_sample_batch(shard4, plan, 8, 0)
 
@@ -104,7 +108,7 @@ class TestLocalTrain:
         spec = ModelSpec(3, (), 3)
         params = init_params(spec, seed=1)
         cfg = TrainerConfig(batch_size=8, local_epochs=2, eta=0.0)
-        out = train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
+        out = train_alone(spec, params, shard, shard.local_distribution, cfg)
         assert np.array_equal(out, params)
 
     def test_reduces_to_full_batch_step(self, monkeypatch):
@@ -117,7 +121,7 @@ class TestLocalTrain:
             lambda shard_, plan_, sizes_, seed_: np.tile(shard_.indices, len(sizes_)),
         )
         cfg = TrainerConfig(batch_size=len(shard), local_epochs=1, eta=0.01)
-        out = train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
+        out = train_alone(spec, params, shard, shard.local_distribution, cfg)
         grad = mean_grad(spec, params, shard.dataset.subset(shard.indices))
         assert np.array_equal(out, params - 0.01 * grad)
 
@@ -130,7 +134,7 @@ class TestLocalTrain:
             shard.local_distribution,
             np.array([1.0, 1.3, 0.8]),
             0.05,
-        )
+        ).q
         cfg = TrainerConfig(batch_size=16, local_epochs=3, eta=0.05)
         a = train_alone(spec, params, shard, plan, cfg, seed=11)
         b = train_alone(spec, params, shard, plan, cfg, seed=11)
@@ -154,7 +158,7 @@ class TestLocalTrain:
 
         monkeypatch.setattr(trainer_mod, "sgd_stepper", recording)
         cfg = TrainerConfig(batch_size=8, local_epochs=2, eta=0.01, sampling_ratio=0.5)
-        train_alone(spec, params, shard, uniform_plan(shard.local_distribution), cfg)
+        train_alone(spec, params, shard, shard.local_distribution, cfg)
         budget = int(0.5 * 33)
         assert sum(sizes) == 2 * budget
         assert sizes == [8, 8] * 2  # 16 = floor(0.5 * 33)
@@ -198,7 +202,7 @@ class TestLocalTrain:
     def test_one_seed_per_client_required(self):
         shard = make_shard(np.tile([0, 1], 4))
         spec = ModelSpec(3, (), 2)
-        plan = uniform_plan(shard.local_distribution)
+        plan = shard.local_distribution
         with pytest.raises(ValueError):
             local_train(spec, init_params(spec, 0), [shard, shard], [plan, plan], TrainerConfig(), [0])
 
@@ -210,7 +214,7 @@ class TestLocalTrain:
             "two-datasets": make_shard(np.tile([0, 1], 4), seed=1),
         }[layout]
         spec = ModelSpec(3, (), 2)
-        plans = [uniform_plan(s.local_distribution) for s in (shard, other)]
+        plans = [s.local_distribution for s in (shard, other)]
         with pytest.raises(ValueError, match="equal shard of one dataset"):
             local_train(spec, init_params(spec, 0), [shard, other], plans, TrainerConfig(), [0, 1])
 
@@ -221,10 +225,10 @@ class TestLocalTrain:
         shard = make_shard(labels, dim=2, seed=7)
         spec = ModelSpec(2, (), 3)
         params = init_params(spec, seed=8)
-        plan = plan_from_q([0.5, 0.2, 0.3], shard.local_distribution)
+        plan = plan_from_q([0.5, 0.2, 0.3])
 
         target = np.zeros(params.size)
-        for c, qc in enumerate(plan.q.probs):
+        for c, qc in enumerate(plan.probs):
             pool = shard.dataset.subset(np.flatnonzero(shard.dataset.labels == c))
             target += qc * mean_grad(spec, params, pool)
 
@@ -278,21 +282,21 @@ class TestRwPlan:
     def test_two_category_shard(self):
         labels = np.concatenate([np.zeros(9), np.ones(1)]).astype(int)
         plan = rw_plan(make_shard(labels))
-        assert np.allclose(plan.q.probs, [0.5, 0.5])
-        assert np.allclose(plan.w, [0.5 / 0.9, 5.0])
+        assert np.allclose(plan.probs, [0.5, 0.5])
 
     def test_single_category_shard(self):
         plan = rw_plan(make_shard([0, 0, 0]))
-        assert np.allclose(plan.q.probs, [1.0])
-        assert np.allclose(plan.w, [1.0])
+        assert np.allclose(plan.probs, [1.0])
 
     def test_weights_average_to_one(self):
         for seed in range(100):
             rng = np.random.default_rng(seed)
             labels = rng.integers(0, 4, size=30)
             shard = make_shard(labels, seed=seed)
+            # the weights q / p_local average to one under p_local exactly
+            # when q puts no mass where the client holds no sample
             plan = rw_plan(shard)
-            assert abs((shard.local_distribution.probs * plan.w).sum() - 1.0) <= 1e-12
+            assert not plan.probs[shard.local_distribution.probs == 0.0].any()
 
 
 ORACLE_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -307,7 +311,7 @@ def random_plan(shard, per_sample, rng):
     present = shard.counts > 0
     weights = rng.random(present.size) * present * (rng.random(present.size) < 0.8)
     weights[rng.choice(np.flatnonzero(present))] += 0.5
-    return plan_from_q(weights / weights.sum(), shard.local_distribution)
+    return plan_from_q(weights / weights.sum())
 
 
 @st.composite
@@ -413,7 +417,7 @@ def numpy_per_batch(shard, plan, sizes, seed):
     ``rng.choice`` of each batch's categories, then one array-bound
     ``rng.integers`` of their positions, grouped by ascending category."""
     rng = np.random.default_rng(seed)
-    q, counts = plan.q.probs, shard.counts
+    q, counts = plan.probs, shard.counts
     labels = shard.dataset.labels[shard.indices]
     pooled = np.concatenate([shard.indices[labels == c] for c in range(q.size)])
     first = np.cumsum(counts) - counts
@@ -435,7 +439,7 @@ class TestRawStreamSampler:
     SHARD_LABELS = np.repeat([0, 1, 2], [7, 2, 12])
 
     def plan(self, shard):
-        return plan_from_q([0.5, 0.2, 0.3], shard.local_distribution)
+        return plan_from_q([0.5, 0.2, 0.3])
 
     @pytest.mark.parametrize("seed", [4], ids=["fresh"])
     def test_empty_schedule_draws_nothing(self, seed):
@@ -466,7 +470,7 @@ class TestRawStreamSampler:
         labels = np.repeat([0, 1], [199_831, 2])
         ds = Dataset(np.arange(labels.size, dtype=np.float64)[:, None], labels, 2)
         shard = ClientShard.build(0, np.arange(labels.size), ds)
-        plan = plan_from_q([0.5, 0.5], shard.local_distribution)
+        plan = plan_from_q([0.5, 0.5])
         sizes = (128,) * 8
         assert_matches_oracle(shard, plan, sizes, 46)
         assert not np.array_equal(
@@ -475,14 +479,14 @@ class TestRawStreamSampler:
 
     def test_one_sample_pool_reads_a_half(self):
         shard = make_shard(np.repeat([0, 1, 2], [9, 1, 6]))
-        plan = plan_from_q([0.4, 0.3, 0.3], shard.local_distribution)
+        plan = plan_from_q([0.4, 0.3, 0.3])
         for seed in range(5):
             assert_matches_oracle(shard, plan, (8, 8, 3), seed)
         # a one-sample pool outside the support
-        plan = plan_from_q([0.5, 0.0, 0.5], shard.local_distribution)
+        plan = plan_from_q([0.5, 0.0, 0.5])
         assert_matches_oracle(shard, plan, (8, 8, 3), 0)
         # one in the support that the run never draws, as with seeds 8 and 9 here
-        plan = plan_from_q([0.45, 0.1, 0.45], shard.local_distribution)
+        plan = plan_from_q([0.45, 0.1, 0.45])
         for seed in (8, 9):
             assert_matches_oracle(shard, plan, (8, 8, 3), seed)
 
@@ -514,8 +518,8 @@ def bench_clients(shape, data_seed):
     pooled = CategoryDistribution(counts / counts.sum())
     rng = np.random.default_rng(data_seed)
     plans = [
-        (uniform_plan(shard.local_distribution),
-         solve_is_weights(pooled, shard.local_distribution, rng.uniform(0.5, 3.0, cfg.classes)))
+        (shard.local_distribution,
+         solve_is_weights(pooled, shard.local_distribution, rng.uniform(0.5, 3.0, cfg.classes)).q)
         for shard in shards
     ]
     return shards, plans, cfg.sampling_ratio
